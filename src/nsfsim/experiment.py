@@ -267,7 +267,6 @@ def config_from_mapping(mapping, preset=None) -> ExperimentConfig:
 def parse_config_text(text: str) -> ExperimentConfig:
     """Parse the canonical flat ``key = value`` format (# comments)."""
     mapping = {}
-    lines = {}
     preset = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -286,7 +285,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if key not in _SCHEMA:
             raise ConfigError("unknown-key", f"line {lineno}: unknown configuration key {key!r}")
         mapping[key] = _coerce(key, raw, lineno)
-        lines[key] = lineno
     return config_from_mapping(mapping, preset=preset)
 
 
@@ -371,7 +369,7 @@ def solve_reference(config: ExperimentConfig, problem, gas, transport) -> st.Sta
         else:
             mode = "pipeline"
     if mode == "static":
-        return static_or_raise(problem, gas, transport)
+        return st.static_uniform(problem, gas, transport)
     if mode == "pipeline":
         return st.solve_rb_pipeline(problem, gas, transport)
     guess = None
@@ -380,10 +378,6 @@ def solve_reference(config: ExperimentConfig, problem, gas, transport) -> st.Sta
     except ValueError:
         pass
     return st.solve_stationary_newton(problem, gas, transport, initial_guess=guess)
-
-
-def static_or_raise(problem, gas, transport):
-    return st.static_uniform(problem, gas, transport)
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +527,12 @@ class CsvSink:
     def close(self):
         self._fh.close()
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
 
 def read_csv(path):
     """CSV columns as a dict of float arrays."""
@@ -577,7 +577,11 @@ def _iso_now():
 
 
 def run_experiment(config: ExperimentConfig, output_dir=None) -> RunManifest:
-    """Execute one experiment; always writes a manifest, even on failure."""
+    """Execute one experiment; always writes a manifest, even on failure.
+
+    Any exception raised in a stage ends the run with status
+    ``failed:<stage>`` and the error text in the manifest.
+    """
     out = Path(output_dir if output_dir is not None else config["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     label = config["label"]
@@ -613,21 +617,15 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> RunManifest:
 
     try:
         gas, transport = build_models(config)
-    except ValueError as exc:
-        return fail(exc)
 
-    stage = "validate-hypotheses"
-    try:
+        stage = "validate-hypotheses"
         report = thermo.validate_hypotheses(gas)
         report_path = out / f"{label}.hypotheses.txt"
         report_path.write_text(report.to_text())
         artifacts.append(str(report_path))
         invariants["hypotheses_pass"] = report.passed
-    except Exception as exc:
-        return fail(exc)
 
-    stage = "stationary"
-    try:
+        stage = "stationary"
         problem = build_problem(config)
         eps = problem.epsilon_report
         counters["epsilon_report"] = eps
@@ -644,23 +642,17 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> RunManifest:
         counters["stationary_u_max"] = reference.max_velocity()
         counters["stationary_theta_dev"] = reference.proximity["theta_dev"]
         invariants["stationary_mass_ok"] = reference.mass_error < 1.0e-10
-    except (st.NewtonFailure, st.ShootingFailure, ValueError) as exc:
-        return fail(exc)
 
-    stage = "initial-state"
-    try:
+        stage = "initial-state"
         initial = make_initial_state(config, reference)
         if config["snapshots"] != "none":
             ini_path = out / f"{label}.initial.npz"
             save_snapshot(ini_path, initial)
             artifacts.append(str(ini_path))
-    except ValueError as exc:
-        return fail(exc)
 
-    stage = "simulate"
-    csv_path = out / f"{label}.csv"
-    meta_path = out / f"{label}.meta.jsonl"
-    try:
+        stage = "simulate"
+        csv_path = out / f"{label}.csv"
+        meta_path = out / f"{label}.meta.jsonl"
         ref_state = reference.as_fluid_state()
         thresholds = dg.Thresholds.from_reference(ref_state)
         compute = dg.make_diagnostics(ref_state, gas, transport, thresholds)
@@ -702,47 +694,46 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> RunManifest:
             fh.write(json.dumps({"kind": "columns", "names": dg.RECORD_FIELDS}, sort_keys=True) + "\n")
         artifacts.append(str(meta_path))
 
-        sink = CsvSink(csv_path)
-        snap_every = config["snapshot_every"]
-        if snap_every > 0:
-            sample_index = [0]
-            inner_compute = compute
+        with CsvSink(csv_path) as sink:
+            snap_every = config["snapshot_every"]
+            if snap_every > 0:
+                sample_index = [0]
+                inner_compute = compute
 
-            def compute(state, _inner=inner_compute):
-                record = _inner(state)
-                if sample_index[0] % snap_every == 0:
-                    snap_path = out / f"{label}.t{state.t:.6f}.npz"
-                    save_snapshot(snap_path, state)
-                    artifacts.append(str(snap_path))
-                sample_index[0] += 1
-                return record
+                def compute(state, _inner=inner_compute):
+                    record = _inner(state)
+                    if sample_index[0] % snap_every == 0:
+                        snap_path = out / f"{label}.t{state.t:.6f}.npz"
+                        save_snapshot(snap_path, state)
+                        artifacts.append(str(snap_path))
+                    sample_index[0] += 1
+                    return record
 
-        control = StepControl(
-            cfl_target=config["cfl"],
-            dt_min=config["dt_min"],
-            dt_max=config["dt_max"],
-            max_retries=config["max_retries"],
-        )
-        G = problem.potential_field()
-        if config["horizon"] > 0.0:
-            result = sim.run(
-                initial,
-                config["horizon"],
-                control,
-                gas,
-                transport,
-                G,
-                diagnostics=compute,
-                cadence=config["cadence"],
-                sinks=(sink,),
-                keep_samples=False,
-                convection=config["convection"],
+            control = StepControl(
+                cfl_target=config["cfl"],
+                dt_min=config["dt_min"],
+                dt_max=config["dt_max"],
+                max_retries=config["max_retries"],
             )
-        else:
-            record = compute(initial)
-            sink(record)
-            result = sim.RunResult(final_state=initial, steps=0, retries=0, wall_time=0.0, records=[record])
-        sink.close()
+            G = problem.potential_field()
+            if config["horizon"] > 0.0:
+                result = sim.run(
+                    initial,
+                    config["horizon"],
+                    control,
+                    gas,
+                    transport,
+                    G,
+                    diagnostics=compute,
+                    cadence=config["cadence"],
+                    sinks=(sink,),
+                    keep_samples=False,
+                    convection=config["convection"],
+                )
+            else:
+                record = compute(initial)
+                sink(record)
+                result = sim.RunResult(final_state=initial, steps=0, retries=0, wall_time=0.0, records=[record])
         artifacts.append(str(csv_path))
 
         counters["steps"] = result.steps
@@ -773,11 +764,7 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> RunManifest:
             fin_path = out / f"{label}.final.npz"
             save_snapshot(fin_path, result.final_state)
             artifacts.append(str(fin_path))
-    except (SolverStageError, sim.PositivityError, sim.ImplicitSolveError) as exc:
-        try:
-            sink.close()
-        except Exception:
-            pass
+    except Exception as exc:
         return fail(exc)
 
     status = "ok" if all(invariants.values()) else "invariant-violation"

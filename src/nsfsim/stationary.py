@@ -6,6 +6,15 @@ advances (``operators``), so their output is an exact fixed point of the
 integrator.  The Newton solver enforces the prescribed total mass through one
 scalar multiplier added to the continuity rows, which also removes their
 structural redundancy (upwind fluxes telescope to zero over the domain).
+
+Newton's Jacobian is a coloured finite difference (Curtis, Powell & Reid,
+IMA J. Appl. Math. 13, 1974).  Every equation depends only on unknowns
+within index distance 2 of it, so columns that share no equation form one
+colour and are perturbed together: an iteration costs one residual call per
+colour plus one for the multiplier, a count fixed by the stencil width and
+not by the grid size.  The mass row is linear and set exactly.  The whole
+bordered matrix is factored with ``splu``; the core block alone is singular
+because the continuity rows telescope.
 """
 
 from __future__ import annotations
@@ -14,6 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.sparse import csc_matrix, csr_matrix
+from scipy.sparse.linalg import splu
 
 from . import operators as ops
 from . import thermo
@@ -448,47 +459,126 @@ def solve_rb_pipeline(config: ProblemConfig, gas, transport) -> StationaryState:
 # ---------------------------------------------------------------------------
 
 
-def _pack_1d(rho, theta, u, lam):
-    return np.concatenate([rho, theta, u[1:-1], [lam]])
+class _Layout:
+    """Packed Newton vector of one grid and the grid location of every entry.
+
+    Unknowns: rho, theta, u (2-D only), the wall-normal velocity without its
+    pinned wall faces, then the mass multiplier lambda.  Equations:
+    continuity, momentum, energy, then the mass row.  A 1-D column is laid
+    out as a slab one cell wide whose velocity plays the part of w.  A cell
+    and the faces west of and below it share the cell's location (i, k), so
+    each equation depends only on unknowns within index distance 2 of it,
+    periodic in x.
+    """
+
+    def __init__(self, grid):
+        self.grid = grid
+        self.nx, self.nz = (1, grid.n) if grid.dimension == 1 else (grid.nx, grid.nz)
+        self.n_cells = self.nx * self.nz
+        cells = np.indices((self.nx, self.nz)).reshape(2, -1)
+        faces = np.indices((self.nx, self.nz - 1)).reshape(2, -1) + np.array([[0], [1]])
+        velocity = [faces] if grid.dimension == 1 else [cells, faces]
+        self.unknown_blocks = [cells, cells, *velocity]
+        self.equation_loc = np.concatenate([cells, *velocity, cells], axis=1)
+        self.size = self.equation_loc.shape[1] + 1
+
+    def pack(self, rho, theta, u, w, lam):
+        one_d = self.grid.dimension == 1
+        wall_normal = np.reshape(u if one_d else w, (self.nx, self.nz + 1))[:, 1:-1]
+        fields = [rho, theta] + ([] if one_d else [u]) + [wall_normal]
+        return np.concatenate([np.ravel(a) for a in fields] + [[lam]])
+
+    def unpack(self, x):
+        """(rho, theta, u, w, lam) in the grid's shapes; w is None in 1-D."""
+        nc, nx, nz = self.n_cells, self.nx, self.nz
+        shape = (nz,) if self.grid.dimension == 1 else (nx, nz)
+        rho = x[:nc].reshape(shape)
+        theta = x[nc : 2 * nc].reshape(shape)
+        wall_normal = np.zeros((nx, nz + 1))
+        wall_normal[:, 1:-1] = x[-1 - nx * (nz - 1) : -1].reshape(nx, nz - 1)
+        if self.grid.dimension == 1:
+            return rho, theta, wall_normal[0], None, x[-1]
+        return rho, theta, x[2 * nc : 3 * nc].reshape(shape), wall_normal, x[-1]
+
+    def pattern(self):
+        """(rows, cols) of the core block (all but the mass row and lambda):
+        every equation against every unknown within index distance 2."""
+        at = np.full((len(self.unknown_blocks), self.nx, self.nz), -1)
+        start = 0
+        for b, (i, k) in enumerate(self.unknown_blocks):
+            at[b, i, k] = start + np.arange(i.size)
+            start += i.size
+        ei, ek = self.equation_loc
+        rows, cols = [], []
+        for di in sorted({d % self.nx for d in range(-2, 3)}):
+            for dk in range(-2, 3):
+                inside = np.flatnonzero((ek + dk >= 0) & (ek + dk < self.nz))
+                cand = at[:, (ei[inside] + di) % self.nx, ek[inside] + dk]
+                hit = cand >= 0
+                rows.append(np.broadcast_to(inside, cand.shape)[hit])
+                cols.append(cand[hit])
+        return np.concatenate(rows), np.concatenate(cols)
 
 
-def _residual_vector_1d(x, grid, gas, transport, G, m0):
-    n = grid.n
-    rho = x[:n]
-    theta = x[n : 2 * n]
-    u = np.zeros(n + 1)
-    u[1:-1] = x[2 * n : 3 * n - 1]
-    lam = x[-1]
-    cont, mom, energy = ops.steady_residual_1d(grid, gas, transport, G, rho, theta, u)
-    mass = np.sum(rho) * grid.dx - m0
-    return np.concatenate([cont + lam, mom, energy, [mass]])
-
-
-def _residual_vector_2d(x, grid, gas, transport, G, m0):
-    nx, nz = grid.nx, grid.nz
-    nc = nx * nz
-    rho = x[:nc].reshape(nx, nz)
-    theta = x[nc : 2 * nc].reshape(nx, nz)
-    u = x[2 * nc : 3 * nc].reshape(nx, nz)
-    w = np.zeros((nx, nz + 1))
-    w[:, 1:-1] = x[3 * nc : 3 * nc + nx * (nz - 1)].reshape(nx, nz - 1)
-    lam = x[-1]
-    cont, mom_u, mom_w, energy = ops.steady_residual_2d(grid, gas, transport, G, rho, theta, u, w)
+def _residual(layout, x, gas, transport, G, m0):
+    rho, theta, u, w, lam = layout.unpack(x)
+    grid = layout.grid
+    if grid.dimension == 1:
+        cont, *rest = ops.steady_residual_1d(grid, gas, transport, G, rho, theta, u)
+    else:
+        cont, *rest = ops.steady_residual_2d(grid, gas, transport, G, rho, theta, u, w)
     mass = np.sum(rho) * grid.cell_volume - m0
-    return np.concatenate(
-        [(cont + lam).ravel(), mom_u.ravel(), mom_w.ravel(), energy.ravel(), [mass]]
-    )
+    return np.concatenate([(cont + lam).ravel(), *(r.ravel() for r in rest), [mass]])
 
 
-def _fd_jacobian(fun, x, f0):
-    m, n = f0.size, x.size
-    jac = np.empty((m, n))
+def _colour_columns(rows, cols, n):
+    """Greedy colouring of n columns: two columns sharing a row of the
+    pattern never get the same colour (Curtis, Powell & Reid 1974)."""
+    pattern = csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+    conflicts = (pattern.T @ pattern).tocsr()
+    colour = np.full(n, -1)
     for k in range(n):
-        h = 1.0e-7 * max(1.0, abs(x[k]))
-        xp = x.copy()
-        xp[k] += h
-        jac[:, k] = (fun(xp) - f0) / h
-    return jac
+        taken = colour[conflicts.indices[conflicts.indptr[k] : conflicts.indptr[k + 1]]]
+        free = np.ones(taken.size + 1, dtype=bool)
+        free[taken[(taken >= 0) & (taken <= taken.size)]] = False
+        colour[k] = np.argmax(free)
+    return colour
+
+
+class _ColouredJacobian:
+    """Bordered finite-difference Jacobian of ``_residual``, assembled sparse.
+
+    One residual evaluation per colour of the core columns and one for the
+    lambda column; the mass row is linear and set exactly.
+    """
+
+    def __init__(self, layout):
+        self.layout = layout
+        self.rows, self.cols = layout.pattern()
+        self.colour = _colour_columns(self.rows, self.cols, layout.size - 1)
+        order = np.argsort(self.colour, kind="stable")
+        self.groups = np.split(order, np.cumsum(np.bincount(self.colour))[:-1])
+
+    def __call__(self, fun, x, f):
+        n = x.size - 1
+        h = 1.0e-7 * np.maximum(1.0, np.abs(x))
+        diffs = np.empty((len(self.groups) + 1, n))
+        for c, members in enumerate([*self.groups, [n]]):
+            xp = x.copy()
+            xp[members] += h[members]
+            diffs[c] = fun(xp)[:n] - f[:n]
+        n_cells = self.layout.n_cells
+        rows = np.concatenate([self.rows, np.arange(n), np.full(n_cells, n)])
+        cols = np.concatenate([self.cols, np.full(n, n), np.arange(n_cells)])
+        values = np.concatenate(
+            [
+                diffs[self.colour[self.cols], self.rows] / h[self.cols],
+                diffs[-1] / h[n],
+                np.full(n_cells, self.layout.grid.cell_volume),
+            ]
+        )
+        keep = values != 0.0
+        return csc_matrix((values[keep], (rows[keep], cols[keep])), shape=(n + 1, n + 1))
 
 
 def solve_stationary_newton(
@@ -502,54 +592,43 @@ def solve_stationary_newton(
     """Damped Newton on (continuity, momentum, energy, mass) with a scalar
     multiplier shifting the density level.
 
+    The Jacobian is a coloured sparse finite difference (one residual call
+    per column colour) and the bordered system is factored with ``splu``.
     Armijo backtracking on the residual 2-norm with floor step 2^-20;
     positivity of (rho, theta) is maintained by shrinking the step.  Raises
-    ``NewtonFailure`` with the residual trace on stagnation.
+    ``NewtonFailure`` with the residual trace on stagnation or a singular
+    Jacobian.
     """
     grid = config.grid
     G = config.potential_field()
     m0 = config.m0
+    layout = _Layout(grid)
+    n_cells = layout.n_cells
 
     if initial_guess is None:
-        rho_flat = m0 / grid.volume
-        tb = config.theta_bar
-        if grid.dimension == 1:
-            guess = (np.full(grid.n, rho_flat), np.full(grid.n, tb), np.zeros(grid.n + 1), None)
-        else:
-            guess = (
-                np.full((grid.nx, grid.nz), rho_flat),
-                np.full((grid.nx, grid.nz), tb),
-                np.zeros((grid.nx, grid.nz)),
-                np.zeros((grid.nx, grid.nz + 1)),
-            )
-        rho0, theta0, u0, w0 = guess
+        x = np.zeros(layout.size)
+        x[:n_cells] = m0 / grid.volume
+        x[n_cells : 2 * n_cells] = config.theta_bar
     else:
-        rho0, theta0 = initial_guess.rho.copy(), initial_guess.theta.copy()
-        u0 = initial_guess.u.copy()
-        w0 = None if initial_guess.w is None else initial_guess.w.copy()
+        guess = initial_guess
+        x = layout.pack(guess.rho, guess.theta, guess.u, guess.w, 0.0)
 
-    if grid.dimension == 1:
-        fun = lambda x: _residual_vector_1d(x, grid, gas, transport, G, m0)
-        x = _pack_1d(rho0, theta0, u0, 0.0)
-        n_rho = grid.n
-    else:
-        fun = lambda x: _residual_vector_2d(x, grid, gas, transport, G, m0)
-        x = np.concatenate([rho0.ravel(), theta0.ravel(), u0.ravel(), w0[:, 1:-1].ravel(), [0.0]])
-        n_rho = grid.nx * grid.nz
+    def fun(xv):
+        return _residual(layout, xv, gas, transport, G, m0)
 
     def positive(xv):
-        return np.all(xv[: 2 * n_rho] > 0.0)
+        return np.all(xv[: 2 * n_cells] > 0.0)
 
     trace = []
     f = fun(x)
     norm = float(np.max(np.abs(f)))
     trace.append(norm)
     iterations = 0
+    jacobian = _ColouredJacobian(layout) if norm > tol else None
     while norm > tol and iterations < max_iter:
-        jac = _fd_jacobian(fun, x, f)
         try:
-            delta = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError as exc:
+            delta = splu(jacobian(fun, x, f)).solve(-f)
+        except RuntimeError as exc:
             raise NewtonFailure(f"singular Jacobian: {exc}", trace) from exc
         f2 = float(np.dot(f, f))
         s = 1.0
@@ -569,20 +648,7 @@ def solve_stationary_newton(
     if norm > tol:
         raise NewtonFailure(f"no convergence after {iterations} iterations", trace)
 
-    if grid.dimension == 1:
-        rho = x[: grid.n]
-        theta = x[grid.n : 2 * grid.n]
-        u = np.zeros(grid.n + 1)
-        u[1:-1] = x[2 * grid.n : 3 * grid.n - 1]
-        w = None
-    else:
-        nc = grid.nx * grid.nz
-        rho = x[:nc].reshape(grid.nx, grid.nz)
-        theta = x[nc : 2 * nc].reshape(grid.nx, grid.nz)
-        u = x[2 * nc : 3 * nc].reshape(grid.nx, grid.nz)
-        w = np.zeros((grid.nx, grid.nz + 1))
-        w[:, 1:-1] = x[3 * nc : 3 * nc + grid.nx * (grid.nz - 1)].reshape(grid.nx, grid.nz - 1)
-
+    rho, theta, u, w, _ = layout.unpack(x)
     state = StationaryState(grid=grid, rho=rho, theta=theta, u=u, w=w, iterations=iterations)
     state.residual_norms = _residual_norms(grid, gas, transport, G, rho, theta, u, w)
     state.mass_error = abs(float(np.sum(rho) * grid.cell_volume) - m0)

@@ -8,6 +8,8 @@ import pytest
 
 from nsfsim import cli
 from nsfsim import experiment as ex
+from nsfsim import stationary as st
+from nsfsim import thermo
 from nsfsim.grids import FluidState, Grid1D, Grid2D
 
 
@@ -290,6 +292,46 @@ def test_cli_solver_failure_exit_code(tmp_path):
          "--set", "domain.n=16", "--set", "stationary_solver=newton"]
     )
     assert code == 3
+
+
+def _run_small_column(tmp_path, label, *overrides):
+    args = ["run", "--preset", "rb-1d-small", "--out", str(tmp_path), "--set", f"label={label}",
+            "--set", "domain.n=16", "--set", "horizon=0.05"]
+    for item in overrides:
+        args += ["--set", item]
+    code = cli.main(args)
+    return code, ex.RunManifest.from_json((tmp_path / f"{label}.manifest.json").read_text())
+
+
+def test_stationary_runtime_error_writes_failed_manifest(tmp_path, monkeypatch):
+    def brentq_without_convergence(*args, **kwargs):
+        raise RuntimeError("Failed to converge after 200 iterations")
+
+    monkeypatch.setattr(st, "brentq", brentq_without_convergence)
+    code, manifest = _run_small_column(tmp_path, "no-bracket", "stationary_solver=pipeline")
+    assert code == 3
+    assert manifest.status == "failed:stationary"
+    assert "Failed to converge" in manifest.error
+
+
+def test_simulate_value_error_writes_failed_manifest_and_closes_csv(tmp_path, monkeypatch):
+    def no_temperature(*args, **kwargs):
+        raise ValueError("energy below the cold curve")
+
+    closed = []
+    close = ex.CsvSink.close
+
+    def recording_close(self):
+        closed.append(self.path)
+        close(self)
+
+    monkeypatch.setattr(thermo, "temperature_from_energy", no_temperature)
+    monkeypatch.setattr(ex.CsvSink, "close", recording_close)
+    code, manifest = _run_small_column(tmp_path, "no-theta")
+    assert code == 3
+    assert manifest.status == "failed:simulate"
+    assert "cold curve" in manifest.error
+    assert closed == [tmp_path / "no-theta.csv"]
 
 
 def test_compare_runs_refinement_deviation_shrinks(tmp_path):

@@ -1,13 +1,19 @@
 """Stationary solver tests: closed-form static states, the Kirchhoff
 conduction profile with its constant discrete flux, hydrostatic balance in
-both discrete and fourth-order modes, and the coupled Newton solve."""
+both discrete and fourth-order modes, the coupled Newton solve and its
+coloured sparse Jacobian."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from nsfsim import operators as ops
 from nsfsim.grids import Grid1D, Grid2D
 from nsfsim.stationary import (
+    _ColouredJacobian,
+    _Layout,
+    _residual,
     NewtonFailure,
     ProblemConfig,
     ShootingFailure,
@@ -247,3 +253,103 @@ def test_epsilon_report():
     assert config.epsilon_report == pytest.approx(0.025, abs=1e-12)
     config0 = ProblemConfig(grid=Grid1D(n=16), m0=1.0)
     assert config0.epsilon_report == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Coloured sparse Jacobian
+# ---------------------------------------------------------------------------
+
+
+def dense_fd_jacobian(fun, x):
+    """Oracle: one residual call per unknown, forward differences."""
+    f0 = fun(x)
+    jac = np.empty((f0.size, x.size))
+    for k in range(x.size):
+        h = 1.0e-7 * max(1.0, abs(x[k]))
+        xp = x.copy()
+        xp[k] += h
+        jac[:, k] = (fun(xp) - f0) / h
+    return jac
+
+
+def random_problem(grid, seed):
+    """A problem on ``grid`` and a random packed state whose velocities take both signs."""
+    rng = np.random.default_rng(seed)
+    g = 0.05 if grid.dimension == 1 else (0.02, 0.05)
+    config = ProblemConfig(grid=grid, m0=grid.volume, g=g)
+    layout = _Layout(grid)
+    nc = layout.n_cells
+    x = np.empty(layout.size)
+    x[:nc] = 1.0 + 0.1 * rng.standard_normal(nc)
+    x[nc : 2 * nc] = 1.0 + 0.1 * rng.standard_normal(nc)
+    x[2 * nc : -1] = 0.05 * rng.standard_normal(layout.size - 1 - 2 * nc)
+    x[-1] = 0.01
+    assert np.any(x[2 * nc : -1] > 0.0) and np.any(x[2 * nc : -1] < 0.0)
+    G = config.potential_field()
+
+    def fun(xv):
+        return _residual(layout, xv, GAS, TR, G, config.m0)
+
+    return layout, fun, x
+
+
+JACOBIAN_GRIDS = {
+    "column-16": lambda: Grid1D(n=16, theta_bottom=1.1, theta_top=1.0),
+    "lateral-10x6": lambda: Grid2D(
+        nx=10,
+        nz=6,
+        theta_bottom=1.0 + 0.05 * np.cos(2.0 * np.pi * (np.arange(10) + 0.5) / 10),
+        theta_top=1.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JACOBIAN_GRIDS))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_jacobian_pattern_contains_every_nonzero(name, seed):
+    layout, fun, x = random_problem(JACOBIAN_GRIDS[name](), seed)
+    oracle = dense_fd_jacobian(fun, x)[:-1, :-1]
+    rows, cols = layout.pattern()
+    declared = np.zeros(oracle.shape, dtype=bool)
+    declared[rows, cols] = True
+    assert not np.any((oracle != 0.0) & ~declared)
+
+
+@pytest.mark.parametrize("name", sorted(JACOBIAN_GRIDS))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_coloured_jacobian_matches_dense_oracle(name, seed):
+    layout, fun, x = random_problem(JACOBIAN_GRIDS[name](), seed)
+    oracle = dense_fd_jacobian(fun, x)
+    jacobian = _ColouredJacobian(layout)
+    coloured = jacobian(fun, x, fun(x)).toarray()
+    assert len(jacobian.groups) < x.size - 1
+    scale = np.max(np.abs(oracle), axis=0)
+    assert np.all(np.abs(coloured - oracle) <= 1.0e-6 * scale)
+
+
+def test_layout_round_trip():
+    layout, _, x = random_problem(JACOBIAN_GRIDS["lateral-10x6"](), 3)
+    rho, theta, u, w, lam = layout.unpack(x)
+    assert w.shape == (10, 7) and not np.any(w[:, [0, -1]])
+    assert np.array_equal(layout.pack(rho, theta, u, w, lam), x)
+
+
+@settings(max_examples=25, deadline=None)
+@given(nx=hst.integers(3, 12), nz=hst.integers(3, 8))
+def test_colours_never_share_a_pattern_row(nx, nz):
+    grid = Grid2D(nx=nx, nz=nz, theta_bottom=1.0, theta_top=1.0)
+    jacobian = _ColouredJacobian(_Layout(grid))
+    pairs = np.stack([jacobian.rows, jacobian.colour[jacobian.cols]])
+    assert np.unique(pairs, axis=1).shape[1] == jacobian.rows.size
+
+
+def test_singular_factorisation_raises_newton_failure(monkeypatch):
+    # a residual that ignores the state: every core column of the Jacobian is zero
+    def frozen(grid, gas, transport, G, rho, theta, u):
+        return np.ones(grid.n), np.ones(grid.n - 1), np.ones(grid.n)
+
+    monkeypatch.setattr(ops, "steady_residual_1d", frozen)
+    config = ProblemConfig(grid=Grid1D(n=8, theta_bottom=1.05, theta_top=1.0), m0=1.0)
+    with pytest.raises(NewtonFailure, match="singular") as err:
+        solve_stationary_newton(config, GAS, TR)
+    assert err.value.trace
