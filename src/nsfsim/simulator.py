@@ -90,6 +90,23 @@ _HEAT_TOL = 1.0e-11
 _HEAT_MAXITER = 50
 
 
+def _positive_newton_update(theta, delta):
+    """theta - s * delta with s halved from 1 until every value is positive.
+
+    Raises ImplicitSolveError once s reaches its 1e-6 floor, so that the
+    caller retries the step with a smaller dt instead of iterating on a
+    non-positive temperature.
+    """
+    new = theta - delta
+    shrink = 1.0
+    while np.any(new <= 0.0):
+        if shrink <= 1.0e-6:
+            raise ImplicitSolveError("implicit heat solve: positivity backtrack reached its floor")
+        shrink *= 0.5
+        new = theta - shrink * delta
+    return new
+
+
 def _implicit_heat_1d(grid, gas, transport, rho, e_star, theta0, dt):
     theta = theta0.copy()
     scale = max(1.0, float(np.max(np.abs(e_star))))
@@ -109,12 +126,7 @@ def _implicit_heat_1d(grid, gas, transport, rho, e_star, theta0, dt):
         upper[1:] = -lam * kappa[1:]
         lower[:-1] = -lam * kappa[:-1]
         delta = solve_banded((1, 1), np.vstack([upper, diag, lower]), resid)
-        new = theta - delta
-        shrink = 1.0
-        while np.any(new <= 0.0) and shrink > 1.0e-6:
-            shrink *= 0.5
-            new = theta - shrink * delta
-        theta = new
+        theta = _positive_newton_update(theta, delta)
     raise ImplicitSolveError("implicit heat solve did not converge in 1-D")
 
 
@@ -151,12 +163,7 @@ def _implicit_heat_2d(grid, gas, transport, rho, e_star, theta0, dt):
             shape=(nx * nz, nx * nz),
         ).tocsc()
         delta = splu(jac).solve(resid.ravel()).reshape(nx, nz)
-        new = theta - delta
-        shrink = 1.0
-        while np.any(new <= 0.0) and shrink > 1.0e-6:
-            shrink *= 0.5
-            new = theta - shrink * delta
-        theta = new
+        theta = _positive_newton_update(theta, delta)
     raise ImplicitSolveError("implicit heat solve did not converge in 2-D")
 
 

@@ -15,6 +15,10 @@ colour plus one for the multiplier, a count fixed by the stencil width and
 not by the grid size.  The mass row is linear and set exactly.  The whole
 bordered matrix is factored with ``splu``; the core block alone is singular
 because the continuity rows telescope.
+
+The pipeline's hydrostatic density is a Newton solve too: the face balances
+and the mass row in the cell densities form a bidiagonal system bordered by
+one row, solved in O(n) per iteration.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 from scipy.sparse import csc_matrix, csr_matrix
 from scipy.sparse.linalg import splu
@@ -264,41 +269,56 @@ def solve_heat_profile_1d(transport, theta_bottom, theta_top, grid: Grid1D) -> n
 # ---------------------------------------------------------------------------
 
 
-def _march_discrete(gas, theta, dG, rho0):
-    """March the interface balance p_{i+1} - p_i = mean(rho) dG_{i+1}."""
+_HYDROSTATIC_MAXITER = 100
+
+
+def _hydrostatic_newton(gas, theta, dG, dx, m0, mass_tol):
+    """Damped Newton on the n-1 face balances and the mass row.
+
+    The unknowns are rho at every cell.  Face i reads
+    p(rho_{i+1}, theta_{i+1}) - p(rho_i, theta_i) - 0.5 (rho_i + rho_{i+1}) dG_i,
+    so the Jacobian is bidiagonal and bordered by the mass row dx * (1, ..., 1).
+    Taking rho_0 as the border unknown leaves a lower-bidiagonal block in
+    rho_1..rho_{n-1}; it is solved for the residual and for the rho_0 column,
+    and the mass row then fixes the rho_0 increment: O(n) per iteration.
+    """
     n = theta.size
-    rho = np.empty(n)
-    rho[0] = rho0
-    for i in range(n - 1):
-        p_here = float(thermo.pressure(gas, np.float64(rho[i]), np.float64(theta[i])))
-        target = p_here
-        dgi = dG[i]
-
-        def f(r):
-            return (
-                float(thermo.pressure(gas, np.float64(r), np.float64(theta[i + 1])))
-                - target
-                - 0.5 * (rho[i] + r) * dgi
-            )
-
-        r = rho[i]
-        for _ in range(80):
-            fr = f(r)
-            dp_drho, _ = thermo.pressure_partials(gas, np.float64(r), np.float64(theta[i + 1]))
-            slope = float(dp_drho) - 0.5 * dgi
-            r_new = r - fr / slope
-            if r_new <= 0.0:
-                r_new = 0.5 * r
-            if abs(r_new - r) <= 1.0e-15 * max(1.0, r):
-                r = r_new
-                break
-            r = r_new
-        if r <= 0.0 or abs(f(r)) > 1.0e-9 * max(1.0, abs(target)):
-            raise ShootingFailure(
-                "face balance unsolvable while marching (density driven to the "
-                "vacuum pressure floor); parameters outside the perturbative regime"
-            )
-        rho[i + 1] = r
+    rho = np.full(n, m0 / (n * dx))
+    converged = False
+    for _ in range(_HYDROSTATIC_MAXITER):
+        p = thermo.pressure(gas, rho, theta)
+        face = np.diff(p) - 0.5 * (rho[:-1] + rho[1:]) * dG
+        if converged:
+            break
+        dp_drho, _ = thermo.pressure_partials(gas, rho, theta)
+        below = -dp_drho[:-1] - 0.5 * dG  # d face_i / d rho_i
+        above = dp_drho[1:] - 0.5 * dG  # d face_i / d rho_{i+1}
+        # an empty upper band keeps solve_banded on LAPACK's tridiagonal
+        # solver, which costs less resident memory than its general band one
+        bands = np.vstack([np.zeros(n - 1), above, np.append(below[1:], 0.0)])
+        border = np.zeros(n - 1)
+        border[0] = below[0]
+        try:
+            y = solve_banded((1, 1), bands, np.column_stack([-face, border]))
+        except np.linalg.LinAlgError as exc:
+            raise ShootingFailure(f"singular hydrostatic Jacobian: {exc}") from exc
+        d0 = (m0 / dx - np.sum(rho) - np.sum(y[:, 0])) / (1.0 - np.sum(y[:, 1]))
+        delta = np.concatenate([[d0], y[:, 0] - d0 * y[:, 1]])
+        s = 1.0
+        while not np.all(rho + s * delta > 0.0):
+            s *= 0.5
+            if s < 2.0**-20:
+                raise ShootingFailure(
+                    "hydrostatic Newton cannot keep the density positive (driven to the "
+                    "vacuum pressure floor); parameters outside the perturbative regime"
+                )
+        rho = rho + s * delta
+        converged = s == 1.0 and float(np.max(np.abs(delta))) <= 1.0e-12 * float(np.max(rho))
+    else:
+        raise ShootingFailure("hydrostatic Newton did not converge")
+    balanced = np.all(np.abs(face) <= 1.0e-9 * np.maximum(1.0, np.abs(p[:-1])))
+    if not balanced or abs(np.sum(rho) * dx - m0) > mass_tol * max(1.0, m0):
+        raise ShootingFailure("face balance or mass not met after the hydrostatic Newton solve")
     return rho
 
 
@@ -316,44 +336,23 @@ def solve_hydrostatic_density(
     """Density in hydrostatic balance with the given temperature field.
 
     mode="discrete" (default): zeros the stepper's face balance
-    p_{i+1} - p_i = 0.5 (rho_i + rho_{i+1}) (G_{i+1} - G_i) exactly, shooting
-    on rho(0) until the cell-sum mass matches m0.
+    p_{i+1} - p_i = 0.5 (rho_i + rho_{i+1}) (G_{i+1} - G_i) at all n-1 faces
+    together with the cell-sum mass sum(rho) dx = m0, by one damped Newton
+    solve of that bordered bidiagonal system (O(n) per iteration).  ``g`` is
+    a scalar gravity (G = g x) or the potential at the cell centers.
 
     mode="rk4": fourth-order integration of the pointwise balance
     drho/dx = (rho G' - (dp/dtheta) theta') / (dp/drho) with the continuous
     conduction profile ``theta_profile`` = (theta(x), theta'(x)); the total
-    mass rides along as an auxiliary quadrature state.
+    mass rides along as an auxiliary quadrature state, and ``brentq`` shoots
+    on rho(0) until it matches m0.
     """
-    grid_x = grid.centers()
-    rho_flat = m0 / grid.volume
-
     if mode == "discrete":
         theta_s = np.asarray(theta_s, dtype=float)
         dG = np.full(grid.n - 1, float(g) * grid.dx) if np.ndim(g) == 0 else np.diff(np.asarray(g))
-
-        def mass_of(rho0):
-            rho = _march_discrete(gas, theta_s, dG, rho0)
-            return float(np.sum(rho) * grid.dx) - m0
-
-        lo, hi = 0.5 * rho_flat, 2.0 * rho_flat
-        flo, fhi = mass_of(lo), mass_of(hi)
-        for _ in range(60):
-            if flo < 0.0 < fhi:
-                break
-            if flo >= 0.0:
-                lo *= 0.5
-                flo = mass_of(lo)
-            if fhi <= 0.0:
-                hi *= 2.0
-                fhi = mass_of(hi)
-        else:
-            raise ShootingFailure(f"mass bracket failed on [{lo}, {hi}]")
-        rho0 = brentq(mass_of, lo, hi, xtol=1.0e-15, rtol=8.9e-16, maxiter=200)
-        rho = _march_discrete(gas, theta_s, dG, rho0)
-        if abs(np.sum(rho) * grid.dx - m0) > mass_tol * max(1.0, m0):
-            raise ShootingFailure("mass constraint not met after shooting")
+        rho = _hydrostatic_newton(gas, theta_s, dG, grid.dx, m0, mass_tol)
         if return_details:
-            return rho, {"rho0": rho0, "mass": float(np.sum(rho) * grid.dx)}
+            return rho, {"rho0": float(rho[0]), "mass": float(np.sum(rho) * grid.dx)}
         return rho
 
     if mode != "rk4":
@@ -362,35 +361,33 @@ def solve_hydrostatic_density(
         raise ValueError("rk4 mode needs the continuous theta profile")
     theta_of_x, dtheta_dx = theta_profile
     gval = float(g)
+    rho_flat = m0 / grid.volume
 
-    def rhs(x, y):
+    # a half step to the first center, full steps center to center, a half
+    # step to the top wall; the profile is evaluated once at every RK node
+    sizes = np.full(grid.n + 1, grid.dx)
+    sizes[[0, -1]] *= 0.5
+    nodes = np.append(0.0, grid.centers())[:, None] + np.outer(sizes, [0.0, 0.5, 1.0])
+    theta_nodes = theta_of_x(nodes).tolist()
+    dtheta_nodes = dtheta_dx(nodes).tolist()
+
+    def rhs(y, th, dth):
         rho_v = y[0]
-        th = float(theta_of_x(x))
-        dth = float(dtheta_dx(x))
         dp_drho, dp_dtheta = thermo.pressure_partials(gas, np.float64(rho_v), np.float64(th))
         return np.array([(rho_v * gval - float(dp_dtheta) * dth) / float(dp_drho), rho_v])
 
     def rk4_path(rho0):
-        # half step to the first center, then full steps center to center
         y = np.array([rho0, 0.0])
-        x = 0.0
         values = np.empty(grid.n)
-
-        def advance(x0, y0, h):
-            k1 = rhs(x0, y0)
-            k2 = rhs(x0 + 0.5 * h, y0 + 0.5 * h * k1)
-            k3 = rhs(x0 + 0.5 * h, y0 + 0.5 * h * k2)
-            k4 = rhs(x0 + h, y0 + h * k3)
-            return y0 + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-        y = advance(x, y, 0.5 * grid.dx)
-        x = 0.5 * grid.dx
-        values[0] = y[0]
-        for i in range(1, grid.n):
-            y = advance(x, y, grid.dx)
-            x += grid.dx
-            values[i] = y[0]
-        y = advance(x, y, 0.5 * grid.dx)
+        for k, h in enumerate(sizes.tolist()):
+            th, dth = theta_nodes[k], dtheta_nodes[k]
+            k1 = rhs(y, th[0], dth[0])
+            k2 = rhs(y + 0.5 * h * k1, th[1], dth[1])
+            k3 = rhs(y + 0.5 * h * k2, th[1], dth[1])
+            k4 = rhs(y + h * k3, th[2], dth[2])
+            y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if k < grid.n:
+                values[k] = y[0]
         return values, y[1]
 
     def mass_of(rho0):

@@ -304,10 +304,10 @@ def _run_small_column(tmp_path, label, *overrides):
 
 
 def test_stationary_runtime_error_writes_failed_manifest(tmp_path, monkeypatch):
-    def brentq_without_convergence(*args, **kwargs):
+    def hydrostatic_without_convergence(*args, **kwargs):
         raise RuntimeError("Failed to converge after 200 iterations")
 
-    monkeypatch.setattr(st, "brentq", brentq_without_convergence)
+    monkeypatch.setattr(st, "_hydrostatic_newton", hydrostatic_without_convergence)
     code, manifest = _run_small_column(tmp_path, "no-bracket", "stationary_solver=pipeline")
     assert code == 3
     assert manifest.status == "failed:stationary"

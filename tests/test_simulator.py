@@ -179,6 +179,41 @@ def test_implicit_heat_solve_residual_contract():
     assert float(np.max(np.abs(resid))) < 1e-10 * max(1.0, float(np.max(np.abs(e_star))))
 
 
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_implicit_heat_positivity_floor_fails_at_once(dimension, monkeypatch):
+    # a Newton step that no shrink >= 1e-6 keeps positive must end the solve
+    # with ImplicitSolveError after that one linear solve, so that run()
+    # retries with half the step instead of iterating on NaN temperatures
+    if dimension == 1:
+        grid = Grid1D(n=16, theta_bottom=1.0, theta_top=1.0)
+        shape = (16,)
+    else:
+        grid = Grid2D(nx=6, nz=5, theta_bottom=1.0, theta_top=1.0)
+        shape = (6, 5)
+    rho = np.ones(shape)
+    theta = np.ones(shape)
+    e_star = 1.1 * rho * internal_energy(GAS, rho, theta)
+    solves = []
+
+    def runaway(rhs):
+        solves.append(1)
+        return np.full(np.shape(rhs), 1.0e9)
+
+    class RunawayLU:
+        def __init__(self, matrix):
+            pass
+
+        def solve(self, rhs):
+            return runaway(rhs)
+
+    monkeypatch.setattr(sim, "solve_banded", lambda bands, ab, rhs: runaway(rhs))
+    monkeypatch.setattr(sim, "splu", RunawayLU)
+    heat = sim._implicit_heat_1d if dimension == 1 else sim._implicit_heat_2d
+    with pytest.raises(ImplicitSolveError, match="positivity backtrack"):
+        heat(grid, GAS, TR, rho, e_star, theta, 1e-3)
+    assert len(solves) == 1
+
+
 def test_implicit_velocity_solve_damps_and_preserves_zero():
     n = 32
     grid = Grid1D(n=n, theta_bottom=1.0, theta_top=1.0)

@@ -136,6 +136,61 @@ def test_hydrostatic_discrete_zeroes_face_balance():
     assert np.max(np.abs(face_balance)) < 1e-13
 
 
+def _march_faces(theta, g, dx, rho0):
+    # oracle: solve the face balances one at a time, bottom to top, each by a
+    # scalar Newton iteration on the single unknown rho_{i+1}
+    rho = [rho0]
+    for i in range(theta.size - 1):
+        target = float(pressure(GAS, rho[i], theta[i])) + 0.5 * rho[i] * g * dx
+        r = rho[i]
+        for _ in range(50):
+            f = float(pressure(GAS, r, theta[i + 1])) - 0.5 * r * g * dx - target
+            dp_drho, _ = pressure_partials(GAS, r, theta[i + 1])
+            step = f / (float(dp_drho) - 0.5 * g * dx)
+            r -= step
+            if abs(step) <= 1e-15 * r:
+                break
+        rho.append(r)
+    return np.array(rho)
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+def test_hydrostatic_discrete_matches_scalar_march(n):
+    grid = Grid1D(n=n, theta_bottom=1.05, theta_top=1.0)
+    theta = solve_heat_profile_1d(TR, 1.05, 1.0, grid)
+    rho, details = solve_hydrostatic_density(GAS, theta, 0.01, 1.0, grid, return_details=True)
+    assert details["rho0"] == rho[0]
+    assert details["mass"] == pytest.approx(1.0, abs=1e-12)
+    oracle = _march_faces(theta, 0.01, grid.dx, rho[0])
+    assert np.max(np.abs(rho - oracle) / oracle) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=hst.integers(3, 256),
+    theta_bottom=hst.floats(0.8, 1.25),
+    theta_top=hst.floats(0.8, 1.25),
+    g=hst.floats(-0.5, 0.5),
+)
+def test_hydrostatic_discrete_balance_mass_positivity(n, theta_bottom, theta_top, g):
+    grid = Grid1D(n=n, theta_bottom=theta_bottom, theta_top=theta_top)
+    theta = solve_heat_profile_1d(TR, theta_bottom, theta_top, grid)
+    rho = solve_hydrostatic_density(GAS, theta, g, 1.0, grid)
+    p = pressure(GAS, rho, theta)
+    face_balance = np.diff(p) - 0.5 * (rho[:-1] + rho[1:]) * g * grid.dx
+    assert np.all(np.abs(face_balance) <= 1e-13 * np.maximum(1.0, np.abs(p[:-1])))
+    assert abs(np.sum(rho) * grid.dx - 1.0) <= 1e-12
+    assert np.all(rho > 0.0)
+
+
+def test_hydrostatic_discrete_per_node_potential_matches_scalar_gravity():
+    grid = Grid1D(n=96, theta_bottom=1.1, theta_top=1.0)
+    theta = solve_heat_profile_1d(TR, 1.1, 1.0, grid)
+    scalar = solve_hydrostatic_density(GAS, theta, 0.3, 1.0, grid)
+    per_node = solve_hydrostatic_density(GAS, theta, 0.3 * grid.centers(), 1.0, grid)
+    assert np.max(np.abs(per_node - scalar) / scalar) < 1e-13
+
+
 def test_hydrostatic_rk4_mass_and_fourth_order():
     # shooting matches the fourth-order quadrature mass riding along the
     # integration; the shot starting density is Richardson-confirmed O(h^4)
