@@ -174,35 +174,26 @@ def ballistic_energy(state, theta_tilde, gas, trace_rtol: float = 1.0e-4) -> flo
     if np.any(theta_tilde <= 0.0):
         raise ValueError("theta_tilde must be positive")
     grid = state.grid
-    if grid.dimension == 1:
-        walls = (float(grid.theta_bottom), float(grid.theta_top))
-        edge = (
-            1.5 * theta_tilde[0] - 0.5 * theta_tilde[1],
-            1.5 * theta_tilde[-1] - 0.5 * theta_tilde[-2],
-        )
-        curvature = (
-            abs(theta_tilde[2] - 2.0 * theta_tilde[1] + theta_tilde[0]),
-            abs(theta_tilde[-3] - 2.0 * theta_tilde[-2] + theta_tilde[-1]),
-        )
-    else:
-        walls = (grid.wall_theta("bottom"), grid.wall_theta("top"))
-        edge = (
-            1.5 * theta_tilde[:, 0] - 0.5 * theta_tilde[:, 1],
-            1.5 * theta_tilde[:, -1] - 0.5 * theta_tilde[:, -2],
-        )
-        curvature = (
-            np.abs(theta_tilde[:, 2] - 2.0 * theta_tilde[:, 1] + theta_tilde[:, 0]),
-            np.abs(theta_tilde[:, -3] - 2.0 * theta_tilde[:, -2] + theta_tilde[:, -1]),
-        )
+    tt = theta_tilde  # the wall-normal direction is the last axis
+    walls = (grid.wall_theta("bottom"), grid.wall_theta("top"))
+    edge = (1.5 * tt[..., 0] - 0.5 * tt[..., 1], 1.5 * tt[..., -1] - 0.5 * tt[..., -2])
+    curvature = (
+        np.abs(tt[..., 2] - 2.0 * tt[..., 1] + tt[..., 0]),
+        np.abs(tt[..., -3] - 2.0 * tt[..., -2] + tt[..., -1]),
+    )
     for wall, value, curv in zip(walls, edge, curvature):
         # the linear extrapolation itself is off by O(second difference)
         tol = trace_rtol * np.abs(np.asarray(wall)) + curv
         if np.max(np.abs(value - wall) - tol) > 0.0:
             raise ValueError("theta_tilde violates the boundary temperature trace")
+    return float(np.sum(_ballistic_density(state, theta_tilde, gas)) * grid.cell_volume)
+
+
+def _ballistic_density(state, theta_tilde, gas):
+    """0.5 rho |u|^2 + rho e - theta_tilde rho s at centers."""
     e = thermo.internal_energy(gas, state.rho, state.theta)
     s = thermo.entropy(gas, state.rho, state.theta)
-    density = _kinetic_density(state) + state.rho * e - theta_tilde * state.rho * s
-    return float(np.sum(density) * grid.cell_volume)
+    return _kinetic_density(state) + state.rho * e - theta_tilde * state.rho * s
 
 
 # ---------------------------------------------------------------------------
@@ -212,22 +203,26 @@ def ballistic_energy(state, theta_tilde, gas, trace_rtol: float = 1.0e-4) -> flo
 
 def _grad_centers(grid, field):
     """Central-difference gradient of a center field, one-sided at walls."""
-    if grid.dimension == 1:
-        g = np.empty_like(field)
-        g[1:-1] = (field[2:] - field[:-2]) / (2.0 * grid.dx)
-        g[0] = (field[1] - field[0]) / grid.dx
-        g[-1] = (field[-1] - field[-2]) / grid.dx
-        return (g,)
-    gx = (np.roll(field, -1, axis=0) - np.roll(field, 1, axis=0)) / (2.0 * grid.dx)
+    h = grid.dx if grid.dimension == 1 else grid.dz  # wall-normal: last axis
     gz = np.empty_like(field)
-    gz[:, 1:-1] = (field[:, 2:] - field[:, :-2]) / (2.0 * grid.dz)
-    gz[:, 0] = (field[:, 1] - field[:, 0]) / grid.dz
-    gz[:, -1] = (field[:, -1] - field[:, -2]) / grid.dz
-    return gx, gz
+    gz[..., 1:-1] = (field[..., 2:] - field[..., :-2]) / (2.0 * h)
+    gz[..., 0] = (field[..., 1] - field[..., 0]) / h
+    gz[..., -1] = (field[..., -1] - field[..., -2]) / h
+    if grid.dimension == 1:
+        return (gz,)
+    return (np.roll(field, -1, axis=0) - np.roll(field, 1, axis=0)) / (2.0 * grid.dx), gz
 
 
 def _grad_theta_centers(state):
     return _grad_centers(state.grid, state.theta)
+
+
+def _shear_heating(state, transport):
+    """S:Du at centers from the operator the stepper uses."""
+    grid = state.grid
+    if grid.dimension == 1:
+        return ops.shear_heating_1d(grid, transport, state.theta, state.u)
+    return ops.shear_heating_2d(grid, transport, state.theta, state.u, state.w)
 
 
 def entropy_production(state, gas, transport):
@@ -237,10 +232,7 @@ def entropy_production(state, gas, transport):
     is nonnegative by construction.
     """
     grid = state.grid
-    if grid.dimension == 1:
-        heating = ops.shear_heating_1d(grid, transport, state.theta, state.u)
-    else:
-        heating = ops.shear_heating_2d(grid, transport, state.theta, state.u, state.w)
+    heating = _shear_heating(state, transport)
     grads = _grad_theta_centers(state)
     grad_sq = sum(g**2 for g in grads)
     _, _, kappa = thermo.transport(transport, state.theta)
@@ -285,18 +277,10 @@ def dissipation_functionals(state, reference, transport, thresholds: Thresholds)
         du = state.u - reference.u
         grad_du_sq = ((du[1:] - du[:-1]) / grid.dx) ** 2
     else:
-        du = state.u - reference.u
-        dw = state.w - reference.w
         # natural-position gradients; corner squares averaged back to centers
-        grad_du_sq = ((np.roll(du, -1, axis=0) - du) / grid.dx) ** 2
-        grad_du_sq = grad_du_sq + ((dw[:, 1:] - dw[:, :-1]) / grid.dz) ** 2
-        du_z = np.empty((grid.nx, grid.nz + 1))
-        du_z[:, 1:-1] = (du[:, 1:] - du[:, :-1]) / grid.dz
-        du_z[:, 0] = 2.0 * du[:, 0] / grid.dz    # zero wall trace by reflection
-        du_z[:, -1] = -2.0 * du[:, -1] / grid.dz
-        dw_x = (dw - np.roll(dw, 1, axis=0)) / grid.dx
-        corner_sq = du_z**2 + dw_x**2
-        grad_du_sq = grad_du_sq + 0.25 * (
+        dudx, dwdz, dudz, dwdx = ops.strain_rates_2d(grid, state.u - reference.u, state.w - reference.w)
+        corner_sq = dudz**2 + dwdx**2
+        grad_du_sq = dudx**2 + dwdz**2 + 0.25 * (
             (corner_sq + np.roll(corner_sq, -1, axis=0))[:, :-1]
             + (corner_sq + np.roll(corner_sq, -1, axis=0))[:, 1:]
         )
@@ -346,6 +330,25 @@ def damping_functionals(state, reference, thresholds: Thresholds):
 # ---------------------------------------------------------------------------
 
 
+def _conduction_faces(grid, theta):
+    """Every heat-conduction face, laid out like ``ops.kirchhoff_fluxes_*``.
+
+    A list of (left, right, spacing, area) groups: the x-faces (2-D only),
+    then all z-faces, whose outer values at the walls are the plate
+    temperatures across a half-cell.
+    """
+    if grid.dimension == 1:
+        h, area, faces = grid.dx, 1.0, []
+    else:
+        h, area = grid.dz, grid.dx
+        faces = [(np.roll(theta, 1, axis=0), theta, grid.dx, grid.dz)]
+    bottom, top = (np.asarray(grid.wall_theta(side))[..., None] for side in ("bottom", "top"))
+    ext = np.concatenate([bottom, theta, top], axis=-1)
+    spacing = np.full(ext.shape[-1] - 1, h)
+    spacing[[0, -1]] = 0.5 * h
+    return faces + [(ext[..., :-1], ext[..., 1:], spacing, area)]
+
+
 def _entropy_balance_rates(state, gas, transport):
     """(production, outward boundary entropy flux), scheme-consistent.
 
@@ -354,27 +357,18 @@ def _entropy_balance_rates(state, gas, transport):
     state production and flux cancel to rounding.
     """
     grid = state.grid
+    visc = float(np.sum(_shear_heating(state, transport) / state.theta) * grid.cell_volume)
     if grid.dimension == 1:
-        heating = ops.shear_heating_1d(grid, transport, state.theta, state.u)
-        visc = float(np.sum(heating / state.theta) * grid.dx)
-        H = ops.kirchhoff_fluxes_1d(grid, transport, state.theta)
-        th_ext = np.concatenate([[grid.theta_bottom], state.theta, [grid.theta_top]])
-        dth = np.diff(th_ext)
-        prod_heat = float(np.sum(H * dth / (th_ext[:-1] * th_ext[1:])))
-        flux = float(H[0] / grid.theta_bottom - H[-1] / grid.theta_top)
-        return visc + prod_heat, flux
-    heating = ops.shear_heating_2d(grid, transport, state.theta, state.u, state.w)
-    visc = float(np.sum(heating / state.theta) * grid.cell_volume)
-    hx, hz = ops.kirchhoff_fluxes_2d(grid, transport, state.theta)
-    th = state.theta
-    thw = np.roll(th, 1, axis=0)
-    prod = float(np.sum(hx * (th - thw) / (th * thw)) * grid.dz)
-    tb = grid.wall_theta("bottom")
-    tt = grid.wall_theta("top")
-    prod += float(np.sum(hz[:, 0] * (th[:, 0] - tb) / (th[:, 0] * tb)) * grid.dx)
-    prod += float(np.sum(hz[:, -1] * (tt - th[:, -1]) / (th[:, -1] * tt)) * grid.dx)
-    prod += float(np.sum(hz[:, 1:-1] * (th[:, 1:] - th[:, :-1]) / (th[:, 1:] * th[:, :-1])) * grid.dx)
-    flux = float(np.sum(hz[:, 0] / tb) * grid.dx - np.sum(hz[:, -1] / tt) * grid.dx)
+        fluxes = [ops.kirchhoff_fluxes_1d(grid, transport, state.theta)]
+    else:
+        fluxes = list(ops.kirchhoff_fluxes_2d(grid, transport, state.theta))
+    faces = _conduction_faces(grid, state.theta)
+    prod = sum(
+        float(np.sum(H * (right - left) / (left * right)) * area)
+        for H, (left, right, _, area) in zip(fluxes, faces)
+    )
+    hz, (left, right, _, area) = fluxes[-1], faces[-1]
+    flux = float(np.sum(hz[..., 0] / left[..., 0]) * area - np.sum(hz[..., -1] / right[..., -1]) * area)
     return visc + prod, flux
 
 
@@ -385,16 +379,12 @@ def _face_heat_pair(transport, th_left, th_right, tt_left, tt_right, delta, area
     arithmetic face temperature, so they cancel exactly when theta matches
     theta_tilde (as on a stationary trajectory).
     """
-    k0, beta = transport.kappa0, transport.beta
     dth = th_right - th_left
     grad = dth / delta
-
-    def primitive(t):
-        return k0 * (t + t ** (beta + 1.0) / (beta + 1.0))
-
-    kmean = k0 * (1.0 + (0.5 * (th_left + th_right)) ** beta)
+    kmean = thermo._conductivity_raw(transport, 0.5 * (th_left + th_right))
     safe = np.where(dth == 0.0, 1.0, dth)
-    kappa_f = np.where(dth == 0.0, kmean, (primitive(th_right) - primitive(th_left)) / safe)
+    K = thermo.conductivity_primitive
+    kappa_f = np.where(dth == 0.0, kmean, (K(transport, th_right) - K(transport, th_left)) / safe)
     grad_t = (tt_right - tt_left) / delta
     th_f = 0.5 * (th_left + th_right)
     tt_f = 0.5 * (tt_left + tt_right)
@@ -408,31 +398,14 @@ def _ballistic_rates(state, reference, gas, transport, G=None):
     grid = state.grid
     th, th_t = state.theta, reference.theta
     dv = grid.cell_volume
-    if grid.dimension == 1:
-        heating = ops.shear_heating_1d(grid, transport, th, state.u)
-    else:
-        heating = ops.shear_heating_2d(grid, transport, th, state.u, state.w)
-    d_visc = float(np.sum(th_t / th * heating) * dv)
-
-    if grid.dimension == 1:
-        tb, tt = np.float64(grid.theta_bottom), np.float64(grid.theta_top)
-        th_ext = np.concatenate([[tb], th, [tt]])
-        tt_ext = np.concatenate([[tb], th_t, [tt]])
-        delta = np.concatenate([[0.5 * grid.dx], np.full(grid.n - 1, grid.dx), [0.5 * grid.dx]])
-        d_heat, t_heat = _face_heat_pair(
-            transport, th_ext[:-1], th_ext[1:], tt_ext[:-1], tt_ext[1:], delta, 1.0
-        )
-    else:
-        d_heat = t_heat = 0.0
-        for args in (
-            (np.roll(th, 1, axis=0), th, np.roll(th_t, 1, axis=0), th_t, grid.dx, grid.dz),
-            (th[:, :-1], th[:, 1:], th_t[:, :-1], th_t[:, 1:], grid.dz, grid.dx),
-            (grid.wall_theta("bottom"), th[:, 0], grid.wall_theta("bottom"), th_t[:, 0], 0.5 * grid.dz, grid.dx),
-            (th[:, -1], grid.wall_theta("top"), th_t[:, -1], grid.wall_theta("top"), 0.5 * grid.dz, grid.dx),
-        ):
-            d, t = _face_heat_pair(transport, *args)
-            d_heat += d
-            t_heat += t
+    d_visc = float(np.sum(th_t / th * _shear_heating(state, transport)) * dv)
+    d_heat = t_heat = 0.0
+    for (left, right, delta, area), (left_t, right_t, _, _) in zip(
+        _conduction_faces(grid, th), _conduction_faces(grid, th_t)
+    ):
+        d, t = _face_heat_pair(transport, left, right, left_t, right_t, delta, area)
+        d_heat += d
+        t_heat += t
 
     grads_t = _grad_theta_centers(reference)
     comps = _center_velocity(state)
@@ -464,12 +437,10 @@ def inequality_residuals(samples, reference, gas, transport, G=None):
     net_s = [p - f for p, f in rates_s]
     entropy_residual = s_tot[-1] - s_tot[0] - _trapezoid(times, net_s)
 
-    b_tot = []
-    for s in states:
-        e = thermo.internal_energy(gas, s.rho, s.theta)
-        sv = thermo.entropy(gas, s.rho, s.theta)
-        density = _kinetic_density(s) + s.rho * e - reference.theta * s.rho * sv
-        b_tot.append(float(np.sum(density) * s.grid.cell_volume))
+    b_tot = [
+        float(np.sum(_ballistic_density(s, reference.theta, gas)) * s.grid.cell_volume)
+        for s in states
+    ]
     rates_b = [_ballistic_rates(s, reference, gas, transport, G) for s in states]
     drain = [d + t - g for d, t, g in rates_b]
     ballistic_residual = b_tot[0] - b_tot[-1] - _trapezoid(times, drain)

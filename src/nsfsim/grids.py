@@ -55,6 +55,9 @@ class Grid1D:
     def cell_volume(self) -> float:
         return self.dx
 
+    def wall_theta(self, which: str) -> np.float64:
+        return np.float64(self.theta_bottom if which == "bottom" else self.theta_top)
+
 
 @dataclass(frozen=True)
 class Grid2D:

@@ -3,6 +3,12 @@
 These stencils are the single source of truth for the semi-discrete system:
 the time stepper advances them and the stationary solvers zero them, so a
 stationary state is an exact fixed point of the stepper (to solver rounding).
+Both sides call the same functions: ``mass_rhs_*`` for continuity,
+``momentum_explicit_*`` and ``viscous_rhs_*`` for momentum, and
+``energy_explicit_*`` (transport of rho*e, shear heating, pressure work) with
+``kirchhoff_div_*`` for energy.  ``steady_residual_*`` combines them with the
+stepper's signs; the 2-D velocity gradients, wall ghost reflection included,
+come from ``strain_rates_2d`` alone.
 
 Conventions
 -----------
@@ -33,13 +39,16 @@ __all__ = [
     "kirchhoff_fluxes_1d",
     "kirchhoff_div_1d",
     "shear_heating_1d",
+    "energy_explicit_1d",
     "steady_residual_1d",
     "mass_rhs_2d",
+    "strain_rates_2d",
     "stress_fields_2d",
     "momentum_explicit_2d",
     "viscous_rhs_2d",
     "kirchhoff_div_2d",
     "shear_heating_2d",
+    "energy_explicit_2d",
     "steady_residual_2d",
     "column_viscosity",
 ]
@@ -133,16 +142,21 @@ def viscous_banded_matrix_1d(grid, transport, theta, rho_face, dt):
     return np.vstack([upper, diag, lower])
 
 
+def _wall_normal_fluxes(grid, transport, K, h):
+    """K-differences across the faces along the last axis (spacing h); the
+    wall faces close half-cells against the plate temperatures."""
+    Kb = thermo.conductivity_primitive(transport, grid.wall_theta("bottom"))
+    Kt = thermo.conductivity_primitive(transport, grid.wall_theta("top"))
+    H = np.empty(K.shape[:-1] + (K.shape[-1] + 1,))
+    H[..., 0] = (K[..., 0] - Kb) / (0.5 * h)
+    H[..., 1:-1] = (K[..., 1:] - K[..., :-1]) / h
+    H[..., -1] = (Kt - K[..., -1]) / (0.5 * h)
+    return H
+
+
 def kirchhoff_fluxes_1d(grid: Grid1D, transport, theta):
     """Discrete heat flux K-differences at every face, wall half-cells included."""
-    K = thermo.conductivity_primitive(transport, theta)
-    Kb = thermo.conductivity_primitive(transport, np.float64(grid.theta_bottom))
-    Kt = thermo.conductivity_primitive(transport, np.float64(grid.theta_top))
-    H = np.empty(grid.n + 1)
-    H[0] = (K[0] - Kb) / (0.5 * grid.dx)
-    H[1:-1] = (K[1:] - K[:-1]) / grid.dx
-    H[-1] = (Kt - K[-1]) / (0.5 * grid.dx)
-    return H
+    return _wall_normal_fluxes(grid, transport, thermo.conductivity_primitive(transport, theta), grid.dx)
 
 
 def kirchhoff_div_1d(grid, transport, theta):
@@ -156,21 +170,28 @@ def shear_heating_1d(grid, transport, theta, u):
     return column_viscosity(transport, theta) * divu**2
 
 
+def energy_explicit_1d(grid, gas, transport, rho_pressure, theta, evol, u, u_source, scheme="upwind"):
+    """Explicit internal-energy tendencies (conv_e, heat, work) at centers.
+
+    ``evol`` (rho*e) is transported by ``u``; the shear heating and the
+    pressure work p(rho_pressure) div u use ``u_source``, which is the
+    half-step velocity in the stepper and ``u`` in the steady residual.
+    """
+    conv_e = np.diff(upwind_flux_1d(u, evol, scheme)) / grid.dx
+    heat = shear_heating_1d(grid, transport, theta, u_source)
+    div = (u_source[1:] - u_source[:-1]) / grid.dx
+    work = thermo.pressure(gas, rho_pressure, theta) * div
+    return conv_e, heat, work
+
+
 def steady_residual_1d(grid, gas, transport, G, rho, theta, u):
     """(continuity, momentum, energy) residuals of the semi-discrete system."""
-    dx = grid.dx
-    flux = upwind_flux_1d(u, rho)
-    cont = (flux[1:] - flux[:-1]) / dx
-
+    cont = -mass_rhs_1d(grid, rho, u)
     conv, dpdx, grav = momentum_explicit_1d(grid, gas, G, rho, theta, rho, u)
     mom = conv + dpdx - grav - viscous_rhs_1d(grid, transport, theta, u)
-
     evol = rho * thermo.internal_energy(gas, rho, theta)
-    conv_e = np.diff(upwind_flux_1d(u, evol)) / dx
-    divu = (u[1:] - u[:-1]) / dx
-    q_heat = shear_heating_1d(grid, transport, theta, u)
-    work = thermo.pressure(gas, rho, theta) * divu
-    energy = conv_e - kirchhoff_div_1d(grid, transport, theta) - q_heat + work
+    conv_e, heat, work = energy_explicit_1d(grid, gas, transport, rho, theta, evol, u, u)
+    energy = conv_e - kirchhoff_div_1d(grid, transport, theta) - heat + work
     return cont, mom, energy
 
 
@@ -188,6 +209,7 @@ def _east(a):
 
 
 def mass_fluxes_2d(rho, u, w):
+    """Donor-cell fluxes of a center quantity through x- and z-faces."""
     fx = np.where(u > 0.0, u * _west(rho), u * rho)
     fz = np.zeros_like(w)
     wi = w[:, 1:-1]
@@ -195,9 +217,13 @@ def mass_fluxes_2d(rho, u, w):
     return fx, fz
 
 
+def _divergence_2d(grid: Grid2D, fx, fz):
+    """Center divergence of a face field (x-faces periodic, z-faces walled)."""
+    return (_east(fx) - fx) / grid.dx + (fz[:, 1:] - fz[:, :-1]) / grid.dz
+
+
 def mass_rhs_2d(grid: Grid2D, rho, u, w):
-    fx, fz = mass_fluxes_2d(rho, u, w)
-    return -(_east(fx) - fx) / grid.dx - (fz[:, 1:] - fz[:, :-1]) / grid.dz
+    return -_divergence_2d(grid, *mass_fluxes_2d(rho, u, w))
 
 
 def _corner_mu(grid: Grid2D, transport, theta):
@@ -207,29 +233,32 @@ def _corner_mu(grid: Grid2D, transport, theta):
     mu[:, 1:-1] = 0.25 * (
         mu_c[:, :-1] + mu_c[:, 1:] + _west(mu_c)[:, :-1] + _west(mu_c)[:, 1:]
     )
-    tb = grid.wall_theta("bottom")
-    tt = grid.wall_theta("top")
-    mu[:, 0] = transport.mu0 * (1.0 + 0.5 * (tb + _west(tb)))
-    mu[:, -1] = transport.mu0 * (1.0 + 0.5 * (tt + _west(tt)))
+    walls = np.stack([grid.wall_theta("bottom"), grid.wall_theta("top")], axis=1)
+    mu[:, [0, -1]] = thermo.transport(transport, 0.5 * (walls + _west(walls)))[0]
     return mu
+
+
+def strain_rates_2d(grid: Grid2D, u, w):
+    """(du/dx, dw/dz) at centers and (du/dz, dw/dx) at corners.
+
+    At the walls du/dz reflects u across the no-slip wall (ghost value -u).
+    """
+    dz = grid.dz
+    dudz = np.empty((grid.nx, grid.nz + 1))
+    dudz[:, 1:-1] = (u[:, 1:] - u[:, :-1]) / dz
+    dudz[:, 0] = 2.0 * u[:, 0] / dz
+    dudz[:, -1] = -2.0 * u[:, -1] / dz
+    return (_east(u) - u) / grid.dx, (w[:, 1:] - w[:, :-1]) / dz, dudz, (w - _west(w)) / grid.dx
 
 
 def stress_fields_2d(grid: Grid2D, transport, theta, u, w):
     """(Sxx, Szz) at centers, Sxz at corners, plus the center divergence."""
-    dx, dz = grid.dx, grid.dz
     mu_c, eta_c, _ = thermo.transport(transport, theta)
     lam_c = eta_c - 2.0 / 3.0 * mu_c
-    dudx = (_east(u) - u) / dx
-    dwdz = (w[:, 1:] - w[:, :-1]) / dz
+    dudx, dwdz, dudz, dwdx = strain_rates_2d(grid, u, w)
     div = dudx + dwdz
     sxx = 2.0 * mu_c * dudx + lam_c * div
     szz = 2.0 * mu_c * dwdz + lam_c * div
-
-    dudz = np.empty((grid.nx, grid.nz + 1))
-    dudz[:, 1:-1] = (u[:, 1:] - u[:, :-1]) / dz
-    dudz[:, 0] = 2.0 * u[:, 0] / dz          # ghost reflection across the wall
-    dudz[:, -1] = -2.0 * u[:, -1] / dz
-    dwdx = (w - _west(w)) / dx
     sxz = _corner_mu(grid, transport, theta) * (dudz + dwdx)
     return sxx, szz, sxz, div
 
@@ -291,18 +320,10 @@ def viscous_rhs_2d(grid, transport, theta, u, w):
 
 def shear_heating_2d(grid, transport, theta, u, w):
     """S(theta, Du) : Du at centers; nonnegative by construction."""
-    dx, dz = grid.dx, grid.dz
     mu_c, eta_c, _ = thermo.transport(transport, theta)
-    dudx = (_east(u) - u) / dx
-    dwdz = (w[:, 1:] - w[:, :-1]) / dz
+    dudx, dwdz, dudz, dwdx = strain_rates_2d(grid, u, w)
     div = dudx + dwdz
-    dudz = np.empty((grid.nx, grid.nz + 1))
-    dudz[:, 1:-1] = (u[:, 1:] - u[:, :-1]) / dz
-    dudz[:, 0] = 2.0 * u[:, 0] / dz
-    dudz[:, -1] = -2.0 * u[:, -1] / dz
-    dwdx = (w - _west(w)) / dx
-    dxz = 0.5 * (dudz + dwdx)
-    dxz_sq = dxz**2
+    dxz_sq = (0.5 * (dudz + dwdx)) ** 2
     dxz_sq_c = 0.25 * (
         (dxz_sq + _east(dxz_sq))[:, :-1] + (dxz_sq + _east(dxz_sq))[:, 1:]
     )
@@ -315,14 +336,7 @@ def shear_heating_2d(grid, transport, theta, u, w):
 
 def kirchhoff_fluxes_2d(grid: Grid2D, transport, theta):
     K = thermo.conductivity_primitive(transport, theta)
-    Kb = thermo.conductivity_primitive(transport, grid.wall_theta("bottom"))
-    Kt = thermo.conductivity_primitive(transport, grid.wall_theta("top"))
-    hx = (K - _west(K)) / grid.dx
-    hz = np.empty((grid.nx, grid.nz + 1))
-    hz[:, 0] = (K[:, 0] - Kb) / (0.5 * grid.dz)
-    hz[:, 1:-1] = (K[:, 1:] - K[:, :-1]) / grid.dz
-    hz[:, -1] = (Kt - K[:, -1]) / (0.5 * grid.dz)
-    return hx, hz
+    return (K - _west(K)) / grid.dx, _wall_normal_fluxes(grid, transport, K, grid.dz)
 
 
 def kirchhoff_div_2d(grid, transport, theta):
@@ -330,32 +344,25 @@ def kirchhoff_div_2d(grid, transport, theta):
     return (_east(hx) - hx) / grid.dx + (hz[:, 1:] - hz[:, :-1]) / grid.dz
 
 
+def energy_explicit_2d(grid, gas, transport, rho_pressure, theta, evol, u, w, u_source, w_source):
+    """Explicit internal-energy tendencies (conv_e, heat, work) at centers;
+    the 2-D counterpart of ``energy_explicit_1d`` (donor-cell transport)."""
+    conv_e = _divergence_2d(grid, *mass_fluxes_2d(evol, u, w))
+    heat = shear_heating_2d(grid, transport, theta, u_source, w_source)
+    work = thermo.pressure(gas, rho_pressure, theta) * _divergence_2d(grid, u_source, w_source)
+    return conv_e, heat, work
+
+
 def steady_residual_2d(grid, gas, transport, G, rho, theta, u, w):
     """(continuity, x-momentum, z-momentum (interior), energy) residuals."""
-    dx, dz = grid.dx, grid.dz
-    fx, fz = mass_fluxes_2d(rho, u, w)
-    cont = (_east(fx) - fx) / dx + (fz[:, 1:] - fz[:, :-1]) / dz
-
+    cont = -mass_rhs_2d(grid, rho, u, w)
     (conv_u, dpdx, grav_u), (conv_w, dpdz, grav_w) = momentum_explicit_2d(
         grid, gas, G, rho, theta, rho, u, w
     )
     vx, vz = viscous_rhs_2d(grid, transport, theta, u, w)
     mom_u = conv_u + dpdx - grav_u - vx
     mom_w = (conv_w + dpdz - grav_w - vz)[:, 1:-1]
-
     evol = rho * thermo.internal_energy(gas, rho, theta)
-    fx_e = np.where(u > 0.0, u * _west(evol), u * evol)
-    fz_e = np.zeros_like(w)
-    wi = w[:, 1:-1]
-    fz_e[:, 1:-1] = np.where(wi > 0.0, wi * evol[:, :-1], wi * evol[:, 1:])
-    conv_e = (_east(fx_e) - fx_e) / dx + (fz_e[:, 1:] - fz_e[:, :-1]) / dz
-    dudx = (_east(u) - u) / dx
-    dwdz = (w[:, 1:] - w[:, :-1]) / dz
-    work = thermo.pressure(gas, rho, theta) * (dudx + dwdz)
-    energy = (
-        conv_e
-        - kirchhoff_div_2d(grid, transport, theta)
-        - shear_heating_2d(grid, transport, theta, u, w)
-        + work
-    )
+    conv_e, heat, work = energy_explicit_2d(grid, gas, transport, rho, theta, evol, u, w, u, w)
+    energy = conv_e - kirchhoff_div_2d(grid, transport, theta) - heat + work
     return cont, mom_u, mom_w, energy

@@ -8,16 +8,19 @@ One step comprises, in order:
       evaluated at the updated density (keeps the acoustic coupling neutrally
       stable), potential force, and a backward-Euler solve for the velocity
       diffusion with viscosities frozen at theta^n,
-(iii) internal-energy update: upwind transport of rho*e, the sources
-      S:Du - p div u at half-step velocities, and implicit Fourier diffusion
-      as a nonlinear solve in theta through the conductivity primitive
-      K(theta) (kappa ~ theta^beta is stiff),
-(iv)  recovery of theta from rho*e by monotone scalar inversion per cell,
-      which seeds the implicit solve,
-(v)   boundary enforcement (no-slip walls, Dirichlet temperature traces).
+(iii) internal-energy stage, ``_energy_stage``, one for both dimensions:
+      rho*e is advanced by the explicit tendencies of
+      ``operators.energy_explicit_*`` (upwind transport of rho*e and the
+      sources S:Du - p div u at half-step velocities), the very function the
+      steady residuals call; theta is recovered from rho*e by monotone scalar
+      inversion per cell, which seeds the implicit Fourier diffusion, a
+      Newton solve in theta through the conductivity primitive K(theta)
+      (kappa ~ theta^beta is stiff),
+(iv)  boundary enforcement (no-slip walls, Dirichlet temperature traces).
 
 Negative density or temperature is never clamped: a failed step raises
-``PositivityError`` and the driver retries with half the step.
+``PositivityError`` and ``run`` retries with half the step, as it does
+for ``ImplicitSolveError`` and ``thermo.TemperatureInversionError``.
 """
 
 from __future__ import annotations
@@ -107,64 +110,66 @@ def _positive_newton_update(theta, delta):
     return new
 
 
-def _implicit_heat_1d(grid, gas, transport, rho, e_star, theta0, dt):
-    theta = theta0.copy()
-    scale = max(1.0, float(np.max(np.abs(e_star))))
-    lam = dt / grid.dx**2
-    for _ in range(_HEAT_MAXITER):
-        resid = thermo._volumetric_energy_raw(gas, rho, theta) - dt * ops.kirchhoff_div_1d(
-            grid, transport, theta
-        ) - e_star
-        if float(np.max(np.abs(resid))) <= _HEAT_TOL * scale:
-            return theta
-        kappa = transport.kappa0 * (1.0 + theta**transport.beta)
-        diag = thermo._volumetric_heat_capacity_raw(gas, rho, theta) + 2.0 * lam * kappa
-        diag[0] += lam * kappa[0]      # wall half-cell stiffens the end rows
+def _heat_jacobian(grid, gas, transport, rho, theta, dt):
+    """Jacobian in theta of the heat residual rho*e - dt * div H(theta).
+
+    The off-diagonals differentiate the K-differences of
+    ``ops.kirchhoff_fluxes_*``; the wall half-cells stiffen the end rows.
+    Returned in scipy solve_banded (1, 1) layout in 1-D and as CSC in 2-D.
+    """
+    kappa = thermo._conductivity_raw(transport, theta)
+    cap = thermo._volumetric_heat_capacity_raw(gas, rho, theta)
+    if grid.dimension == 1:
+        lam = dt / grid.dx**2
+        diag = cap + 2.0 * lam * kappa
+        diag[0] += lam * kappa[0]
         diag[-1] += lam * kappa[-1]
         upper = np.zeros(grid.n)
         lower = np.zeros(grid.n)
         upper[1:] = -lam * kappa[1:]
         lower[:-1] = -lam * kappa[:-1]
-        delta = solve_banded((1, 1), np.vstack([upper, diag, lower]), resid)
-        theta = _positive_newton_update(theta, delta)
-    raise ImplicitSolveError("implicit heat solve did not converge in 1-D")
-
-
-def _implicit_heat_2d(grid, gas, transport, rho, e_star, theta0, dt):
+        return np.vstack([upper, diag, lower])
     nx, nz = grid.nx, grid.nz
-    theta = theta0.copy()
-    scale = max(1.0, float(np.max(np.abs(e_star))))
     lx = dt / grid.dx**2
     lz = dt / grid.dz**2
     idx = np.arange(nx * nz).reshape(nx, nz)
+    diag = cap + 2.0 * lx * kappa + 2.0 * lz * kappa
+    diag[:, 0] += lz * kappa[:, 0]
+    diag[:, -1] += lz * kappa[:, -1]
+    rows = [idx.ravel()] * 3 + [idx[:, :-1].ravel(), idx[:, 1:].ravel()]
+    cols = [
+        idx.ravel(), np.roll(idx, -1, axis=0).ravel(), np.roll(idx, 1, axis=0).ravel(),
+        idx[:, 1:].ravel(), idx[:, :-1].ravel(),
+    ]
+    vals = [
+        diag.ravel(), (-lx * np.roll(kappa, -1, axis=0)).ravel(), (-lx * np.roll(kappa, 1, axis=0)).ravel(),
+        (-lz * kappa[:, 1:]).ravel(), (-lz * kappa[:, :-1]).ravel(),
+    ]
+    return coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(nx * nz, nx * nz),
+    ).tocsc()
+
+
+def _implicit_heat(grid, gas, transport, rho, e_star, theta0, dt):
+    """Newton in theta for rho*e(rho, theta) - dt * div H(theta) = e_star."""
+    one_d = grid.dimension == 1
+    kirchhoff_div = ops.kirchhoff_div_1d if one_d else ops.kirchhoff_div_2d
+    theta = theta0.copy()
+    scale = max(1.0, float(np.max(np.abs(e_star))))
     for _ in range(_HEAT_MAXITER):
-        resid = thermo._volumetric_energy_raw(gas, rho, theta) - dt * ops.kirchhoff_div_2d(
+        resid = thermo._volumetric_energy_raw(gas, rho, theta) - dt * kirchhoff_div(
             grid, transport, theta
         ) - e_star
         if float(np.max(np.abs(resid))) <= _HEAT_TOL * scale:
             return theta
-        kappa = transport.kappa0 * (1.0 + theta**transport.beta)
-        diag = thermo._volumetric_heat_capacity_raw(gas, rho, theta) + 2.0 * lx * kappa + 2.0 * lz * kappa
-        diag[:, 0] += lz * kappa[:, 0]
-        diag[:, -1] += lz * kappa[:, -1]
-        rows = [idx.ravel()]
-        cols = [idx.ravel()]
-        vals = [diag.ravel()]
-        east = np.roll(idx, -1, axis=0)
-        west = np.roll(idx, 1, axis=0)
-        rows += [idx.ravel(), idx.ravel()]
-        cols += [east.ravel(), west.ravel()]
-        vals += [(-lx * np.roll(kappa, -1, axis=0)).ravel(), (-lx * np.roll(kappa, 1, axis=0)).ravel()]
-        rows += [idx[:, :-1].ravel(), idx[:, 1:].ravel()]
-        cols += [idx[:, 1:].ravel(), idx[:, :-1].ravel()]
-        vals += [(-lz * kappa[:, 1:]).ravel(), (-lz * kappa[:, :-1]).ravel()]
-        jac = coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(nx * nz, nx * nz),
-        ).tocsc()
-        delta = splu(jac).solve(resid.ravel()).reshape(nx, nz)
+        jac = _heat_jacobian(grid, gas, transport, rho, theta, dt)
+        if one_d:
+            delta = solve_banded((1, 1), jac, resid)
+        else:
+            delta = splu(jac).solve(resid.ravel()).reshape(resid.shape)
         theta = _positive_newton_update(theta, delta)
-    raise ImplicitSolveError("implicit heat solve did not converge in 2-D")
+    raise ImplicitSolveError(f"implicit heat solve did not converge in {grid.dimension}-D")
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +267,8 @@ def _check_positive(name, arr):
 
 def step(state: FluidState, dt: float, gas, transport, G=None, convection: str = "upwind") -> FluidState:
     """Advance one semi-implicit step of size dt; raises PositivityError on
-    loss of positivity (retriable) and ImplicitSolveError on solver failure.
+    loss of positivity, ImplicitSolveError on solver failure and
+    thermo.TemperatureInversionError on a failed inversion (all retriable).
 
     ``convection`` selects the 1-D transport reconstruction ("upwind" or
     "minmod"); the 2-D slab always uses donor-cell upwind."""
@@ -271,13 +277,29 @@ def step(state: FluidState, dt: float, gas, transport, G=None, convection: str =
     return _step_2d(state, dt, gas, transport, G)
 
 
+def _energy_stage(grid, gas, transport, rho1, theta, evol, tendencies, dt):
+    """Stage (iii) for both dimensions: advance rho*e by the explicit
+    ``(conv_e, heat, work)`` tendencies, check the result against the
+    zero-point floor, invert it for theta and solve the implicit heat
+    conduction from there.  Returns theta^{n+1}."""
+    conv_e, heat, work = tendencies
+    e_star = evol + dt * (-conv_e + heat - work)
+    floor = thermo._zero_point_energy_raw(gas, rho1)
+    if np.any(e_star <= floor):
+        cell = int(np.argmin(e_star - floor))
+        raise PositivityError("energy", cell, float((e_star - floor).ravel()[cell]))
+    theta_star = thermo.temperature_from_energy(gas, rho1, e_star, guess=theta)
+    theta_new = _implicit_heat(grid, gas, transport, rho1, e_star, theta_star, dt)
+    _check_positive("theta", theta_new)
+    return theta_new
+
+
 def _step_1d(state, dt, gas, transport, G, convection="upwind"):
     grid = state.grid
     rho, theta, u = state.rho, state.theta, state.u
-    dx = grid.dx
 
     flux_rho = ops.upwind_flux_1d(u, rho, convection)
-    rho1 = rho - dt * np.diff(flux_rho) / dx
+    rho1 = rho - dt * np.diff(flux_rho) / grid.dx
     _check_positive("rho", rho1)
 
     conv, dpdx, grav = ops.momentum_explicit_1d(grid, gas, G, rho1, theta, rho, u)
@@ -285,29 +307,17 @@ def _step_1d(state, dt, gas, transport, G, convection="upwind"):
     rb1 = 0.5 * (rho1[:-1] + rho1[1:])
     u_new = _solve_velocity_1d(grid, transport, theta, rb1, m_star, dt)
 
-    u_half = 0.5 * (u + u_new)
     evol = rho * thermo.internal_energy(gas, rho, theta)
-    conv_e = np.diff(ops.upwind_flux_1d(u, evol, convection)) / dx
-    div_half = (u_half[1:] - u_half[:-1]) / dx
-    heat = ops.column_viscosity(transport, theta) * div_half**2
-    work = thermo.pressure(gas, rho1, theta) * div_half
-    e_star = evol + dt * (-conv_e + heat - work)
-
-    floor = 1.5 * gas.p_inf * rho1 ** (5.0 / 3.0)
-    if np.any(e_star <= floor):
-        cell = int(np.argmin(e_star - floor))
-        raise PositivityError("energy", cell, float(e_star[cell] - floor[cell]))
-
-    theta_star = thermo.temperature_from_energy(gas, rho1, e_star, guess=theta)
-    theta_new = _implicit_heat_1d(grid, gas, transport, rho1, e_star, theta_star, dt)
-    _check_positive("theta", theta_new)
+    tendencies = ops.energy_explicit_1d(
+        grid, gas, transport, rho1, theta, evol, u, 0.5 * (u + u_new), convection
+    )
+    theta_new = _energy_stage(grid, gas, transport, rho1, theta, evol, tendencies, dt)
     return FluidState(grid=grid, t=state.t + dt, rho=rho1, theta=theta_new, u=u_new)
 
 
 def _step_2d(state, dt, gas, transport, G):
     grid = state.grid
     rho, theta, u, w = state.rho, state.theta, state.u, state.w
-    dx, dz = grid.dx, grid.dz
 
     rho1 = rho + dt * ops.mass_rhs_2d(grid, rho, u, w)
     _check_positive("rho", rho1)
@@ -325,27 +335,11 @@ def _step_2d(state, dt, gas, transport, G):
         grid, transport, theta, rho1, m_star_u, m_star_w, dt, mu_c, mu_x
     )
 
-    u_half = 0.5 * (u + u_new)
-    w_half = 0.5 * (w + w_new)
     evol = rho * thermo.internal_energy(gas, rho, theta)
-    fx_e = np.where(u > 0.0, u * np.roll(evol, 1, axis=0), u * evol)
-    fz_e = np.zeros_like(w)
-    wi = w[:, 1:-1]
-    fz_e[:, 1:-1] = np.where(wi > 0.0, wi * evol[:, :-1], wi * evol[:, 1:])
-    conv_e = (np.roll(fx_e, -1, axis=0) - fx_e) / dx + (fz_e[:, 1:] - fz_e[:, :-1]) / dz
-    div_half = (np.roll(u_half, -1, axis=0) - u_half) / dx + (w_half[:, 1:] - w_half[:, :-1]) / dz
-    heat = ops.shear_heating_2d(grid, transport, theta, u_half, w_half)
-    work = thermo.pressure(gas, rho1, theta) * div_half
-    e_star = evol + dt * (-conv_e + heat - work)
-
-    floor = 1.5 * gas.p_inf * rho1 ** (5.0 / 3.0)
-    if np.any(e_star <= floor):
-        cell = int(np.argmin(e_star - floor))
-        raise PositivityError("energy", cell, float((e_star - floor).ravel()[cell]))
-
-    theta_star = thermo.temperature_from_energy(gas, rho1, e_star, guess=theta)
-    theta_new = _implicit_heat_2d(grid, gas, transport, rho1, e_star, theta_star, dt)
-    _check_positive("theta", theta_new)
+    tendencies = ops.energy_explicit_2d(
+        grid, gas, transport, rho1, theta, evol, u, w, 0.5 * (u + u_new), 0.5 * (w + w_new)
+    )
+    theta_new = _energy_stage(grid, gas, transport, rho1, theta, evol, tendencies, dt)
     return FluidState(
         grid=grid, t=state.t + dt, rho=rho1, theta=theta_new, u=u_new, w=w_new
     )
@@ -387,9 +381,10 @@ def run(
     ``diagnostics`` is a callable state -> record; records are streamed to
     every sink and collected in the result.  ``sample_every_step`` retains a
     (t, state) pair per accepted step (for windowed inequality residuals,
-    whose time-quadrature error must shrink with the step).  On positivity
-    failure the step is retried with dt/2 up to ``control.max_retries``
-    times, then the run aborts with the offending error recorded.
+    whose time-quadrature error must shrink with the step).  On a positivity,
+    implicit-solve or temperature-inversion failure the step is retried
+    with dt/2 up to ``control.max_retries`` times, then the run aborts with
+    the offending error recorded.
     """
     t_start = _time.perf_counter()
     state = initial
@@ -421,7 +416,7 @@ def run(
             try:
                 new_state = step(state, dt, gas, transport, G, convection)
                 break
-            except (PositivityError, ImplicitSolveError) as exc:
+            except (PositivityError, ImplicitSolveError, thermo.TemperatureInversionError) as exc:
                 attempt += 1
                 result.retries += 1
                 if attempt > control.max_retries:

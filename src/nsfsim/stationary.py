@@ -100,9 +100,7 @@ class ProblemConfig:
 
     def wall_theta_values(self) -> np.ndarray:
         g = self.grid
-        if g.dimension == 1:
-            return np.array([g.theta_bottom, g.theta_top])
-        return np.concatenate([g.wall_theta("bottom"), g.wall_theta("top")])
+        return np.concatenate([np.ravel(g.wall_theta("bottom")), np.ravel(g.wall_theta("top"))])
 
     @property
     def theta_bar(self) -> float:
@@ -246,9 +244,7 @@ def heat_profile_function(transport, theta_bottom, theta_top):
         return thermo.invert_conductivity_primitive(transport, kb + slope * x)
 
     def dtheta_dx(x):
-        th = theta_of_x(x)
-        kappa = transport.kappa0 * (1.0 + np.asarray(th) ** transport.beta)
-        return slope / kappa
+        return slope / thermo._conductivity_raw(transport, theta_of_x(x))
 
     return theta_of_x, dtheta_dx
 

@@ -34,6 +34,7 @@ __all__ = [
     "TransportModel",
     "HypothesisReport",
     "QuadratureFailure",
+    "TemperatureInversionError",
     "pressure",
     "pressure_molecular",
     "internal_energy",
@@ -54,6 +55,10 @@ __all__ = [
 
 class QuadratureFailure(RuntimeError):
     """Raised when the entropy tail integral cannot be resolved in budget."""
+
+
+class TemperatureInversionError(ValueError):
+    """The inversion of rho * e for theta did not converge (retriable)."""
 
 
 def _require_positive(name, value):
@@ -390,8 +395,13 @@ def transport(model: TransportModel, theta):
     theta = np.asarray(theta, dtype=float)
     mu = model.mu0 * (1.0 + theta)
     eta = model.eta0 * (1.0 + theta)
-    kappa = model.kappa0 * (1.0 + theta**model.beta)
-    return mu, eta, kappa
+    return mu, eta, _conductivity_raw(model, theta)
+
+
+def _conductivity_raw(model: TransportModel, theta):
+    """kappa(theta) = kappa0 (1 + theta^beta) without input validation."""
+    theta = np.asarray(theta, dtype=float)
+    return model.kappa0 * (1.0 + theta**model.beta)
 
 
 def conductivity_primitive(model: TransportModel, theta):
@@ -423,8 +433,7 @@ def invert_conductivity_primitive(model: TransportModel, value, guess=None):
         f = conductivity_primitive(model, theta) - value
         lo = np.where(f < 0.0, theta, lo)
         hi = np.where(f > 0.0, theta, hi)
-        kappa = model.kappa0 * (1.0 + np.asarray(theta) ** model.beta)
-        new = theta - f / kappa
+        new = theta - f / _conductivity_raw(model, theta)
         bad = (new <= lo) | (new >= hi) | ~np.isfinite(new)
         mid = np.where(np.isfinite(hi), 0.5 * (lo + hi), 2.0 * np.maximum(theta, 1.0))
         new = np.where(bad, mid, new)
@@ -435,10 +444,15 @@ def invert_conductivity_primitive(model: TransportModel, value, guess=None):
     return theta if value.shape else np.float64(theta)
 
 
+def _zero_point_energy_raw(gas: GasModel, rho):
+    """(3/2) p_inf rho^(5/3), the floor of rho * e as theta -> 0."""
+    return 1.5 * gas.p_inf * rho ** (5.0 / 3.0)
+
+
 def _volumetric_energy_raw(gas: GasModel, rho, theta):
     """rho * e without input validation (hot path; inputs known positive)."""
     z = rho / theta**1.5
-    return 1.5 * gas.p_inf * rho ** (5.0 / 3.0) + 1.5 * theta**2.5 * gas.pm(z) + gas.a * theta**4
+    return _zero_point_energy_raw(gas, rho) + 1.5 * theta**2.5 * gas.pm(z) + gas.a * theta**4
 
 
 def _volumetric_heat_capacity_raw(gas: GasModel, rho, theta):
@@ -451,13 +465,13 @@ def temperature_from_energy(gas: GasModel, rho, volumetric_energy, guess=None):
     """Invert rho * e(rho, theta) = E for theta; unique since de/dtheta > 0.
 
     The inversion fails (ValueError) for energies at or below the zero-point
-    floor (3/2) p_inf rho^(5/3), which no positive temperature can reach.
+    floor (3/2) p_inf rho^(5/3), which no positive temperature can reach, and
+    raises TemperatureInversionError if Newton does not converge.
     """
     rho = np.asarray(rho, dtype=float)
     target = np.asarray(volumetric_energy, dtype=float)
     _require_positive("rho", rho)
-    floor = 1.5 * gas.p_inf * rho ** (5.0 / 3.0)
-    if np.any(target <= floor):
+    if np.any(target <= _zero_point_energy_raw(gas, rho)):
         raise ValueError("volumetric energy at or below the zero-point floor")
 
     theta = np.asarray(guess, dtype=float) if guess is not None else np.full_like(target, 1.0)
@@ -477,7 +491,7 @@ def temperature_from_energy(gas: GasModel, rho, volumetric_energy, guess=None):
     resid = _volumetric_energy_raw(gas, rho, theta) - target
     if np.all(np.abs(resid) <= 1.0e-9 * scale):
         return theta
-    raise ValueError("temperature inversion did not converge")
+    raise TemperatureInversionError("temperature inversion did not converge")
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from nsfsim import operators as ops
 from nsfsim import simulator as sim
+from nsfsim import thermo
 from nsfsim.grids import FluidState, Grid1D, Grid2D, StepControl
 from nsfsim.simulator import ImplicitSolveError, PositivityError, cfl_dt, run, step
 from nsfsim.stationary import ProblemConfig, solve_rb_pipeline, static_uniform
@@ -172,7 +173,7 @@ def test_implicit_heat_solve_residual_contract():
     theta = 1.0 + 0.3 * rng.random(n)
     e_star = rho * internal_energy(GAS, rho, theta) * (1.0 + 0.05 * rng.standard_normal(n))
     dt = 1e-3
-    theta_new = sim._implicit_heat_1d(grid, GAS, TR, rho, e_star, theta, dt)
+    theta_new = sim._implicit_heat(grid, GAS, TR, rho, e_star, theta, dt)
     resid = rho * internal_energy(GAS, rho, theta_new) - dt * ops.kirchhoff_div_1d(
         grid, TR, theta_new
     ) - e_star
@@ -208,10 +209,44 @@ def test_implicit_heat_positivity_floor_fails_at_once(dimension, monkeypatch):
 
     monkeypatch.setattr(sim, "solve_banded", lambda bands, ab, rhs: runaway(rhs))
     monkeypatch.setattr(sim, "splu", RunawayLU)
-    heat = sim._implicit_heat_1d if dimension == 1 else sim._implicit_heat_2d
     with pytest.raises(ImplicitSolveError, match="positivity backtrack"):
-        heat(grid, GAS, TR, rho, e_star, theta, 1e-3)
+        sim._implicit_heat(grid, GAS, TR, rho, e_star, theta, 1e-3)
     assert len(solves) == 1
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_heat_jacobian_matches_finite_difference_oracle(dimension):
+    # the hand-assembled kappa Jacobian must be the derivative of the
+    # K-difference heat residual; a wrong entry would only slow Newton down
+    rng = np.random.default_rng(40 + dimension)
+    if dimension == 1:
+        grid = Grid1D(n=16, theta_bottom=1.3, theta_top=0.8)
+        kirchhoff_div = ops.kirchhoff_div_1d
+    else:
+        grid = Grid2D(nx=6, nz=5, theta_bottom=1.3, theta_top=0.8)
+        kirchhoff_div = ops.kirchhoff_div_2d
+    shape = (16,) if dimension == 1 else (6, 5)
+    rho = 0.5 + rng.random(shape)
+    theta = 0.5 + rng.random(shape)
+    dt = 1e-2
+
+    def residual(th):
+        return (rho * internal_energy(GAS, rho, th) - dt * kirchhoff_div(grid, TR, th)).ravel()
+
+    fd = np.empty((theta.size, theta.size))
+    for j in range(theta.size):
+        h = 1e-6 * theta.flat[j]
+        plus, minus = theta.copy(), theta.copy()
+        plus.flat[j] += h
+        minus.flat[j] -= h
+        fd[:, j] = (residual(plus) - residual(minus)) / (2.0 * h)
+    jac = sim._heat_jacobian(grid, GAS, TR, rho, theta, dt)
+    if dimension == 1:  # solve_banded (1, 1) layout
+        jac = np.diag(jac[1]) + np.diag(jac[0, 1:], 1) + np.diag(jac[2, :-1], -1)
+    else:
+        jac = jac.toarray()
+    column_max = np.max(np.abs(fd), axis=0)
+    assert np.all(np.abs(jac - fd) <= 1e-6 * column_max)
 
 
 def test_implicit_velocity_solve_damps_and_preserves_zero():
@@ -247,6 +282,25 @@ def test_run_aborts_after_retry_budget():
     assert result.aborted
     assert result.abort_reason
     assert result.final_state.t == 0.0
+
+
+def test_run_retries_failed_temperature_inversion(monkeypatch):
+    # an inversion that does not converge is retried with half the step,
+    # like a positivity failure, instead of ending the run
+    original = thermo.temperature_from_energy
+    calls = []
+
+    def fails_first(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise thermo.TemperatureInversionError("temperature inversion did not converge")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(thermo, "temperature_from_energy", fails_first)
+    result = run(uniform_state(n=16), 0.01, StepControl(), GAS, TR, None)
+    assert not result.aborted
+    assert result.retries == 1
+    assert result.final_state.t == pytest.approx(0.01)
 
 
 def test_run_sampling_cadence():
