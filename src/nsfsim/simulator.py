@@ -6,8 +6,10 @@ One step comprises, in order:
       conservation),
 (ii)  momentum update: upwinded convection, central pressure gradient
       evaluated at the updated density (keeps the acoustic coupling neutrally
-      stable), potential force, and a backward-Euler solve for the velocity
-      diffusion with viscosities frozen at theta^n,
+      stable), potential force, and a backward-Euler solve for the viscous
+      stress with viscosities frozen at theta^n: the column's banded
+      (4/3)mu + eta operator in 1-D, and in 2-D one coupled solve for (u, w)
+      under the full stress, its matrix assembled from ``viscous_rhs_2d``,
 (iii) internal-energy stage, ``_energy_stage``, one for both dimensions:
       rho*e is advanced by the explicit tendencies of
       ``operators.energy_explicit_*`` (upwind transport of rho*e and the
@@ -61,11 +63,12 @@ class ImplicitSolveError(RuntimeError):
     """The implicit diffusion solve failed to converge."""
 
 
-def cfl_dt(state: FluidState, control: StepControl, gas, transport=None) -> float:
+def cfl_dt(state: FluidState, control: StepControl, gas) -> float:
     """Acoustic CFL estimate, clamped to [dt_min, dt_max].
 
     dt = cfl_target * min over cells of dx / (|u| + c_s) with the adiabatic
-    sound speed from the thermodynamic partials.
+    sound speed from the thermodynamic partials.  The viscous stress is
+    implicit in both dimensions, so it sets no bound.
     """
     g = state.grid
     cs = thermo.sound_speed(gas, state.rho, state.theta)
@@ -77,11 +80,6 @@ def cfl_dt(state: FluidState, control: StepControl, gas, transport=None) -> floa
         wz = np.maximum(np.abs(state.w[:, :-1]), np.abs(state.w[:, 1:]))
         rate = (ux + cs) / g.dx + (wz + cs) / g.dz
         dt = control.cfl_target * float(np.min(1.0 / rate))
-        if transport is not None:
-            # the 2-D split leaves the cross-stress terms explicit
-            mu, eta, _ = thermo.transport(transport, state.theta)
-            nu = (2.0 * mu + eta) / state.rho
-            dt = min(dt, 0.25 * min(g.dx, g.dz) ** 2 / float(np.max(nu)))
     return float(np.clip(dt, control.dt_min, control.dt_max))
 
 
@@ -184,73 +182,74 @@ def _solve_velocity_1d(grid, transport, theta, rho_face, m_star, dt):
     return u
 
 
-def _laplacian_split_2d(grid, transport, theta, u, w):
-    """Explicit remainder of the stress divergence after removing the
-    component Laplacians div(mu grad .) that the backward-Euler solve absorbs."""
-    dx, dz = grid.dx, grid.dz
-    mu_c, _, _ = thermo.transport(transport, theta)
-    mu_x = ops._corner_mu(grid, transport, theta)
-    vx_full, vz_full = ops.viscous_rhs_2d(grid, transport, theta, u, w)
-
-    # implicit cores
-    gx = mu_c * (np.roll(u, -1, axis=0) - u) / dx
-    lap_u = (gx - np.roll(gx, 1, axis=0)) / dx
-    gu = np.empty((grid.nx, grid.nz + 1))
-    gu[:, 1:-1] = mu_x[:, 1:-1] * (u[:, 1:] - u[:, :-1]) / dz
-    gu[:, 0] = mu_x[:, 0] * 2.0 * u[:, 0] / dz
-    gu[:, -1] = -mu_x[:, -1] * 2.0 * u[:, -1] / dz
-    lap_u += (gu[:, 1:] - gu[:, :-1]) / dz
-
-    gw = mu_x * (w - np.roll(w, 1, axis=0)) / dx
-    lap_w = np.zeros_like(w)
-    lap_w[:, 1:-1] = (np.roll(gw, -1, axis=0) - gw)[:, 1:-1] / dx
-    gz = mu_c * (w[:, 1:] - w[:, :-1]) / dz
-    lap_w[:, 1:-1] += (gz[:, 1:] - gz[:, :-1]) / dz
-    return vx_full - lap_u, (vz_full - lap_w), mu_c, mu_x
+def _interleave(u, w):
+    """u (nx, nz) and w (nx, nz+1) on one lattice of half z-spacings, shape
+    (nx, 2nz+1): w of face k at s = 2k, u of cell k at s = 2k+1."""
+    lattice = np.empty((u.shape[0], 2 * u.shape[1] + 1))
+    lattice[:, 1::2] = u
+    lattice[:, ::2] = w
+    return lattice
 
 
-def _solve_velocity_2d(grid, transport, theta, rho, m_star_u, m_star_w, dt, mu_c, mu_x):
-    """Backward-Euler solve of rb*u - dt*div(mu grad u) = m* per component."""
+def _velocity_coupling(nx, nz):
+    """Probe colours of the velocity unknowns and the (rows, cols) they may couple.
+
+    The unknowns are the lattice nodes off the walls, s = 1 .. 2nz-1, in
+    row-major order.  A row of ``ops.viscous_rhs_2d`` reaches at most one
+    step in i (periodic) and two in s, so no two unknowns of one colour may
+    lie within two steps in i and four in s of each other.  s takes s mod 5;
+    i takes i mod 3 for i < 3*(nx//3) and each column left over a colour of
+    its own, so the periodic wrap never clashes.
+    """
+    ns = 2 * nz - 1
+    m = 3 * (nx // 3)
+    ci = np.where(np.arange(nx) < m, np.arange(nx) % 3, np.arange(nx) - m + 3)
+    colour = (5 * ci[:, None] + np.arange(1, ns + 1) % 5).ravel()
+    node = np.pad(np.arange(nx * ns).reshape(nx, ns), ((0, 0), (2, 2)), constant_values=-1)
+    rows, cols = [], []
+    for di in (-1, 0, 1):
+        for ds in range(-2, 3):
+            near = np.roll(node, -di, axis=0)[:, 2 + ds:2 + ds + ns]
+            rows.append(node[:, 2:-2][near >= 0])
+            cols.append(near[near >= 0])
+    return colour, np.concatenate(rows), np.concatenate(cols)
+
+
+def _velocity_matrix(grid, transport, theta, rho, dt):
+    """rho_face*v - dt*viscous_rhs_2d(theta, v) over the unknowns of
+    ``_velocity_coupling``.
+
+    ``viscous_rhs_2d`` is linear in v, so each column is its response to a
+    unit vector; one call per colour returns every column of that colour
+    (Curtis, Powell & Reid 1974), exact to rounding.
+    """
     nx, nz = grid.nx, grid.nz
-    dx, dz = grid.dx, grid.dz
-    lx, lz = dt / dx**2, dt / dz**2
-
-    # u system over all (nx, nz) x-faces
-    rbu = 0.5 * (np.roll(rho, 1, axis=0) + rho)
-    idx = np.arange(nx * nz).reshape(nx, nz)
-    diag = rbu + lx * (mu_c + np.roll(mu_c, 1, axis=0)) + lz * (mu_x[:, 1:] + mu_x[:, :-1])
-    diag[:, 0] += lz * mu_x[:, 0]       # ghost reflection doubles the wall link
-    diag[:, -1] += lz * mu_x[:, -1]
-    rows = [idx.ravel(), idx.ravel(), idx.ravel()]
-    cols = [idx.ravel(), np.roll(idx, -1, axis=0).ravel(), np.roll(idx, 1, axis=0).ravel()]
-    vals = [diag.ravel(), (-lx * mu_c).ravel(), (-lx * np.roll(mu_c, 1, axis=0)).ravel()]
-    rows += [idx[:, :-1].ravel(), idx[:, 1:].ravel()]
-    cols += [idx[:, 1:].ravel(), idx[:, :-1].ravel()]
-    vals += [(-lz * mu_x[:, 1:-1]).ravel(), (-lz * mu_x[:, 1:-1]).ravel()]
-    a_u = coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nx * nz, nx * nz),
+    colour, rows, cols = _velocity_coupling(nx, nz)
+    response = np.empty((colour.max() + 1, colour.size))
+    probe = np.zeros((nx, 2 * nz + 1))
+    for c in range(len(response)):
+        probe[:, 1:-1] = (colour == c).reshape(nx, -1)
+        vx, vz = ops.viscous_rhs_2d(grid, transport, theta, probe[:, 1::2], probe[:, ::2])
+        response[c] = _interleave(vx, vz)[:, 1:-1].ravel()
+    rbw = np.pad(0.5 * (rho[:, :-1] + rho[:, 1:]), ((0, 0), (1, 1)))
+    rho_face = _interleave(0.5 * (np.roll(rho, 1, axis=0) + rho), rbw)[:, 1:-1].ravel()
+    diag = np.arange(colour.size)
+    a = coo_matrix(
+        (np.concatenate([rho_face, -dt * response[colour[cols], rows]]),
+         (np.concatenate([diag, rows]), np.concatenate([diag, cols]))),
+        shape=(colour.size, colour.size),
     ).tocsc()
-    u_new = splu(a_u).solve(m_star_u.ravel()).reshape(nx, nz)
+    a.eliminate_zeros()  # the pattern is a superset; its exact zeros only add LU fill
+    return a
 
-    # w system over interior z-faces (nx, nz-1)
-    rbw = 0.5 * (rho[:, :-1] + rho[:, 1:])
-    idw = np.arange(nx * (nz - 1)).reshape(nx, nz - 1)
-    mu_xw = mu_x[:, 1:-1]
-    diag_w = rbw + lx * (np.roll(mu_xw, -1, axis=0) + mu_xw) + lz * (mu_c[:, 1:] + mu_c[:, :-1])
-    rows = [idw.ravel(), idw.ravel(), idw.ravel()]
-    cols = [idw.ravel(), np.roll(idw, -1, axis=0).ravel(), np.roll(idw, 1, axis=0).ravel()]
-    vals = [diag_w.ravel(), (-lx * np.roll(mu_xw, -1, axis=0)).ravel(), (-lx * mu_xw).ravel()]
-    rows += [idw[:, :-1].ravel(), idw[:, 1:].ravel()]
-    cols += [idw[:, 1:].ravel(), idw[:, :-1].ravel()]
-    vals += [(-lz * mu_c[:, 1:-1]).ravel(), (-lz * mu_c[:, 1:-1]).ravel()]
-    a_w = coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nx * (nz - 1), nx * (nz - 1)),
-    ).tocsc()
-    w_new = np.zeros((nx, nz + 1))
-    w_new[:, 1:-1] = splu(a_w).solve(m_star_w[:, 1:-1].ravel()).reshape(nx, nz - 1)
-    return u_new, w_new
+
+def _solve_velocity_2d(grid, transport, theta, rho, m_star_u, m_star_w, dt):
+    """Backward-Euler solve of rho_face*v - dt*div S(theta, v) = m* for (u, w)."""
+    a = _velocity_matrix(grid, transport, theta, rho, dt)
+    v = _interleave(m_star_u, m_star_w)
+    v[:, 1:-1] = splu(a).solve(v[:, 1:-1].ravel()).reshape(grid.nx, -1)
+    v[:, [0, -1]] = 0.0
+    return v[:, 1::2].copy(), v[:, ::2].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -325,15 +324,12 @@ def _step_2d(state, dt, gas, transport, G):
     (conv_u, dpdx, grav_u), (conv_w, dpdz, grav_w) = ops.momentum_explicit_2d(
         grid, gas, G, rho1, theta, rho, u, w
     )
-    rem_u, rem_w, mu_c, mu_x = _laplacian_split_2d(grid, transport, theta, u, w)
     rbu = 0.5 * (np.roll(rho, 1, axis=0) + rho)
-    m_star_u = rbu * u - dt * (conv_u + dpdx - grav_u - rem_u)
+    m_star_u = rbu * u - dt * (conv_u + dpdx - grav_u)
     m_star_w = np.zeros_like(w)
     rbw = 0.5 * (rho[:, :-1] + rho[:, 1:])
-    m_star_w[:, 1:-1] = rbw * w[:, 1:-1] - dt * (conv_w + dpdz - grav_w - rem_w)[:, 1:-1]
-    u_new, w_new = _solve_velocity_2d(
-        grid, transport, theta, rho1, m_star_u, m_star_w, dt, mu_c, mu_x
-    )
+    m_star_w[:, 1:-1] = rbw * w[:, 1:-1] - dt * (conv_w + dpdz - grav_w)[:, 1:-1]
+    u_new, w_new = _solve_velocity_2d(grid, transport, theta, rho1, m_star_u, m_star_w, dt)
 
     evol = rho * thermo.internal_energy(gas, rho, theta)
     tendencies = ops.energy_explicit_2d(
@@ -407,7 +403,7 @@ def run(
         result.samples.append((state.t, state.copy()))
     next_sample = state.t + cadence if cadence > 0.0 else np.inf
     while state.t < horizon - 1.0e-12:
-        dt = cfl_dt(state, control, gas, transport)
+        dt = cfl_dt(state, control, gas)
         dt = min(dt, horizon - state.t)
         if cadence > 0.0 and state.t < next_sample:
             dt = min(dt, next_sample - state.t)

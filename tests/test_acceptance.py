@@ -132,7 +132,7 @@ def test_criterion_5_equilibrium_preservation():
         G = problem.potential_field()
         state = refs.copy()
         control = StepControl(cfl_target=0.4)
-        dt = sim.cfl_dt(state, control, gas, transport)
+        dt = sim.cfl_dt(state, control, gas)
         mass0 = state.total_mass()
         worst_re = 0.0
         for k in range(10_000):
