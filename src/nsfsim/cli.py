@@ -74,11 +74,17 @@ def _cmd_run(args) -> int:
 
 
 def _read_manifest(path) -> ex.RunManifest:
-    return ex.RunManifest.from_json(Path(path).read_text())
+    try:
+        return ex.RunManifest.from_json(Path(path).read_text())
+    except (ValueError, TypeError) as exc:
+        raise ex.ConfigError("manifest", f"{path} is not a run manifest: {exc}") from exc
 
 
 def _cmd_compare(args) -> int:
-    report = ex.compare_runs(_read_manifest(args.manifest_a), _read_manifest(args.manifest_b))
+    try:
+        report = ex.compare_runs(_read_manifest(args.manifest_a), _read_manifest(args.manifest_b))
+    except OSError as exc:  # a manifest or the CSV it names
+        raise ex.ConfigError("missing-file", f"cannot read {exc.filename}: {exc.strerror}") from exc
     for name in sorted(report):
         print(f"{name} = {report[name]:.6g}")
     return EXIT_OK

@@ -598,19 +598,19 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> RunManifest:
     artifacts.append(str(config_path))
     config_hash = hashlib.sha256(config_text.encode()).hexdigest()
 
-    def fail(exc):
+    def finish(status, error=""):
         manifest = RunManifest(
             label=label,
             config_hash=config_hash,
             toolkit_version=TOOLKIT_VERSION,
             started_at=started,
             finished_at=_iso_now(),
-            status=f"failed:{stage}",
+            status=status,
             artifacts=artifacts,
             counters=counters,
             invariants=invariants,
             warnings=warnings,
-            error=str(exc),
+            error=error,
         )
         (out / f"{label}.manifest.json").write_text(manifest.to_json())
         return manifest
@@ -765,23 +765,8 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> RunManifest:
             save_snapshot(fin_path, result.final_state)
             artifacts.append(str(fin_path))
     except Exception as exc:
-        return fail(exc)
-
-    status = "ok" if all(invariants.values()) else "invariant-violation"
-    manifest = RunManifest(
-        label=label,
-        config_hash=config_hash,
-        toolkit_version=TOOLKIT_VERSION,
-        started_at=started,
-        finished_at=_iso_now(),
-        status=status,
-        artifacts=artifacts,
-        counters=counters,
-        invariants=invariants,
-        warnings=warnings,
-    )
-    (out / f"{label}.manifest.json").write_text(manifest.to_json())
-    return manifest
+        return finish(f"failed:{stage}", str(exc))
+    return finish("ok" if all(invariants.values()) else "invariant-violation")
 
 
 def _manifest_csv(manifest: RunManifest):

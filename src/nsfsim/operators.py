@@ -43,7 +43,6 @@ __all__ = [
     "steady_residual_1d",
     "mass_rhs_2d",
     "strain_rates_2d",
-    "stress_fields_2d",
     "momentum_explicit_2d",
     "viscous_rhs_2d",
     "kirchhoff_div_2d",
@@ -201,11 +200,11 @@ def steady_residual_1d(grid, gas, transport, G, rho, theta, u):
 
 
 def _west(a):
-    return np.roll(a, 1, axis=0)
+    return np.roll(a, 1, axis=-2)
 
 
 def _east(a):
-    return np.roll(a, -1, axis=0)
+    return np.roll(a, -1, axis=-2)
 
 
 def mass_fluxes_2d(rho, u, w):
@@ -226,9 +225,9 @@ def mass_rhs_2d(grid: Grid2D, rho, u, w):
     return -_divergence_2d(grid, *mass_fluxes_2d(rho, u, w))
 
 
-def _corner_mu(grid: Grid2D, transport, theta):
-    """mu at x-face/z-face crossings, shape (nx, nz+1); walls use theta_B."""
-    mu_c, _, _ = thermo.transport(transport, theta)
+def _corner_mu(grid: Grid2D, transport, mu_c):
+    """mu at x-face/z-face crossings, shape (nx, nz+1), averaged from mu_c at
+    the centers; the wall rows read the closure at theta_B."""
     mu = np.empty((grid.nx, grid.nz + 1))
     mu[:, 1:-1] = 0.25 * (
         mu_c[:, :-1] + mu_c[:, 1:] + _west(mu_c)[:, :-1] + _west(mu_c)[:, 1:]
@@ -242,25 +241,14 @@ def strain_rates_2d(grid: Grid2D, u, w):
     """(du/dx, dw/dz) at centers and (du/dz, dw/dx) at corners.
 
     At the walls du/dz reflects u across the no-slip wall (ghost value -u).
+    Leading axes of ``u`` and ``w`` (a stack of fields) are carried through.
     """
     dz = grid.dz
-    dudz = np.empty((grid.nx, grid.nz + 1))
-    dudz[:, 1:-1] = (u[:, 1:] - u[:, :-1]) / dz
-    dudz[:, 0] = 2.0 * u[:, 0] / dz
-    dudz[:, -1] = -2.0 * u[:, -1] / dz
-    return (_east(u) - u) / grid.dx, (w[:, 1:] - w[:, :-1]) / dz, dudz, (w - _west(w)) / grid.dx
-
-
-def stress_fields_2d(grid: Grid2D, transport, theta, u, w):
-    """(Sxx, Szz) at centers, Sxz at corners, plus the center divergence."""
-    mu_c, eta_c, _ = thermo.transport(transport, theta)
-    lam_c = eta_c - 2.0 / 3.0 * mu_c
-    dudx, dwdz, dudz, dwdx = strain_rates_2d(grid, u, w)
-    div = dudx + dwdz
-    sxx = 2.0 * mu_c * dudx + lam_c * div
-    szz = 2.0 * mu_c * dwdz + lam_c * div
-    sxz = _corner_mu(grid, transport, theta) * (dudz + dwdx)
-    return sxx, szz, sxz, div
+    dudz = np.empty(u.shape[:-1] + (grid.nz + 1,))
+    dudz[..., 1:-1] = (u[..., 1:] - u[..., :-1]) / dz
+    dudz[..., 0] = 2.0 * u[..., 0] / dz
+    dudz[..., -1] = -2.0 * u[..., -1] / dz
+    return (_east(u) - u) / grid.dx, (w[..., 1:] - w[..., :-1]) / dz, dudz, (w - _west(w)) / grid.dx
 
 
 def momentum_explicit_2d(grid, gas, G, rho_pressure, theta, rho_inertia, u, w):
@@ -309,12 +297,22 @@ def momentum_explicit_2d(grid, gas, G, rho_pressure, theta, rho_inertia, u, w):
 
 
 def viscous_rhs_2d(grid, transport, theta, u, w):
-    """Full Newtonian stress divergence at the velocity nodes."""
+    """Full Newtonian stress divergence at the velocity nodes.
+
+    ``u`` and ``w`` may be stacks of fields along leading axes; the
+    viscosities are read from ``theta`` once and serve every field.
+    """
     dx, dz = grid.dx, grid.dz
-    sxx, szz, sxz, _ = stress_fields_2d(grid, transport, theta, u, w)
-    vx = (sxx - _west(sxx)) / dx + (sxz[:, 1:] - sxz[:, :-1]) / dz
+    mu_c, eta_c, _ = thermo.transport(transport, theta)
+    lam_c = eta_c - 2.0 / 3.0 * mu_c
+    dudx, dwdz, dudz, dwdx = strain_rates_2d(grid, u, w)
+    div = dudx + dwdz
+    sxx = 2.0 * mu_c * dudx + lam_c * div
+    szz = 2.0 * mu_c * dwdz + lam_c * div
+    sxz = _corner_mu(grid, transport, mu_c) * (dudz + dwdx)
+    vx = (sxx - _west(sxx)) / dx + (sxz[..., 1:] - sxz[..., :-1]) / dz
     vz = np.zeros_like(w)
-    vz[:, 1:-1] = (_east(sxz) - sxz)[:, 1:-1] / dx + (szz[:, 1:] - szz[:, :-1]) / dz
+    vz[..., 1:-1] = (_east(sxz) - sxz)[..., 1:-1] / dx + (szz[..., 1:] - szz[..., :-1]) / dz
     return vx, vz
 
 

@@ -183,11 +183,11 @@ def _solve_velocity_1d(grid, transport, theta, rho_face, m_star, dt):
 
 
 def _interleave(u, w):
-    """u (nx, nz) and w (nx, nz+1) on one lattice of half z-spacings, shape
-    (nx, 2nz+1): w of face k at s = 2k, u of cell k at s = 2k+1."""
-    lattice = np.empty((u.shape[0], 2 * u.shape[1] + 1))
-    lattice[:, 1::2] = u
-    lattice[:, ::2] = w
+    """u (..., nx, nz) and w (..., nx, nz+1) on one lattice of half z-spacings,
+    shape (..., nx, 2nz+1): w of face k at s = 2k, u of cell k at s = 2k+1."""
+    lattice = np.empty(u.shape[:-1] + (2 * u.shape[-1] + 1,))
+    lattice[..., 1::2] = u
+    lattice[..., ::2] = w
     return lattice
 
 
@@ -220,17 +220,17 @@ def _velocity_matrix(grid, transport, theta, rho, dt):
     ``_velocity_coupling``.
 
     ``viscous_rhs_2d`` is linear in v, so each column is its response to a
-    unit vector; one call per colour returns every column of that colour
-    (Curtis, Powell & Reid 1974), exact to rounding.
+    unit vector, and the sum of the unit vectors of one colour returns every
+    column of that colour (Curtis, Powell & Reid 1974), exact to rounding.
+    The stencil is applied once, to the stack of all colours' probes.
     """
     nx, nz = grid.nx, grid.nz
     colour, rows, cols = _velocity_coupling(nx, nz)
-    response = np.empty((colour.max() + 1, colour.size))
-    probe = np.zeros((nx, 2 * nz + 1))
-    for c in range(len(response)):
-        probe[:, 1:-1] = (colour == c).reshape(nx, -1)
-        vx, vz = ops.viscous_rhs_2d(grid, transport, theta, probe[:, 1::2], probe[:, ::2])
-        response[c] = _interleave(vx, vz)[:, 1:-1].ravel()
+    n_colours = colour.max() + 1
+    probes = np.zeros((n_colours, nx, 2 * nz + 1))
+    probes[:, :, 1:-1] = (colour == np.arange(n_colours)[:, None]).reshape(n_colours, nx, -1)
+    vx, vz = ops.viscous_rhs_2d(grid, transport, theta, probes[..., 1::2], probes[..., ::2])
+    response = _interleave(vx, vz)[..., 1:-1].reshape(n_colours, -1)
     rbw = np.pad(0.5 * (rho[:, :-1] + rho[:, 1:]), ((0, 0), (1, 1)))
     rho_face = _interleave(0.5 * (np.roll(rho, 1, axis=0) + rho), rbw)[:, 1:-1].ravel()
     diag = np.arange(colour.size)
@@ -270,9 +270,12 @@ def step(state: FluidState, dt: float, gas, transport, G=None, convection: str =
     thermo.TemperatureInversionError on a failed inversion (all retriable).
 
     ``convection`` selects the 1-D transport reconstruction ("upwind" or
-    "minmod"); the 2-D slab always uses donor-cell upwind."""
+    "minmod"); the 2-D slab has donor-cell upwind only and raises
+    ValueError for any other name."""
     if state.grid.dimension == 1:
         return _step_1d(state, dt, gas, transport, G, convection)
+    if convection != "upwind":
+        raise ValueError(f"the 2-D slab supports only upwind convection, not {convection!r}")
     return _step_2d(state, dt, gas, transport, G)
 
 

@@ -75,27 +75,18 @@ class ProblemConfig:
     """Domain, data, and total mass defining one stationary problem.
 
     ``grid`` carries the wall temperatures; ``g`` is the gravity strength
-    (scalar along the column in 1-D, (gx, gz) or scalar gz in 2-D);
-    ``potential`` may override it with an arbitrary per-node field.
+    (scalar along the column in 1-D, (gx, gz) or scalar gz in 2-D).
     """
 
     grid: object
     m0: float
     g: object = None
-    potential: object = None
 
     def __post_init__(self):
         if self.m0 <= 0.0:
             raise ValueError("total mass m0 must be positive")
-        if self.potential is not None:
-            pot = np.asarray(self.potential, dtype=float)
-            expected = (self.grid.n,) if self.grid.dimension == 1 else (self.grid.nx, self.grid.nz)
-            if pot.shape != expected:
-                raise ValueError("potential field shape does not match the grid")
 
     def potential_field(self):
-        if self.potential is not None:
-            return np.asarray(self.potential, dtype=float)
         return _potential_from_gravity(self.grid, self.g)
 
     def wall_theta_values(self) -> np.ndarray:
@@ -266,9 +257,10 @@ def solve_heat_profile_1d(transport, theta_bottom, theta_top, grid: Grid1D) -> n
 
 
 _HYDROSTATIC_MAXITER = 100
+_HYDROSTATIC_MASS_TOL = 1.0e-12
 
 
-def _hydrostatic_newton(gas, theta, dG, dx, m0, mass_tol):
+def _hydrostatic_newton(gas, theta, dG, dx, m0):
     """Damped Newton on the n-1 face balances and the mass row.
 
     The unknowns are rho at every cell.  Face i reads
@@ -313,7 +305,7 @@ def _hydrostatic_newton(gas, theta, dG, dx, m0, mass_tol):
     else:
         raise ShootingFailure("hydrostatic Newton did not converge")
     balanced = np.all(np.abs(face) <= 1.0e-9 * np.maximum(1.0, np.abs(p[:-1])))
-    if not balanced or abs(np.sum(rho) * dx - m0) > mass_tol * max(1.0, m0):
+    if not balanced or abs(np.sum(rho) * dx - m0) > _HYDROSTATIC_MASS_TOL * max(1.0, m0):
         raise ShootingFailure("face balance or mass not met after the hydrostatic Newton solve")
     return rho
 
@@ -326,7 +318,6 @@ def solve_hydrostatic_density(
     grid: Grid1D,
     mode: str = "discrete",
     theta_profile=None,
-    mass_tol: float = 1.0e-12,
     return_details: bool = False,
 ):
     """Density in hydrostatic balance with the given temperature field.
@@ -346,7 +337,7 @@ def solve_hydrostatic_density(
     if mode == "discrete":
         theta_s = np.asarray(theta_s, dtype=float)
         dG = np.full(grid.n - 1, float(g) * grid.dx) if np.ndim(g) == 0 else np.diff(np.asarray(g))
-        rho = _hydrostatic_newton(gas, theta_s, dG, grid.dx, m0, mass_tol)
+        rho = _hydrostatic_newton(gas, theta_s, dG, grid.dx, m0)
         if return_details:
             return rho, {"rho0": float(rho[0]), "mass": float(np.sum(rho) * grid.dx)}
         return rho

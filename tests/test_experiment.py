@@ -285,6 +285,28 @@ def test_cli_compare(tmp_path, capsys):
     assert "_identical = 1" in out
 
 
+@pytest.mark.parametrize("text", [None, "", "[1, 2]", '{"label": "x"}'])
+def test_cli_compare_unreadable_manifest_is_config_error(tmp_path, capsys, text):
+    # missing, not JSON, not an object, missing fields: one line, exit 2
+    bad = tmp_path / "bad.manifest.json"
+    if text is not None:
+        bad.write_text(text)
+    assert cli.main(["compare", str(bad), str(bad)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error:") and "bad.manifest.json" in err[0]
+
+
+def test_cli_compare_manifest_without_its_csv_is_config_error(tmp_path, capsys):
+    gone = tmp_path / "gone.csv"
+    manifest = ex.RunManifest(label="x", config_hash="", toolkit_version="", started_at="",
+                              finished_at="", status="ok", artifacts=[str(gone)])
+    path = tmp_path / "x.manifest.json"
+    path.write_text(manifest.to_json())
+    assert cli.main(["compare", str(path), str(path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "gone.csv" in err[0]
+
+
 def test_cli_solver_failure_exit_code(tmp_path):
     code = cli.main(
         ["run", "--preset", "static-sanity", "--out", str(tmp_path),

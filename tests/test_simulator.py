@@ -1,9 +1,11 @@
 """Time-stepper tests: CFL policy, exact equilibrium preservation, discrete
-conservation, positivity/retry policy, the acoustic signal-speed oracle, and
-2-D periodic topology."""
+conservation, positivity/retry policy, the acoustic signal-speed oracle,
+2-D periodic topology, and the one-call assembly of the 2-D momentum matrix."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from nsfsim import operators as ops
 from nsfsim import simulator as sim
@@ -396,6 +398,57 @@ def test_2d_shift_equivariance():
         for name in ("rho", "theta", "u", "w")
     )
     assert worst < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    nx=hst.integers(3, 10),
+    nz=hst.integers(3, 7),
+    stack=hst.integers(1, 4),
+    eta0=hst.sampled_from([0.0, 0.5]),
+    seed=hst.integers(0, 2**32 - 1),
+)
+def test_viscous_rhs_2d_on_a_stack_equals_the_single_calls(nx, nz, stack, eta0, seed):
+    rng = np.random.default_rng(seed)
+    grid = Grid2D(nx=nx, nz=nz, theta_bottom=1.0 + 0.2 * rng.random(nx), theta_top=0.8 + 0.2 * rng.random(nx))
+    transport = TransportModel(eta0=eta0)
+    theta = 0.5 + rng.random((nx, nz))
+    u = rng.standard_normal((stack, nx, nz))
+    w = rng.standard_normal((stack, nx, nz + 1))
+    vx, vz = ops.viscous_rhs_2d(grid, transport, theta, u, w)
+    for k in range(stack):
+        one_x, one_z = ops.viscous_rhs_2d(grid, transport, theta, u[k], w[k])
+        assert np.array_equal(vx[k], one_x) and np.array_equal(vz[k], one_z)
+
+
+def test_velocity_matrix_reads_the_stencil_and_the_closure_once(monkeypatch):
+    # one stencil call for every colour: the viscosities at the centers and
+    # the wall rows are the only closure reads
+    calls = {"viscous_rhs_2d": 0, "transport": 0}
+
+    def counted(owner, name):
+        inner = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(ops, "viscous_rhs_2d")
+    counted(thermo, "transport")
+    grid = Grid2D(nx=32, nz=24, theta_bottom=1.05, theta_top=1.0)
+    theta = np.full((grid.nx, grid.nz), 1.02)
+    sim._velocity_matrix(grid, TR, theta, np.ones_like(theta), 1e-3)
+    assert calls["viscous_rhs_2d"] == 1
+    assert calls["transport"] <= 2
+
+
+@pytest.mark.parametrize("scheme", ["minmod", "no-such-scheme"])
+def test_slab_step_rejects_convection_other_than_upwind(scheme):
+    reference, config = slab_reference()
+    with pytest.raises(ValueError, match="upwind"):
+        step(reference.as_fluid_state(), 1e-4, GAS, TR, config.potential_field(), convection=scheme)
 
 
 # ---------------------------------------------------------------------------
