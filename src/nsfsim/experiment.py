@@ -641,6 +641,14 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> RunManifest:
         counters["stationary_mass_error"] = reference.mass_error
         counters["stationary_u_max"] = reference.max_velocity()
         counters["stationary_theta_dev"] = reference.proximity["theta_dev"]
+        counters["stationary_residual_trace"] = reference.residual_trace
+        counters["stationary_jacobian_colours"] = reference.jacobian_colours
+        counters["stationary_residual_calls"] = reference.residual_calls
+        if reference.floor_steps:
+            warnings.append(
+                f"stationary Newton accepted {reference.floor_steps} line-search step(s) "
+                "at the floor step without a residual decrease"
+            )
         invariants["stationary_mass_ok"] = reference.mass_error < 1.0e-10
 
         stage = "initial-state"

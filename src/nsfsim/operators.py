@@ -55,7 +55,7 @@ __all__ = [
 
 def column_viscosity(transport, theta):
     """(4/3) mu + eta: the 1-D longitudinal viscous coefficient."""
-    mu, eta, _ = thermo.transport(transport, theta)
+    mu, eta = thermo.viscosities(transport, theta)
     return 4.0 / 3.0 * mu + eta
 
 
@@ -233,7 +233,7 @@ def _corner_mu(grid: Grid2D, transport, mu_c):
         mu_c[:, :-1] + mu_c[:, 1:] + _west(mu_c)[:, :-1] + _west(mu_c)[:, 1:]
     )
     walls = np.stack([grid.wall_theta("bottom"), grid.wall_theta("top")], axis=1)
-    mu[:, [0, -1]] = thermo.transport(transport, 0.5 * (walls + _west(walls)))[0]
+    mu[:, [0, -1]] = thermo.viscosities(transport, 0.5 * (walls + _west(walls)))[0]
     return mu
 
 
@@ -303,7 +303,7 @@ def viscous_rhs_2d(grid, transport, theta, u, w):
     viscosities are read from ``theta`` once and serve every field.
     """
     dx, dz = grid.dx, grid.dz
-    mu_c, eta_c, _ = thermo.transport(transport, theta)
+    mu_c, eta_c = thermo.viscosities(transport, theta)
     lam_c = eta_c - 2.0 / 3.0 * mu_c
     dudx, dwdz, dudz, dwdx = strain_rates_2d(grid, u, w)
     div = dudx + dwdz
@@ -318,7 +318,7 @@ def viscous_rhs_2d(grid, transport, theta, u, w):
 
 def shear_heating_2d(grid, transport, theta, u, w):
     """S(theta, Du) : Du at centers; nonnegative by construction."""
-    mu_c, eta_c, _ = thermo.transport(transport, theta)
+    mu_c, eta_c = thermo.viscosities(transport, theta)
     dudx, dwdz, dudz, dwdx = strain_rates_2d(grid, u, w)
     div = dudx + dwdz
     dxz_sq = (0.5 * (dudz + dwdx)) ** 2

@@ -8,13 +8,16 @@ scalar multiplier added to the continuity rows, which also removes their
 structural redundancy (upwind fluxes telescope to zero over the domain).
 
 Newton's Jacobian is a coloured finite difference (Curtis, Powell & Reid,
-IMA J. Appl. Math. 13, 1974).  Every equation depends only on unknowns
-within index distance 2 of it, so columns that share no equation form one
-colour and are perturbed together: an iteration costs one residual call per
-colour plus one for the multiplier, a count fixed by the stencil width and
-not by the grid size.  The mass row is linear and set exactly.  The whole
-bordered matrix is factored with ``splu``; the core block alone is singular
-because the continuity rows telescope.
+IMA J. Appl. Math. 13, 1974; Coleman & More, SIAM J. Numer. Anal. 20, 1983).
+Its sparsity pattern is read off the residual itself: forward differences on
+a small probe grid, at a random state and again with every velocity negated,
+give the offsets by which each equation field couples to each unknown
+field, and those are translated to the grid at hand.  Columns that share no
+equation form one colour and are perturbed together: an iteration costs one
+residual call per colour plus one for the multiplier, a count fixed by the
+stencils and not by the grid size.  The mass row is linear and set exactly.
+The whole bordered matrix is factored with ``splu``; the core block alone is
+singular because the continuity rows telescope.
 
 The pipeline's hydrostatic density is a Newton solve too: the face balances
 and the mass row in the cell densities form a bidiagonal system bordered by
@@ -33,7 +36,7 @@ from scipy.sparse.linalg import splu
 
 from . import operators as ops
 from . import thermo
-from .grids import FluidState, Grid1D
+from .grids import FluidState, Grid1D, Grid2D
 
 __all__ = [
     "ProblemConfig",
@@ -129,6 +132,13 @@ class StationaryState:
     mass_error: float = 0.0
     proximity: dict = field(default_factory=dict)
     iterations: int = 0
+    # Newton bookkeeping: residual max-norm per iterate, colours of the
+    # Jacobian, residual calls (pattern probe included), and the Armijo steps
+    # accepted at the floor without a decrease
+    residual_trace: list = field(default_factory=list)
+    jacobian_colours: int = 0
+    residual_calls: int = 0
+    floor_steps: int = 0
 
     def as_fluid_state(self, t: float = 0.0) -> FluidState:
         return FluidState(
@@ -450,9 +460,9 @@ class _Layout:
     pinned wall faces, then the mass multiplier lambda.  Equations:
     continuity, momentum, energy, then the mass row.  A 1-D column is laid
     out as a slab one cell wide whose velocity plays the part of w.  A cell
-    and the faces west of and below it share the cell's location (i, k), so
-    each equation depends only on unknowns within index distance 2 of it,
-    periodic in x.
+    and the faces west of and below it share the cell's location (i, k);
+    every core unknown and equation carries its field (the index of its
+    block) and its location.
     """
 
     def __init__(self, grid):
@@ -462,9 +472,16 @@ class _Layout:
         cells = np.indices((self.nx, self.nz)).reshape(2, -1)
         faces = np.indices((self.nx, self.nz - 1)).reshape(2, -1) + np.array([[0], [1]])
         velocity = [faces] if grid.dimension == 1 else [cells, faces]
-        self.unknown_blocks = [cells, cells, *velocity]
-        self.equation_loc = np.concatenate([cells, *velocity, cells], axis=1)
+        unknown_blocks = [cells, cells, *velocity]
+        equation_blocks = [cells, *velocity, cells]
+        self.unknown_loc = np.concatenate(unknown_blocks, axis=1)
+        self.equation_loc = np.concatenate(equation_blocks, axis=1)
+        self.unknown_field, self.equation_field = (
+            np.repeat(np.arange(len(blocks)), [b.shape[1] for b in blocks])
+            for blocks in (unknown_blocks, equation_blocks)
+        )
         self.size = self.equation_loc.shape[1] + 1
+        self.probe_calls = 0
 
     def pack(self, rho, theta, u, w, lam):
         one_d = self.grid.dimension == 1
@@ -485,23 +502,29 @@ class _Layout:
         return rho, theta, x[2 * nc : 3 * nc].reshape(shape), wall_normal, x[-1]
 
     def pattern(self):
-        """(rows, cols) of the core block (all but the mass row and lambda):
-        every equation against every unknown within index distance 2."""
-        at = np.full((len(self.unknown_blocks), self.nx, self.nz), -1)
-        start = 0
-        for b, (i, k) in enumerate(self.unknown_blocks):
-            at[b, i, k] = start + np.arange(i.size)
-            start += i.size
-        ei, ek = self.equation_loc
-        rows, cols = [], []
-        for di in sorted({d % self.nx for d in range(-2, 3)}):
-            for dk in range(-2, 3):
-                inside = np.flatnonzero((ek + dk >= 0) & (ek + dk < self.nz))
-                cand = at[:, (ei[inside] + di) % self.nx, ek[inside] + dk]
-                hit = cand >= 0
-                rows.append(np.broadcast_to(inside, cand.shape)[hit])
-                cols.append(cand[hit])
-        return np.concatenate(rows), np.concatenate(cols)
+        """(rows, cols) of the core block (all but the mass row and lambda).
+
+        The offsets ``_probe_offsets`` reads off the residual of a probe
+        grid, translated to this one: x wraps periodically, z offsets that
+        leave the walls are dropped, and offsets that alias on a narrow grid
+        are merged.  The probe's residual calls go to ``probe_calls``.
+        """
+        offsets, self.probe_calls = _probe_offsets(self.grid.dimension)
+        at = np.full((self.unknown_field[-1] + 1, self.nx, self.nz), -1)
+        at[(self.unknown_field, *self.unknown_loc)] = np.arange(self.size - 1)
+        rows, cols = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
+        for eq_field, unknown_field, di, dk in offsets:
+            eqs = np.flatnonzero(self.equation_field == eq_field)
+            ei, ek = self.equation_loc[:, eqs]
+            inside = (ek + dk >= 0) & (ek + dk < self.nz)
+            cand = at[unknown_field, (ei[inside] + di) % self.nx, ek[inside] + dk]
+            rows.append(eqs[inside][cand >= 0])
+            cols.append(cand[cand >= 0])
+        n = self.size - 1
+        # sort and mask: numpy's unique hashes int64 keys, about 50x slower here
+        entries = np.sort(np.concatenate(rows) * n + np.concatenate(cols))
+        entries = entries[np.diff(entries, prepend=-1) != 0]
+        return entries // n, entries % n
 
 
 def _residual(layout, x, gas, transport, G, m0):
@@ -513,6 +536,47 @@ def _residual(layout, x, gas, transport, G, m0):
         cont, *rest = ops.steady_residual_2d(grid, gas, transport, G, rho, theta, u, w)
     mass = np.sum(rho) * grid.cell_volume - m0
     return np.concatenate([(cont + lam).ravel(), *(r.ravel() for r in rest), [mass]])
+
+
+def _probe_offsets(dimension):
+    """Every (equation field, unknown field, di, dk) coupling of the residual.
+
+    The probe is a 5x5 slab (a 6-cell column in 1-D) with laterally varying
+    plates, gravity with both components and a random state.  x is periodic,
+    so the unknowns of grid column i = 0 show every coupling: each gets one
+    forward difference at the state and one with every velocity negated,
+    which flips every donor-cell branch.  di is signed, within +-2 on the
+    5-periodic probe.  Returns the offsets and the residual calls made.
+    """
+    rng = np.random.default_rng(0)
+    if dimension == 1:
+        grid, g = Grid1D(n=6, theta_bottom=1.1, theta_top=1.0), 0.05
+    else:
+        plates = 1.0 + 0.1 * rng.random((2, 5))
+        grid, g = Grid2D(nx=5, nz=5, theta_bottom=plates[0], theta_top=plates[1]), (0.02, 0.05)
+    layout = _Layout(grid)
+    gas, transport = thermo.GasModel(), thermo.TransportModel(eta0=0.5)
+    G = _potential_from_gravity(grid, g)
+    nc = layout.n_cells
+    x = 0.05 * rng.standard_normal(layout.size)
+    x[: 2 * nc] = 1.0 + 0.1 * rng.standard_normal(2 * nc)
+    column = np.flatnonzero(layout.unknown_loc[0] == 0)
+    coupled = np.zeros((layout.size - 1, column.size), dtype=bool)
+    for sign in (1.0, -1.0):
+        xs = x.copy()
+        xs[2 * nc : -1] *= sign
+        f = _residual(layout, xs, gas, transport, G, grid.volume)[:-1]
+        for j, k in enumerate(column):
+            xp = xs.copy()
+            xp[k] += 1.0e-7 * max(1.0, abs(xp[k]))
+            coupled[:, j] |= _residual(layout, xp, gas, transport, G, grid.volume)[:-1] != f
+    eqs, j = np.nonzero(coupled)
+    unknowns = column[j]
+    di = (layout.unknown_loc[0, unknowns] - layout.equation_loc[0, eqs]) % layout.nx
+    di = np.where(di > layout.nx // 2, di - layout.nx, di)
+    dk = layout.unknown_loc[1, unknowns] - layout.equation_loc[1, eqs]
+    offsets = np.stack([layout.equation_field[eqs], layout.unknown_field[unknowns], di, dk], axis=1)
+    return np.unique(offsets, axis=0), 2 * (column.size + 1)
 
 
 def _colour_columns(rows, cols, n):
@@ -578,10 +642,11 @@ def solve_stationary_newton(
 
     The Jacobian is a coloured sparse finite difference (one residual call
     per column colour) and the bordered system is factored with ``splu``.
-    Armijo backtracking on the residual 2-norm with floor step 2^-20;
-    positivity of (rho, theta) is maintained by shrinking the step.  Raises
+    Armijo backtracking on the residual 2-norm with floor step 2^-20: below
+    it a step is taken without a decrease, and ``floor_steps`` counts these.
+    Positivity of (rho, theta) is maintained by shrinking the step.  Raises
     ``NewtonFailure`` with the residual trace on stagnation or a singular
-    Jacobian.
+    Jacobian; on success the trace is the state's ``residual_trace``.
     """
     grid = config.grid
     G = config.potential_field()
@@ -597,7 +662,11 @@ def solve_stationary_newton(
         guess = initial_guess
         x = layout.pack(guess.rho, guess.theta, guess.u, guess.w, 0.0)
 
+    calls = 0
+
     def fun(xv):
+        nonlocal calls
+        calls += 1
         return _residual(layout, xv, gas, transport, G, m0)
 
     def positive(xv):
@@ -607,7 +676,7 @@ def solve_stationary_newton(
     f = fun(x)
     norm = float(np.max(np.abs(f)))
     trace.append(norm)
-    iterations = 0
+    iterations = floor_steps = 0
     jacobian = _ColouredJacobian(layout) if norm > tol else None
     while norm > tol and iterations < max_iter:
         try:
@@ -620,7 +689,9 @@ def solve_stationary_newton(
             x_try = x + s * delta
             if positive(x_try):
                 f_try = fun(x_try)
-                if float(np.dot(f_try, f_try)) <= (1.0 - 1.0e-4 * s) * f2 or s < 2.0**-20:
+                decreased = float(np.dot(f_try, f_try)) <= (1.0 - 1.0e-4 * s) * f2
+                if decreased or s < 2.0**-20:
+                    floor_steps += not decreased
                     break
             s *= 0.5
             if s < 2.0**-21:
@@ -634,6 +705,9 @@ def solve_stationary_newton(
 
     rho, theta, u, w, _ = layout.unpack(x)
     state = StationaryState(grid=grid, rho=rho, theta=theta, u=u, w=w, iterations=iterations)
+    state.residual_trace, state.floor_steps = trace, floor_steps
+    state.jacobian_colours = 0 if jacobian is None else len(jacobian.groups)
+    state.residual_calls = calls + layout.probe_calls
     state.residual_norms = _residual_norms(grid, gas, transport, G, rho, theta, u, w)
     state.mass_error = abs(float(np.sum(rho) * grid.cell_volume) - m0)
     state.proximity = _proximity(config, rho, theta, u, w)

@@ -45,6 +45,7 @@ __all__ = [
     "entropy_partials",
     "gibbs_residual",
     "sound_speed",
+    "viscosities",
     "transport",
     "conductivity_primitive",
     "invert_conductivity_primitive",
@@ -389,12 +390,16 @@ def sound_speed(gas: GasModel, rho, theta):
 # ---------------------------------------------------------------------------
 
 
-def transport(model: TransportModel, theta):
-    """(mu, eta, kappa) at temperature theta."""
+def viscosities(model: TransportModel, theta):
+    """(mu, eta) at temperature theta, without the conductivity's power."""
     _require_positive("theta", theta)
     theta = np.asarray(theta, dtype=float)
-    mu = model.mu0 * (1.0 + theta)
-    eta = model.eta0 * (1.0 + theta)
+    return model.mu0 * (1.0 + theta), model.eta0 * (1.0 + theta)
+
+
+def transport(model: TransportModel, theta):
+    """(mu, eta, kappa) at temperature theta."""
+    mu, eta = viscosities(model, theta)
     return mu, eta, _conductivity_raw(model, theta)
 
 

@@ -414,3 +414,35 @@ def test_cli_sweep_verb(tmp_path, capsys):
     lines = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
     assert len(lines) == 2
     assert all(entry["status"] == "ok" for entry in lines)
+
+
+def test_manifest_records_stationary_newton_counters(tmp_path):
+    config = ex.config_from_mapping({}, preset="rb-2d-lateral")
+    manifest = ex.run_experiment(config, output_dir=tmp_path)
+    assert manifest.status == "ok"
+    counters = manifest.counters
+    trace = counters["stationary_residual_trace"]
+    assert len(trace) == counters["stationary_iterations"] + 1 and trace[-1] <= 1.0e-9
+    assert 0 < counters["stationary_jacobian_colours"] <= 45
+    assert counters["stationary_residual_calls"] > counters["stationary_iterations"] * (
+        counters["stationary_jacobian_colours"] + 1
+    )
+    assert not any("floor step" in w for w in manifest.warnings)
+    # timings stay out of the CSV
+    header = (tmp_path / "rb-2d-lateral.csv").read_text().splitlines()[0]
+    assert not any(word in header for word in ("time_s", "wall", "seconds"))
+
+
+def test_manifest_warns_on_armijo_floor_acceptances(tmp_path, monkeypatch):
+    real = ex.solve_reference
+
+    def floored(*args):
+        state = real(*args)
+        state.floor_steps = 2
+        return state
+
+    monkeypatch.setattr(ex, "solve_reference", floored)
+    config = ex.config_from_mapping({}, preset="rb-2d-lateral")
+    manifest = ex.run_experiment(config, output_dir=tmp_path)
+    assert manifest.status == "ok"
+    assert any("accepted 2 line-search step(s) at the floor step" in w for w in manifest.warnings)

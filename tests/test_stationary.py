@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from nsfsim import experiment as ex
 from nsfsim import operators as ops
+from nsfsim import stationary
 from nsfsim.grids import Grid1D, Grid2D
 from nsfsim.stationary import (
     _ColouredJacobian,
@@ -408,3 +410,106 @@ def test_singular_factorisation_raises_newton_failure(monkeypatch):
     with pytest.raises(NewtonFailure, match="singular") as err:
         solve_stationary_newton(config, GAS, TR)
     assert err.value.trace
+
+
+def assert_pattern_contains_dense_nonzeros(grid, rng):
+    """Both donor-cell branches at every face: the oracle at a random state
+    and at the same state with every velocity negated."""
+    layout = _Layout(grid)
+    nc = layout.n_cells
+    g = 0.05 if grid.dimension == 1 else (0.02, 0.05)
+    G = ProblemConfig(grid=grid, m0=grid.volume, g=g).potential_field()
+    x = np.concatenate(
+        [1.0 + 0.1 * rng.standard_normal(2 * nc), 0.05 * rng.standard_normal(layout.size - 2 * nc)]
+    )
+    declared = np.zeros((layout.size - 1, layout.size - 1), dtype=bool)
+    declared[layout.pattern()] = True
+    for sign in (1.0, -1.0):
+        xs = x.copy()
+        xs[2 * nc : -1] *= sign
+        oracle = dense_fd_jacobian(lambda xv: _residual(layout, xv, GAS, TR, G, grid.volume), xs)
+        assert not np.any((oracle[:-1, :-1] != 0.0) & ~declared)
+
+
+@settings(max_examples=20, deadline=None)
+@given(nx=hst.integers(3, 7), nz=hst.integers(3, 6), seed=hst.integers(0, 2**16))
+def test_derived_pattern_contains_dense_nonzeros_2d(nx, nz, seed):
+    # nx < 5 aliases the probe's x offsets onto each other
+    rng = np.random.default_rng(seed)
+    plates = 1.0 + 0.1 * rng.random((2, nx))
+    grid = Grid2D(nx=nx, nz=nz, theta_bottom=plates[0], theta_top=plates[1])
+    assert_pattern_contains_dense_nonzeros(grid, rng)
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=hst.integers(3, 10), seed=hst.integers(0, 2**16))
+def test_derived_pattern_contains_dense_nonzeros_1d(n, seed):
+    rng = np.random.default_rng(seed)
+    grid = Grid1D(n=n, theta_bottom=1.0 + 0.1 * rng.random(), theta_top=1.0)
+    assert_pattern_contains_dense_nonzeros(grid, rng)
+
+
+def test_lateral_preset_at_24x16_needs_at_most_45_colours():
+    config = ex.config_from_mapping({"domain.nx": "24", "domain.nz": "16"}, preset="rb-2d-lateral")
+    jacobian = _ColouredJacobian(_Layout(ex.build_problem(config).grid))
+    assert len(jacobian.groups) <= 45
+
+
+@pytest.mark.parametrize("grid", [Grid1D(n=40, theta_bottom=1.1), Grid2D(nx=24, nz=16)], ids=["1d", "2d"])
+def test_pattern_derivation_residual_calls(monkeypatch, grid):
+    probed = []
+
+    def counted(layout, *args):
+        probed.append(layout)
+        return _residual(layout, *args)
+
+    monkeypatch.setattr(stationary, "_residual", counted)
+    layout = _Layout(grid)
+    layout.pattern()
+    probe = probed[0]
+    assert all(p is probe for p in probed)
+    column = int(np.sum(probe.unknown_loc[0] == 0))
+    assert len(probed) <= 2 * column + 2
+    assert layout.probe_calls == len(probed)
+
+
+def test_newton_counts_armijo_floor_acceptances(monkeypatch):
+    # A linear residual whose target theta* = 5 moves to 15 once theta leaves a
+    # 1e-6 box around the initial guess 1.  The finite differences stay inside
+    # the box; along the first Newton step theta = 1 + 4s leaves it for every
+    # s >= 2^-21, where |theta - 15| >= 10 > 4 = |1 - 5|.  So that step is
+    # taken at the floor, and from there the shifted linear system converges.
+    theta0, target, shift = 1.0, 5.0, 10.0
+
+    def trapped(grid, gas, transport, G, rho, theta, u):
+        far = np.max(np.abs(theta - theta0)) > 1.0e-6
+        return rho - 1.0, u[1:-1], theta - target - (shift if far else 0.0)
+
+    monkeypatch.setattr(ops, "steady_residual_1d", trapped)
+    config = ProblemConfig(grid=Grid1D(n=8), m0=1.0)
+    state = solve_stationary_newton(config, GAS, TR)
+    assert state.floor_steps == 1
+    assert np.allclose(state.theta, target + shift)
+    assert state.residual_trace[0] == pytest.approx(target - theta0)
+    assert state.residual_trace[-1] <= 1.0e-9
+    assert len(state.residual_trace) == state.iterations + 1
+
+
+def test_newton_state_keeps_trace_colours_and_calls(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return _residual(*args)
+
+    monkeypatch.setattr(stationary, "_residual", counted)
+    nx = 12
+    xc = (np.arange(nx) + 0.5) * (2.0 / nx)
+    grid = Grid2D(nx=nx, nz=8, theta_bottom=1.0 + 1e-3 * np.cos(np.pi * xc), theta_top=1.0)
+    state = solve_stationary_newton(ProblemConfig(grid=grid, m0=grid.volume, g=(0.0, 0.01)), GAS, TR)
+    assert state.iterations >= 1 and state.floor_steps == 0
+    assert len(state.residual_trace) == state.iterations + 1
+    assert state.residual_trace[-1] <= 1.0e-9 < state.residual_trace[0]
+    assert 0 < state.jacobian_colours <= 45
+    assert state.residual_calls == len(calls)
+    assert state.residual_calls >= state.iterations * (state.jacobian_colours + 2) + 1
