@@ -33,7 +33,7 @@ print(f"  data size epsilon = {config.epsilon_report:.4f}")
 pipe = solve_rb_pipeline(config, gas, trans)
 print(f"  pipeline residual norms : {pipe.residual_norms}")
 print(f"  pipeline mass error     : {pipe.mass_error:.2e}")
-flux = ops.kirchhoff_fluxes_1d(grid, trans, pipe.theta)
+(flux,) = ops.kirchhoff_fluxes_nd(grid, trans, pipe.theta)
 print(f"  heat-flux variation     : {float(np.max(flux) - np.min(flux)):.2e} (constant to rounding)")
 
 newton = solve_stationary_newton(config, gas, trans)

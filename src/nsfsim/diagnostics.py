@@ -85,12 +85,12 @@ def _check_same_grid(state, reference):
 
 
 def _center_velocity(state):
-    """Velocity components interpolated to cell centers."""
+    """Velocity components interpolated to cell centers, wall-normal last."""
+    w = state.velocity[-1]
+    wc = 0.5 * (w[..., :-1] + w[..., 1:])
     if state.grid.dimension == 1:
-        return (0.5 * (state.u[:-1] + state.u[1:]),)
-    uc = 0.5 * (state.u + np.roll(state.u, -1, axis=0))
-    wc = 0.5 * (state.w[:, :-1] + state.w[:, 1:])
-    return uc, wc
+        return (wc,)
+    return 0.5 * (state.u + ops._east(state.u)), wc
 
 
 def _kinetic_density(state, reference=None):
@@ -202,27 +202,20 @@ def _ballistic_density(state, theta_tilde, gas):
 
 
 def _grad_centers(grid, field):
-    """Central-difference gradient of a center field, one-sided at walls."""
-    h = grid.dx if grid.dimension == 1 else grid.dz  # wall-normal: last axis
+    """Central-difference gradient of a center field, one-sided at walls;
+    the wall-normal component last, the slab's x-component in front."""
+    h = grid.dz
     gz = np.empty_like(field)
     gz[..., 1:-1] = (field[..., 2:] - field[..., :-2]) / (2.0 * h)
     gz[..., 0] = (field[..., 1] - field[..., 0]) / h
     gz[..., -1] = (field[..., -1] - field[..., -2]) / h
     if grid.dimension == 1:
         return (gz,)
-    return (np.roll(field, -1, axis=0) - np.roll(field, 1, axis=0)) / (2.0 * grid.dx), gz
+    return (ops._east(field) - ops._west(field)) / (2.0 * grid.dx), gz
 
 
 def _grad_theta_centers(state):
     return _grad_centers(state.grid, state.theta)
-
-
-def _shear_heating(state, transport):
-    """S:Du at centers from the operator the stepper uses."""
-    grid = state.grid
-    if grid.dimension == 1:
-        return ops.shear_heating_1d(grid, transport, state.theta, state.u)
-    return ops.shear_heating_2d(grid, transport, state.theta, state.u, state.w)
 
 
 def entropy_production(state, gas, transport):
@@ -232,7 +225,7 @@ def entropy_production(state, gas, transport):
     is nonnegative by construction.
     """
     grid = state.grid
-    heating = _shear_heating(state, transport)
+    heating = ops.shear_heating_nd(grid, transport, state.theta, state.velocity)
     grads = _grad_theta_centers(state)
     grad_sq = sum(g**2 for g in grads)
     _, _, kappa = thermo.transport(transport, state.theta)
@@ -273,17 +266,14 @@ def dissipation_functionals(state, reference, transport, thresholds: Thresholds)
     comps = _center_velocity(state)
     refs = _center_velocity(reference)
     du_sq = sum((c - r) ** 2 for c, r in zip(comps, refs))
-    if grid.dimension == 1:
-        du = state.u - reference.u
-        grad_du_sq = ((du[1:] - du[:-1]) / grid.dx) ** 2
-    else:
+    dw = state.velocity[-1] - reference.velocity[-1]
+    grad_du_sq = ((dw[..., 1:] - dw[..., :-1]) / grid.dz) ** 2
+    if grid.dimension == 2:
         # natural-position gradients; corner squares averaged back to centers
-        dudx, dwdz, dudz, dwdx = ops.strain_rates_2d(grid, state.u - reference.u, state.w - reference.w)
+        dudx, _, dudz, dwdx = ops.strain_rates_2d(grid, state.u - reference.u, dw)
         corner_sq = dudz**2 + dwdx**2
-        grad_du_sq = dudx**2 + dwdz**2 + 0.25 * (
-            (corner_sq + np.roll(corner_sq, -1, axis=0))[:, :-1]
-            + (corner_sq + np.roll(corner_sq, -1, axis=0))[:, 1:]
-        )
+        pairs = corner_sq + ops._east(corner_sq)
+        grad_du_sq = dudx**2 + grad_du_sq + 0.25 * (pairs[:, :-1] + pairs[:, 1:])
     u_h1_sq = float(np.sum(du_sq + grad_du_sq) * dv)
 
     dth = state.theta - reference.theta
@@ -331,17 +321,17 @@ def damping_functionals(state, reference, thresholds: Thresholds):
 
 
 def _conduction_faces(grid, theta):
-    """Every heat-conduction face, laid out like ``ops.kirchhoff_fluxes_*``.
+    """Every heat-conduction face, laid out like ``ops.kirchhoff_fluxes_nd``.
 
     A list of (left, right, spacing, area) groups: the x-faces (2-D only),
     then all z-faces, whose outer values at the walls are the plate
     temperatures across a half-cell.
     """
+    h = grid.dz
     if grid.dimension == 1:
-        h, area, faces = grid.dx, 1.0, []
+        area, faces = 1.0, []
     else:
-        h, area = grid.dz, grid.dx
-        faces = [(np.roll(theta, 1, axis=0), theta, grid.dx, grid.dz)]
+        area, faces = grid.dx, [(ops._west(theta), theta, grid.dx, grid.dz)]
     bottom, top = (np.asarray(grid.wall_theta(side))[..., None] for side in ("bottom", "top"))
     ext = np.concatenate([bottom, theta, top], axis=-1)
     spacing = np.full(ext.shape[-1] - 1, h)
@@ -357,11 +347,9 @@ def _entropy_balance_rates(state, gas, transport):
     state production and flux cancel to rounding.
     """
     grid = state.grid
-    visc = float(np.sum(_shear_heating(state, transport) / state.theta) * grid.cell_volume)
-    if grid.dimension == 1:
-        fluxes = [ops.kirchhoff_fluxes_1d(grid, transport, state.theta)]
-    else:
-        fluxes = list(ops.kirchhoff_fluxes_2d(grid, transport, state.theta))
+    heating = ops.shear_heating_nd(grid, transport, state.theta, state.velocity)
+    visc = float(np.sum(heating / state.theta) * grid.cell_volume)
+    fluxes = ops.kirchhoff_fluxes_nd(grid, transport, state.theta)
     faces = _conduction_faces(grid, state.theta)
     prod = sum(
         float(np.sum(H * (right - left) / (left * right)) * area)
@@ -398,7 +386,7 @@ def _ballistic_rates(state, reference, gas, transport, G=None):
     grid = state.grid
     th, th_t = state.theta, reference.theta
     dv = grid.cell_volume
-    d_visc = float(np.sum(th_t / th * _shear_heating(state, transport)) * dv)
+    d_visc = float(np.sum(th_t / th * ops.shear_heating_nd(grid, transport, th, state.velocity)) * dv)
     d_heat = t_heat = 0.0
     for (left, right, delta, area), (left_t, right_t, _, _) in zip(
         _conduction_faces(grid, th), _conduction_faces(grid, th_t)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Grid1D", "Grid2D", "FluidState", "StepControl"]
+__all__ = ["Grid1D", "Grid2D", "VelocityComponents", "FluidState", "StepControl"]
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,12 @@ class Grid1D:
 
     @property
     def dx(self) -> float:
+        return self.length / self.n
+
+    @property
+    def dz(self) -> float:
+        """The wall-normal spacing under the slab's name: the column's only
+        axis is wall-normal, so this equals ``dx``."""
         return self.length / self.n
 
     @property
@@ -118,8 +124,17 @@ class Grid2D:
         return np.broadcast_to(value, (self.nx,))
 
 
+class VelocityComponents:
+    """``velocity`` of a state with fields ``u`` and ``w`` (None on the column)."""
+
+    @property
+    def velocity(self) -> tuple:
+        """The velocity components, wall-normal last: (u,) or (u, w)."""
+        return (self.u,) if self.w is None else (self.u, self.w)
+
+
 @dataclass
-class FluidState:
+class FluidState(VelocityComponents):
     """Discrete (rho, theta, velocity) fields at one time.
 
     1-D: ``u`` has shape (n+1,) on faces with u[0] = u[n] = 0 (no-slip).
@@ -161,12 +176,8 @@ class FluidState:
             raise ValueError("rho must be positive everywhere")
         if np.any(self.theta <= 0.0):
             raise ValueError("theta must be positive everywhere")
-        if self.grid.dimension == 1:
-            if self.u[0] != 0.0 or self.u[-1] != 0.0:
-                raise ValueError("no-slip violated at walls")
-        else:
-            if np.any(self.w[:, 0] != 0.0) or np.any(self.w[:, -1] != 0.0):
-                raise ValueError("no-slip violated at walls")
+        if np.any(self.velocity[-1][..., [0, -1]] != 0.0):
+            raise ValueError("no-slip violated at walls")
 
     def copy(self) -> "FluidState":
         return FluidState(

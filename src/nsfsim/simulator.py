@@ -1,6 +1,7 @@
 """Semi-implicit time integration of the evolutionary system.
 
-One step comprises, in order:
+One ``step`` serves the column and the slab; it calls the shared stencils
+of ``operators`` on the velocity components and comprises, in order:
 
 (i)   conservative first-order upwind update of rho (exact discrete mass
       conservation),
@@ -10,9 +11,8 @@ One step comprises, in order:
       stress with viscosities frozen at theta^n: the column's banded
       (4/3)mu + eta operator in 1-D, and in 2-D one coupled solve for (u, w)
       under the full stress, its matrix assembled from ``viscous_rhs_2d``,
-(iii) internal-energy stage, ``_energy_stage``, one for both dimensions:
-      rho*e is advanced by the explicit tendencies of
-      ``operators.energy_explicit_*`` (upwind transport of rho*e and the
+(iii) internal-energy stage: rho*e is advanced by the explicit tendencies of
+      ``operators.energy_explicit_nd`` (upwind transport of rho*e and the
       sources S:Du - p div u at half-step velocities), the very function the
       steady residuals call; theta is recovered from rho*e by monotone scalar
       inversion per cell, which seeds the implicit Fourier diffusion, a
@@ -151,18 +151,16 @@ def _heat_jacobian(grid, gas, transport, rho, theta, dt):
 
 def _implicit_heat(grid, gas, transport, rho, e_star, theta0, dt):
     """Newton in theta for rho*e(rho, theta) - dt * div H(theta) = e_star."""
-    one_d = grid.dimension == 1
-    kirchhoff_div = ops.kirchhoff_div_1d if one_d else ops.kirchhoff_div_2d
     theta = theta0.copy()
     scale = max(1.0, float(np.max(np.abs(e_star))))
     for _ in range(_HEAT_MAXITER):
-        resid = thermo._volumetric_energy_raw(gas, rho, theta) - dt * kirchhoff_div(
+        resid = thermo._volumetric_energy_raw(gas, rho, theta) - dt * ops.kirchhoff_div_nd(
             grid, transport, theta
         ) - e_star
         if float(np.max(np.abs(resid))) <= _HEAT_TOL * scale:
             return theta
         jac = _heat_jacobian(grid, gas, transport, rho, theta, dt)
-        if one_d:
+        if grid.dimension == 1:
             delta = solve_banded((1, 1), jac, resid)
         else:
             delta = splu(jac).solve(resid.ravel()).reshape(resid.shape)
@@ -231,8 +229,8 @@ def _velocity_matrix(grid, transport, theta, rho, dt):
     probes[:, :, 1:-1] = (colour == np.arange(n_colours)[:, None]).reshape(n_colours, nx, -1)
     vx, vz = ops.viscous_rhs_2d(grid, transport, theta, probes[..., 1::2], probes[..., ::2])
     response = _interleave(vx, vz)[..., 1:-1].reshape(n_colours, -1)
-    rbw = np.pad(0.5 * (rho[:, :-1] + rho[:, 1:]), ((0, 0), (1, 1)))
-    rho_face = _interleave(0.5 * (np.roll(rho, 1, axis=0) + rho), rbw)[:, 1:-1].ravel()
+    rbu, rbw = ops._face_densities(rho)
+    rho_face = _interleave(rbu, np.pad(rbw, ((0, 0), (1, 1))))[:, 1:-1].ravel()
     diag = np.arange(colour.size)
     a = coo_matrix(
         (np.concatenate([rho_face, -dt * response[colour[cols], rows]]),
@@ -272,19 +270,34 @@ def step(state: FluidState, dt: float, gas, transport, G=None, convection: str =
     ``convection`` selects the 1-D transport reconstruction ("upwind" or
     "minmod"); the 2-D slab has donor-cell upwind only and raises
     ValueError for any other name."""
-    if state.grid.dimension == 1:
-        return _step_1d(state, dt, gas, transport, G, convection)
-    if convection != "upwind":
+    grid = state.grid
+    if grid.dimension == 2 and convection != "upwind":
         raise ValueError(f"the 2-D slab supports only upwind convection, not {convection!r}")
-    return _step_2d(state, dt, gas, transport, G)
+    rho, theta, vel = state.rho, state.theta, state.velocity
 
+    rho1 = rho + dt * ops.mass_rhs_nd(grid, rho, vel, convection)
+    _check_positive("rho", rho1)
 
-def _energy_stage(grid, gas, transport, rho1, theta, evol, tendencies, dt):
-    """Stage (iii) for both dimensions: advance rho*e by the explicit
-    ``(conv_e, heat, work)`` tendencies, check the result against the
-    zero-point floor, invert it for theta and solve the implicit heat
-    conduction from there.  Returns theta^{n+1}."""
-    conv_e, heat, work = tendencies
+    tendencies = ops.momentum_explicit_nd(grid, gas, G, rho1, theta, rho, vel)
+    interior = (*vel[:-1], vel[-1][..., 1:-1])
+    m_star = [
+        rho_face * v - dt * (conv + dp - grav)
+        for rho_face, v, (conv, dp, grav) in zip(ops._face_densities(rho), interior, tendencies)
+    ]
+    if grid.dimension == 1:
+        rb1 = ops._face_densities(rho1)[0]
+        vel_new = (_solve_velocity_1d(grid, transport, theta, rb1, *m_star, dt),)
+    else:
+        m_star[-1] = np.pad(m_star[-1], ((0, 0), (1, 1)))
+        vel_new = _solve_velocity_2d(grid, transport, theta, rho1, *m_star, dt)
+
+    # stage (iii): rho*e advanced explicitly, checked against the zero-point
+    # floor, inverted for theta, which seeds the implicit heat conduction
+    evol = rho * thermo.internal_energy(gas, rho, theta)
+    half = [0.5 * (v + v_new) for v, v_new in zip(vel, vel_new)]
+    conv_e, heat, work = ops.energy_explicit_nd(
+        grid, gas, transport, rho1, theta, evol, vel, half, convection
+    )
     e_star = evol + dt * (-conv_e + heat - work)
     floor = thermo._zero_point_energy_raw(gas, rho1)
     if np.any(e_star <= floor):
@@ -293,55 +306,7 @@ def _energy_stage(grid, gas, transport, rho1, theta, evol, tendencies, dt):
     theta_star = thermo.temperature_from_energy(gas, rho1, e_star, guess=theta)
     theta_new = _implicit_heat(grid, gas, transport, rho1, e_star, theta_star, dt)
     _check_positive("theta", theta_new)
-    return theta_new
-
-
-def _step_1d(state, dt, gas, transport, G, convection="upwind"):
-    grid = state.grid
-    rho, theta, u = state.rho, state.theta, state.u
-
-    flux_rho = ops.upwind_flux_1d(u, rho, convection)
-    rho1 = rho - dt * np.diff(flux_rho) / grid.dx
-    _check_positive("rho", rho1)
-
-    conv, dpdx, grav = ops.momentum_explicit_1d(grid, gas, G, rho1, theta, rho, u)
-    m_star = 0.5 * (rho[:-1] + rho[1:]) * u[1:-1] - dt * (conv + dpdx - grav)
-    rb1 = 0.5 * (rho1[:-1] + rho1[1:])
-    u_new = _solve_velocity_1d(grid, transport, theta, rb1, m_star, dt)
-
-    evol = rho * thermo.internal_energy(gas, rho, theta)
-    tendencies = ops.energy_explicit_1d(
-        grid, gas, transport, rho1, theta, evol, u, 0.5 * (u + u_new), convection
-    )
-    theta_new = _energy_stage(grid, gas, transport, rho1, theta, evol, tendencies, dt)
-    return FluidState(grid=grid, t=state.t + dt, rho=rho1, theta=theta_new, u=u_new)
-
-
-def _step_2d(state, dt, gas, transport, G):
-    grid = state.grid
-    rho, theta, u, w = state.rho, state.theta, state.u, state.w
-
-    rho1 = rho + dt * ops.mass_rhs_2d(grid, rho, u, w)
-    _check_positive("rho", rho1)
-
-    (conv_u, dpdx, grav_u), (conv_w, dpdz, grav_w) = ops.momentum_explicit_2d(
-        grid, gas, G, rho1, theta, rho, u, w
-    )
-    rbu = 0.5 * (np.roll(rho, 1, axis=0) + rho)
-    m_star_u = rbu * u - dt * (conv_u + dpdx - grav_u)
-    m_star_w = np.zeros_like(w)
-    rbw = 0.5 * (rho[:, :-1] + rho[:, 1:])
-    m_star_w[:, 1:-1] = rbw * w[:, 1:-1] - dt * (conv_w + dpdz - grav_w)[:, 1:-1]
-    u_new, w_new = _solve_velocity_2d(grid, transport, theta, rho1, m_star_u, m_star_w, dt)
-
-    evol = rho * thermo.internal_energy(gas, rho, theta)
-    tendencies = ops.energy_explicit_2d(
-        grid, gas, transport, rho1, theta, evol, u, w, 0.5 * (u + u_new), 0.5 * (w + w_new)
-    )
-    theta_new = _energy_stage(grid, gas, transport, rho1, theta, evol, tendencies, dt)
-    return FluidState(
-        grid=grid, t=state.t + dt, rho=rho1, theta=theta_new, u=u_new, w=w_new
-    )
+    return FluidState(grid, state.t + dt, rho1, theta_new, *vel_new)
 
 
 # ---------------------------------------------------------------------------

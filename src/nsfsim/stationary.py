@@ -36,7 +36,7 @@ from scipy.sparse.linalg import splu
 
 from . import operators as ops
 from . import thermo
-from .grids import FluidState, Grid1D, Grid2D
+from .grids import FluidState, Grid1D, Grid2D, VelocityComponents
 
 __all__ = [
     "ProblemConfig",
@@ -109,18 +109,15 @@ class ProblemConfig:
         G = self.potential_field()
         if G is None:
             return eps_theta
-        if self.grid.dimension == 1:
-            grad = np.diff(G) / self.grid.dx
-        else:
-            gx = (G - np.roll(G, 1, axis=0)) / self.grid.dx
-            gz = np.diff(G, axis=1) / self.grid.dz
-            grad = np.concatenate([gx.ravel(), gz.ravel()])
-        eps_g = float(np.max(np.abs(G)) + np.max(np.abs(grad)))
+        grads = [np.diff(G, axis=-1) / self.grid.dz]  # the slab's x-differences in front
+        if self.grid.dimension == 2:
+            grads.insert(0, (G - ops._west(G)) / self.grid.dx)
+        eps_g = float(np.max(np.abs(G)) + max(np.max(np.abs(g)) for g in grads))
         return max(eps_theta, eps_g)
 
 
 @dataclass
-class StationaryState:
+class StationaryState(VelocityComponents):
     """Discrete stationary fields with residual and proximity bookkeeping."""
 
     grid: object
@@ -151,39 +148,32 @@ class StationaryState:
         )
 
     def max_velocity(self) -> float:
-        vmax = float(np.max(np.abs(self.u)))
-        if self.w is not None:
-            vmax = max(vmax, float(np.max(np.abs(self.w))))
-        return vmax
+        return max(float(np.max(np.abs(v))) for v in self.velocity)
 
 
-def _residual_norms(grid, gas, transport, G, rho, theta, u, w=None):
-    if grid.dimension == 1:
-        cont, mom, energy = ops.steady_residual_1d(grid, gas, transport, G, rho, theta, u)
-        return {
-            "continuity": float(np.max(np.abs(cont))),
-            "momentum": float(np.max(np.abs(mom))) if mom.size else 0.0,
-            "energy": float(np.max(np.abs(energy))),
-        }
-    cont, mom_u, mom_w, energy = ops.steady_residual_2d(
-        grid, gas, transport, G, rho, theta, u, w
-    )
+def _steady_residual(grid, gas, transport, G, rho, theta, vel):
+    """(continuity, *momentum, energy) from ``ops.steady_residual_1d`` or
+    ``_2d``, called through the module on the velocity components."""
+    residual = ops.steady_residual_1d if grid.dimension == 1 else ops.steady_residual_2d
+    return residual(grid, gas, transport, G, rho, theta, *vel)
+
+
+def _residual_norms(state, gas, transport, G):
+    grid, rho, theta = state.grid, state.rho, state.theta
+    cont, *mom, energy = _steady_residual(grid, gas, transport, G, rho, theta, state.velocity)
     return {
         "continuity": float(np.max(np.abs(cont))),
-        "momentum": float(max(np.max(np.abs(mom_u)), np.max(np.abs(mom_w)) if mom_w.size else 0.0)),
+        "momentum": max((float(np.max(np.abs(m))) for m in mom if m.size), default=0.0),
         "energy": float(np.max(np.abs(energy))),
     }
 
 
-def _proximity(config: ProblemConfig, rho, theta, u, w=None):
+def _proximity(config: ProblemConfig, state):
     rho_flat = config.m0 / config.grid.volume
-    dev_u = float(np.max(np.abs(u)))
-    if w is not None:
-        dev_u = max(dev_u, float(np.max(np.abs(w))))
     return {
-        "rho_dev": float(np.max(np.abs(rho - rho_flat))),
-        "theta_dev": float(np.max(np.abs(theta - config.theta_bar))),
-        "u_dev": dev_u,
+        "rho_dev": float(np.max(np.abs(state.rho - rho_flat))),
+        "theta_dev": float(np.max(np.abs(state.theta - config.theta_bar))),
+        "u_dev": state.max_velocity(),
         "epsilon": config.epsilon_report,
     }
 
@@ -216,9 +206,9 @@ def static_uniform(config: ProblemConfig, gas=None, transport=None) -> Stationar
         w = np.zeros((grid.nx, grid.nz + 1))
     state = StationaryState(grid=grid, rho=rho, theta=theta, u=u, w=w)
     if gas is not None and transport is not None:
-        state.residual_norms = _residual_norms(grid, gas, transport, None, rho, theta, u, w)
+        state.residual_norms = _residual_norms(state, gas, transport, None)
     state.mass_error = abs(float(np.sum(rho) * grid.cell_volume) - config.m0)
-    state.proximity = _proximity(config, rho, theta, u, w)
+    state.proximity = _proximity(config, state)
     return state
 
 
@@ -442,9 +432,9 @@ def solve_rb_pipeline(config: ProblemConfig, gas, transport) -> StationaryState:
         w = np.zeros((grid.nx, grid.nz + 1))
     G = config.potential_field()
     state = StationaryState(grid=grid, rho=rho, theta=theta, u=u, w=w)
-    state.residual_norms = _residual_norms(grid, gas, transport, G, rho, theta, u, w)
+    state.residual_norms = _residual_norms(state, gas, transport, G)
     state.mass_error = abs(float(np.sum(rho) * grid.cell_volume) - config.m0)
-    state.proximity = _proximity(config, rho, theta, u, w)
+    state.proximity = _proximity(config, state)
     return state
 
 
@@ -530,10 +520,8 @@ class _Layout:
 def _residual(layout, x, gas, transport, G, m0):
     rho, theta, u, w, lam = layout.unpack(x)
     grid = layout.grid
-    if grid.dimension == 1:
-        cont, *rest = ops.steady_residual_1d(grid, gas, transport, G, rho, theta, u)
-    else:
-        cont, *rest = ops.steady_residual_2d(grid, gas, transport, G, rho, theta, u, w)
+    vel = (u,) if w is None else (u, w)
+    cont, *rest = _steady_residual(grid, gas, transport, G, rho, theta, vel)
     mass = np.sum(rho) * grid.cell_volume - m0
     return np.concatenate([(cont + lam).ravel(), *(r.ravel() for r in rest), [mass]])
 
@@ -644,9 +632,11 @@ def solve_stationary_newton(
     per column colour) and the bordered system is factored with ``splu``.
     Armijo backtracking on the residual 2-norm with floor step 2^-20: below
     it a step is taken without a decrease, and ``floor_steps`` counts these.
-    Positivity of (rho, theta) is maintained by shrinking the step.  Raises
-    ``NewtonFailure`` with the residual trace on stagnation or a singular
-    Jacobian; on success the trace is the state's ``residual_trace``.
+    Positivity of (rho, theta) is maintained by shrinking the step, and a
+    trial point whose residual is not finite is shrunk from as well.  Raises
+    ``NewtonFailure`` with the residual trace on stagnation, a singular
+    Jacobian or a final norm that is not finite; on success the trace is the
+    state's ``residual_trace``.
     """
     grid = config.grid
     G = config.potential_field()
@@ -689,8 +679,10 @@ def solve_stationary_newton(
             x_try = x + s * delta
             if positive(x_try):
                 f_try = fun(x_try)
-                decreased = float(np.dot(f_try, f_try)) <= (1.0 - 1.0e-4 * s) * f2
-                if decreased or s < 2.0**-20:
+                f2_try = float(np.dot(f_try, f_try))
+                decreased = f2_try <= (1.0 - 1.0e-4 * s) * f2
+                # NaN compares false: a non-finite trial is never taken at the floor
+                if decreased or (s < 2.0**-20 and np.isfinite(f2_try)):
                     floor_steps += not decreased
                     break
             s *= 0.5
@@ -700,7 +692,7 @@ def solve_stationary_newton(
         norm = float(np.max(np.abs(f)))
         trace.append(norm)
         iterations += 1
-    if norm > tol:
+    if not norm <= tol:  # a NaN norm fails here too
         raise NewtonFailure(f"no convergence after {iterations} iterations", trace)
 
     rho, theta, u, w, _ = layout.unpack(x)
@@ -708,7 +700,7 @@ def solve_stationary_newton(
     state.residual_trace, state.floor_steps = trace, floor_steps
     state.jacobian_colours = 0 if jacobian is None else len(jacobian.groups)
     state.residual_calls = calls + layout.probe_calls
-    state.residual_norms = _residual_norms(grid, gas, transport, G, rho, theta, u, w)
+    state.residual_norms = _residual_norms(state, gas, transport, G)
     state.mass_error = abs(float(np.sum(rho) * grid.cell_volume) - m0)
-    state.proximity = _proximity(config, rho, theta, u, w)
+    state.proximity = _proximity(config, state)
     return state

@@ -121,7 +121,7 @@ def test_criterion_4_stationary_cross_check():
         assert np.max(np.abs(newton.u - pipe.u)) < 1e-8
         assert newton.mass_error < 1e-10
         assert pipe.mass_error < 1e-10
-        flux = ops.kirchhoff_fluxes_1d(grid, TR, pipe.theta)
+        (flux,) = ops.kirchhoff_fluxes_nd(grid, TR, pipe.theta)
         assert float(np.max(flux) - np.min(flux)) < 1e-10
 
 

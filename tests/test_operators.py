@@ -4,14 +4,18 @@ Smooth fields are sampled on the staggered grids and each operator is
 compared with the hand-derived continuous value at its own nodes (Roache,
 J. Fluids Eng. 124, 2002).  Refining 16 -> 32 -> 64 cells must show a
 max-norm order of at least 1.9 for every stencil the stepper and the
-steady residuals share.
+steady residuals share.  The last section pins the stencils the column and
+the slab share: an x-uniform slab with u = 0 reproduces the column's, bit
+for bit in every column, and steps like it to rounding.
 """
 
 import numpy as np
+import pytest
 
 from nsfsim import operators as ops
-from nsfsim.grids import Grid1D, Grid2D
-from nsfsim.thermo import TransportModel
+from nsfsim.grids import FluidState, Grid1D, Grid2D
+from nsfsim.simulator import step
+from nsfsim.thermo import GasModel, TransportModel, internal_energy
 
 TR = TransportModel(mu0=1.0, eta0=0.5, kappa0=1.0, beta=7.0)
 PI = np.pi
@@ -144,7 +148,7 @@ def test_kirchhoff_div_2d_second_order_away_from_walls():
         th_x, th_z = theta_2d_grad(Xc, Zc)
         lap = -2 * PI**2 * 0.1 * np.cos(PI * Xc) * np.sin(PI * Zc)
         exact = kirchhoff_exact(theta, th_x**2 + th_z**2, lap)
-        numeric = ops.kirchhoff_div_2d(grid, TR, theta)
+        numeric = ops.kirchhoff_div_nd(grid, TR, theta)
         errors.append(np.max(np.abs(numeric - exact)[:, 1:-1]))
     assert_second_order(errors)
 
@@ -209,5 +213,72 @@ def test_kirchhoff_div_1d_second_order_away_from_walls():
         grid, theta, _ = column(n)
         th, th_x, th_xx = theta_1d_derivatives(grid.centers())
         exact = kirchhoff_exact(th, th_x**2, th_xx)
-        errors.append(np.max(np.abs(ops.kirchhoff_div_1d(grid, TR, theta) - exact)[1:-1]))
+        errors.append(np.max(np.abs(ops.kirchhoff_div_nd(grid, TR, theta) - exact)[1:-1]))
     assert_second_order(errors)
+
+
+# ---------------------------------------------------------------------------
+# One stencil per direction: an x-uniform slab with u = 0 is the column,
+# column by column
+# ---------------------------------------------------------------------------
+
+
+def column_and_slab(n, seed):
+    """A column and a 3 x n slab holding the same fields in every column,
+    with plates 1.1 / 1.0 and gravity 0.05 along the wall normal."""
+    rng = np.random.default_rng(seed)
+    column_grid = Grid1D(n=n, theta_bottom=1.1, theta_top=1.0)
+    slab_grid = Grid2D(nx=3, nz=n, theta_bottom=1.1, theta_top=1.0)
+    rho = 1.0 + 0.1 * rng.random(n)
+    theta = 1.0 + 0.1 * rng.random(n)
+    w = np.zeros(n + 1)
+    w[1:-1] = 0.05 * rng.standard_normal(n - 1)
+    G = 0.05 * column_grid.centers()
+    column_fields = (column_grid, rho, theta, (w,), G)
+    rho_s, theta_s, w_s, G_s = (np.tile(a, (3, 1)) for a in (rho, theta, w, G))
+    slab_fields = (slab_grid, rho_s, theta_s, (np.zeros((3, n)), w_s), G_s)
+    return column_fields, slab_fields
+
+
+def assert_every_column_equal(slab_value, column_value):
+    assert all(np.array_equal(row, column_value) for row in slab_value)
+
+
+@pytest.mark.parametrize("n", [12, 37])
+def test_x_uniform_slab_reproduces_the_column_stencils_bit_for_bit(n):
+    gas = GasModel()
+    results = []
+    for grid, rho, theta, vel, G in column_and_slab(n, seed=n):
+        evol = rho * internal_energy(gas, rho, theta)
+        results.append(
+            {
+                "mass": ops.mass_rhs_nd(grid, rho, vel),
+                "momentum": ops.momentum_explicit_nd(grid, gas, G, 0.9 * rho, theta, rho, vel)[-1],
+                "energy": ops.energy_explicit_nd(grid, gas, TR, 0.9 * rho, theta, evol, vel, vel),
+                "heat": ops.kirchhoff_div_nd(grid, TR, theta),
+            }
+        )
+    on_column, on_slab = results
+    assert_every_column_equal(on_slab["mass"], on_column["mass"])
+    for slab_part, column_part in zip(on_slab["momentum"], on_column["momentum"]):  # conv, grad p, grav
+        assert_every_column_equal(slab_part, column_part)
+    (slab_conv_e, _, slab_work), (conv_e, _, work) = on_slab["energy"], on_column["energy"]
+    assert_every_column_equal(slab_conv_e, conv_e)  # the shear heating differs in arithmetic
+    assert_every_column_equal(slab_work, work)
+    assert_every_column_equal(on_slab["heat"], on_column["heat"])
+
+
+def test_x_uniform_slab_steps_like_the_column():
+    # the slab's full stress rounds differently from the column's (4/3)mu + eta,
+    # so the steps agree to rounding, not bit for bit
+    gas = GasModel()
+    (c_grid, rho, theta, (w,), G), (s_grid, rho_s, theta_s, (u_s, w_s), G_s) = column_and_slab(24, 3)
+    c_state = FluidState(grid=c_grid, t=0.0, rho=rho, theta=theta, u=w)
+    s_state = FluidState(grid=s_grid, t=0.0, rho=rho_s, theta=theta_s, u=u_s, w=w_s)
+    for _ in range(5):
+        c_state = step(c_state, 2.0e-3, gas, TR, G)
+        s_state = step(s_state, 2.0e-3, gas, TR, G_s)
+    for slab_field, column_field in ((s_state.rho, c_state.rho), (s_state.theta, c_state.theta),
+                                     (s_state.w, c_state.u)):
+        assert np.max(np.abs(slab_field - column_field)) <= 1e-12 * np.max(np.abs(column_field))
+    assert np.max(np.abs(s_state.u)) <= 1e-12 * np.max(np.abs(c_state.u))

@@ -187,7 +187,7 @@ def test_implicit_heat_solve_residual_contract():
     e_star = rho * internal_energy(GAS, rho, theta) * (1.0 + 0.05 * rng.standard_normal(n))
     dt = 1e-3
     theta_new = sim._implicit_heat(grid, GAS, TR, rho, e_star, theta, dt)
-    resid = rho * internal_energy(GAS, rho, theta_new) - dt * ops.kirchhoff_div_1d(
+    resid = rho * internal_energy(GAS, rho, theta_new) - dt * ops.kirchhoff_div_nd(
         grid, TR, theta_new
     ) - e_star
     assert float(np.max(np.abs(resid))) < 1e-10 * max(1.0, float(np.max(np.abs(e_star))))
@@ -234,10 +234,10 @@ def test_heat_jacobian_matches_finite_difference_oracle(dimension):
     rng = np.random.default_rng(40 + dimension)
     if dimension == 1:
         grid = Grid1D(n=16, theta_bottom=1.3, theta_top=0.8)
-        kirchhoff_div = ops.kirchhoff_div_1d
+        kirchhoff_div = ops.kirchhoff_div_nd
     else:
         grid = Grid2D(nx=6, nz=5, theta_bottom=1.3, theta_top=0.8)
-        kirchhoff_div = ops.kirchhoff_div_2d
+        kirchhoff_div = ops.kirchhoff_div_nd
     shape = (16,) if dimension == 1 else (6, 5)
     rho = 0.5 + rng.random(shape)
     theta = 0.5 + rng.random(shape)
@@ -468,7 +468,7 @@ def test_minmod_flux_second_order_on_smooth_data():
         u[0] = u[-1] = 0.0
         exact = 0.7 * (1.0 + 0.3 * np.sin(2 * np.pi * grid.faces()[1:-1]))
         for scheme in errors:
-            flux = ops.upwind_flux_1d(u, q, scheme)
+            flux = ops.upwind_flux_nd(u, q, scheme)
             # skip wall-adjacent faces where the slope is dropped
             errors[scheme].append(float(np.max(np.abs(flux[2:-2] - exact[1:-1]))))
     up = np.log2(np.array(errors["upwind"][:-1]) / np.array(errors["upwind"][1:]))

@@ -97,7 +97,7 @@ def test_heat_profile_midpoint_against_bisection_oracle():
 def test_heat_profile_discrete_flux_constant():
     grid = Grid1D(n=64, theta_bottom=1.1, theta_top=1.0)
     theta = solve_heat_profile_1d(TR, 1.1, 1.0, grid)
-    flux = ops.kirchhoff_fluxes_1d(grid, TR, theta)
+    (flux,) = ops.kirchhoff_fluxes_nd(grid, TR, theta)
     assert float(np.max(flux) - np.min(flux)) < 1e-10
 
 
@@ -513,3 +513,42 @@ def test_newton_state_keeps_trace_colours_and_calls(monkeypatch):
     assert 0 < state.jacobian_colours <= 45
     assert state.residual_calls == len(calls)
     assert state.residual_calls >= state.iterations * (state.jacobian_colours + 2) + 1
+
+
+def nan_after_first_factorisation(monkeypatch):
+    """Every residual after the first ``splu`` call is NaN, so every trial
+    point of the first line search is.  Before it the residual is shifted
+    by 1, so that no initial guess passes as converged."""
+    factorised = []
+    real_splu, real_residual = stationary.splu, ops.steady_residual_1d
+
+    def flagged_splu(matrix):
+        factorised.append(1)
+        return real_splu(matrix)
+
+    def poisoned(*args):
+        parts = real_residual(*args)
+        return tuple(p + (np.nan if factorised else 1.0) for p in parts)
+
+    monkeypatch.setattr(stationary, "splu", flagged_splu)
+    monkeypatch.setattr(ops, "steady_residual_1d", poisoned)
+
+
+def test_newton_raises_on_a_nan_residual_instead_of_converging(monkeypatch):
+    # NaN compares false, so before the fix the line search took a NaN trial
+    # at the floor and the NaN norm passed the convergence test
+    nan_after_first_factorisation(monkeypatch)
+    config = ProblemConfig(grid=Grid1D(n=16, theta_bottom=1.05, theta_top=1.0), m0=1.0, g=0.01)
+    with pytest.raises(NewtonFailure) as err:
+        solve_stationary_newton(config, GAS, TR)
+    assert err.value.trace and all(np.isfinite(err.value.trace))
+
+
+def test_newton_nan_residual_writes_failed_stationary_manifest(monkeypatch, tmp_path):
+    nan_after_first_factorisation(monkeypatch)
+    config = ex.config_from_mapping(
+        {"domain.n": "16", "stationary_solver": "newton", "horizon": "0.01"}, preset="rb-1d-small"
+    )
+    manifest = ex.run_experiment(config, output_dir=tmp_path)
+    assert manifest.status == "failed:stationary"
+    assert "line search" in manifest.error
