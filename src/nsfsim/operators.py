@@ -30,6 +30,12 @@ the implicit solves (banded on the column, which keeps its per-step cost;
 sparse LU on the slab) and ``cfl_dt``, whose two formulas round dt
 differently.
 
+Every stencil the steady residual uses also carries leading stack axes in
+front of the grid axes: fields of shape (K, n) or (K, nx, nz) are K states,
+evaluated row by row with the same arithmetic as K single calls, so that the
+stationary Newton's finite differences evaluate all their perturbed states
+in one call.  Wall data and the potential broadcast over the stack.
+
 Convection is first-order upwind (donor cell), pressure gradients are central
 two-point differences, diffusion of heat runs through the conductivity
 primitive K(theta) so a profile linear in K carries an exactly constant
@@ -108,11 +114,12 @@ def upwind_flux_nd(w, q, scheme: str = "upwind"):
     return flux
 
 
-def _face_densities(rho):
-    """rho averaged to the velocity nodes of each component: the slab's
-    x-faces, then the interior wall-normal faces."""
+def _face_densities(rho, components):
+    """rho averaged to the velocity nodes of each of the ``components``
+    velocity components: the slab's x-faces, then the interior wall-normal
+    faces."""
     normal = 0.5 * (rho[..., :-1] + rho[..., 1:])
-    if rho.ndim == 1:
+    if components == 1:
         return (normal,)
     return 0.5 * (_west(rho) + rho), normal
 
@@ -153,7 +160,7 @@ def momentum_explicit_nd(grid, gas, G, rho_pressure, theta, rho_inertia, vel):
     """
     w, dz = vel[-1], grid.dz
     p = thermo.pressure(gas, rho_pressure, theta)
-    rb_p, rb = _face_densities(rho_pressure), _face_densities(rho_inertia)
+    rb_p, rb = _face_densities(rho_pressure, len(vel)), _face_densities(rho_inertia, len(vel))
 
     mw = np.zeros_like(w)
     mw[..., 1:-1] = rb[-1] * w[..., 1:-1]
@@ -175,9 +182,9 @@ def momentum_explicit_nd(grid, gas, G, rho_pressure, theta, rho_inertia, vel):
     grav_u = np.zeros_like(u) if G is None else rb_p[0] * (G - _west(G)) / dx
 
     uc2 = np.zeros_like(w)
-    uc2[:, 1:-1] = 0.5 * (u[:, :-1] + u[:, 1:])
+    uc2[..., 1:-1] = 0.5 * (u[..., :-1] + u[..., 1:])
     phi_wx = np.where(uc2 > 0.0, uc2 * _west(mw), uc2 * mw)
-    conv_w = (_east(phi_wx) - phi_wx)[:, 1:-1] / dx + conv_w
+    conv_w = (_east(phi_wx) - phi_wx)[..., 1:-1] / dx + conv_w
     return (conv_u, dpdx, grav_u), (conv_w, dpdz, grav_w)
 
 
@@ -190,9 +197,12 @@ def kirchhoff_fluxes_nd(grid, transport, theta):
     Kt = thermo.conductivity_primitive(transport, grid.wall_theta("top"))
     h = grid.dz
     H = np.empty(K.shape[:-1] + (K.shape[-1] + 1,))
-    H[..., 0] = (K[..., 0] - Kb) / (0.5 * h)
+    if K.ndim == 1:  # one column: scalar walls, no 0-d array arithmetic
+        H[0], H[-1] = (K[0] - Kb) / (0.5 * h), (Kt - K[-1]) / (0.5 * h)
+    else:
+        H[..., 0] = (K[..., 0] - Kb) / (0.5 * h)
+        H[..., -1] = (Kt - K[..., -1]) / (0.5 * h)
     H[..., 1:-1] = (K[..., 1:] - K[..., :-1]) / h
-    H[..., -1] = (Kt - K[..., -1]) / (0.5 * h)
     if grid.dimension == 1:
         return (H,)
     return (K - _west(K)) / grid.dx, H
@@ -248,8 +258,8 @@ def column_viscosity(transport, theta):
 def viscous_rhs_1d(grid, transport, theta, u):
     """d/dx( ((4/3)mu + eta) du/dx ) at interior faces."""
     nu = column_viscosity(transport, theta)
-    stress = nu * (u[1:] - u[:-1]) / grid.dx
-    return (stress[1:] - stress[:-1]) / grid.dx
+    stress = nu * (u[..., 1:] - u[..., :-1]) / grid.dx
+    return (stress[..., 1:] - stress[..., :-1]) / grid.dx
 
 
 def viscous_banded_matrix_1d(grid, transport, theta, rho_face, dt):
@@ -270,7 +280,7 @@ def viscous_banded_matrix_1d(grid, transport, theta, rho_face, dt):
 
 def shear_heating_1d(grid, transport, theta, u):
     """Viscous dissipation density ((4/3)mu + eta) (du/dx)^2 >= 0 at centers."""
-    divu = (u[1:] - u[:-1]) / grid.dx
+    divu = (u[..., 1:] - u[..., :-1]) / grid.dx
     return column_viscosity(transport, theta) * divu**2
 
 
@@ -286,14 +296,14 @@ def steady_residual_1d(grid, gas, transport, G, rho, theta, u):
 
 
 def _corner_mu(grid: Grid2D, transport, mu_c):
-    """mu at x-face/z-face crossings, shape (nx, nz+1), averaged from mu_c at
-    the centers; the wall rows read the closure at theta_B."""
-    mu = np.empty((grid.nx, grid.nz + 1))
-    mu[:, 1:-1] = 0.25 * (
-        mu_c[:, :-1] + mu_c[:, 1:] + _west(mu_c)[:, :-1] + _west(mu_c)[:, 1:]
+    """mu at x-face/z-face crossings, shape (..., nx, nz+1), averaged from
+    mu_c at the centers; the wall rows read the closure at theta_B."""
+    mu = np.empty(mu_c.shape[:-1] + (grid.nz + 1,))
+    mu[..., 1:-1] = 0.25 * (
+        mu_c[..., :-1] + mu_c[..., 1:] + _west(mu_c)[..., :-1] + _west(mu_c)[..., 1:]
     )
     walls = np.stack([grid.wall_theta("bottom"), grid.wall_theta("top")], axis=1)
-    mu[:, [0, -1]] = thermo.viscosities(transport, 0.5 * (walls + _west(walls)))[0]
+    mu[..., [0, -1]] = thermo.viscosities(transport, 0.5 * (walls + _west(walls)))[0]
     return mu
 
 
@@ -338,7 +348,7 @@ def shear_heating_2d(grid, transport, theta, u, w):
     div = dudx + dwdz
     dxz_sq = (0.5 * (dudz + dwdx)) ** 2
     dxz_sq_c = 0.25 * (
-        (dxz_sq + _east(dxz_sq))[:, :-1] + (dxz_sq + _east(dxz_sq))[:, 1:]
+        (dxz_sq + _east(dxz_sq))[..., :-1] + (dxz_sq + _east(dxz_sq))[..., 1:]
     )
     return (
         2.0 * mu_c * (dudx**2 + dwdz**2 + 2.0 * dxz_sq_c)
@@ -350,4 +360,4 @@ def shear_heating_2d(grid, transport, theta, u, w):
 def steady_residual_2d(grid, gas, transport, G, rho, theta, u, w):
     """(continuity, x-momentum, z-momentum (interior), energy) residuals."""
     vx, vz = viscous_rhs_2d(grid, transport, theta, u, w)
-    return _steady_residual(grid, gas, transport, G, rho, theta, (u, w), (vx, vz[:, 1:-1]))
+    return _steady_residual(grid, gas, transport, G, rho, theta, (u, w), (vx, vz[..., 1:-1]))

@@ -31,7 +31,8 @@ import time as _time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
 
@@ -81,6 +82,17 @@ def cfl_dt(state: FluidState, control: StepControl, gas) -> float:
         rate = (ux + cs) / g.dx + (wz + cs) / g.dz
         dt = control.cfl_target * float(np.min(1.0 / rate))
     return float(np.clip(dt, control.dt_min, control.dt_max))
+
+
+def solve_banded(l_and_u, ab, b):
+    """``scipy.linalg.solve_banded`` for ``l_and_u`` = (1, 1) only, without
+    its input checks: LAPACK ``dgtsv``, the routine it calls, on the bands."""
+    if l_and_u != (1, 1):
+        raise ValueError("only tridiagonal (1, 1) systems are supported")
+    *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
+    if info > 0:
+        raise LinAlgError(f"singular tridiagonal matrix: zero pivot at row {info}")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +241,7 @@ def _velocity_matrix(grid, transport, theta, rho, dt):
     probes[:, :, 1:-1] = (colour == np.arange(n_colours)[:, None]).reshape(n_colours, nx, -1)
     vx, vz = ops.viscous_rhs_2d(grid, transport, theta, probes[..., 1::2], probes[..., ::2])
     response = _interleave(vx, vz)[..., 1:-1].reshape(n_colours, -1)
-    rbu, rbw = ops._face_densities(rho)
+    rbu, rbw = ops._face_densities(rho, 2)
     rho_face = _interleave(rbu, np.pad(rbw, ((0, 0), (1, 1))))[:, 1:-1].ravel()
     diag = np.arange(colour.size)
     a = coo_matrix(
@@ -282,10 +294,10 @@ def step(state: FluidState, dt: float, gas, transport, G=None, convection: str =
     interior = (*vel[:-1], vel[-1][..., 1:-1])
     m_star = [
         rho_face * v - dt * (conv + dp - grav)
-        for rho_face, v, (conv, dp, grav) in zip(ops._face_densities(rho), interior, tendencies)
+        for rho_face, v, (conv, dp, grav) in zip(ops._face_densities(rho, len(vel)), interior, tendencies)
     ]
     if grid.dimension == 1:
-        rb1 = ops._face_densities(rho1)[0]
+        rb1 = ops._face_densities(rho1, 1)[0]
         vel_new = (_solve_velocity_1d(grid, transport, theta, rb1, *m_star, dt),)
     else:
         m_star[-1] = np.pad(m_star[-1], ((0, 0), (1, 1)))

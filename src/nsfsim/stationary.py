@@ -13,9 +13,10 @@ Its sparsity pattern is read off the residual itself: forward differences on
 a small probe grid, at a random state and again with every velocity negated,
 give the offsets by which each equation field couples to each unknown
 field, and those are translated to the grid at hand.  Columns that share no
-equation form one colour and are perturbed together: an iteration costs one
-residual call per colour plus one for the multiplier, a count fixed by the
-stencils and not by the grid size.  The mass row is linear and set exactly.
+equation form one colour and are perturbed together: an iteration evaluates
+one perturbed state per colour plus one for the multiplier, a count fixed by
+the stencils and not by the grid size, and all of them are the rows of one
+stacked residual call.  The mass row is linear and set exactly.
 The whole bordered matrix is factored with ``splu``; the core block alone is
 singular because the continuity rows telescope.
 
@@ -30,7 +31,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.optimize import brentq
 from scipy.sparse import csc_matrix, csr_matrix
 from scipy.sparse.linalg import splu
 
@@ -310,6 +310,14 @@ def _hydrostatic_newton(gas, theta, dG, dx, m0):
     return rho
 
 
+def brentq(f, a, b, **kwargs):
+    """``scipy.optimize.brentq``, imported on first use: only the rk4
+    shooting needs it, and the import costs every other run."""
+    from scipy.optimize import brentq as scipy_brentq
+
+    return scipy_brentq(f, a, b, **kwargs)
+
+
 def solve_hydrostatic_density(
     gas,
     theta_s,
@@ -480,16 +488,21 @@ class _Layout:
         return np.concatenate([np.ravel(a) for a in fields] + [[lam]])
 
     def unpack(self, x):
-        """(rho, theta, u, w, lam) in the grid's shapes; w is None in 1-D."""
+        """(rho, theta, u, w, lam) in the grid's shapes; w is None in 1-D.
+
+        ``x`` is one packed vector (size,) or a stack (K, size); the fields
+        of a stack carry K in front and lam has shape (K,).
+        """
         nc, nx, nz = self.n_cells, self.nx, self.nz
-        shape = (nz,) if self.grid.dimension == 1 else (nx, nz)
-        rho = x[:nc].reshape(shape)
-        theta = x[nc : 2 * nc].reshape(shape)
-        wall_normal = np.zeros((nx, nz + 1))
-        wall_normal[:, 1:-1] = x[-1 - nx * (nz - 1) : -1].reshape(nx, nz - 1)
+        lead = x.shape[:-1]
+        shape = lead + ((nz,) if self.grid.dimension == 1 else (nx, nz))
+        rho = x[..., :nc].reshape(shape)
+        theta = x[..., nc : 2 * nc].reshape(shape)
+        wall_normal = np.zeros(lead + (nx, nz + 1))
+        wall_normal[..., 1:-1] = x[..., -1 - nx * (nz - 1) : -1].reshape(lead + (nx, nz - 1))
         if self.grid.dimension == 1:
-            return rho, theta, wall_normal[0], None, x[-1]
-        return rho, theta, x[2 * nc : 3 * nc].reshape(shape), wall_normal, x[-1]
+            return rho, theta, wall_normal[..., 0, :], None, x[..., -1]
+        return rho, theta, x[..., 2 * nc : 3 * nc].reshape(shape), wall_normal, x[..., -1]
 
     def pattern(self):
         """(rows, cols) of the core block (all but the mass row and lambda).
@@ -518,12 +531,17 @@ class _Layout:
 
 
 def _residual(layout, x, gas, transport, G, m0):
+    """Packed residual of one state (size,) or, row by row, of a stack
+    (K, size) in one stencil call: lam shifts each state's continuity rows
+    and the mass row sums each state's densities."""
     rho, theta, u, w, lam = layout.unpack(x)
     grid = layout.grid
     vel = (u,) if w is None else (u, w)
     cont, *rest = _steady_residual(grid, gas, transport, G, rho, theta, vel)
-    mass = np.sum(rho) * grid.cell_volume - m0
-    return np.concatenate([(cont + lam).ravel(), *(r.ravel() for r in rest), [mass]])
+    mass = np.sum(x[..., : layout.n_cells], axis=-1, keepdims=True) * grid.cell_volume - m0
+    rows = [r.reshape(x.shape[:-1] + (-1,)) for r in (cont, *rest)]
+    rows[0] = rows[0] + lam[..., None]
+    return np.concatenate([*rows, mass], axis=-1)
 
 
 def _probe_offsets(dimension):
@@ -534,7 +552,8 @@ def _probe_offsets(dimension):
     so the unknowns of grid column i = 0 show every coupling: each gets one
     forward difference at the state and one with every velocity negated,
     which flips every donor-cell branch.  di is signed, within +-2 on the
-    5-periodic probe.  Returns the offsets and the residual calls made.
+    5-periodic probe.  Returns the offsets and the residual states
+    evaluated: one stacked call per velocity sign.
     """
     rng = np.random.default_rng(0)
     if dimension == 1:
@@ -553,11 +572,11 @@ def _probe_offsets(dimension):
     for sign in (1.0, -1.0):
         xs = x.copy()
         xs[2 * nc : -1] *= sign
-        f = _residual(layout, xs, gas, transport, G, grid.volume)[:-1]
-        for j, k in enumerate(column):
-            xp = xs.copy()
-            xp[k] += 1.0e-7 * max(1.0, abs(xp[k]))
-            coupled[:, j] |= _residual(layout, xp, gas, transport, G, grid.volume)[:-1] != f
+        # row 0 is the state, row j + 1 perturbs column[j]
+        stack = np.tile(xs, (column.size + 1, 1))
+        stack[np.arange(1, column.size + 1), column] += 1.0e-7 * np.maximum(1.0, np.abs(xs[column]))
+        f = _residual(layout, stack, gas, transport, G, grid.volume)[:, :-1]
+        coupled |= (f[1:] != f[0]).T
     eqs, j = np.nonzero(coupled)
     unknowns = column[j]
     di = (layout.unknown_loc[0, unknowns] - layout.equation_loc[0, eqs]) % layout.nx
@@ -584,8 +603,9 @@ def _colour_columns(rows, cols, n):
 class _ColouredJacobian:
     """Bordered finite-difference Jacobian of ``_residual``, assembled sparse.
 
-    One residual evaluation per colour of the core columns and one for the
-    lambda column; the mass row is linear and set exactly.
+    One stacked residual call per Jacobian: the perturbations of every
+    colour of the core columns and of the lambda column are the rows of one
+    (colours + 1, size) stack.  The mass row is linear and set exactly.
     """
 
     def __init__(self, layout):
@@ -598,11 +618,10 @@ class _ColouredJacobian:
     def __call__(self, fun, x, f):
         n = x.size - 1
         h = 1.0e-7 * np.maximum(1.0, np.abs(x))
-        diffs = np.empty((len(self.groups) + 1, n))
-        for c, members in enumerate([*self.groups, [n]]):
-            xp = x.copy()
-            xp[members] += h[members]
-            diffs[c] = fun(xp)[:n] - f[:n]
+        xp = np.tile(x, (len(self.groups) + 1, 1))
+        xp[self.colour, np.arange(n)] += h[:n]
+        xp[-1, n] += h[n]
+        diffs = fun(xp)[:, :n] - f[:n]
         n_cells = self.layout.n_cells
         rows = np.concatenate([self.rows, np.arange(n), np.full(n_cells, n)])
         cols = np.concatenate([self.cols, np.full(n, n), np.arange(n_cells)])
@@ -628,8 +647,10 @@ def solve_stationary_newton(
     """Damped Newton on (continuity, momentum, energy, mass) with a scalar
     multiplier shifting the density level.
 
-    The Jacobian is a coloured sparse finite difference (one residual call
-    per column colour) and the bordered system is factored with ``splu``.
+    The Jacobian is a coloured sparse finite difference (one stacked
+    residual call per Jacobian, a row per column colour) and the bordered
+    system is factored with ``splu``.  ``residual_calls`` counts evaluated
+    states, so a stack of K rows counts K.
     Armijo backtracking on the residual 2-norm with floor step 2^-20: below
     it a step is taken without a decrease, and ``floor_steps`` counts these.
     Positivity of (rho, theta) is maintained by shrinking the step, and a
@@ -656,7 +677,7 @@ def solve_stationary_newton(
 
     def fun(xv):
         nonlocal calls
-        calls += 1
+        calls += xv.size // layout.size
         return _residual(layout, xv, gas, transport, G, m0)
 
     def positive(xv):

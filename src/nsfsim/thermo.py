@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "GasModel",
@@ -252,6 +251,7 @@ def entropy_kernel(gas: GasModel, z):
         raise ValueError("entropy kernel argument Z must be positive")
     if gas.pm_kind == "rational":
         return gas.pm_gain * (np.log1p(1.0 / z) + 1.5 / (1.0 + z))
+    from scipy.integrate import quad  # only custom kernels integrate
 
     def integrand_log(t):
         # substitution s = exp(t): int f(s) ds = int f(e^t) e^t dt

@@ -1,6 +1,9 @@
 """Configuration, orchestration, persistence, CLI, and determinism tests."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -446,3 +449,16 @@ def test_manifest_warns_on_armijo_floor_acceptances(tmp_path, monkeypatch):
     manifest = ex.run_experiment(config, output_dir=tmp_path)
     assert manifest.status == "ok"
     assert any("accepted 2 line-search step(s) at the floor step" in w for w in manifest.warnings)
+
+
+def test_cli_import_loads_neither_quadrature_nor_root_finding():
+    # scipy.integrate serves only custom entropy kernels and scipy.optimize
+    # only the rk4 hydrostatic shooting; a fresh `nsfsim` run imports neither
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        "import sys, nsfsim.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.integrate', 'scipy.optimize'))))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"

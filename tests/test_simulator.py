@@ -4,6 +4,7 @@ conservation, positivity/retry policy, the acoustic signal-speed oracle,
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
@@ -495,3 +496,21 @@ def test_minmod_step_preserves_equilibrium_and_mass():
         state = step(state, cfl_dt(state, control, GAS), GAS, TR, G, convection="minmod")
     assert abs(state.total_mass() - m0) / m0 < 1e-13
     state.validate()
+
+
+def test_tridiagonal_solve_matches_scipy_solve_banded_bit_for_bit():
+    rng = np.random.default_rng(11)
+    n = 128
+    ab = rng.standard_normal((3, n))
+    ab[1] += 4.0
+    b = rng.standard_normal(n)
+    ab_copy, b_copy = ab.copy(), b.copy()
+    x = sim.solve_banded((1, 1), ab, b)
+    assert np.array_equal(x, scipy.linalg.solve_banded((1, 1), ab, b))
+    assert np.array_equal(ab, ab_copy) and np.array_equal(b, b_copy)
+
+
+def test_tridiagonal_solve_raises_on_a_singular_matrix():
+    ab = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 1.0], [0.0, 0.0, 0.0]])  # a zero middle row
+    with pytest.raises(np.linalg.LinAlgError):
+        sim.solve_banded((1, 1), ab, np.ones(3))

@@ -384,6 +384,57 @@ def test_coloured_jacobian_matches_dense_oracle(name, seed):
     assert np.all(np.abs(coloured - oracle) <= 1.0e-6 * scale)
 
 
+@pytest.mark.parametrize("name", sorted(JACOBIAN_GRIDS))
+def test_coloured_jacobian_makes_one_stacked_residual_call(name):
+    layout, fun, x = random_problem(JACOBIAN_GRIDS[name](), 0)
+    jacobian = _ColouredJacobian(layout)
+    f = fun(x)
+    shapes = []
+
+    def counted(xv):
+        shapes.append(xv.shape)
+        return fun(xv)
+
+    jacobian(counted, x, f)
+    assert shapes == [(len(jacobian.groups) + 1, x.size)]
+
+
+def assert_stacked_rows_match_single_calls(grid, states, rng):
+    """Every row of a stacked ``_residual`` is its single-state call, bit for
+    bit: random states with both velocity signs, each negated or not, and
+    each with its own multiplier and mass."""
+    layout = _Layout(grid)
+    nc = layout.n_cells
+    g = 0.05 if grid.dimension == 1 else (0.02, 0.05)
+    G = ProblemConfig(grid=grid, m0=grid.volume, g=g).potential_field()
+    stack = np.concatenate(
+        [1.0 + 0.1 * rng.standard_normal((states, 2 * nc)), 0.05 * rng.standard_normal((states, layout.size - 2 * nc))],
+        axis=1,
+    )
+    stack[:, 2 * nc : -1] *= rng.choice([-1.0, 1.0], size=(states, 1))
+    stacked = _residual(layout, stack, GAS, TR, G, grid.volume)
+    assert stacked.shape == stack.shape
+    for row, x in zip(stacked, stack):
+        assert np.array_equal(row, _residual(layout, x, GAS, TR, G, grid.volume))
+
+
+@settings(max_examples=20, deadline=None)
+@given(nx=hst.integers(3, 7), nz=hst.integers(3, 6), states=hst.integers(1, 5), seed=hst.integers(0, 2**16))
+def test_stacked_residual_rows_equal_single_calls_2d(nx, nz, states, seed):
+    rng = np.random.default_rng(seed)
+    plates = 1.0 + 0.1 * rng.random((2, nx))
+    grid = Grid2D(nx=nx, nz=nz, theta_bottom=plates[0], theta_top=plates[1])
+    assert_stacked_rows_match_single_calls(grid, states, rng)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=hst.integers(3, 10), states=hst.integers(1, 5), seed=hst.integers(0, 2**16))
+def test_stacked_residual_rows_equal_single_calls_1d(n, states, seed):
+    rng = np.random.default_rng(seed)
+    grid = Grid1D(n=n, theta_bottom=1.0 + 0.1 * rng.random(), theta_top=1.0)
+    assert_stacked_rows_match_single_calls(grid, states, rng)
+
+
 def test_layout_round_trip():
     layout, _, x = random_problem(JACOBIAN_GRIDS["lateral-10x6"](), 3)
     rho, theta, u, w, lam = layout.unpack(x)
@@ -403,7 +454,7 @@ def test_colours_never_share_a_pattern_row(nx, nz):
 def test_singular_factorisation_raises_newton_failure(monkeypatch):
     # a residual that ignores the state: every core column of the Jacobian is zero
     def frozen(grid, gas, transport, G, rho, theta, u):
-        return np.ones(grid.n), np.ones(grid.n - 1), np.ones(grid.n)
+        return np.ones_like(rho), np.ones_like(u[..., 1:-1]), np.ones_like(theta)
 
     monkeypatch.setattr(ops, "steady_residual_1d", frozen)
     config = ProblemConfig(grid=Grid1D(n=8, theta_bottom=1.05, theta_top=1.0), m0=1.0)
@@ -459,9 +510,9 @@ def test_lateral_preset_at_24x16_needs_at_most_45_colours():
 def test_pattern_derivation_residual_calls(monkeypatch, grid):
     probed = []
 
-    def counted(layout, *args):
-        probed.append(layout)
-        return _residual(layout, *args)
+    def counted(layout, x, *args):
+        probed.extend([layout] * (x.size // layout.size))
+        return _residual(layout, x, *args)
 
     monkeypatch.setattr(stationary, "_residual", counted)
     layout = _Layout(grid)
@@ -482,8 +533,8 @@ def test_newton_counts_armijo_floor_acceptances(monkeypatch):
     theta0, target, shift = 1.0, 5.0, 10.0
 
     def trapped(grid, gas, transport, G, rho, theta, u):
-        far = np.max(np.abs(theta - theta0)) > 1.0e-6
-        return rho - 1.0, u[1:-1], theta - target - (shift if far else 0.0)
+        far = np.max(np.abs(theta - theta0), axis=-1, keepdims=True) > 1.0e-6
+        return rho - 1.0, u[..., 1:-1], theta - target - np.where(far, shift, 0.0)
 
     monkeypatch.setattr(ops, "steady_residual_1d", trapped)
     config = ProblemConfig(grid=Grid1D(n=8), m0=1.0)
@@ -498,9 +549,9 @@ def test_newton_counts_armijo_floor_acceptances(monkeypatch):
 def test_newton_state_keeps_trace_colours_and_calls(monkeypatch):
     calls = []
 
-    def counted(*args):
-        calls.append(args[0])
-        return _residual(*args)
+    def counted(layout, x, *args):
+        calls.extend([layout] * (x.size // layout.size))
+        return _residual(layout, x, *args)
 
     monkeypatch.setattr(stationary, "_residual", counted)
     nx = 12
