@@ -643,6 +643,7 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> RunManifest:
         counters["stationary_theta_dev"] = reference.proximity["theta_dev"]
         counters["stationary_residual_trace"] = reference.residual_trace
         counters["stationary_jacobian_colours"] = reference.jacobian_colours
+        counters["stationary_jacobians"] = reference.jacobians
         counters["stationary_residual_calls"] = reference.residual_calls
         if reference.floor_steps:
             warnings.append(

@@ -18,7 +18,10 @@ one perturbed state per colour plus one for the multiplier, a count fixed by
 the stencils and not by the grid size, and all of them are the rows of one
 stacked residual call.  The mass row is linear and set exactly.
 The whole bordered matrix is factored with ``splu``; the core block alone is
-singular because the continuity rows telescope.
+singular because the continuity rows telescope.  The factors are kept: later
+iterations first try a chord step with them (Kelley, Iterative Methods for
+Linear and Nonlinear Equations, SIAM 1995, sec. 5.4), and a Jacobian is built
+and factored afresh only when that step fails to cut the residual tenfold.
 
 The pipeline's hydrostatic density is a Newton solve too: the face balances
 and the mass row in the cell densities form a bidiagonal system bordered by
@@ -130,10 +133,12 @@ class StationaryState(VelocityComponents):
     proximity: dict = field(default_factory=dict)
     iterations: int = 0
     # Newton bookkeeping: residual max-norm per iterate, colours of the
-    # Jacobian, residual calls (pattern probe included), and the Armijo steps
-    # accepted at the floor without a decrease
+    # Jacobian, Jacobians built and factored (``jacobians``), residual calls
+    # (pattern probe included), and the Armijo steps accepted at the floor
+    # without a decrease
     residual_trace: list = field(default_factory=list)
     jacobian_colours: int = 0
+    jacobians: int = 0
     residual_calls: int = 0
     floor_steps: int = 0
 
@@ -588,16 +593,19 @@ def _probe_offsets(dimension):
 
 def _colour_columns(rows, cols, n):
     """Greedy colouring of n columns: two columns sharing a row of the
-    pattern never get the same colour (Curtis, Powell & Reid 1974)."""
+    pattern never get the same colour (Curtis, Powell & Reid 1974).  Column
+    k takes the smallest colour no lower-numbered conflicting column holds."""
     pattern = csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
     conflicts = (pattern.T @ pattern).tocsr()
-    colour = np.full(n, -1)
+    indptr, indices = conflicts.indptr.tolist(), conflicts.indices.tolist()
+    colour = [-1] * n
     for k in range(n):
-        taken = colour[conflicts.indices[conflicts.indptr[k] : conflicts.indptr[k + 1]]]
-        free = np.ones(taken.size + 1, dtype=bool)
-        free[taken[(taken >= 0) & (taken <= taken.size)]] = False
-        colour[k] = np.argmax(free)
-    return colour
+        taken = {colour[j] for j in indices[indptr[k] : indptr[k + 1]]}
+        c = 0
+        while c in taken:
+            c += 1
+        colour[k] = c
+    return np.array(colour)
 
 
 class _ColouredJacobian:
@@ -636,6 +644,10 @@ class _ColouredJacobian:
         return csc_matrix((values[keep], (rows[keep], cols[keep])), shape=(n + 1, n + 1))
 
 
+# a chord step is taken only if it cuts the residual max-norm this much
+_CHORD_CUT = 0.1
+
+
 def solve_stationary_newton(
     config: ProblemConfig,
     gas,
@@ -649,10 +661,17 @@ def solve_stationary_newton(
 
     The Jacobian is a coloured sparse finite difference (one stacked
     residual call per Jacobian, a row per column colour) and the bordered
-    system is factored with ``splu``.  ``residual_calls`` counts evaluated
-    states, so a stack of K rows counts K.
-    Armijo backtracking on the residual 2-norm with floor step 2^-20: below
-    it a step is taken without a decrease, and ``floor_steps`` counts these.
+    system is factored with ``splu``.  The factors are reused: every
+    iteration after the first tries the chord step x - J0^-1 f(x), J0 the
+    last Jacobian factored, and takes it only if it keeps (rho, theta)
+    positive and cuts the residual max-norm at least tenfold.  Otherwise the
+    trial is dropped (it never enters the trace), and the Jacobian is rebuilt
+    at x, factored afresh and used for a damped step.  ``jacobians`` counts the
+    factorisations and ``residual_calls`` the evaluated states, so a stack
+    of K rows counts K.
+    The damped step is Armijo backtracking on the residual 2-norm with floor
+    step 2^-20: below it a step is taken without a decrease, and
+    ``floor_steps`` counts these.
     Positivity of (rho, theta) is maintained by shrinking the step, and a
     trial point whose residual is not finite is shrunk from as well.  Raises
     ``NewtonFailure`` with the residual trace on stagnation, a singular
@@ -683,17 +702,18 @@ def solve_stationary_newton(
     def positive(xv):
         return np.all(xv[: 2 * n_cells] > 0.0)
 
-    trace = []
-    f = fun(x)
-    norm = float(np.max(np.abs(f)))
-    trace.append(norm)
-    iterations = floor_steps = 0
-    jacobian = _ColouredJacobian(layout) if norm > tol else None
-    while norm > tol and iterations < max_iter:
-        try:
-            delta = splu(jacobian(fun, x, f)).solve(-f)
-        except RuntimeError as exc:
-            raise NewtonFailure(f"singular Jacobian: {exc}", trace) from exc
+    def chord(lu):
+        """(x, f) after the chord step, or None if it is not taken."""
+        x_try = x + lu.solve(-f)
+        if not positive(x_try):
+            return None
+        f_try = fun(x_try)
+        # NaN compares false: a non-finite trial is never taken
+        return (x_try, f_try) if float(np.max(np.abs(f_try))) <= _CHORD_CUT * norm else None
+
+    def damped(delta):
+        """(x, f) after the Armijo-damped step along delta."""
+        nonlocal floor_steps
         f2 = float(np.dot(f, f))
         s = 1.0
         while True:
@@ -705,11 +725,29 @@ def solve_stationary_newton(
                 # NaN compares false: a non-finite trial is never taken at the floor
                 if decreased or (s < 2.0**-20 and np.isfinite(f2_try)):
                     floor_steps += not decreased
-                    break
+                    return x_try, f_try
             s *= 0.5
             if s < 2.0**-21:
                 raise NewtonFailure("line search hit the floor step", trace)
-        x, f = x_try, f_try
+
+    trace = []
+    f = fun(x)
+    norm = float(np.max(np.abs(f)))
+    trace.append(norm)
+    iterations = floor_steps = jacobians = 0
+    jacobian = _ColouredJacobian(layout) if norm > tol else None
+    lu = None
+    while norm > tol and iterations < max_iter:
+        step = None if lu is None else chord(lu)
+        if step is None:
+            try:
+                lu = splu(jacobian(fun, x, f))
+                delta = lu.solve(-f)
+            except RuntimeError as exc:
+                raise NewtonFailure(f"singular Jacobian: {exc}", trace) from exc
+            jacobians += 1
+            step = damped(delta)
+        x, f = step
         norm = float(np.max(np.abs(f)))
         trace.append(norm)
         iterations += 1
@@ -718,7 +756,7 @@ def solve_stationary_newton(
 
     rho, theta, u, w, _ = layout.unpack(x)
     state = StationaryState(grid=grid, rho=rho, theta=theta, u=u, w=w, iterations=iterations)
-    state.residual_trace, state.floor_steps = trace, floor_steps
+    state.residual_trace, state.floor_steps, state.jacobians = trace, floor_steps, jacobians
     state.jacobian_colours = 0 if jacobian is None else len(jacobian.groups)
     state.residual_calls = calls + layout.probe_calls
     state.residual_norms = _residual_norms(state, gas, transport, G)

@@ -427,13 +427,21 @@ def test_manifest_records_stationary_newton_counters(tmp_path):
     trace = counters["stationary_residual_trace"]
     assert len(trace) == counters["stationary_iterations"] + 1 and trace[-1] <= 1.0e-9
     assert 0 < counters["stationary_jacobian_colours"] <= 45
-    assert counters["stationary_residual_calls"] > counters["stationary_iterations"] * (
+    assert 1 <= counters["stationary_jacobians"] <= counters["stationary_iterations"]
+    assert counters["stationary_residual_calls"] >= counters["stationary_jacobians"] * (
         counters["stationary_jacobian_colours"] + 1
-    )
+    ) + counters["stationary_iterations"] + 1
     assert not any("floor step" in w for w in manifest.warnings)
     # timings stay out of the CSV
     header = (tmp_path / "rb-2d-lateral.csv").read_text().splitlines()[0]
     assert not any(word in header for word in ("time_s", "wall", "seconds"))
+
+
+def test_lateral_newton_at_24x16_factors_one_jacobian(tmp_path):
+    config = ex.config_from_mapping({"domain.nx": "24", "domain.nz": "16"}, preset="rb-2d-lateral")
+    manifest = ex.run_experiment(config, output_dir=tmp_path)
+    assert manifest.status == "ok"
+    assert manifest.counters["stationary_jacobians"] == 1
 
 
 def test_manifest_warns_on_armijo_floor_acceptances(tmp_path, monkeypatch):

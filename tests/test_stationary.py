@@ -451,6 +451,22 @@ def test_colours_never_share_a_pattern_row(nx, nz):
     assert np.unique(pairs, axis=1).shape[1] == jacobian.rows.size
 
 
+@settings(max_examples=25, deadline=None)
+@given(nx=hst.integers(3, 12), nz=hst.integers(3, 8))
+def test_colouring_is_first_fit_greedy(nx, nz):
+    # the conflicts are read off a dense boolean pattern, not the sparse product
+    layout = _Layout(Grid2D(nx=nx, nz=nz, theta_bottom=1.0, theta_top=1.0))
+    rows, cols = layout.pattern()
+    n = layout.size - 1
+    dense = np.zeros((n, n))
+    dense[rows, cols] = 1.0
+    conflict = (dense.T @ dense) > 0.0
+    colour = stationary._colour_columns(rows, cols, n)
+    for k in range(n):
+        held = set(colour[:k][conflict[k, :k]].tolist())
+        assert colour[k] == min(set(range(len(held) + 1)) - held)
+
+
 def test_singular_factorisation_raises_newton_failure(monkeypatch):
     # a residual that ignores the state: every core column of the Jacobian is zero
     def frozen(grid, gas, transport, G, rho, theta, u):
@@ -563,7 +579,38 @@ def test_newton_state_keeps_trace_colours_and_calls(monkeypatch):
     assert state.residual_trace[-1] <= 1.0e-9 < state.residual_trace[0]
     assert 0 < state.jacobian_colours <= 45
     assert state.residual_calls == len(calls)
-    assert state.residual_calls >= state.iterations * (state.jacobian_colours + 2) + 1
+    assert 1 <= state.jacobians <= state.iterations
+    assert state.residual_calls >= state.jacobians * (state.jacobian_colours + 1) + state.iterations + 1
+
+
+def test_newton_refreshes_the_jacobian_when_a_chord_step_stalls(monkeypatch):
+    # theta^2 = 4 from theta = 1.  The first Jacobian has slope 2 and its
+    # Newton step lands at theta = 2.5, where the slope is 5: the chord step
+    # from there reaches theta = 1.375, whose residual 2.11 is no tenfold cut
+    # of 2.25, so it is dropped and the Jacobian rebuilt.
+    target = 2.0
+
+    def quadratic(grid, gas, transport, G, rho, theta, u):
+        return rho - 1.0, u[..., 1:-1], theta**2 - target**2
+
+    # the max-norm of every single-state call, None for a stacked one
+    events = []
+
+    def logged(layout, x, *args):
+        f = _residual(layout, x, *args)
+        events.append(float(np.max(np.abs(f))) if x.ndim == 1 else None)
+        return f
+
+    monkeypatch.setattr(ops, "steady_residual_1d", quadratic)
+    monkeypatch.setattr(stationary, "_residual", logged)
+    state = solve_stationary_newton(ProblemConfig(grid=Grid1D(n=8), m0=1.0), GAS, TR)
+    assert state.jacobians >= 2
+    assert state.residual_trace[-1] <= 1.0e-9 and np.allclose(state.theta, target)
+    assert len(state.residual_trace) == state.iterations + 1
+    # after the initial residual, a single state followed by a stacked call
+    # (a fresh Jacobian) is a dropped chord trial
+    dropped = [norm for norm, after in zip(events[1:], events[2:]) if norm is not None and after is None]
+    assert dropped and not set(dropped) & set(state.residual_trace)
 
 
 def nan_after_first_factorisation(monkeypatch):
