@@ -747,6 +747,9 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> RunManifest:
 
         counters["steps"] = result.steps
         counters["retries"] = result.retries
+        counters["step_factorisations"] = result.factorisations
+        counters["step_refinements"] = result.refinements
+        counters["dt_min_clamps"] = result.dt_min_clamps
         counters["wall_time"] = result.wall_time
         if result.aborted:
             raise SolverStageError("simulate", result.abort_reason)

@@ -437,6 +437,18 @@ def test_manifest_records_stationary_newton_counters(tmp_path):
     assert not any(word in header for word in ("time_s", "wall", "seconds"))
 
 
+def test_manifest_records_slab_step_counters(tmp_path):
+    config = ex.config_from_mapping({"horizon": "0.05"}, preset="rb-2d-topology")
+    manifest = ex.run_experiment(config, output_dir=tmp_path)
+    assert manifest.status == "ok"
+    counters = manifest.counters
+    # one velocity and at least one heat solve per step, most of them with
+    # kept factors
+    assert 2 <= counters["step_factorisations"] < counters["steps"]
+    assert counters["step_refinements"] > 0
+    assert counters["dt_min_clamps"] == 0
+
+
 def test_lateral_newton_at_24x16_factors_one_jacobian(tmp_path):
     config = ex.config_from_mapping({"domain.nx": "24", "domain.nz": "16"}, preset="rb-2d-lateral")
     manifest = ex.run_experiment(config, output_dir=tmp_path)

@@ -215,7 +215,7 @@ def test_implicit_heat_positivity_floor_fails_at_once(dimension, monkeypatch):
         return np.full(np.shape(rhs), 1.0e9)
 
     class RunawayLU:
-        def __init__(self, matrix):
+        def __init__(self, matrix, **options):
             pass
 
         def solve(self, rhs):
@@ -315,6 +315,18 @@ def test_run_retries_failed_temperature_inversion(monkeypatch):
     assert not result.aborted
     assert result.retries == 1
     assert result.final_state.t == pytest.approx(0.01)
+
+
+def test_run_counts_steps_clamped_at_dt_min():
+    # a dt_min above the acoustic step raises every cfl_dt to dt_min, and
+    # the run says how often; the column factors no sparse matrix
+    state = uniform_state(n=32)
+    acoustic = cfl_dt(state, StepControl(dt_min=1e-12, dt_max=1.0), GAS)
+    clamped = run(state, 8.0 * acoustic, StepControl(dt_min=2.0 * acoustic, dt_max=1.0), GAS, TR, None)
+    assert clamped.steps == clamped.dt_min_clamps == 4
+    free = run(state, 8.0 * acoustic, StepControl(dt_min=1e-12, dt_max=1.0), GAS, TR, None)
+    assert free.steps >= 8 and free.dt_min_clamps == 0
+    assert clamped.factorisations == clamped.refinements == free.factorisations == 0
 
 
 def test_run_sampling_cadence():
