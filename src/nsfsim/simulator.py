@@ -118,8 +118,9 @@ _HEAT_TOL = 1.0e-11
 _HEAT_MAXITER = 50
 
 
-def _positive_newton_update(theta, delta):
-    """theta - s * delta with s halved from 1 until every value is positive.
+def _positive_newton_update(theta, delta, solver):
+    """theta - s * delta with s halved from 1 until every value is positive;
+    ``solver.heat_backtracks`` counts the halvings.
 
     Raises ImplicitSolveError once s reaches its 1e-6 floor, so that the
     caller retries the step with a smaller dt instead of iterating on a
@@ -131,6 +132,7 @@ def _positive_newton_update(theta, delta):
         if shrink <= 1.0e-6:
             raise ImplicitSolveError("implicit heat solve: positivity backtrack reached its floor")
         shrink *= 0.5
+        solver.heat_backtracks += 1
         new = theta - shrink * delta
     return new
 
@@ -196,7 +198,7 @@ def _implicit_heat(grid, gas, transport, rho, e_star, theta0, dt, solver=None):
             delta = solve_banded((1, 1), jac, resid)
         else:
             delta = solver.solve("heat", jac, resid.ravel()).reshape(resid.shape)
-        theta = _positive_newton_update(theta, delta)
+        theta = _positive_newton_update(theta, delta, solver)
     raise ImplicitSolveError(f"implicit heat solve did not converge in {grid.dimension}-D")
 
 
@@ -316,7 +318,9 @@ class SlabLU:
     factored anew and solved directly, as when no factors are kept.
 
     ``run`` makes one per run and hands it to every ``step``; nothing is
-    shared between instances, so concurrent runs stay independent.
+    shared between instances, so concurrent runs stay independent.  It also
+    counts the heat Newton's positivity halvings (``heat_backtracks``), on
+    the column as on the slab.
     """
 
     def __init__(self):
@@ -324,6 +328,8 @@ class SlabLU:
         self._couplings = {}
         self.factorisations = 0
         self.refinements = 0
+        # heat-Newton step halvings that keep theta positive, on either grid
+        self.heat_backtracks = 0
 
     def velocity_coupling(self, nx, nz):
         """``_velocity_coupling(nx, nz)``, built once per grid."""
@@ -453,6 +459,7 @@ class RunResult:
     factorisations: int = 0  # slab LU factorisations (``SlabLU``)
     refinements: int = 0  # refinement sweeps with kept slab factors
     dt_min_clamps: int = 0  # accepted steps whose cfl_dt was raised to dt_min
+    heat_backtracks: int = 0  # heat-Newton step halvings for positivity
 
 
 def run(
@@ -490,6 +497,7 @@ def run(
         result.final_state = st
         result.factorisations = solver.factorisations
         result.refinements = solver.refinements
+        result.heat_backtracks = solver.heat_backtracks
         result.wall_time = _time.perf_counter() - t_start
         return result
 

@@ -13,10 +13,13 @@ Its sparsity pattern is read off the residual itself: forward differences on
 a small probe grid, at a random state and again with every velocity negated,
 give the offsets by which each equation field couples to each unknown
 field, and those are translated to the grid at hand.  Columns that share no
-equation form one colour and are perturbed together: an iteration evaluates
-one perturbed state per colour plus one for the multiplier, a count fixed by
-the stencils and not by the grid size, and all of them are the rows of one
-stacked residual call.  The mass row is linear and set exactly.
+equation form one colour and are perturbed together.  The same offsets
+colour them: first-fit on a torus of a few nodes per field, whose x period
+divides nx and neither period is within the stencils' reach, and each
+unknown takes the colour of its node.  An iteration evaluates one perturbed
+state per colour plus one for the multiplier, a count fixed by the stencils
+and not by the grid size (32 at 24x16 and 64x48), and all of them are the
+rows of one stacked residual call.  The mass row is linear and set exactly.
 The whole bordered matrix is factored with ``splu``; the core block alone is
 singular because the continuity rows telescope.  The factors are kept: later
 iterations first try a chord step with them (Kelley, Iterative Methods for
@@ -34,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.sparse import csc_matrix, csr_matrix
+from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from . import operators as ops
@@ -509,25 +512,32 @@ class _Layout:
             return rho, theta, wall_normal[..., 0, :], None, x[..., -1]
         return rho, theta, x[..., 2 * nc : 3 * nc].reshape(shape), wall_normal, x[..., -1]
 
-    def pattern(self):
+    def probe(self):
+        """The offset table ``_probe_offsets`` reads off the residual of a
+        probe grid of this dimension; its residual calls go to ``probe_calls``."""
+        offsets, self.probe_calls = _probe_offsets(self.grid.dimension)
+        return offsets
+
+    def pattern(self, offsets):
         """(rows, cols) of the core block (all but the mass row and lambda).
 
-        The offsets ``_probe_offsets`` reads off the residual of a probe
-        grid, translated to this one: x wraps periodically, z offsets that
-        leave the walls are dropped, and offsets that alias on a narrow grid
-        are merged.  The probe's residual calls go to ``probe_calls``.
+        The offset table ``offsets`` translated to this grid, one equation
+        field at a time: x wraps periodically, z offsets that leave the walls
+        are dropped, and offsets that alias on a narrow grid are merged.
         """
-        offsets, self.probe_calls = _probe_offsets(self.grid.dimension)
         at = np.full((self.unknown_field[-1] + 1, self.nx, self.nz), -1)
         at[(self.unknown_field, *self.unknown_loc)] = np.arange(self.size - 1)
         rows, cols = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
-        for eq_field, unknown_field, di, dk in offsets:
+        for eq_field in np.unique(offsets[:, 0]):
             eqs = np.flatnonzero(self.equation_field == eq_field)
-            ei, ek = self.equation_loc[:, eqs]
-            inside = (ek + dk >= 0) & (ek + dk < self.nz)
-            cand = at[unknown_field, (ei[inside] + di) % self.nx, ek[inside] + dk]
-            rows.append(eqs[inside][cand >= 0])
-            cols.append(cand[cand >= 0])
+            _, unknown_field, di, dk = offsets[offsets[:, 0] == eq_field].T
+            ei, ek = self.equation_loc[:, eqs, None]
+            k = ek + dk
+            cand = at[unknown_field, (ei + di) % self.nx, k % self.nz]
+            cand[(k < 0) | (k >= self.nz)] = -1
+            hit = np.nonzero(cand >= 0)
+            rows.append(eqs[hit[0]])
+            cols.append(cand[hit])
         n = self.size - 1
         # sort and mask: numpy's unique hashes int64 keys, about 50x slower here
         entries = np.sort(np.concatenate(rows) * n + np.concatenate(cols))
@@ -591,35 +601,59 @@ def _probe_offsets(dimension):
     return np.unique(offsets, axis=0), 2 * (column.size + 1)
 
 
-def _colour_columns(rows, cols, n):
-    """Greedy colouring of n columns: two columns sharing a row of the
-    pattern never get the same colour (Curtis, Powell & Reid 1974).  Column
-    k takes the smallest colour no lower-numbered conflicting column holds."""
-    pattern = csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
-    conflicts = (pattern.T @ pattern).tocsr()
-    indptr, indices = conflicts.indptr.tolist(), conflicts.indices.tolist()
-    colour = [-1] * n
-    for k in range(n):
-        taken = {colour[j] for j in indices[indptr[k] : indptr[k + 1]]}
-        c = 0
-        while c in taken:
-            c += 1
-        colour[k] = c
-    return np.array(colour)
+def _torus_colouring(offsets, nx, n_fields):
+    """First-fit colours of the nodes (field, i, k) of an n_fields x p x q
+    torus, returned in that shape.
+
+    Two unknowns conflict if one equation reaches both: offsets (e, a, di1,
+    dk1) and (e, b, di2, dk2) give the conflict (a, b, di2 - di1, dk2 - dk1).
+    q exceeds the z reach of the conflicts, and p is the smallest divisor of
+    nx above their x reach (nx itself if there is none).  The unknown of
+    field a at (i, k) then takes the colour of node (a, i mod p, k mod q).
+    p divides nx, so the x wrap maps conflicts onto conflicts of the torus.
+    Two unknowns on one node lie a multiple of q apart in z and of p in x,
+    where p exceeds the reach or is the grid's own period, so they never
+    conflict.  The colouring depends on the stencils and on p, not on the
+    grid size (Gebremedhin, Manne & Pothen, SIAM Rev. 47, 2005).
+    """
+    eq, unknown, di, dk = offsets.T
+    a, b = np.nonzero(eq[:, None] == eq)
+    first, second, ddi, ddk = unknown[a], unknown[b], di[b] - di[a], dk[b] - dk[a]
+    reach = int(np.max(np.abs(ddi), initial=0))
+    p = next((d for d in range(reach + 1, nx + 1) if nx % d == 0), nx)
+    q = int(np.max(np.abs(ddk), initial=0)) + 1
+    node = np.arange(n_fields * p * q).reshape(n_fields, p, q)
+    colour = np.full(node.size, -1)
+    for f, i, k in np.ndindex(node.shape):
+        mine = first == f
+        taken = colour[node[second[mine], (i + ddi[mine]) % p, (k + ddk[mine]) % q]]
+        # the first colour no coloured neighbour holds (-1 marks an uncoloured one)
+        colour[node[f, i, k]] = np.flatnonzero(np.bincount(taken + 1, minlength=taken.size + 2)[1:] == 0)[0]
+    return colour.reshape(node.shape)
 
 
 class _ColouredJacobian:
     """Bordered finite-difference Jacobian of ``_residual``, assembled sparse.
 
-    One stacked residual call per Jacobian: the perturbations of every
-    colour of the core columns and of the lambda column are the rows of one
+    One offset table (``_Layout.probe``) gives both the pattern and the
+    colours: each unknown takes the colour of its torus node
+    (``_torus_colouring``), and the colours in use are renumbered 0..C-1,
+    so no stack row is empty.  Columns of one colour share no row, so every
+    entry equals its one-column forward difference bit for bit.  One
+    stacked residual call per Jacobian: the perturbations of every colour
+    of the core columns and of the lambda column are the rows of one
     (colours + 1, size) stack.  The mass row is linear and set exactly.
     """
 
     def __init__(self, layout):
         self.layout = layout
-        self.rows, self.cols = layout.pattern()
-        self.colour = _colour_columns(self.rows, self.cols, layout.size - 1)
+        offsets = layout.probe()
+        self.rows, self.cols = layout.pattern(offsets)
+        node_colour = _torus_colouring(offsets, layout.nx, layout.unknown_field[-1] + 1)
+        _, p, q = node_colour.shape
+        i, k = layout.unknown_loc
+        # renumbered 0..C-1: torus colours no unknown takes would be empty stack rows
+        _, self.colour = np.unique(node_colour[layout.unknown_field, i % p, k % q], return_inverse=True)
         order = np.argsort(self.colour, kind="stable")
         self.groups = np.split(order, np.cumsum(np.bincount(self.colour))[:-1])
 

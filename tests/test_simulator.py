@@ -329,6 +329,42 @@ def test_run_counts_steps_clamped_at_dt_min():
     assert clamped.factorisations == clamped.refinements == free.factorisations == 0
 
 
+def test_run_counts_heat_positivity_backtracks(monkeypatch):
+    # The run's first heat-Newton direction is stubbed to overshoot cell 0 to
+    # -theta/2: one halving lands it at theta/4 > 0, and true directions
+    # converge from there.  The run reports that one halving, and a run
+    # without the stub none.
+    state = FluidState(
+        grid=Grid1D(n=16, theta_bottom=1.1, theta_top=1.0), t=0.0,
+        rho=np.ones(16), theta=np.ones(16), u=np.zeros(17),
+    )
+    horizon = 3.0 * cfl_dt(state, StepControl(), GAS)
+    plain = run(state, horizon, StepControl(), GAS, TR, None)
+    assert plain.heat_backtracks == 0
+
+    real_heat, real_solve = sim._implicit_heat, sim.solve_banded
+    first = {}
+
+    def heat(grid, gas, transport, rho, e_star, theta0, dt, solver=None):
+        first.setdefault("theta0", theta0)
+        return real_heat(grid, gas, transport, rho, e_star, theta0, dt, solver)
+
+    def solve(l_and_u, ab, b):
+        delta = real_solve(l_and_u, ab, b)
+        # the first solve after the first heat call is that call's first direction
+        if "theta0" in first and "forced" not in first:
+            first["forced"] = True
+            delta[0] = 1.5 * first["theta0"][0]
+        return delta
+
+    monkeypatch.setattr(sim, "_implicit_heat", heat)
+    monkeypatch.setattr(sim, "solve_banded", solve)
+    forced = run(state, horizon, StepControl(), GAS, TR, None)
+    assert "forced" in first and not forced.aborted and forced.retries == 0
+    assert forced.steps == plain.steps
+    assert forced.heat_backtracks == 1
+
+
 def test_run_sampling_cadence():
     reference, config = rb_reference(n=32)
     state = reference.as_fluid_state()

@@ -366,7 +366,7 @@ JACOBIAN_GRIDS = {
 def test_jacobian_pattern_contains_every_nonzero(name, seed):
     layout, fun, x = random_problem(JACOBIAN_GRIDS[name](), seed)
     oracle = dense_fd_jacobian(fun, x)[:-1, :-1]
-    rows, cols = layout.pattern()
+    rows, cols = layout.pattern(layout.probe())
     declared = np.zeros(oracle.shape, dtype=bool)
     declared[rows, cols] = True
     assert not np.any((oracle != 0.0) & ~declared)
@@ -382,6 +382,26 @@ def test_coloured_jacobian_matches_dense_oracle(name, seed):
     assert len(jacobian.groups) < x.size - 1
     scale = np.max(np.abs(oracle), axis=0)
     assert np.all(np.abs(coloured - oracle) <= 1.0e-6 * scale)
+
+
+BITWISE_GRIDS = {
+    **JACOBIAN_GRIDS,
+    "slab-3x3": lambda: Grid2D(nx=3, nz=3, theta_bottom=np.array([1.1, 1.0, 1.05]), theta_top=1.0),
+    "slab-7x5": lambda: Grid2D(nx=7, nz=5, theta_bottom=1.0 + 0.05 * np.arange(7) / 7, theta_top=1.0),
+    "slab-8x4": lambda: Grid2D(nx=8, nz=4, theta_bottom=1.0 + 0.05 * np.arange(8) / 8, theta_top=1.02),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BITWISE_GRIDS))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_coloured_jacobian_equals_column_by_column_differences_bitwise(name, seed):
+    # With a valid colouring every entry is its one-column finite difference
+    # bit for bit, so any valid colouring leaves the Newton iterates unchanged.
+    # The mass row is set exactly rather than differenced.
+    layout, fun, x = random_problem(BITWISE_GRIDS[name](), seed)
+    oracle = dense_fd_jacobian(fun, x)
+    coloured = _ColouredJacobian(layout)(fun, x, fun(x)).toarray()
+    assert np.array_equal(coloured[:-1], oracle[:-1])
 
 
 @pytest.mark.parametrize("name", sorted(JACOBIAN_GRIDS))
@@ -442,29 +462,50 @@ def test_layout_round_trip():
     assert np.array_equal(layout.pack(rho, theta, u, w, lam), x)
 
 
-@settings(max_examples=25, deadline=None)
-@given(nx=hst.integers(3, 12), nz=hst.integers(3, 8))
-def test_colours_never_share_a_pattern_row(nx, nz):
-    grid = Grid2D(nx=nx, nz=nz, theta_bottom=1.0, theta_top=1.0)
-    jacobian = _ColouredJacobian(_Layout(grid))
-    pairs = np.stack([jacobian.rows, jacobian.colour[jacobian.cols]])
-    assert np.unique(pairs, axis=1).shape[1] == jacobian.rows.size
+def test_colours_never_share_a_pattern_row():
+    # every slab with nx 3-16 (primes, and widths below the torus period) and
+    # nz 3-8, and every column with n 3-40; colours run 0..C-1, none empty
+    grids = [Grid2D(nx=nx, nz=nz, theta_bottom=1.0, theta_top=1.0) for nx in range(3, 17) for nz in range(3, 9)]
+    grids += [Grid1D(n=n, theta_bottom=1.1, theta_top=1.0) for n in range(3, 41)]
+    for grid in grids:
+        jacobian = _ColouredJacobian(_Layout(grid))
+        pairs = np.stack([jacobian.rows, jacobian.colour[jacobian.cols]])
+        assert np.unique(pairs, axis=1).shape[1] == jacobian.rows.size
+        assert np.all(np.bincount(jacobian.colour) > 0)
 
 
 @settings(max_examples=25, deadline=None)
-@given(nx=hst.integers(3, 12), nz=hst.integers(3, 8))
+@given(nx=hst.integers(3, 16), nz=hst.integers(3, 8))
 def test_colouring_is_first_fit_greedy(nx, nz):
-    # the conflicts are read off a dense boolean pattern, not the sparse product
+    # The torus nodes (field, i, k) are coloured first-fit in node order, the
+    # conflicts read off a dense boolean pattern of the periodic p x q torus,
+    # and every unknown carries the colour of node (field, i mod p, k mod q),
+    # renumbered in order to 0..C-1.
     layout = _Layout(Grid2D(nx=nx, nz=nz, theta_bottom=1.0, theta_top=1.0))
-    rows, cols = layout.pattern()
-    n = layout.size - 1
-    dense = np.zeros((n, n))
-    dense[rows, cols] = 1.0
-    conflict = (dense.T @ dense) > 0.0
-    colour = stationary._colour_columns(rows, cols, n)
-    for k in range(n):
-        held = set(colour[:k][conflict[k, :k]].tolist())
-        assert colour[k] == min(set(range(len(held) + 1)) - held)
+    offsets = layout.probe()
+    node_colour = stationary._torus_colouring(offsets, nx, 4)
+    _, p, q = node_colour.shape
+    same = offsets[:, None, 0] == offsets[None, :, 0]
+    reach = np.abs(offsets[:, None, 2:] - offsets[None, :, 2:])[same].max(axis=0)
+    assert p == min([d for d in range(reach[0] + 1, nx + 1) if nx % d == 0], default=nx)
+    assert q == reach[1] + 1
+
+    node = np.arange(node_colour.size).reshape(node_colour.shape)
+    torus = np.zeros((node.size, node.size))
+    for eq_field, unknown_field, di, dk in offsets:
+        for i, k in np.ndindex(p, q):
+            torus[node[eq_field, i, k], node[unknown_field, (i + di) % p, (k + dk) % q]] = 1.0
+    conflict = (torus.T @ torus) > 0.0
+    colour = node_colour.ravel()
+    for m in range(node.size):
+        held = set(colour[:m][conflict[m, :m]].tolist())
+        assert colour[m] == min(set(range(len(held) + 1)) - held)
+
+    jacobian = _ColouredJacobian(layout)
+    i, k = layout.unknown_loc
+    carried = node_colour[layout.unknown_field, i % p, k % q]
+    used = np.unique(carried)
+    assert np.array_equal(used[jacobian.colour], carried)
 
 
 def test_singular_factorisation_raises_newton_failure(monkeypatch):
@@ -490,7 +531,7 @@ def assert_pattern_contains_dense_nonzeros(grid, rng):
         [1.0 + 0.1 * rng.standard_normal(2 * nc), 0.05 * rng.standard_normal(layout.size - 2 * nc)]
     )
     declared = np.zeros((layout.size - 1, layout.size - 1), dtype=bool)
-    declared[layout.pattern()] = True
+    declared[layout.pattern(layout.probe())] = True
     for sign in (1.0, -1.0):
         xs = x.copy()
         xs[2 * nc : -1] *= sign
@@ -516,10 +557,10 @@ def test_derived_pattern_contains_dense_nonzeros_1d(n, seed):
     assert_pattern_contains_dense_nonzeros(grid, rng)
 
 
-def test_lateral_preset_at_24x16_needs_at_most_45_colours():
+def test_lateral_preset_at_24x16_needs_at_most_40_colours():
     config = ex.config_from_mapping({"domain.nx": "24", "domain.nz": "16"}, preset="rb-2d-lateral")
     jacobian = _ColouredJacobian(_Layout(ex.build_problem(config).grid))
-    assert len(jacobian.groups) <= 45
+    assert len(jacobian.groups) <= 40
 
 
 @pytest.mark.parametrize("grid", [Grid1D(n=40, theta_bottom=1.1), Grid2D(nx=24, nz=16)], ids=["1d", "2d"])
@@ -532,7 +573,7 @@ def test_pattern_derivation_residual_calls(monkeypatch, grid):
 
     monkeypatch.setattr(stationary, "_residual", counted)
     layout = _Layout(grid)
-    layout.pattern()
+    layout.pattern(layout.probe())
     probe = probed[0]
     assert all(p is probe for p in probed)
     column = int(np.sum(probe.unknown_loc[0] == 0))
@@ -577,7 +618,7 @@ def test_newton_state_keeps_trace_colours_and_calls(monkeypatch):
     assert state.iterations >= 1 and state.floor_steps == 0
     assert len(state.residual_trace) == state.iterations + 1
     assert state.residual_trace[-1] <= 1.0e-9 < state.residual_trace[0]
-    assert 0 < state.jacobian_colours <= 45
+    assert 0 < state.jacobian_colours <= 40
     assert state.residual_calls == len(calls)
     assert 1 <= state.jacobians <= state.iterations
     assert state.residual_calls >= state.jacobians * (state.jacobian_colours + 1) + state.iterations + 1
