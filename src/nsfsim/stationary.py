@@ -21,7 +21,9 @@ state per colour plus one for the multiplier, a count fixed by the stencils
 and not by the grid size (32 at 24x16 and 64x48), and all of them are the
 rows of one stacked residual call.  The mass row is linear and set exactly.
 The whole bordered matrix is factored with ``splu``; the core block alone is
-singular because the continuity rows telescope.  The factors are kept: later
+singular because the continuity rows telescope.  Its columns go in a
+nested-dissection order of the grid locations (a 1-D column keeps its z
+order), which SuperLU takes as given.  The factors are kept: later
 iterations first try a chord step with them (Kelley, Iterative Methods for
 Linear and Nonlinear Equations, SIAM 1995, sec. 5.4), and a Jacobian is built
 and factored afresh only when that step fails to cut the residual tenfold.
@@ -137,13 +139,15 @@ class StationaryState(VelocityComponents):
     iterations: int = 0
     # Newton bookkeeping: residual max-norm per iterate, colours of the
     # Jacobian, Jacobians built and factored (``jacobians``), residual calls
-    # (pattern probe included), and the Armijo steps accepted at the floor
-    # without a decrease
+    # (pattern probe included), the Armijo steps accepted at the floor
+    # without a decrease, and the nonzeros SuperLU stores for L and U of the
+    # last factorisation (``SuperLU.nnz``)
     residual_trace: list = field(default_factory=list)
     jacobian_colours: int = 0
     jacobians: int = 0
     residual_calls: int = 0
     floor_steps: int = 0
+    lu_fill: int = 0
 
     def as_fluid_state(self, t: float = 0.0) -> FluidState:
         return FluidState(
@@ -632,17 +636,60 @@ def _torus_colouring(offsets, nx, n_fields):
     return colour.reshape(node.shape)
 
 
+def _dissection_ranks(nx, nz, reach):
+    """Nested-dissection rank of every location (i, k) of a periodic nx x nz
+    slab, as an (nx, nz) array (George, SIAM J. Numer. Anal. 10, 1973).
+
+    A box is split across its longer extent by a band of ``reach`` lines
+    (fewer in a box too short to keep a line on each side); both halves are
+    numbered first and the band last, each recursively, down to single
+    locations.  The x ring is first cut open by the band i < reach, numbered
+    last of all, unless nx is too narrow for any two lines to lie out of
+    reach of each other across the wrap.
+    """
+    rank = np.empty((nx, nz), dtype=int)
+    taken = 0
+
+    def number(i0, i1, k0, k1):
+        nonlocal taken
+        across_x = i1 - i0 >= k1 - k0
+        lo, hi = (i0, i1) if across_x else (k0, k1)
+        if hi - lo == 1:
+            rank[i0, k0] = taken
+            taken += 1
+            return
+        width = min(reach, hi - lo - 2)
+        a = lo + (hi - lo - width) // 2
+        for s0, s1 in ((lo, a), (a + width, hi), (a, a + width)):
+            if s1 > s0:
+                number(*((s0, s1, k0, k1) if across_x else (i0, i1, s0, s1)))
+
+    if nx > 2 * reach + 1:
+        number(reach, nx, 0, nz)
+        number(0, reach, 0, nz)
+    else:
+        number(0, nx, 0, nz)
+    return rank
+
+
 class _ColouredJacobian:
     """Bordered finite-difference Jacobian of ``_residual``, assembled sparse.
 
-    One offset table (``_Layout.probe``) gives both the pattern and the
-    colours: each unknown takes the colour of its torus node
+    One offset table (``_Layout.probe``) gives the pattern, the colours and
+    the column order.  Each unknown takes the colour of its torus node
     (``_torus_colouring``), and the colours in use are renumbered 0..C-1,
     so no stack row is empty.  Columns of one colour share no row, so every
     entry equals its one-column forward difference bit for bit.  One
     stacked residual call per Jacobian: the perturbations of every colour
     of the core columns and of the lambda column are the rows of one
     (colours + 1, size) stack.  The mass row is linear and set exactly.
+
+    ``rank[j]`` is the column of unknown j in ``factor``.  The locations go
+    in nested-dissection order (``_dissection_ranks``, its bands as wide as
+    the offsets' largest |di| or |dk|), or in z order on a column, whose
+    Jacobian is a bordered band that dissection would only fill further.
+    The unknowns of a location stay together in field order, and lambda
+    goes last.
     """
 
     def __init__(self, layout):
@@ -656,8 +703,26 @@ class _ColouredJacobian:
         _, self.colour = np.unique(node_colour[layout.unknown_field, i % p, k % q], return_inverse=True)
         order = np.argsort(self.colour, kind="stable")
         self.groups = np.split(order, np.cumsum(np.bincount(self.colour))[:-1])
+        if layout.grid.dimension == 1:
+            location_rank = k
+        else:
+            reach = int(np.max(np.abs(offsets[:, 2:])))
+            location_rank = _dissection_ranks(layout.nx, layout.nz, reach)[i, k]
+        # the unknowns of a location keep their field order, lambda goes last
+        self.rank = np.empty(layout.size, dtype=int)
+        self.rank[np.argsort(location_rank, kind="stable")] = np.arange(layout.size - 1)
+        self.rank[-1] = layout.size - 1
 
-    def __call__(self, fun, x, f):
+    def factor(self, fun, x, f):
+        """SuperLU factors of the Jacobian at x, assembled with unknown j in
+        column ``rank[j]`` and factored in that column order (partial row
+        pivoting kept), and the solve b -> J^-1 b in the packed order."""
+        lu = splu(self(fun, x, f, self.rank), permc_spec="NATURAL")
+        return lu, lambda b: lu.solve(b)[self.rank]
+
+    def __call__(self, fun, x, f, column=None):
+        """The Jacobian at x; unknown j goes to column ``column[j]``
+        (default: j)."""
         n = x.size - 1
         h = 1.0e-7 * np.maximum(1.0, np.abs(x))
         xp = np.tile(x, (len(self.groups) + 1, 1))
@@ -667,6 +732,8 @@ class _ColouredJacobian:
         n_cells = self.layout.n_cells
         rows = np.concatenate([self.rows, np.arange(n), np.full(n_cells, n)])
         cols = np.concatenate([self.cols, np.full(n, n), np.arange(n_cells)])
+        if column is not None:
+            cols = column[cols]
         values = np.concatenate(
             [
                 diffs[self.colour[self.cols], self.rows] / h[self.cols],
@@ -695,7 +762,11 @@ def solve_stationary_newton(
 
     The Jacobian is a coloured sparse finite difference (one stacked
     residual call per Jacobian, a row per column colour) and the bordered
-    system is factored with ``splu``.  The factors are reused: every
+    system is factored with ``splu`` in the column order of
+    ``_ColouredJacobian.factor`` (``permc_spec="NATURAL"``, partial row
+    pivoting kept); every solve, damped step and chord step alike, maps the
+    result back with one index.  ``lu_fill`` is the stored nonzeros of the
+    last factors.  The factors are reused: every
     iteration after the first tries the chord step x - J0^-1 f(x), J0 the
     last Jacobian factored, and takes it only if it keeps (rho, theta)
     positive and cuts the residual max-norm at least tenfold.  Otherwise the
@@ -736,9 +807,9 @@ def solve_stationary_newton(
     def positive(xv):
         return np.all(xv[: 2 * n_cells] > 0.0)
 
-    def chord(lu):
+    def chord(solve):
         """(x, f) after the chord step, or None if it is not taken."""
-        x_try = x + lu.solve(-f)
+        x_try = x + solve(-f)
         if not positive(x_try):
             return None
         f_try = fun(x_try)
@@ -770,13 +841,13 @@ def solve_stationary_newton(
     trace.append(norm)
     iterations = floor_steps = jacobians = 0
     jacobian = _ColouredJacobian(layout) if norm > tol else None
-    lu = None
+    lu = solve = None
     while norm > tol and iterations < max_iter:
-        step = None if lu is None else chord(lu)
+        step = None if solve is None else chord(solve)
         if step is None:
             try:
-                lu = splu(jacobian(fun, x, f))
-                delta = lu.solve(-f)
+                lu, solve = jacobian.factor(fun, x, f)
+                delta = solve(-f)
             except RuntimeError as exc:
                 raise NewtonFailure(f"singular Jacobian: {exc}", trace) from exc
             jacobians += 1
@@ -792,6 +863,7 @@ def solve_stationary_newton(
     state = StationaryState(grid=grid, rho=rho, theta=theta, u=u, w=w, iterations=iterations)
     state.residual_trace, state.floor_steps, state.jacobians = trace, floor_steps, jacobians
     state.jacobian_colours = 0 if jacobian is None else len(jacobian.groups)
+    state.lu_fill = 0 if lu is None else lu.nnz
     state.residual_calls = calls + layout.probe_calls
     state.residual_norms = _residual_norms(state, gas, transport, G)
     state.mass_error = abs(float(np.sum(rho) * grid.cell_volume) - m0)

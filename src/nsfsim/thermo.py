@@ -439,7 +439,8 @@ def invert_conductivity_primitive(model: TransportModel, value, guess=None):
         lo = np.where(f < 0.0, theta, lo)
         hi = np.where(f > 0.0, theta, hi)
         new = theta - f / _conductivity_raw(model, theta)
-        bad = (new <= lo) | (new >= hi) | ~np.isfinite(new)
+        # a step that rounds to no change is converged, not outside the bracket
+        bad = ((new <= lo) | (new >= hi)) & (new != theta) | ~np.isfinite(new)
         mid = np.where(np.isfinite(hi), 0.5 * (lo + hi), 2.0 * np.maximum(theta, 1.0))
         new = np.where(bad, mid, new)
         done = np.abs(new - theta) <= 1.0e-16 * np.maximum(1.0, np.abs(theta))

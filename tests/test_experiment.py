@@ -431,6 +431,7 @@ def test_manifest_records_stationary_newton_counters(tmp_path):
     assert counters["stationary_residual_calls"] >= counters["stationary_jacobians"] * (
         counters["stationary_jacobian_colours"] + 1
     ) + counters["stationary_iterations"] + 1
+    assert counters["stationary_lu_fill"] > 0
     assert not any("floor step" in w for w in manifest.warnings)
     # timings stay out of the CSV
     header = (tmp_path / "rb-2d-lateral.csv").read_text().splitlines()[0]
@@ -455,6 +456,26 @@ def test_lateral_newton_at_24x16_factors_one_jacobian(tmp_path):
     manifest = ex.run_experiment(config, output_dir=tmp_path)
     assert manifest.status == "ok"
     assert manifest.counters["stationary_jacobians"] == 1
+
+
+def test_lateral_newton_at_24x16_fills_at_most_0_8_of_colamd(tmp_path, monkeypatch):
+    # the nested-dissection column order against splu's default COLAMD
+    # ordering of the same bordered Jacobian, as counts of stored LU nonzeros
+    real = st.splu
+    factored = []
+
+    def kept(matrix, **options):
+        factored.append((matrix, real(matrix, **options)))
+        return factored[-1][1]
+
+    monkeypatch.setattr(st, "splu", kept)
+    config = ex.config_from_mapping({"domain.nx": "24", "domain.nz": "16"}, preset="rb-2d-lateral")
+    manifest = ex.run_experiment(config, output_dir=tmp_path)
+    fill = manifest.counters["stationary_lu_fill"]
+    assert len(factored) == manifest.counters["stationary_jacobians"]
+    matrix, lu = factored[-1]
+    assert fill == lu.nnz
+    assert fill <= 0.8 * real(matrix).nnz
 
 
 def test_manifest_warns_on_armijo_floor_acceptances(tmp_path, monkeypatch):

@@ -329,8 +329,9 @@ def dense_fd_jacobian(fun, x):
     return jac
 
 
-def random_problem(grid, seed):
-    """A problem on ``grid`` and a random packed state whose velocities take both signs."""
+def random_problem(grid, seed, both_signs=True):
+    """A problem on ``grid`` and a random packed state whose velocities take
+    both signs (checked unless ``both_signs`` is false)."""
     rng = np.random.default_rng(seed)
     g = 0.05 if grid.dimension == 1 else (0.02, 0.05)
     config = ProblemConfig(grid=grid, m0=grid.volume, g=g)
@@ -341,7 +342,7 @@ def random_problem(grid, seed):
     x[nc : 2 * nc] = 1.0 + 0.1 * rng.standard_normal(nc)
     x[2 * nc : -1] = 0.05 * rng.standard_normal(layout.size - 1 - 2 * nc)
     x[-1] = 0.01
-    assert np.any(x[2 * nc : -1] > 0.0) and np.any(x[2 * nc : -1] < 0.0)
+    assert not both_signs or (np.any(x[2 * nc : -1] > 0.0) and np.any(x[2 * nc : -1] < 0.0))
     G = config.potential_field()
 
     def fun(xv):
@@ -508,6 +509,56 @@ def test_colouring_is_first_fit_greedy(nx, nz):
     assert np.array_equal(used[jacobian.colour], carried)
 
 
+def assert_dissection_order(grid, seed):
+    """The column order is a permutation with lambda last, the unknowns of a
+    location sit together in field order, and a solve with the factors in
+    that order matches a COLAMD solve of the same Jacobian."""
+    layout, fun, x = random_problem(grid, seed, both_signs=False)
+    jacobian = _ColouredJacobian(layout)
+    rank = jacobian.rank
+    assert np.array_equal(np.sort(rank), np.arange(layout.size)) and rank[-1] == layout.size - 1
+    order = np.argsort(rank)[:-1]
+    loc = layout.unknown_loc[:, order]
+    starts = np.flatnonzero(np.any(np.diff(loc, axis=1) != 0, axis=0)) + 1
+    groups = np.split(order, starts)
+    assert len(groups) == layout.nx * layout.nz
+    assert all(np.all(np.diff(layout.unknown_field[g]) > 0) for g in groups)
+    f = fun(x)
+    b = np.random.default_rng(seed).standard_normal(layout.size)
+    _, solve = jacobian.factor(fun, x, f)
+    reference = stationary.splu(jacobian(fun, x, f)).solve(b)
+    assert np.max(np.abs(solve(b) - reference)) <= 1.0e-12 * np.max(np.abs(reference))
+    return layout, rank
+
+
+@settings(max_examples=25, deadline=None)
+@given(nx=hst.integers(3, 16), nz=hst.integers(3, 8), seed=hst.integers(0, 2**16))
+def test_dissection_order_on_slabs(nx, nz, seed):
+    grid = Grid2D(nx=nx, nz=nz, theta_bottom=1.0 + 0.05 * np.arange(nx) / nx, theta_top=1.0)
+    layout, rank = assert_dissection_order(grid, seed)
+    # the band that cuts the x ring open is numbered last, on rings wide
+    # enough for two lines out of reach of each other
+    reach = int(np.max(np.abs(layout.probe()[:, 2:])))
+    band = layout.unknown_loc[0] < reach
+    last = np.sort(rank[:-1])[-np.count_nonzero(band) :]
+    assert (nx > 2 * reach + 1) == np.array_equal(np.sort(rank[:-1][band]), last)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=hst.integers(3, 40), seed=hst.integers(0, 2**16))
+def test_dissection_order_keeps_a_column_in_z_order(n, seed):
+    layout, rank = assert_dissection_order(Grid1D(n=n, theta_bottom=1.1, theta_top=1.0), seed)
+    k = layout.unknown_loc[1]
+    assert np.array_equal(np.argsort(rank[:-1]), np.lexsort((layout.unknown_field, k)))
+
+
+def test_dissection_ranks_number_both_halves_before_their_separator():
+    # 1 x 12 strip cut by two lines at 5, 6: halves 0-4 and 7-11 first
+    rank = stationary._dissection_ranks(1, 12, 2)[0]
+    assert sorted(rank[5:7]) == [10, 11]
+    assert sorted(rank[:5]) == list(range(5)) and sorted(rank[7:]) == list(range(5, 10))
+
+
 def test_singular_factorisation_raises_newton_failure(monkeypatch):
     # a residual that ignores the state: every core column of the Jacobian is zero
     def frozen(grid, gas, transport, G, rho, theta, u):
@@ -661,9 +712,9 @@ def nan_after_first_factorisation(monkeypatch):
     factorised = []
     real_splu, real_residual = stationary.splu, ops.steady_residual_1d
 
-    def flagged_splu(matrix):
+    def flagged_splu(matrix, **options):
         factorised.append(1)
-        return real_splu(matrix)
+        return real_splu(matrix, **options)
 
     def poisoned(*args):
         parts = real_residual(*args)

@@ -3,7 +3,10 @@ cross-checks, quadrature cross-validation, and hypothesis certification."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
+from nsfsim import thermo
 from nsfsim.thermo import (
     GasModel,
     QuadratureFailure,
@@ -289,6 +292,43 @@ def test_conductivity_primitive_roundtrip():
     values = conductivity_primitive(TR, thetas)
     back = invert_conductivity_primitive(TR, values)
     assert np.max(np.abs(back - thetas) / thetas) < 1e-12
+
+
+def test_conductivity_inversion_stops_once_converged(monkeypatch):
+    # A Newton step that rounds to no change at theta = hi used to count as
+    # leaving the bracket, and the cell then bisected toward lo: the rb-1d-small
+    # plates at n = 1024 took 60 iterations; converged cells now stop (7).
+    n = 1024
+    k_bottom, k_top = (float(conductivity_primitive(TR, np.float64(t))) for t in (1.05, 1.0))
+    values = k_bottom + (k_top - k_bottom) * (np.arange(n) + 0.5) / n
+    iterations = []
+    real = thermo.conductivity_primitive
+
+    def counted(model, theta):
+        iterations.append(1)
+        return real(model, theta)
+
+    monkeypatch.setattr(thermo, "conductivity_primitive", counted)
+    invert_conductivity_primitive(TR, values)
+    assert len(iterations) <= 10
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    thetas=hst.lists(hst.floats(0.5, 50.0), min_size=1, max_size=64),
+    kappa0=hst.floats(0.1, 10.0),
+    beta=hst.floats(6.1, 12.0),
+)
+def test_conductivity_inversion_ends_at_a_newton_fixed_point(thetas, kappa0, beta):
+    # Every cell stops where the Newton step rounds to no change, or where K
+    # hits the target exactly.  From theta = 0.5 up one ulp exceeds the
+    # stopping test's 1e-16 max(1, theta); below, a last one-ulp step passes it.
+    model = TransportModel(kappa0=kappa0, beta=beta)
+    values = conductivity_primitive(model, np.array(thetas))
+    theta = invert_conductivity_primitive(model, values)
+    f = conductivity_primitive(model, theta) - values
+    fixed = theta - f / thermo._conductivity_raw(model, theta) == theta
+    assert np.all(fixed | (f == 0.0))
 
 
 def test_temperature_from_energy_roundtrip_and_floor():
