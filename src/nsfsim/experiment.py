@@ -646,6 +646,7 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> RunManifest:
         counters["stationary_jacobians"] = reference.jacobians
         counters["stationary_residual_calls"] = reference.residual_calls
         counters["stationary_lu_fill"] = reference.lu_fill
+        counters["hydrostatic_halvings"] = reference.hydrostatic_halvings
         if reference.floor_steps:
             warnings.append(
                 f"stationary Newton accepted {reference.floor_steps} line-search step(s) "

@@ -24,10 +24,10 @@ faces pinned to zero.  2-D (periodic x, walls in z): scalars (nx, nz);
 cell (i, k), shape (nx, nz+1), wall rows pinned to zero.
 
 Per dimension stays only what differs in arithmetic: the column's
-longitudinal (4/3)mu + eta stress and its shear heating against the slab's
-full stress (``viscous_rhs_*``, ``shear_heating_*``), and in ``simulator``
-the implicit solves (banded on the column, which keeps its per-step cost;
-sparse LU on the slab) and ``cfl_dt``, whose two formulas round dt
+longitudinal (4/3)mu + eta stress, its hand-banded matrix and its shear
+heating against the slab's full stress (``viscous_*``, ``shear_heating_*``),
+and in ``simulator`` the layout of the implicit solves (banded on the
+column, sparse LU on the slab) and ``cfl_dt``, whose two formulas round dt
 differently.
 
 Every stencil the steady residual uses also carries leading stack axes in
@@ -39,7 +39,9 @@ in one call.  Wall data and the potential broadcast over the stack.
 Convection is first-order upwind (donor cell), pressure gradients are central
 two-point differences, diffusion of heat runs through the conductivity
 primitive K(theta) so a profile linear in K carries an exactly constant
-discrete heat flux.
+discrete heat flux: the closure K at the centers and the plates, then the
+linear ``kirchhoff_stencil_nd``, which the stepper probes for its heat
+Jacobian.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ __all__ = [
     "upwind_flux_nd",
     "mass_rhs_nd",
     "momentum_explicit_nd",
+    "kirchhoff_stencil_nd",
     "kirchhoff_fluxes_nd",
     "kirchhoff_div_nd",
     "shear_heating_nd",
@@ -188,24 +191,24 @@ def momentum_explicit_nd(grid, gas, G, rho_pressure, theta, rho_inertia, vel):
     return (conv_u, dpdx, grav_u), (conv_w, dpdz, grav_w)
 
 
-def kirchhoff_fluxes_nd(grid, transport, theta):
-    """Discrete heat flux K-differences at every face, one array per
-    direction: the slab's periodic x-faces, then the wall-normal faces,
-    whose wall half-cells close against the plate temperatures."""
-    K = thermo.conductivity_primitive(transport, theta)
-    Kb = thermo.conductivity_primitive(transport, grid.wall_theta("bottom"))
-    Kt = thermo.conductivity_primitive(transport, grid.wall_theta("top"))
+def kirchhoff_stencil_nd(grid, K, K_bottom, K_top):
+    """K-differences at every face, linear in (K, K_bottom, K_top), one array
+    per direction: the slab's periodic x-faces, then the wall-normal faces,
+    whose wall half-cells close against the plate values.  K may be a stack."""
     h = grid.dz
     H = np.empty(K.shape[:-1] + (K.shape[-1] + 1,))
-    if K.ndim == 1:  # one column: scalar walls, no 0-d array arithmetic
-        H[0], H[-1] = (K[0] - Kb) / (0.5 * h), (Kt - K[-1]) / (0.5 * h)
-    else:
-        H[..., 0] = (K[..., 0] - Kb) / (0.5 * h)
-        H[..., -1] = (Kt - K[..., -1]) / (0.5 * h)
+    H[..., 0] = (K[..., 0] - K_bottom) / (0.5 * h)
+    H[..., -1] = (K_top - K[..., -1]) / (0.5 * h)
     H[..., 1:-1] = (K[..., 1:] - K[..., :-1]) / h
     if grid.dimension == 1:
         return (H,)
     return (K - _west(K)) / grid.dx, H
+
+
+def kirchhoff_fluxes_nd(grid, transport, theta):
+    """The heat flux: ``kirchhoff_stencil_nd`` on K(theta), plates included."""
+    walls = (grid.wall_theta("bottom"), grid.wall_theta("top"))
+    return kirchhoff_stencil_nd(grid, *(thermo.conductivity_primitive(transport, t) for t in (theta, *walls)))
 
 
 def kirchhoff_div_nd(grid, transport, theta):

@@ -18,20 +18,18 @@ of ``operators`` on the velocity components and comprises, in order:
       steady residuals call; theta is recovered from rho*e by monotone scalar
       inversion per cell, which seeds the implicit Fourier diffusion, a
       Newton solve in theta through the conductivity primitive K(theta)
-      (kappa ~ theta^beta is stiff), banded in 1-D; on the slab every Newton
-      direction is an exact solve with the heat factors ``SlabLU`` keeps,
+      (kappa ~ theta^beta is stiff) whose Jacobian is the Kirchhoff stencil
+      probed once per grid and scaled by kappa(theta): banded in 1-D; on the
+      slab every Newton direction is an exact solve with the heat factors
+      ``SlabLU`` keeps,
 (iv)  boundary enforcement (no-slip walls, Dirichlet temperature traces).
 
-The slab's two matrices are factored with a minimum-degree ordering of
-A^T + A and symmetric pivoting: the velocity matrix is symmetric to
-rounding and the heat Jacobian structurally symmetric.  At 32x24 this
-takes the velocity LU from 9.3 ms and 129k nonzeros (COLAMD) to 5.7 ms and
-88k, at 64x48 from 61 to 31 ms.  Between steps a matrix moves by 1e-4 to
-2e-3 relative, so ``run`` keeps the factors of each matrix for the whole run
-and refines every solve against the current matrix until the residual is
-at rounding level; it factors anew when a sweep cuts the residual less than
-tenfold, as when dt drops at a horizon-clipped last step.  The 5 steps of a
-32x24 ``rb-2d-topology`` run then factor 4 times instead of 15.
+Both slab matrices are probed from their stencils over one colouring
+(``_probe_coupling``) and factored with a minimum-degree ordering of
+A^T + A: at 32x24 the velocity LU takes 5.7 ms and 88k nonzeros against
+9.3 ms and 129k under COLAMD.  Between steps a matrix moves by 1e-4 to
+2e-3 relative, so ``run`` keeps the factors for the whole run (``SlabLU``):
+the 5 steps of a 32x24 ``rb-2d-topology`` run factor 4 times, not 15.
 
 Negative density or temperature is never clamped: a failed step raises
 ``PositivityError`` and ``run`` retries with half the step, as it does
@@ -46,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgtsv
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csc_matrix
 from scipy.sparse.linalg import splu
 
 from . import operators as ops
@@ -111,7 +109,7 @@ def solve_banded(l_and_u, ab, b):
 
 
 # ---------------------------------------------------------------------------
-# Implicit heat solve (Newton in theta; off-diagonals are K-increments)
+# Implicit heat solve (Newton in theta through the Kirchhoff stencil)
 # ---------------------------------------------------------------------------
 
 _HEAT_TOL = 1.0e-11
@@ -137,45 +135,34 @@ def _positive_newton_update(theta, delta, solver):
     return new
 
 
-def _heat_jacobian(grid, gas, transport, rho, theta, dt):
-    """Jacobian in theta of the heat residual rho*e - dt * div H(theta).
+def _heat_operator(grid):
+    """L, the divergence of ``ops.kirchhoff_stencil_nd`` at zero walls, probed:
+    div H(theta) has the Jacobian L diag(kappa), the stencil being linear in
+    K.  Returns L's values, the column of each (an index into kappa), the
+    diagonal's positions among them, and L; on the column the values are L's
+    bands in solve_banded (1, 1) layout, whose entry j lies in column j."""
+    lattice = (1, grid.n) if grid.dimension == 1 else (grid.nx, grid.nz)
+    L = _probed_matrix(
+        lambda K: ops._divergence(grid, ops.kirchhoff_stencil_nd(grid, K, 0.0, 0.0)),
+        _probe_coupling(*lattice, reach=1), lattice,
+    )
+    if grid.dimension == 1:
+        bands = np.stack([np.append(0.0, L.diagonal(1)), L.diagonal(), np.append(L.diagonal(-1), 0.0)])
+        return bands, slice(None), 1, L
+    columns = np.repeat(np.arange(L.shape[1]), np.diff(L.indptr))
+    return L.data, columns, np.flatnonzero(L.indices == columns), L
 
-    The off-diagonals differentiate the K-differences of
-    ``ops.kirchhoff_fluxes_*``; the wall half-cells stiffen the end rows.
-    Returned in scipy solve_banded (1, 1) layout in 1-D and as CSC in 2-D.
-    """
+
+def _heat_jacobian(grid, gas, transport, rho, theta, dt, operator=None):
+    """Jacobian diag(rho de/dtheta) - dt L diag(kappa) of the heat residual
+    rho*e - dt * div H(theta), L from ``_heat_operator`` (``operator``, if
+    given, is its result): solve_banded (1, 1) layout in 1-D, CSC in 2-D."""
     kappa = thermo._conductivity_raw(transport, theta)
     cap = thermo._volumetric_heat_capacity_raw(gas, rho, theta)
-    if grid.dimension == 1:
-        lam = dt / grid.dx**2
-        diag = cap + 2.0 * lam * kappa
-        diag[0] += lam * kappa[0]
-        diag[-1] += lam * kappa[-1]
-        upper = np.zeros(grid.n)
-        lower = np.zeros(grid.n)
-        upper[1:] = -lam * kappa[1:]
-        lower[:-1] = -lam * kappa[:-1]
-        return np.vstack([upper, diag, lower])
-    nx, nz = grid.nx, grid.nz
-    lx = dt / grid.dx**2
-    lz = dt / grid.dz**2
-    idx = np.arange(nx * nz).reshape(nx, nz)
-    diag = cap + 2.0 * lx * kappa + 2.0 * lz * kappa
-    diag[:, 0] += lz * kappa[:, 0]
-    diag[:, -1] += lz * kappa[:, -1]
-    rows = [idx.ravel()] * 3 + [idx[:, :-1].ravel(), idx[:, 1:].ravel()]
-    cols = [
-        idx.ravel(), np.roll(idx, -1, axis=0).ravel(), np.roll(idx, 1, axis=0).ravel(),
-        idx[:, 1:].ravel(), idx[:, :-1].ravel(),
-    ]
-    vals = [
-        diag.ravel(), (-lx * np.roll(kappa, -1, axis=0)).ravel(), (-lx * np.roll(kappa, 1, axis=0)).ravel(),
-        (-lz * kappa[:, 1:]).ravel(), (-lz * kappa[:, :-1]).ravel(),
-    ]
-    return coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nx * nz, nx * nz),
-    ).tocsc()
+    values, columns, diagonal, L = _heat_operator(grid) if operator is None else operator
+    jac = -dt * values * kappa.ravel()[columns]
+    jac[diagonal] += cap.ravel()
+    return jac if grid.dimension == 1 else csc_matrix((jac, L.indices, L.indptr), shape=L.shape)
 
 
 def _implicit_heat(grid, gas, transport, rho, e_star, theta0, dt, solver=None):
@@ -185,6 +172,7 @@ def _implicit_heat(grid, gas, transport, rho, e_star, theta0, dt, solver=None):
     factors ``solver`` keeps, a fresh ``SlabLU`` when none is given."""
     if solver is None:
         solver = SlabLU()
+    operator = solver.grid_operator("heat", grid)
     theta = theta0.copy()
     scale = max(1.0, float(np.max(np.abs(e_star))))
     for _ in range(_HEAT_MAXITER):
@@ -193,7 +181,7 @@ def _implicit_heat(grid, gas, transport, rho, e_star, theta0, dt, solver=None):
         ) - e_star
         if float(np.max(np.abs(resid))) <= _HEAT_TOL * scale:
             return theta
-        jac = _heat_jacobian(grid, gas, transport, rho, theta, dt)
+        jac = _heat_jacobian(grid, gas, transport, rho, theta, dt, operator)
         if grid.dimension == 1:
             delta = solve_banded((1, 1), jac, resid)
         else:
@@ -223,56 +211,54 @@ def _interleave(u, w):
     return lattice
 
 
-def _velocity_coupling(nx, nz):
-    """Probe colours of the velocity unknowns and the (rows, cols) they may couple.
-
-    The unknowns are the lattice nodes off the walls, s = 1 .. 2nz-1, in
-    row-major order.  A row of ``ops.viscous_rhs_2d`` reaches at most one
-    step in i (periodic) and two in s, so no two unknowns of one colour may
-    lie within two steps in i and four in s of each other.  s takes s mod 5;
-    i takes i mod 3 for i < 3*(nx//3) and each column left over a colour of
-    its own, so the periodic wrap never clashes.
-    """
-    ns = 2 * nz - 1
-    m = 3 * (nx // 3)
-    ci = np.where(np.arange(nx) < m, np.arange(nx) % 3, np.arange(nx) - m + 3)
-    colour = (5 * ci[:, None] + np.arange(1, ns + 1) % 5).ravel()
-    node = np.pad(np.arange(nx * ns).reshape(nx, ns), ((0, 0), (2, 2)), constant_values=-1)
-    rows, cols = [], []
-    for di in (-1, 0, 1):
-        for ds in range(-2, 3):
-            near = np.roll(node, -di, axis=0)[:, 2 + ds:2 + ds + ns]
-            rows.append(node[:, 2:-2][near >= 0])
-            cols.append(near[near >= 0])
-    return colour, np.concatenate(rows), np.concatenate(cols)
+def _probe_coupling(nx, ns, reach):
+    """Probe colours of an (nx, ns) lattice's unknowns, row-major, and the
+    (rows, cols) they may couple.  A stencil row reaches one step in i
+    (periodic; none when nx = 1) and ``reach`` in s, so s takes s mod
+    (2 reach + 1) and i takes i mod 3 below 3*(nx//3), each column left over a
+    colour of its own: no two unknowns of one colour share a row, the
+    periodic wrap included."""
+    span, m, i = 2 * reach + 1, 3 * (nx // 3), np.arange(nx)
+    ci = np.where(i < m, i % 3, i - m + 3) if nx > 1 else i
+    colour = (span * ci[:, None] + np.arange(ns) % span).ravel()
+    node = np.pad(np.arange(nx * ns).reshape(nx, ns), ((0, 0), (reach, reach)), constant_values=-1)
+    shifts = [(di, ds) for di in ((-1, 0, 1) if nx > 1 else (0,)) for ds in range(-reach, reach + 1)]
+    near = np.stack([np.roll(node, -di, axis=0)[:, reach + ds:reach + ds + ns] for di, ds in shifts])
+    rows = np.broadcast_to(node[:, reach:-reach], near.shape)
+    return colour, rows[near >= 0], near[near >= 0]
 
 
-def _velocity_matrix(grid, transport, theta, rho, dt, coupling=None):
-    """rho_face*v - dt*viscous_rhs_2d(theta, v) over the unknowns of
-    ``_velocity_coupling`` (``coupling``, if given, is its result).
-
-    ``viscous_rhs_2d`` is linear in v, so each column is its response to a
-    unit vector, and the sum of the unit vectors of one colour returns every
-    column of that colour (Curtis, Powell & Reid 1974), exact to rounding.
-    The stencil is applied once, to the stack of all colours' probes.
-    """
-    nx, nz = grid.nx, grid.nz
-    colour, rows, cols = coupling if coupling is not None else _velocity_coupling(nx, nz)
-    n_colours = colour.max() + 1
-    probes = np.zeros((n_colours, nx, 2 * nz + 1))
-    probes[:, :, 1:-1] = (colour == np.arange(n_colours)[:, None]).reshape(n_colours, nx, -1)
-    vx, vz = ops.viscous_rhs_2d(grid, transport, theta, probes[..., 1::2], probes[..., ::2])
-    response = _interleave(vx, vz)[..., 1:-1].reshape(n_colours, -1)
-    rbu, rbw = ops._face_densities(rho, 2)
-    rho_face = _interleave(rbu, np.pad(rbw, ((0, 0), (1, 1))))[:, 1:-1].ravel()
-    diag = np.arange(colour.size)
+def _probed_matrix(operator, coupling, shape, pad=0, scale=1.0, diagonal=0.0):
+    """CSC of ``diagonal`` plus ``scale`` times a linear ``operator`` over
+    ``coupling``'s unknowns, a lattice of ``shape`` padded by ``pad`` zero
+    wall nodes along the last axis.  One colour's summed unit vectors return
+    all its columns (Curtis, Powell & Reid 1974), exact to rounding, so the
+    operator maps the stack of every colour's probe in one call."""
+    colour, rows, cols = coupling
+    n_colours, diag = colour.max() + 1, np.arange(colour.size)
+    probes = np.zeros((n_colours, *shape[:-1], shape[-1] + 2 * pad))
+    probes[..., pad:pad + shape[-1]] = (colour == np.arange(n_colours)[:, None]).reshape(n_colours, *shape)
+    response = operator(probes).reshape(n_colours, -1)
     a = coo_matrix(
-        (np.concatenate([rho_face, -dt * response[colour[cols], rows]]),
+        (np.concatenate([np.broadcast_to(diagonal, diag.shape), scale * response[colour[cols], rows]]),
          (np.concatenate([diag, rows]), np.concatenate([diag, cols]))),
         shape=(colour.size, colour.size),
     ).tocsc()
     a.eliminate_zeros()  # the pattern is a superset; its exact zeros only add LU fill
     return a
+
+
+def _velocity_matrix(grid, transport, theta, rho, dt, coupling=None):
+    """rho_face*v - dt*viscous_rhs_2d(theta, v) probed over the lattice nodes
+    off the walls (``coupling``, if given, is their ``_probe_coupling``)."""
+    nx, ns = grid.nx, 2 * grid.nz - 1
+    rbu, rbw = ops._face_densities(rho, 2)
+    rho_face = _interleave(rbu, np.pad(rbw, ((0, 0), (1, 1))))[:, 1:-1].ravel()
+    return _probed_matrix(
+        lambda v: _interleave(*ops.viscous_rhs_2d(grid, transport, theta, v[..., 1::2], v[..., ::2]))[..., 1:-1],
+        _probe_coupling(nx, ns, reach=2) if coupling is None else coupling,
+        (nx, ns), pad=1, scale=-dt, diagonal=rho_face,
+    )
 
 
 def _solve_velocity_2d(grid, transport, theta, rho, m_star_u, m_star_w, dt, solver=None):
@@ -281,7 +267,7 @@ def _solve_velocity_2d(grid, transport, theta, rho, m_star_u, m_star_w, dt, solv
     when none is given)."""
     if solver is None:
         solver = SlabLU()
-    a = _velocity_matrix(grid, transport, theta, rho, dt, solver.velocity_coupling(grid.nx, grid.nz))
+    a = _velocity_matrix(grid, transport, theta, rho, dt, solver.grid_operator("velocity", grid))
     v = _interleave(m_star_u, m_star_w)
     v[:, 1:-1] = solver.solve("velocity", a, v[:, 1:-1].ravel()).reshape(grid.nx, -1)
     v[:, [0, -1]] = 0.0
@@ -318,24 +304,29 @@ class SlabLU:
     factored anew and solved directly, as when no factors are kept.
 
     ``run`` makes one per run and hands it to every ``step``; nothing is
-    shared between instances, so concurrent runs stay independent.  It also
-    counts the heat Newton's positivity halvings (``heat_backtracks``), on
-    the column as on the slab.
+    shared between instances, so concurrent runs stay independent.  On the
+    column as on the slab it also keeps the probed heat operator
+    (``grid_operator``) and counts the heat Newton's positivity halvings.
     """
 
     def __init__(self):
         self._factors = {}
-        self._couplings = {}
+        self._grid_operators = {}
         self.factorisations = 0
         self.refinements = 0
         # heat-Newton step halvings that keep theta positive, on either grid
         self.heat_backtracks = 0
 
-    def velocity_coupling(self, nx, nz):
-        """``_velocity_coupling(nx, nz)``, built once per grid."""
-        if (nx, nz) not in self._couplings:
-            self._couplings[nx, nz] = _velocity_coupling(nx, nz)
-        return self._couplings[nx, nz]
+    def grid_operator(self, kind, grid):
+        """The velocity unknowns' ``_probe_coupling`` or the ``_heat_operator``
+        of ``grid``, built once per grid shape and spacing: L holds 1/dx^2
+        and 1/dz^2."""
+        key = (kind, grid.dx, grid.dz) + ((grid.n,) if grid.dimension == 1 else (grid.nx, grid.nz))
+        if key not in self._grid_operators:
+            self._grid_operators[key] = (
+                _heat_operator(grid) if kind == "heat" else _probe_coupling(grid.nx, 2 * grid.nz - 1, reach=2)
+            )
+        return self._grid_operators[key]
 
     def solve(self, kind, a, b):
         kept = self._factors.pop(kind, None)

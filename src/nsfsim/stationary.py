@@ -148,6 +148,7 @@ class StationaryState(VelocityComponents):
     residual_calls: int = 0
     floor_steps: int = 0
     lu_fill: int = 0
+    hydrostatic_halvings: int = 0  # the pipeline's (or guess's) hydrostatic positivity halvings
 
     def as_fluid_state(self, t: float = 0.0) -> FluidState:
         return FluidState(
@@ -284,7 +285,7 @@ def _hydrostatic_newton(gas, theta, dG, dx, m0):
     """
     n = theta.size
     rho = np.full(n, m0 / (n * dx))
-    converged = False
+    converged, halvings = False, 0
     for _ in range(_HYDROSTATIC_MAXITER):
         p = thermo.pressure(gas, rho, theta)
         face = np.diff(p) - 0.5 * (rho[:-1] + rho[1:]) * dG
@@ -307,6 +308,7 @@ def _hydrostatic_newton(gas, theta, dG, dx, m0):
         s = 1.0
         while not np.all(rho + s * delta > 0.0):
             s *= 0.5
+            halvings += 1
             if s < 2.0**-20:
                 raise ShootingFailure(
                     "hydrostatic Newton cannot keep the density positive (driven to the "
@@ -319,7 +321,7 @@ def _hydrostatic_newton(gas, theta, dG, dx, m0):
     balanced = np.all(np.abs(face) <= 1.0e-9 * np.maximum(1.0, np.abs(p[:-1])))
     if not balanced or abs(np.sum(rho) * dx - m0) > _HYDROSTATIC_MASS_TOL * max(1.0, m0):
         raise ShootingFailure("face balance or mass not met after the hydrostatic Newton solve")
-    return rho
+    return rho, halvings
 
 
 def brentq(f, a, b, **kwargs):
@@ -357,9 +359,9 @@ def solve_hydrostatic_density(
     if mode == "discrete":
         theta_s = np.asarray(theta_s, dtype=float)
         dG = np.full(grid.n - 1, float(g) * grid.dx) if np.ndim(g) == 0 else np.diff(np.asarray(g))
-        rho = _hydrostatic_newton(gas, theta_s, dG, grid.dx, m0)
+        rho, halvings = _hydrostatic_newton(gas, theta_s, dG, grid.dx, m0)
         if return_details:
-            return rho, {"rho0": float(rho[0]), "mass": float(np.sum(rho) * grid.dx)}
+            return rho, {"rho0": float(rho[0]), "mass": float(np.sum(rho) * grid.dx), "halvings": halvings}
         return rho
 
     if mode != "rk4":
@@ -441,7 +443,7 @@ def solve_rb_pipeline(config: ProblemConfig, gas, transport) -> StationaryState:
     gval = 0.0 if config.g is None else (float(config.g[-1]) if np.ndim(config.g) else float(config.g))
     theta_col = solve_heat_profile_1d(transport, col.theta_bottom, col.theta_top, col)
     m0_col = config.m0 / (1.0 if grid.dimension == 1 else grid.lx)
-    rho_col = solve_hydrostatic_density(gas, theta_col, gval, m0_col, col)
+    rho_col, details = solve_hydrostatic_density(gas, theta_col, gval, m0_col, col, return_details=True)
     if grid.dimension == 1:
         rho, theta = rho_col, theta_col
         u, w = np.zeros(grid.n + 1), None
@@ -451,7 +453,7 @@ def solve_rb_pipeline(config: ProblemConfig, gas, transport) -> StationaryState:
         u = np.zeros((grid.nx, grid.nz))
         w = np.zeros((grid.nx, grid.nz + 1))
     G = config.potential_field()
-    state = StationaryState(grid=grid, rho=rho, theta=theta, u=u, w=w)
+    state = StationaryState(grid=grid, rho=rho, theta=theta, u=u, w=w, hydrostatic_halvings=details["halvings"])
     state.residual_norms = _residual_norms(state, gas, transport, G)
     state.mass_error = abs(float(np.sum(rho) * grid.cell_volume) - config.m0)
     state.proximity = _proximity(config, state)
@@ -864,6 +866,7 @@ def solve_stationary_newton(
     state.residual_trace, state.floor_steps, state.jacobians = trace, floor_steps, jacobians
     state.jacobian_colours = 0 if jacobian is None else len(jacobian.groups)
     state.lu_fill = 0 if lu is None else lu.nnz
+    state.hydrostatic_halvings = getattr(initial_guess, "hydrostatic_halvings", 0)
     state.residual_calls = calls + layout.probe_calls
     state.residual_norms = _residual_norms(state, gas, transport, G)
     state.mass_error = abs(float(np.sum(rho) * grid.cell_volume) - m0)

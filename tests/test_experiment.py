@@ -449,6 +449,16 @@ def test_manifest_records_slab_step_counters(tmp_path):
     assert counters["step_refinements"] > 0
     assert counters["dt_min_clamps"] == 0
     assert counters["heat_backtracks"] == 0
+    assert counters["hydrostatic_halvings"] == 0
+
+
+def test_manifest_records_hydrostatic_halvings(tmp_path):
+    # strong gravity on an isothermal column makes the pipeline's hydrostatic
+    # Newton halve two steps to keep the density positive
+    config = ex.config_from_mapping({"domain.n": "32", "g": "30", "horizon": "0"}, preset="static-sanity")
+    manifest = ex.run_experiment(config, output_dir=tmp_path)
+    assert manifest.status == "ok"
+    assert manifest.counters["hydrostatic_halvings"] == 2
 
 
 def test_lateral_newton_at_24x16_factors_one_jacobian(tmp_path):

@@ -1,13 +1,16 @@
 """Time-stepper tests: CFL policy, exact equilibrium preservation, discrete
 conservation, positivity/retry policy, the acoustic signal-speed oracle,
-2-D periodic topology, and the one-call assembly of the 2-D momentum matrix."""
+2-D periodic topology, the one-call assembly of the 2-D momentum matrix and
+the heat operator probed from the Kirchhoff stencil."""
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from nsfsim import experiment as ex
 from nsfsim import operators as ops
 from nsfsim import simulator as sim
 from nsfsim import thermo
@@ -230,15 +233,15 @@ def test_implicit_heat_positivity_floor_fails_at_once(dimension, monkeypatch):
 
 @pytest.mark.parametrize("dimension", [1, 2])
 def test_heat_jacobian_matches_finite_difference_oracle(dimension):
-    # the hand-assembled kappa Jacobian must be the derivative of the
-    # K-difference heat residual; a wrong entry would only slow Newton down
+    # the kappa-scaled probe of the Kirchhoff stencil must be the derivative
+    # of the K-difference heat residual; a wrong entry would only slow Newton
+    # down
     rng = np.random.default_rng(40 + dimension)
     if dimension == 1:
         grid = Grid1D(n=16, theta_bottom=1.3, theta_top=0.8)
-        kirchhoff_div = ops.kirchhoff_div_nd
     else:
         grid = Grid2D(nx=6, nz=5, theta_bottom=1.3, theta_top=0.8)
-        kirchhoff_div = ops.kirchhoff_div_nd
+    kirchhoff_div = ops.kirchhoff_div_nd
     shape = (16,) if dimension == 1 else (6, 5)
     rho = 0.5 + rng.random(shape)
     theta = 0.5 + rng.random(shape)
@@ -261,6 +264,85 @@ def test_heat_jacobian_matches_finite_difference_oracle(dimension):
         jac = jac.toarray()
     column_max = np.max(np.abs(fd), axis=0)
     assert np.all(np.abs(jac - fd) <= 1e-6 * column_max)
+
+
+def heat_operator_matrix(grid):
+    """The heat operator L of ``sim._heat_operator`` as a sparse matrix: the
+    slab's CSC, or the column's bands."""
+    values, _, _, L = sim._heat_operator(grid)
+    if grid.dimension == 2:
+        return L
+    return scipy.sparse.diags([values[0, 1:], values[1], values[2, :-1]], [1, 0, -1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dimension=hst.sampled_from([1, 2]),
+    nx=hst.integers(3, 12),
+    nz=hst.integers(3, 8),
+    n=hst.integers(3, 64),
+    lx=hst.floats(0.5, 3.0),
+    seed=hst.integers(0, 2**32 - 1),
+)
+def test_heat_operator_equals_its_stencil(dimension, nx, nz, n, lx, seed):
+    # every residue of nx mod 3 and the periodic wrap: a colouring that
+    # clashes puts a neighbour's coefficient in the wrong column and fails this
+    rng = np.random.default_rng(seed)
+    grid = Grid1D(n=n) if dimension == 1 else Grid2D(nx=nx, nz=nz, lx=lx)
+    K = rng.standard_normal((n,) if dimension == 1 else (nx, nz))
+    want = ops._divergence(grid, ops.kirchhoff_stencil_nd(grid, K, 0.0, 0.0)).ravel()
+    got = heat_operator_matrix(grid) @ K.ravel()
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("preset", ["rb-2d-topology", "rb-1d-small"])
+def test_run_builds_the_heat_operator_once(preset, monkeypatch):
+    # the operator is probed once per run and only rescaled by kappa in
+    # every heat-Newton iteration after that
+    config = ex.config_from_mapping({"horizon": "0.02"}, preset=preset)
+    gas, transport = ex.build_models(config)
+    problem = ex.build_problem(config)
+    initial = ex.make_initial_state(config, ex.solve_reference(config, problem, gas, transport))
+    builds = []
+
+    def counted(grid):
+        builds.append(grid)
+        return heat_operator(grid)
+
+    heat_operator = sim._heat_operator
+    monkeypatch.setattr(sim, "_heat_operator", counted)
+    result = sim.run(initial, config["horizon"], StepControl(), gas, transport, problem.potential_field())
+    assert not result.aborted and result.steps >= 2
+    assert len(builds) == 1
+
+
+def test_one_solver_keeps_an_operator_per_slab_spacing(monkeypatch):
+    # two slabs of one shape but different periods: L holds 1/dx^2, so each
+    # gets its own, and each step's heat Newton converges with it
+    solver = sim.SlabLU()
+    residuals = []
+
+    def checked(grid, gas, transport, rho, e_star, theta0, dt, solver=None):
+        theta = implicit_heat(grid, gas, transport, rho, e_star, theta0, dt, solver)
+        resid = thermo._volumetric_energy_raw(gas, rho, theta) - dt * ops.kirchhoff_div_nd(
+            grid, transport, theta
+        ) - e_star
+        residuals.append(np.max(np.abs(resid)) / max(1.0, np.max(np.abs(e_star))))
+        return theta
+
+    implicit_heat = sim._implicit_heat
+    monkeypatch.setattr(sim, "_implicit_heat", checked)
+    operators = []
+    for lx in (2.0, 0.5):
+        grid = Grid2D(nx=8, nz=6, theta_bottom=1.1, theta_top=1.0, lx=lx)
+        theta = 1.0 + 0.1 * np.sin(2 * np.pi * grid.x_centers())[:, None] * np.ones(grid.nz)
+        state = FluidState(grid, 0.0, np.ones_like(theta), theta, np.zeros_like(theta), np.zeros((8, 7)))
+        step(state, 1e-3, GAS, TR, solver=solver)
+        operators.append(solver.grid_operator("heat", grid))
+        _, _, _, want = sim._heat_operator(grid)
+        assert (abs(operators[-1][3] - want)).max() == 0.0
+    assert (abs(operators[0][3] - operators[1][3])).max() > 0.0
+    assert len(residuals) == 2 and max(residuals) <= sim._HEAT_TOL
 
 
 def test_implicit_velocity_solve_damps_and_preserves_zero():

@@ -231,6 +231,28 @@ def test_hydrostatic_face_residual_second_order():
     assert np.all(np.abs(orders - 2.0) < 0.3)
 
 
+def test_hydrostatic_newton_counts_its_positivity_halvings():
+    # strong gravity on an isothermal column: Newton's first steps would
+    # take the top densities negative and are halved, twice here; the solve
+    # still balances every face, and the pipeline and a Newton state solved
+    # from its guess report the count
+    grid = Grid1D(n=32)
+    theta = np.ones(32)
+    rho, details = solve_hydrostatic_density(GAS, theta, 30.0, 1.0, grid, return_details=True)
+    assert details["halvings"] == 2
+    p = pressure(GAS, rho, theta)
+    face_balance = np.diff(p) - 0.5 * (rho[:-1] + rho[1:]) * 30.0 * grid.dx
+    assert np.all(np.abs(face_balance) <= 1e-9 * np.maximum(1.0, np.abs(p[:-1])))
+    assert abs(np.sum(rho) * grid.dx - 1.0) <= 1e-12
+    mild = solve_hydrostatic_density(GAS, theta, 0.01, 1.0, grid, return_details=True)[1]
+    assert mild["halvings"] == 0
+    config = ProblemConfig(grid=grid, m0=1.0, g=30.0)
+    pipeline = solve_rb_pipeline(config, GAS, TR)
+    assert pipeline.hydrostatic_halvings == 2
+    assert solve_stationary_newton(config, GAS, TR, initial_guess=pipeline).hydrostatic_halvings == 2
+    assert solve_rb_pipeline(ProblemConfig(grid=grid, m0=1.0, g=0.01), GAS, TR).hydrostatic_halvings == 0
+
+
 def test_hydrostatic_shooting_failure_outside_regime():
     # violently negative potential gradient drives the pressure toward the
     # vacuum floor: reported as a shooting failure, not silent garbage
