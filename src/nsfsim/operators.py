@@ -8,7 +8,10 @@ Both sides call the same functions: ``mass_rhs_nd`` for continuity,
 ``energy_explicit_nd`` (transport of rho*e, shear heating, pressure work) with
 ``kirchhoff_div_nd`` for energy.  ``steady_residual_*`` combines them with the
 stepper's signs; the 2-D velocity gradients, wall ghost reflection included,
-come from ``strain_rates_2d`` alone.
+come from ``strain_rates_2d`` alone.  The slab's stress divergence is split
+like the heat flux below: ``viscous_rhs_2d`` is ``stress_divergence_2d``, the
+closure and a stress linear in the strains, on those strain rates, so that
+the stepper computes the strains of its velocity probes once per grid.
 
 Conventions
 -----------
@@ -65,6 +68,7 @@ __all__ = [
     "shear_heating_1d",
     "steady_residual_1d",
     "strain_rates_2d",
+    "stress_divergence_2d",
     "viscous_rhs_2d",
     "shear_heating_2d",
     "steady_residual_2d",
@@ -324,24 +328,31 @@ def strain_rates_2d(grid: Grid2D, u, w):
     return (_east(u) - u) / grid.dx, (w[..., 1:] - w[..., :-1]) / dz, dudz, (w - _west(w)) / grid.dx
 
 
-def viscous_rhs_2d(grid, transport, theta, u, w):
-    """Full Newtonian stress divergence at the velocity nodes.
+def stress_divergence_2d(grid, transport, theta, strains):
+    """Full Newtonian stress divergence at the velocity nodes, from the
+    ``strain_rates_2d`` of (u, w): the closure (mu and eta at the centers,
+    mu at the corners) and the stress, linear in the strains.
 
-    ``u`` and ``w`` may be stacks of fields along leading axes; the
-    viscosities are read from ``theta`` once and serve every field.
+    The strains may be stacks along leading axes; the viscosities are read
+    from ``theta`` once and serve every field.
     """
     dx, dz = grid.dx, grid.dz
     mu_c, eta_c = thermo.viscosities(transport, theta)
     lam_c = eta_c - 2.0 / 3.0 * mu_c
-    dudx, dwdz, dudz, dwdx = strain_rates_2d(grid, u, w)
+    dudx, dwdz, dudz, dwdx = strains
     div = dudx + dwdz
     sxx = 2.0 * mu_c * dudx + lam_c * div
     szz = 2.0 * mu_c * dwdz + lam_c * div
     sxz = _corner_mu(grid, transport, mu_c) * (dudz + dwdx)
     vx = (sxx - _west(sxx)) / dx + (sxz[..., 1:] - sxz[..., :-1]) / dz
-    vz = np.zeros_like(w)
+    vz = np.zeros(dwdx.shape)
     vz[..., 1:-1] = (_east(sxz) - sxz)[..., 1:-1] / dx + (szz[..., 1:] - szz[..., :-1]) / dz
     return vx, vz
+
+
+def viscous_rhs_2d(grid, transport, theta, u, w):
+    """``stress_divergence_2d`` of the strain rates of ``u`` and ``w``."""
+    return stress_divergence_2d(grid, transport, theta, strain_rates_2d(grid, u, w))
 
 
 def shear_heating_2d(grid, transport, theta, u, w):

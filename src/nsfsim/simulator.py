@@ -10,8 +10,9 @@ of ``operators`` on the velocity components and comprises, in order:
       stable), potential force, and a backward-Euler solve for the viscous
       stress with viscosities frozen at theta^n: the column's banded
       (4/3)mu + eta operator in 1-D, and in 2-D one coupled solve for (u, w)
-      under the full stress, its matrix assembled from ``viscous_rhs_2d``
-      and solved with the sparse LU factors ``SlabLU`` keeps,
+      under the full stress, its matrix one ``stress_divergence_2d`` call on
+      the kept strains of the velocity probes, and solved with the sparse LU
+      factors ``SlabLU`` keeps,
 (iii) internal-energy stage: rho*e is advanced by the explicit tendencies of
       ``operators.energy_explicit_nd`` (upwind transport of rho*e and the
       sources S:Du - p div u at half-step velocities), the very function the
@@ -24,12 +25,19 @@ of ``operators`` on the velocity components and comprises, in order:
       ``SlabLU`` keeps,
 (iv)  boundary enforcement (no-slip walls, Dirichlet temperature traces).
 
-Both slab matrices are probed from their stencils over one colouring
-(``_probe_coupling``) and factored with a minimum-degree ordering of
-A^T + A: at 32x24 the velocity LU takes 5.7 ms and 88k nonzeros against
-9.3 ms and 129k under COLAMD.  Between steps a matrix moves by 1e-4 to
-2e-3 relative, so ``run`` keeps the factors for the whole run (``SlabLU``):
-the 5 steps of a 32x24 ``rb-2d-topology`` run factor 4 times, not 15.
+Both slab matrices are probed from their stencils through a ``_ProbePlan``
+built once per grid: the colouring (``_probe_coupling``), the probe stack,
+the coupling pattern's CSC arrays and each stored entry's place in the
+stacked response.  A step's velocity matrix is then one stress-divergence
+call on the probes' kept strains, one gather and a ``csc_matrix`` on the
+fixed arrays (1.0 ms at 32x24, against 4.8 ms probing and converting
+COO -> CSC every step).  It stores the pattern's exact zeros, which
+``SlabLU`` drops from the copy it factors.  The factors use a
+minimum-degree ordering of A^T + A: at 32x24 the velocity LU takes 5.7 ms
+and 88k nonzeros against 9.3 ms and 129k under COLAMD.  Between steps a
+matrix moves by 1e-4 to 2e-3 relative, so ``run`` keeps the factors for
+the whole run (``SlabLU``): the 5 steps of a 32x24 ``rb-2d-topology`` run
+factor 4 times, not 15.
 
 Negative density or temperature is never clamped: a failed step raises
 ``PositivityError`` and ``run`` retries with half the step, as it does
@@ -136,16 +144,16 @@ def _positive_newton_update(theta, delta, solver):
 
 
 def _heat_operator(grid):
-    """L, the divergence of ``ops.kirchhoff_stencil_nd`` at zero walls, probed:
-    div H(theta) has the Jacobian L diag(kappa), the stencil being linear in
-    K.  Returns L's values, the column of each (an index into kappa), the
-    diagonal's positions among them, and L; on the column the values are L's
-    bands in solve_banded (1, 1) layout, whose entry j lies in column j."""
+    """L, the divergence of ``ops.kirchhoff_stencil_nd`` at zero walls, probed
+    through a ``_ProbePlan``: div H(theta) has the Jacobian L diag(kappa),
+    the stencil being linear in K.  Returns L's values, the column of each
+    (an index into kappa), the diagonal's positions among them, and L; on the
+    column the values are L's bands in solve_banded (1, 1) layout, whose
+    entry j lies in column j."""
     lattice = (1, grid.n) if grid.dimension == 1 else (grid.nx, grid.nz)
-    L = _probed_matrix(
-        lambda K: ops._divergence(grid, ops.kirchhoff_stencil_nd(grid, K, 0.0, 0.0)),
-        _probe_coupling(*lattice, reach=1), lattice,
-    )
+    plan = _ProbePlan(_probe_coupling(*lattice, reach=1), lattice)
+    L = plan.matrix(ops._divergence(grid, ops.kirchhoff_stencil_nd(grid, plan.probes, 0.0, 0.0)))
+    L.eliminate_zeros()  # the pattern is a superset; its exact zeros only add work
     if grid.dimension == 1:
         bands = np.stack([np.append(0.0, L.diagonal(1)), L.diagonal(), np.append(L.diagonal(-1), 0.0)])
         return bands, slice(None), 1, L
@@ -213,52 +221,80 @@ def _interleave(u, w):
 
 def _probe_coupling(nx, ns, reach):
     """Probe colours of an (nx, ns) lattice's unknowns, row-major, and the
-    (rows, cols) they may couple.  A stencil row reaches one step in i
-    (periodic; none when nx = 1) and ``reach`` in s, so s takes s mod
-    (2 reach + 1) and i takes i mod 3 below 3*(nx//3), each column left over a
-    colour of its own: no two unknowns of one colour share a row, the
-    periodic wrap included."""
-    span, m, i = 2 * reach + 1, 3 * (nx // 3), np.arange(nx)
-    ci = np.where(i < m, i % 3, i - m + 3) if nx > 1 else i
+    (rows, cols) they may couple, rows ascending.  A stencil row reaches one
+    step in i (periodic; none when nx = 1) and ``reach`` in s, so s takes
+    s mod (2 reach + 1) and i runs through blocks of 3 colours, then of 4
+    (nx = 3a + 4b), one colour per column when nx is 5 or less: columns of
+    one colour lie at least 3 apart around the ring, so no two unknowns of
+    one colour share a row, the periodic wrap included.  From nx = 6 on
+    that takes at most 4 x-colours."""
+    span, m, i = 2 * reach + 1, nx - 4 * (nx % 3), np.arange(nx)
+    ci = np.where(i < m, i % 3, (i - m) % 4) if m >= 0 else i
     colour = (span * ci[:, None] + np.arange(ns) % span).ravel()
     node = np.pad(np.arange(nx * ns).reshape(nx, ns), ((0, 0), (reach, reach)), constant_values=-1)
-    shifts = [(di, ds) for di in ((-1, 0, 1) if nx > 1 else (0,)) for ds in range(-reach, reach + 1)]
-    near = np.stack([np.roll(node, -di, axis=0)[:, reach + ds:reach + ds + ns] for di, ds in shifts])
-    rows = np.broadcast_to(node[:, reach:-reach], near.shape)
-    return colour, rows[near >= 0], near[near >= 0]
+    rolled = [np.roll(node, -di, axis=0) for di in ((-1, 0, 1) if nx > 1 else (0,))]
+    near = np.stack([r[:, reach + ds:reach + ds + ns] for r in rolled for ds in range(-reach, reach + 1)], axis=-1)
+    coupled = near >= 0
+    return colour, np.broadcast_to(node[:, reach:-reach, None], near.shape)[coupled], near[coupled]
 
 
-def _probed_matrix(operator, coupling, shape, pad=0, scale=1.0, diagonal=0.0):
-    """CSC of ``diagonal`` plus ``scale`` times a linear ``operator`` over
-    ``coupling``'s unknowns, a lattice of ``shape`` padded by ``pad`` zero
-    wall nodes along the last axis.  One colour's summed unit vectors return
-    all its columns (Curtis, Powell & Reid 1974), exact to rounding, so the
-    operator maps the stack of every colour's probe in one call."""
-    colour, rows, cols = coupling
-    n_colours, diag = colour.max() + 1, np.arange(colour.size)
-    probes = np.zeros((n_colours, *shape[:-1], shape[-1] + 2 * pad))
-    probes[..., pad:pad + shape[-1]] = (colour == np.arange(n_colours)[:, None]).reshape(n_colours, *shape)
-    response = operator(probes).reshape(n_colours, -1)
-    a = coo_matrix(
-        (np.concatenate([np.broadcast_to(diagonal, diag.shape), scale * response[colour[cols], rows]]),
-         (np.concatenate([diag, rows]), np.concatenate([diag, cols]))),
-        shape=(colour.size, colour.size),
-    ).tocsc()
-    a.eliminate_zeros()  # the pattern is a superset; its exact zeros only add LU fill
-    return a
+class _ProbePlan:
+    """How a linear operator on a lattice becomes a CSC matrix, fixed per grid.
+
+    ``coupling`` (from ``_probe_coupling``) colours the unknowns of a
+    lattice of ``shape``, padded by ``pad`` zero wall nodes along the last
+    axis.  One colour's summed unit vectors return all its columns (Curtis,
+    Powell & Reid 1974), exact to rounding, so the operator maps ``probes``,
+    the stack of every colour's probe, in one call; ``matrix`` reads the
+    coupling pattern off that response with one gather, no sort.
+    """
+
+    def __init__(self, coupling, shape, pad=0):
+        colour, rows, cols = coupling
+        n, n_colours = colour.size, colour.max() + 1
+        node = np.arange(n)
+        padded = node + pad * (2 * (node // shape[-1]) + 1)  # its place on the padded lattice
+        self.probes = np.zeros((n_colours, *shape[:-1], shape[-1] + 2 * pad))
+        self.probes.reshape(n_colours, -1)[colour, padded] = 1.0
+        # the pairs in CSC order, the storage order of a COO -> CSC
+        # conversion: that of their own indices (with the rows ascending, it
+        # finds every column sorted)
+        pattern = coo_matrix((np.arange(rows.size), (rows, cols)), shape=(n, n)).tocsc()
+        pattern.sort_indices()
+        col = cols[pattern.data]
+        self.indices, self.indptr = pattern.indices, pattern.indptr
+        self.diagonal = np.flatnonzero(pattern.indices == col)
+        # each entry's place in the stacked response: the probe of its
+        # column's colour, at its row's node
+        self.gather = (colour * self.probes[0].size)[col] + padded[pattern.indices]
+
+    def matrix(self, response, scale=1.0, diagonal=0.0):
+        """CSC of ``diagonal`` plus ``scale`` times the operator whose
+        response to ``probes`` is ``response``.  It stores the pattern's
+        exact zeros and owns its index arrays."""
+        data = scale * response.ravel()[self.gather]
+        data[self.diagonal] += diagonal
+        n = self.indptr.size - 1
+        return csc_matrix((data, self.indices.copy(), self.indptr.copy()), shape=(n, n))
 
 
-def _velocity_matrix(grid, transport, theta, rho, dt, coupling=None):
-    """rho_face*v - dt*viscous_rhs_2d(theta, v) probed over the lattice nodes
-    off the walls (``coupling``, if given, is their ``_probe_coupling``)."""
-    nx, ns = grid.nx, 2 * grid.nz - 1
+def _velocity_operator(grid):
+    """The ``_ProbePlan`` of the velocity unknowns, the lattice nodes off the
+    walls, and the ``strain_rates_2d`` of its probes: both fixed per grid."""
+    lattice = (grid.nx, 2 * grid.nz - 1)
+    plan = _ProbePlan(_probe_coupling(*lattice, reach=2), lattice, pad=1)
+    return plan, ops.strain_rates_2d(grid, plan.probes[..., 1::2], plan.probes[..., ::2])
+
+
+def _velocity_matrix(grid, transport, theta, rho, dt, operator=None):
+    """rho_face*v - dt*viscous_rhs_2d(theta, v) over the lattice nodes off
+    the walls: one ``stress_divergence_2d`` call on the kept probe strains
+    of ``_velocity_operator`` (``operator``, if given, is its result).  The
+    matrix stores the coupling pattern's exact zeros."""
+    plan, strains = _velocity_operator(grid) if operator is None else operator
     rbu, rbw = ops._face_densities(rho, 2)
     rho_face = _interleave(rbu, np.pad(rbw, ((0, 0), (1, 1))))[:, 1:-1].ravel()
-    return _probed_matrix(
-        lambda v: _interleave(*ops.viscous_rhs_2d(grid, transport, theta, v[..., 1::2], v[..., ::2]))[..., 1:-1],
-        _probe_coupling(nx, ns, reach=2) if coupling is None else coupling,
-        (nx, ns), pad=1, scale=-dt, diagonal=rho_face,
-    )
+    return plan.matrix(_interleave(*ops.stress_divergence_2d(grid, transport, theta, strains)), -dt, rho_face)
 
 
 def _solve_velocity_2d(grid, transport, theta, rho, m_star_u, m_star_w, dt, solver=None):
@@ -305,8 +341,9 @@ class SlabLU:
 
     ``run`` makes one per run and hands it to every ``step``; nothing is
     shared between instances, so concurrent runs stay independent.  On the
-    column as on the slab it also keeps the probed heat operator
-    (``grid_operator``) and counts the heat Newton's positivity halvings.
+    column as on the slab it also keeps the probed heat operator, on the
+    slab the velocity probe plan and its strains (``grid_operator``), and
+    it counts the heat Newton's positivity halvings.
     """
 
     def __init__(self):
@@ -318,14 +355,12 @@ class SlabLU:
         self.heat_backtracks = 0
 
     def grid_operator(self, kind, grid):
-        """The velocity unknowns' ``_probe_coupling`` or the ``_heat_operator``
-        of ``grid``, built once per grid shape and spacing: L holds 1/dx^2
-        and 1/dz^2."""
+        """The ``_velocity_operator`` or the ``_heat_operator`` of ``grid``,
+        built once per grid shape and spacing, which L and the probe strains
+        hold."""
         key = (kind, grid.dx, grid.dz) + ((grid.n,) if grid.dimension == 1 else (grid.nx, grid.nz))
         if key not in self._grid_operators:
-            self._grid_operators[key] = (
-                _heat_operator(grid) if kind == "heat" else _probe_coupling(grid.nx, 2 * grid.nz - 1, reach=2)
-            )
+            self._grid_operators[key] = (_heat_operator if kind == "heat" else _velocity_operator)(grid)
         return self._grid_operators[key]
 
     def solve(self, kind, a, b):
@@ -336,7 +371,9 @@ class SlabLU:
                 self._factors[kind] = kept
                 return x
         del kept  # the old factors go before the new ones are made
-        lu = splu(a, **_LU_ORDERING)
+        nonzero = a.copy()
+        nonzero.eliminate_zeros()  # stored zeros would only add fill
+        lu = splu(nonzero, **_LU_ORDERING)
         self.factorisations += 1
         self._factors[kind] = lu
         return lu.solve(b)
@@ -346,7 +383,8 @@ class SlabLU:
         matrix, or None once a sweep stalls, the residual is not finite or
         the cap is hit."""
         x = lu.solve(b)
-        a_norm = float(abs(a).sum(axis=1).max())
+        # the row sums of |a| in storage order, as abs(a).sum(axis=1) adds them
+        a_norm = float(np.bincount(a.indices, weights=np.abs(a.data), minlength=a.shape[0]).max())
         b_norm = last = float(np.max(np.abs(b)))
         for sweep in range(_REFINE_MAX + 1):
             r = b - a @ x

@@ -2,8 +2,9 @@
 is assembled from, its residual, and its stability at the acoustic step."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
+from scipy.sparse import coo_matrix
 
 from nsfsim import experiment as ex
 from nsfsim import operators as ops
@@ -57,6 +58,56 @@ def test_velocity_matrix_equals_its_stencil(nx, nz, eta0, seed):
     got = a @ sim._interleave(u, w)[:, 1:-1].ravel()
     want = sim._interleave(res_u, np.pad(res_w, ((0, 0), (1, 1))))[:, 1:-1].ravel()
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def coo_velocity_matrix(grid, transport, theta, rho, dt):
+    """The velocity matrix assembled COO -> CSC from the probe responses,
+    its exact zeros dropped: the arithmetic that the probe plan's gather
+    replaces."""
+    nx, ns = grid.nx, 2 * grid.nz - 1
+    colour, rows, cols = sim._probe_coupling(nx, ns, reach=2)
+    n_colours, diag = colour.max() + 1, np.arange(colour.size)
+    probes = np.zeros((n_colours, nx, ns + 2))
+    probes[..., 1:-1] = (colour == np.arange(n_colours)[:, None]).reshape(n_colours, nx, ns)
+    vx, vz = ops.viscous_rhs_2d(grid, transport, theta, probes[..., 1::2], probes[..., ::2])
+    response = sim._interleave(vx, vz)[..., 1:-1].reshape(n_colours, -1)
+    rbu, rbw = face_densities(rho)
+    rho_face = sim._interleave(rbu, np.pad(rbw, ((0, 0), (1, 1))))[:, 1:-1].ravel()
+    a = coo_matrix(
+        (np.concatenate([rho_face, -dt * response[colour[cols], rows]]),
+         (np.concatenate([diag, rows]), np.concatenate([diag, cols]))),
+        shape=(colour.size, colour.size),
+    ).tocsc()
+    a.eliminate_zeros()
+    return a
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nx=hst.integers(3, 13),
+    nz=hst.integers(3, 8),
+    eta0=hst.sampled_from([0.0, 0.5]),
+    seed=hst.integers(0, 2**32 - 1),
+)
+@example(nx=4, nz=3, eta0=0.5, seed=0)
+@example(nx=5, nz=4, eta0=0.0, seed=1)
+@example(nx=7, nz=5, eta0=0.5, seed=2)
+@example(nx=8, nz=3, eta0=0.0, seed=3)
+@example(nx=13, nz=8, eta0=0.5, seed=4)
+def test_velocity_matrix_from_a_kept_plan_is_the_coo_assembly(nx, nz, eta0, seed):
+    # every residue of nx mod 3, the rings of 4 and 5 columns and rings of 3-
+    # and 4-blocks: the gather puts each probe response where the COO -> CSC
+    # conversion puts it, bit for bit, once the pattern's exact zeros go
+    grid, transport, rho, theta, _, _ = random_slab(nx, nz, eta0, seed)
+    operator = sim._velocity_operator(grid)
+    for dt in (0.3, 0.002):
+        got = sim._velocity_matrix(grid, transport, theta, rho, dt, operator)
+        got.eliminate_zeros()
+        got.sort_indices()
+        want = coo_velocity_matrix(grid, transport, theta, rho, dt)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
 
 
 @settings(max_examples=15, deadline=None)

@@ -295,10 +295,32 @@ def test_heat_operator_equals_its_stencil(dimension, nx, nz, n, lx, seed):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("preset", ["rb-2d-topology", "rb-1d-small"])
-def test_run_builds_the_heat_operator_once(preset, monkeypatch):
-    # the operator is probed once per run and only rescaled by kappa in
-    # every heat-Newton iteration after that
+def test_probe_colouring_keeps_rows_apart_with_few_colours():
+    # no row sees two unknowns of one colour, the periodic wrap included, and
+    # blocks of 3 and 4 columns need 4 x-colours on every ring from 6 on
+    ns = 7
+    for reach in (1, 2):
+        for nx in range(3, 41):
+            colour, rows, cols = sim._probe_coupling(nx, ns, reach)
+            assert colour.size == nx * ns
+            assert len(set(zip(rows, colour[cols]))) == rows.size, (nx, reach)
+            x_colours = (colour.max() + 1) // (2 * reach + 1)
+            assert x_colours == (3 if nx % 3 == 0 else nx if nx in (4, 5) else 4), (nx, reach)
+
+
+@pytest.mark.parametrize(
+    "preset, builder",
+    [
+        ("rb-2d-topology", "_heat_operator"),
+        ("rb-1d-small", "_heat_operator"),
+        ("rb-2d-topology", "_velocity_operator"),
+    ],
+    ids=["rb-2d-topology", "rb-1d-small", "rb-2d-topology-velocity"],
+)
+def test_run_builds_the_heat_operator_once(preset, builder, monkeypatch):
+    # the heat operator and the velocity probe plan are built once per run:
+    # after that L is only rescaled by kappa in every heat-Newton iteration,
+    # and the plan's kept strains only meet each step's viscosities
     config = ex.config_from_mapping({"horizon": "0.02"}, preset=preset)
     gas, transport = ex.build_models(config)
     problem = ex.build_problem(config)
@@ -307,10 +329,10 @@ def test_run_builds_the_heat_operator_once(preset, monkeypatch):
 
     def counted(grid):
         builds.append(grid)
-        return heat_operator(grid)
+        return build(grid)
 
-    heat_operator = sim._heat_operator
-    monkeypatch.setattr(sim, "_heat_operator", counted)
+    build = getattr(sim, builder)
+    monkeypatch.setattr(sim, builder, counted)
     result = sim.run(initial, config["horizon"], StepControl(), gas, transport, problem.potential_field())
     assert not result.aborted and result.steps >= 2
     assert len(builds) == 1
@@ -553,9 +575,12 @@ def test_viscous_rhs_2d_on_a_stack_equals_the_single_calls(nx, nz, stack, eta0, 
 
 
 def test_velocity_matrix_reads_the_stencil_and_the_closure_once(monkeypatch):
-    # one stencil call for every colour: the viscosities at the centers and
-    # the wall rows are the only closure reads
-    calls = {"viscous_rhs_2d": 0, "transport": 0}
+    # with the grid's kept plan, one stress-divergence call for every colour
+    # on the kept probe strains: the viscosities at the centers and the wall
+    # rows are the only closure reads
+    grid = Grid2D(nx=32, nz=24, theta_bottom=1.05, theta_top=1.0)
+    operator = sim._velocity_operator(grid)
+    calls = {"stress_divergence_2d": 0, "strain_rates_2d": 0, "transport": 0}
 
     def counted(owner, name):
         inner = getattr(owner, name)
@@ -566,12 +591,13 @@ def test_velocity_matrix_reads_the_stencil_and_the_closure_once(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    counted(ops, "viscous_rhs_2d")
+    counted(ops, "stress_divergence_2d")
+    counted(ops, "strain_rates_2d")
     counted(thermo, "transport")
-    grid = Grid2D(nx=32, nz=24, theta_bottom=1.05, theta_top=1.0)
     theta = np.full((grid.nx, grid.nz), 1.02)
-    sim._velocity_matrix(grid, TR, theta, np.ones_like(theta), 1e-3)
-    assert calls["viscous_rhs_2d"] == 1
+    sim._velocity_matrix(grid, TR, theta, np.ones_like(theta), 1e-3, operator)
+    assert calls["stress_divergence_2d"] == 1
+    assert calls["strain_rates_2d"] == 0
     assert calls["transport"] <= 2
 
 

@@ -92,6 +92,28 @@ def test_a_sixteenfold_dt_drop_refactors_once(kind):
     assert max_norm(x - splu(a).solve(b)) <= 1e-13 * max_norm(x)
 
 
+def test_stored_zeros_add_no_fill_and_no_residual():
+    # the velocity matrix stores its coupling pattern's exact zeros: they are
+    # dropped where the matrix is factored, and the refined solve meets the
+    # backward error against the matrix as given
+    rng, grid, rho, theta = random_slab(8, 6, 5)
+    transport = TransportModel(eta0=0.5)
+    a = slab_matrices(grid, transport, rho, theta, 0.01)["velocity"]
+    nonzero = a.copy()
+    nonzero.eliminate_zeros()
+    assert nonzero.nnz < a.nnz
+    solver = sim.SlabLU()
+    b = rng.standard_normal(a.shape[0])
+    x = solver.solve("velocity", a, b)
+    assert backward_error(a, x, b) <= 4.0 * EPS
+    kept, want = solver._factors["velocity"], splu(nonzero, **sim._LU_ORDERING)
+    assert kept.L.nnz + kept.U.nnz == want.L.nnz + want.U.nnz
+    a = slab_matrices(grid, transport, rho, theta * (1.0 + 1e-3 * rng.standard_normal(theta.shape)), 0.01)["velocity"]
+    x = solver.solve("velocity", a, b)
+    assert solver.factorisations == 1 and solver.refinements > 0
+    assert backward_error(a, x, b) <= 4.0 * EPS
+
+
 def test_run_with_kept_factors_matches_steps_with_fresh_factors():
     config = ex.config_from_mapping({"horizon": "0.1"}, preset="rb-2d-topology")
     assert (config["domain.nx"], config["domain.nz"]) == (12, 10)
