@@ -15,6 +15,7 @@ at walls.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -93,21 +94,71 @@ def _center_velocity(state):
     return 0.5 * (state.u + ops._east(state.u)), wc
 
 
-def _kinetic_density(state, reference=None):
-    """0.5 rho |u - u_ref|^2 at centers (u_ref = 0 when reference is None)."""
-    comps = _center_velocity(state)
-    if reference is None:
-        sq = sum(c**2 for c in comps)
-    else:
-        ref = _center_velocity(reference)
-        sq = sum((c - r) ** 2 for c, r in zip(comps, ref))
-    return 0.5 * state.rho * sq
+class _Fields:
+    """The cell fields several functionals read off one state, each computed
+    on first use and then kept: e, s, p, kappa, the center velocities, the
+    theta gradients and the sums of squares built from them.  ``reference``,
+    the ``_Fields`` of a reference state, gives the velocity differences."""
+
+    def __init__(self, state, gas=None, transport=None, reference=None):
+        self.state, self.gas, self.transport, self.reference = state, gas, transport, reference
+
+    @cached_property
+    def e(self):
+        return thermo.internal_energy(self.gas, self.state.rho, self.state.theta)
+
+    @cached_property
+    def s(self):
+        return thermo.entropy(self.gas, self.state.rho, self.state.theta)
+
+    @cached_property
+    def p(self):
+        return thermo.pressure(self.gas, self.state.rho, self.state.theta)
+
+    @cached_property
+    def affine(self):
+        """e - theta s + p / rho, the affine part of the relative energy
+        when this state is the reference."""
+        return self.e - self.state.theta * self.s + self.p / self.state.rho
+
+    @cached_property
+    def kappa(self):
+        return thermo._conductivity_raw(self.transport, self.state.theta)
+
+    @cached_property
+    def velocity(self):
+        return _center_velocity(self.state)
+
+    @cached_property
+    def kinetic(self):
+        """0.5 rho |u|^2 at centers."""
+        return 0.5 * self.state.rho * self.speed_sq
+
+    @cached_property
+    def speed_sq(self):
+        return sum(c**2 for c in self.velocity)
+
+    @cached_property
+    def relative_speed_sq(self):
+        """|u - u_ref|^2 at centers."""
+        return sum((c - r) ** 2 for c, r in zip(self.velocity, self.reference.velocity))
+
+    @cached_property
+    def grads(self):
+        return _grad_theta_centers(self.state)
+
+    @cached_property
+    def grad_sq(self):
+        return sum(g**2 for g in self.grads)
 
 
 def total_energy(state, gas) -> float:
     """Integral of 0.5 rho |u|^2 + rho e."""
-    e = thermo.internal_energy(gas, state.rho, state.theta)
-    return float(np.sum(_kinetic_density(state) + state.rho * e) * state.grid.cell_volume)
+    return _total_energy(_Fields(state, gas))
+
+
+def _total_energy(f):
+    return float(np.sum(f.kinetic + f.state.rho * f.e) * f.state.grid.cell_volume)
 
 
 def total_entropy(state, gas) -> float:
@@ -129,23 +180,23 @@ def _relative_energy_forms(state, reference, gas):
     algebraically identical, so their difference is a rounding probe.
     """
     _check_same_grid(state, reference)
-    rho, theta = state.rho, state.theta
-    rho_r, theta_r = reference.rho, reference.theta
-    kin = _kinetic_density(state, reference)
-    e = thermo.internal_energy(gas, rho, theta)
-    s = thermo.entropy(gas, rho, theta)
-    e_r = thermo.internal_energy(gas, rho_r, theta_r)
-    s_r = thermo.entropy(gas, rho_r, theta_r)
-    p_r = thermo.pressure(gas, rho_r, theta_r)
-    affine = e_r - theta_r * s_r + p_r / rho_r
+    return _forms(_Fields(state, gas, reference=_Fields(reference, gas)))
+
+
+def _forms(f):
+    """``_relative_energy_forms`` from the fields of the state, which carry
+    the reference's."""
+    ref = f.reference
+    rho, rho_r, theta_r = f.state.rho, ref.state.rho, ref.state.theta
+    kin = 0.5 * rho * f.relative_speed_sq
     form1 = (
         kin
-        + rho * e
-        - theta_r * (rho * s - rho_r * s_r)
-        - affine * (rho - rho_r)
-        - rho_r * e_r
+        + rho * f.e
+        - theta_r * (rho * f.s - rho_r * ref.s)
+        - ref.affine * (rho - rho_r)
+        - rho_r * ref.e
     )
-    form2 = kin + rho * e - theta_r * rho * s - affine * rho + p_r
+    form2 = kin + rho * f.e - theta_r * rho * f.s - ref.affine * rho + ref.p
     return form1, form2
 
 
@@ -171,10 +222,16 @@ def ballistic_energy(state, theta_tilde, gas, trace_rtol: float = 1.0e-4) -> flo
     theta_tilde = np.asarray(theta_tilde, dtype=float)
     if theta_tilde.shape != state.theta.shape:
         raise ValueError("theta_tilde must live on the state grid")
-    if np.any(theta_tilde <= 0.0):
+    _check_trace(state.grid, theta_tilde, trace_rtol)
+    return float(np.sum(_ballistic_density(_Fields(state, gas), theta_tilde)) * state.grid.cell_volume)
+
+
+def _check_trace(grid, theta_tilde, trace_rtol=1.0e-4):
+    """Raise unless ``theta_tilde`` is positive and meets the plate
+    temperatures of ``grid``; the wall-normal direction is the last axis."""
+    tt = theta_tilde
+    if np.any(tt <= 0.0):
         raise ValueError("theta_tilde must be positive")
-    grid = state.grid
-    tt = theta_tilde  # the wall-normal direction is the last axis
     walls = (grid.wall_theta("bottom"), grid.wall_theta("top"))
     edge = (1.5 * tt[..., 0] - 0.5 * tt[..., 1], 1.5 * tt[..., -1] - 0.5 * tt[..., -2])
     curvature = (
@@ -186,14 +243,12 @@ def ballistic_energy(state, theta_tilde, gas, trace_rtol: float = 1.0e-4) -> flo
         tol = trace_rtol * np.abs(np.asarray(wall)) + curv
         if np.max(np.abs(value - wall) - tol) > 0.0:
             raise ValueError("theta_tilde violates the boundary temperature trace")
-    return float(np.sum(_ballistic_density(state, theta_tilde, gas)) * grid.cell_volume)
 
 
-def _ballistic_density(state, theta_tilde, gas):
-    """0.5 rho |u|^2 + rho e - theta_tilde rho s at centers."""
-    e = thermo.internal_energy(gas, state.rho, state.theta)
-    s = thermo.entropy(gas, state.rho, state.theta)
-    return _kinetic_density(state) + state.rho * e - theta_tilde * state.rho * s
+def _ballistic_density(f, theta_tilde):
+    """0.5 rho |u|^2 + rho e - theta_tilde rho s at centers, from the
+    state's ``_Fields``."""
+    return f.kinetic + f.state.rho * f.e - theta_tilde * f.state.rho * f.s
 
 
 # ---------------------------------------------------------------------------
@@ -224,20 +279,25 @@ def entropy_production(state, gas, transport):
     Both summands are nonnegative, so sigma >= 0 pointwise and the integral
     is nonnegative by construction.
     """
-    grid = state.grid
-    heating = ops.shear_heating_nd(grid, transport, state.theta, state.velocity)
-    grads = _grad_theta_centers(state)
-    grad_sq = sum(g**2 for g in grads)
-    _, _, kappa = thermo.transport(transport, state.theta)
-    sigma = (heating + kappa * grad_sq / state.theta) / state.theta
-    return sigma, float(np.sum(sigma) * grid.cell_volume)
+    return _entropy_production(_Fields(state, gas, transport))
+
+
+def _entropy_production(f):
+    state = f.state
+    heating = ops.shear_heating_nd(state.grid, f.transport, state.theta, state.velocity)
+    sigma = (heating + f.kappa * f.grad_sq / state.theta) / state.theta
+    return sigma, float(np.sum(sigma) * state.grid.cell_volume)
 
 
 def absorbing_norms(state):
     """(|rho u|_{5/4}, |rho|_{5/3}, |theta|_4) by midpoint quadrature."""
+    return _absorbing_norms(_Fields(state))
+
+
+def _absorbing_norms(f):
+    state = f.state
     dv = state.grid.cell_volume
-    comps = _center_velocity(state)
-    momentum = np.sqrt(sum(c**2 for c in comps)) * state.rho
+    momentum = np.sqrt(f.speed_sq) * state.rho
     norm_m = float(np.sum(momentum ** 1.25) * dv) ** 0.8
     norm_r = float(np.sum(state.rho ** (5.0 / 3.0)) * dv) ** 0.6
     norm_t = float(np.sum(state.theta**4) * dv) ** 0.25
@@ -260,12 +320,14 @@ def dissipation_functionals(state, reference, transport, thresholds: Thresholds)
     """
     _check_same_grid(state, reference)
     thresholds.check_admissible(reference)
+    return _dissipation(_Fields(state, transport=transport, reference=_Fields(reference)), thresholds)
+
+
+def _dissipation(f, thresholds):
+    state, reference = f.state, f.reference.state
     grid = state.grid
     dv = grid.cell_volume
 
-    comps = _center_velocity(state)
-    refs = _center_velocity(reference)
-    du_sq = sum((c - r) ** 2 for c, r in zip(comps, refs))
     dw = state.velocity[-1] - reference.velocity[-1]
     grad_du_sq = ((dw[..., 1:] - dw[..., :-1]) / grid.dz) ** 2
     if grid.dimension == 2:
@@ -274,19 +336,15 @@ def dissipation_functionals(state, reference, transport, thresholds: Thresholds)
         corner_sq = dudz**2 + dwdx**2
         pairs = corner_sq + ops._east(corner_sq)
         grad_du_sq = dudx**2 + grad_du_sq + 0.25 * (pairs[:, :-1] + pairs[:, 1:])
-    u_h1_sq = float(np.sum(du_sq + grad_du_sq) * dv)
+    u_h1_sq = float(np.sum(f.relative_speed_sq + grad_du_sq) * dv)
 
     dth = state.theta - reference.theta
-    g_state = _grad_theta_centers(state)
-    g_ref = _grad_theta_centers(reference)
-    grad_dth_sq = sum((a - b) ** 2 for a, b in zip(g_state, g_ref))
+    grad_dth_sq = sum((a - b) ** 2 for a, b in zip(f.grads, f.reference.grads))
     theta_h1_sq = float(np.sum(dth**2 + grad_dth_sq) * dv)
 
-    _, _, kappa = thermo.transport(transport, state.theta)
-    grad_th_sq = sum(g**2 for g in g_state)
-    weight = kappa / state.theta**2
+    weight = f.kappa / state.theta**2
     outer = (state.theta >= thresholds.theta_high) | (state.theta <= thresholds.theta_low)
-    kappa_weighted_grad_sq = float(np.sum(np.where(outer, weight * grad_th_sq, 0.0)) * dv)
+    kappa_weighted_grad_sq = float(np.sum(np.where(outer, weight * f.grad_sq, 0.0)) * dv)
     above = state.theta >= thresholds.theta_low
     kappa_weighted_grad_diff_sq = float(np.sum(np.where(above, weight * grad_dth_sq, 0.0)) * dv)
     return {
@@ -305,6 +363,10 @@ def damping_functionals(state, reference, thresholds: Thresholds):
     """
     _check_same_grid(state, reference)
     thresholds.check_admissible(reference)
+    return _damping(state, reference, thresholds)
+
+
+def _damping(state, reference, thresholds):
     dv = state.grid.cell_volume
     rho = state.rho
     lo, hi = thresholds.rho_low, thresholds.rho_high
@@ -426,7 +488,7 @@ def inequality_residuals(samples, reference, gas, transport, G=None):
     entropy_residual = s_tot[-1] - s_tot[0] - _trapezoid(times, net_s)
 
     b_tot = [
-        float(np.sum(_ballistic_density(s, reference.theta, gas)) * s.grid.cell_volume)
+        float(np.sum(_ballistic_density(_Fields(s, gas), reference.theta)) * s.grid.cell_volume)
         for s in states
     ]
     rates_b = [_ballistic_rates(s, reference, gas, transport, G) for s in states]
@@ -474,23 +536,42 @@ RECORD_FIELDS = [f.name for f in fields(DiagnosticsRecord)]
 
 
 def make_diagnostics(reference, gas, transport, thresholds: Thresholds = None):
-    """Build the per-sample record function bound to a fixed reference."""
+    """Build the per-sample record function bound to a fixed reference.
+
+    The reference's side of every functional (its e, s, p, center
+    velocities and theta gradients) and the checks of the fixed inputs (the
+    thresholds' admissibility, the reference temperature's wall trace) are
+    done here, once; a record then reads each field of its state once.  The
+    values are those of the public functions, bit for bit.
+    """
     if thresholds is None:
         thresholds = Thresholds.from_reference(reference)
-    ref_theta = reference.theta
+    thresholds.check_admissible(reference)
+    ref_theta = np.asarray(reference.theta, dtype=float)
+    _check_trace(reference.grid, ref_theta)
+    ref = _Fields(reference, gas)
+    # filled here, so records shared between threads only read them
+    for name in ("affine", "velocity", "grads"):
+        getattr(ref, name)
 
     def compute(state: FluidState) -> DiagnosticsRecord:
-        _, sigma_int = entropy_production(state, gas, transport)
-        norm_m, norm_r, norm_t = absorbing_norms(state)
-        diss = dissipation_functionals(state, reference, transport, thresholds)
-        mid, high, low = damping_functionals(state, reference, thresholds)
+        _check_same_grid(state, reference)
+        if state.grid is not reference.grid:
+            _check_trace(state.grid, ref_theta)
+        f = _Fields(state, gas, transport, ref)
+        _, sigma_int = _entropy_production(f)
+        norm_m, norm_r, norm_t = _absorbing_norms(f)
+        diss = _dissipation(f, thresholds)
+        mid, high, low = _damping(state, reference, thresholds)
+        form1, form2 = _forms(f)
+        dv = state.grid.cell_volume
         return DiagnosticsRecord(
             t=state.t,
             mass=state.total_mass(),
-            total_energy=total_energy(state, gas),
-            relative_energy=relative_energy(state, reference, gas),
-            relative_energy_form_delta=relative_energy_form_delta(state, reference, gas),
-            ballistic_energy=ballistic_energy(state, ref_theta, gas),
+            total_energy=_total_energy(f),
+            relative_energy=float(np.sum(form1) * dv),
+            relative_energy_form_delta=float(np.sum(form1 - form2) * dv),
+            ballistic_energy=float(np.sum(_ballistic_density(f, ref_theta)) * dv),
             entropy_production_integral=sigma_int,
             norm_momentum_54=norm_m,
             norm_rho_53=norm_r,

@@ -37,6 +37,7 @@ __all__ = [
     "config_from_mapping",
     "resolved_config_text",
     "run_experiment",
+    "energy_growth",
     "compare_runs",
     "sweep",
     "save_snapshot",
@@ -177,6 +178,24 @@ PRESETS = {
 
 # the documented perturbative regime; larger data get a manifest warning
 EPSILON_WARN = 0.1
+# after the initial transient the relative energy of a run must not grow
+# (the paper's decay claim); a later rise beyond rounding gets a warning
+GROWTH_AFTER = 1.0
+
+
+def energy_growth(records, tol):
+    """(rise, t) of the largest rise of the relative energy above its running
+    minimum over the records at t >= ``GROWTH_AFTER``, or None when no rise
+    exceeds ``tol``."""
+    worst, low = None, np.inf
+    for r in records:
+        if r.t < GROWTH_AFTER:
+            continue
+        low = min(low, r.relative_energy)
+        rise = r.relative_energy - low
+        if rise > tol and (worst is None or rise > worst[0]):
+            worst = (rise, r.t)
+    return worst
 
 
 @dataclass(frozen=True)
@@ -775,6 +794,12 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> RunManifest:
             abs(r.relative_energy_form_delta) <= 1.0e-12 * max(1.0, r.relative_energy, scale)
             for r in records
         )
+        growth = energy_growth(records, 1.0e-12 * scale)
+        if growth is not None:
+            warnings.append(
+                f"relative energy grows after t = {GROWTH_AFTER:g}: {growth[0]:.3g} above its "
+                f"running minimum at t = {growth[1]:.6g}"
+            )
         if config["snapshots"] != "none":
             fin_path = out / f"{label}.final.npz"
             save_snapshot(fin_path, result.final_state)

@@ -36,8 +36,11 @@ COO -> CSC every step).  It stores the pattern's exact zeros, which
 minimum-degree ordering of A^T + A: at 32x24 the velocity LU takes 5.7 ms
 and 88k nonzeros against 9.3 ms and 129k under COLAMD.  Between steps a
 matrix moves by 1e-4 to 2e-3 relative, so ``run`` keeps the factors for
-the whole run (``SlabLU``): the 5 steps of a 32x24 ``rb-2d-topology`` run
-factor 4 times, not 15.
+the whole run (``SlabLU``).  ``run`` also reaches every sample time and
+the horizon in equal steps of at most the CFL step (``_landing_dt``), so no
+sliver step drops dt and sends the factors back to ``splu``: the 5 steps of
+a 32x24 ``rb-2d-topology`` run to t = 0.02 factor twice, not 15 times, and
+so do its 44 steps to t = 0.2 at cadence 0.05.
 
 Negative density or temperature is never clamped: a failed step raises
 ``PositivityError`` and ``run`` retries with half the step, as it does
@@ -46,6 +49,7 @@ for ``ImplicitSolveError`` and ``thermo.TemperatureInversionError``.
 
 from __future__ import annotations
 
+import math
 import time as _time
 from dataclasses import dataclass, field
 
@@ -475,6 +479,23 @@ def step(
 # ---------------------------------------------------------------------------
 
 
+# A sample time or the horizon counts as reached within this much time, and
+# a remaining interval that many CFL steps cover but for it takes no more.
+_LANDING_SLACK = 1.0e-12
+
+
+def _landing_dt(remaining, dt_cfl):
+    """The step that reaches a point ``remaining`` ahead in equal steps of
+    at most ``dt_cfl`` (plus the slack): remaining / k with
+    k = ceil((remaining - _LANDING_SLACK) / dt_cfl), at least 1.
+
+    Recomputed every step, the last step of an interval has k = 1 and lands
+    exactly, and an interval takes as many steps as clipping the step that
+    reaches the point would; but no sliver step is left at the point, whose
+    dt drop would make the kept slab LU factors refactor twice."""
+    return float(remaining) / max(1, math.ceil((remaining - _LANDING_SLACK) / dt_cfl))
+
+
 @dataclass
 class RunResult:
     final_state: FluidState
@@ -507,8 +528,10 @@ def run(
 ) -> RunResult:
     """Advance to ``t = horizon``, sampling diagnostics at the given cadence.
 
-    ``diagnostics`` is a callable state -> record; records are streamed to
-    every sink and collected in the result.  ``sample_every_step`` retains a
+    Each step lands on the next sample time (or the horizon) in equal steps
+    no longer than ``cfl_dt`` (``_landing_dt``).  ``diagnostics`` is a
+    callable state -> record; records are streamed to every sink and
+    collected in the result.  ``sample_every_step`` retains a
     (t, state) pair per accepted step (for windowed inequality residuals,
     whose time-quadrature error must shrink with the step).  On a positivity,
     implicit-solve or temperature-inversion failure the step is retried
@@ -545,12 +568,11 @@ def run(
     if sample_every_step and keep_samples:
         result.samples.append((state.t, state.copy()))
     next_sample = state.t + cadence if cadence > 0.0 else np.inf
-    while state.t < horizon - 1.0e-12:
-        dt = cfl_dt(state, control, gas)
-        clamped = dt <= control.dt_min
-        dt = min(dt, horizon - state.t)
-        if cadence > 0.0 and state.t < next_sample:
-            dt = min(dt, next_sample - state.t)
+    while state.t < horizon - _LANDING_SLACK:
+        dt_cfl = cfl_dt(state, control, gas)
+        clamped = dt_cfl <= control.dt_min
+        target = min(next_sample, horizon)
+        dt = _landing_dt(target - state.t, dt_cfl)
         attempt = 0
         while True:
             try:
@@ -569,10 +591,10 @@ def run(
         result.dt_min_clamps += clamped
         if sample_every_step and keep_samples:
             result.samples.append((state.t, state.copy()))
-        if cadence > 0.0 and state.t >= next_sample - 1.0e-12:
+        if cadence > 0.0 and state.t >= next_sample - _LANDING_SLACK:
             sample(state)
-            while next_sample <= state.t + 1.0e-12:
+            while next_sample <= state.t + _LANDING_SLACK:
                 next_sample += cadence
-    if last_sampled[0] < state.t - 1.0e-12:
+    if last_sampled[0] < state.t - _LANDING_SLACK:
         sample(state)
     return finish(state)

@@ -718,8 +718,14 @@ class _ColouredJacobian:
     def factor(self, fun, x, f):
         """SuperLU factors of the Jacobian at x, assembled with unknown j in
         column ``rank[j]`` and factored in that column order (partial row
-        pivoting kept), and the solve b -> J^-1 b in the packed order."""
-        lu = splu(self(fun, x, f, self.rank), permc_spec="NATURAL")
+        pivoting kept), and the solve b -> J^-1 b in the packed order.
+        ``magnitudes`` becomes |J| |x|, row by row: the size of the terms
+        each residual row sums, to first order."""
+        jac = self(fun, x, f, self.rank)
+        ranked = np.empty_like(x)
+        ranked[self.rank] = np.abs(x)
+        self.magnitudes = abs(jac) @ ranked
+        lu = splu(jac, permc_spec="NATURAL")
         return lu, lambda b: lu.solve(b)[self.rank]
 
     def __call__(self, fun, x, f, column=None):
@@ -749,6 +755,13 @@ class _ColouredJacobian:
 
 # a chord step is taken only if it cuts the residual max-norm this much
 _CHORD_CUT = 0.1
+# A residual row also counts as converged once it is within this multiple
+# of the size of its terms, |J| |x|, to first order (Dennis & Schnabel 1983,
+# sec. 7.2): its evaluation rounds by about that much.  On the 1-D column the
+# Kirchhoff rows sum terms of size K / h^2, and from n = 1024 on that floor
+# lies above tol = 1e-9; Newton there stalls at 0.6 to 0.7 eps |J| |x| (n = 1024
+# to 4096), a third of this floor.
+_ROUNDING_FLOOR = 2.0 * np.finfo(float).eps
 
 
 def solve_stationary_newton(
@@ -780,7 +793,10 @@ def solve_stationary_newton(
     step 2^-20: below it a step is taken without a decrease, and
     ``floor_steps`` counts these.
     Positivity of (rho, theta) is maintained by shrinking the step, and a
-    trial point whose residual is not finite is shrunk from as well.  Raises
+    trial point whose residual is not finite is shrunk from as well.  The
+    iteration stops once every residual row is within ``tol`` or, where that
+    is higher, its rounding floor ``_ROUNDING_FLOOR * (|J| |x|)_i`` from the
+    last Jacobian factored.  Raises
     ``NewtonFailure`` with the residual trace on stagnation, a singular
     Jacobian or a final norm that is not finite; on success the trace is the
     state's ``residual_trace``.
@@ -842,9 +858,13 @@ def solve_stationary_newton(
     norm = float(np.max(np.abs(f)))
     trace.append(norm)
     iterations = floor_steps = jacobians = 0
+    # each row's stopping level: tol, or the rounding floor of the last
+    # Jacobian factored where that is higher
+    stop = tol
     jacobian = _ColouredJacobian(layout) if norm > tol else None
     lu = solve = None
-    while norm > tol and iterations < max_iter:
+    # NaN compares false: a residual that is not finite never converges
+    while not np.all(np.abs(f) <= stop) and iterations < max_iter:
         step = None if solve is None else chord(solve)
         if step is None:
             try:
@@ -853,12 +873,13 @@ def solve_stationary_newton(
             except RuntimeError as exc:
                 raise NewtonFailure(f"singular Jacobian: {exc}", trace) from exc
             jacobians += 1
+            stop = np.maximum(tol, _ROUNDING_FLOOR * jacobian.magnitudes)
             step = damped(delta)
         x, f = step
         norm = float(np.max(np.abs(f)))
         trace.append(norm)
         iterations += 1
-    if not norm <= tol:  # a NaN norm fails here too
+    if not np.all(np.abs(f) <= stop):
         raise NewtonFailure(f"no convergence after {iterations} iterations", trace)
 
     rho, theta, u, w, _ = layout.unpack(x)

@@ -314,6 +314,74 @@ def test_reflection_invariance_1d():
         assert getattr(a, name) == pytest.approx(getattr(b, name), rel=1e-12, abs=1e-13), name
 
 
+def perturbed_pair(dimension):
+    """A reference and a state off it with non-zero velocity everywhere."""
+    rng = np.random.default_rng(5)
+    if dimension == 1:
+        reference, _ = rb_reference()
+    else:
+        grid = Grid2D(nx=8, nz=6, theta_bottom=1.05, theta_top=1.0)
+        reference = solve_rb_pipeline(ProblemConfig(grid=grid, m0=grid.volume, g=(0.0, 0.01)), GAS, TR)
+        reference = reference.as_fluid_state()
+        reference.u = 0.01 * rng.standard_normal(reference.u.shape)
+    state = reference.copy()
+    state.t = 0.25
+    state.rho = state.rho * (1.0 + 0.05 * rng.standard_normal(state.rho.shape))
+    state.theta = state.theta * (1.0 + 0.02 * rng.standard_normal(state.theta.shape))
+    for v in state.velocity:
+        v[..., 1:-1] += 0.03 * rng.standard_normal(v[..., 1:-1].shape)
+    return reference, state
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_record_equals_the_public_functions_bit_for_bit(dimension):
+    reference, state = perturbed_pair(dimension)
+    thr = dg.Thresholds.from_reference(reference)
+    record = dg.make_diagnostics(reference, GAS, TR, thr)(state)
+    _, sigma = dg.entropy_production(state, GAS, TR)
+    norms = dg.absorbing_norms(state)
+    diss = dg.dissipation_functionals(state, reference, TR, thr)
+    damping = dg.damping_functionals(state, reference, thr)
+    want = {
+        "t": 0.25,
+        "mass": state.total_mass(),
+        "total_energy": dg.total_energy(state, GAS),
+        "relative_energy": dg.relative_energy(state, reference, GAS),
+        "relative_energy_form_delta": dg.relative_energy_form_delta(state, reference, GAS),
+        "ballistic_energy": dg.ballistic_energy(state, reference.theta, GAS),
+        "entropy_production_integral": sigma,
+        **dict(zip(["norm_momentum_54", "norm_rho_53", "norm_theta_4"], norms)),
+        **diss,
+        **dict(zip(["damping_mid", "damping_high", "damping_low"], damping)),
+    }
+    assert sorted(want) == sorted(dg.RECORD_FIELDS)
+    assert record.relative_energy > 0.0 and record.u_h1_sq > 0.0
+    for name in dg.RECORD_FIELDS:
+        assert getattr(record, name) == want[name], name
+
+
+def test_record_function_checks_its_fixed_inputs_once_with_the_same_errors():
+    reference, state = perturbed_pair(1)
+    bad = dg.Thresholds(theta_low=0.9, theta_high=2.5, rho_low=0.4, rho_high=2.2)
+    with pytest.raises(ValueError, match="theta_low exceeds half the reference minimum"):
+        dg.dissipation_functionals(state, reference, TR, bad)
+    with pytest.raises(ValueError, match="theta_low exceeds half the reference minimum"):
+        dg.make_diagnostics(reference, GAS, TR, bad)
+    # a reference temperature off the plates fails the ballistic trace check
+    shifted = reference.copy()
+    shifted.theta = shifted.theta + 0.5
+    with pytest.raises(ValueError, match="boundary temperature trace"):
+        dg.ballistic_energy(state, shifted.theta, GAS)
+    with pytest.raises(ValueError, match="boundary temperature trace"):
+        dg.make_diagnostics(shifted, GAS, TR)
+    compute = dg.make_diagnostics(reference, GAS, TR)
+    coarse = uniform_state(n=32)
+    with pytest.raises(ValueError, match="different grids"):
+        dg.relative_energy(coarse, reference, GAS)
+    with pytest.raises(ValueError, match="different grids"):
+        compute(coarse)
+
+
 # ---------------------------------------------------------------------------
 # Inequality residuals
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from nsfsim import cli
+from nsfsim import diagnostics as dg
 from nsfsim import experiment as ex
 from nsfsim import stationary as st
 from nsfsim import thermo
@@ -237,6 +238,32 @@ def test_epsilon_warning_recorded(tmp_path):
     )
     manifest = ex.run_experiment(config, output_dir=tmp_path)
     assert any("perturbative regime" in w for w in manifest.warnings)
+
+
+@pytest.mark.parametrize("viscosity, grows", [("0.003", True), ("0.01", False)])
+def test_manifest_warns_when_the_relative_energy_grows(tmp_path, viscosity, grows):
+    # at mu0 = kappa0 = 0.003 the 12x10 slab's acoustic modes grow at the
+    # run's own dt: the relative energy goes 2.4e-4 -> 7.3e-4 over t in
+    # [2, 5], a run that still ends with status ok; at 0.01 it decays
+    config = ex.config_from_mapping(
+        {"transport.mu0": viscosity, "transport.kappa0": viscosity, "horizon": "5"}, preset="rb-2d-topology"
+    )
+    manifest = ex.run_experiment(config, output_dir=tmp_path)
+    assert manifest.status == "ok"
+    growth = [w for w in manifest.warnings if "relative energy grows" in w]
+    assert len(growth) == int(grows)
+    if grows:
+        assert manifest.counters["relative_energy_final"] > 2.0 * manifest.counters["relative_energy_initial"]
+
+
+def test_energy_growth_ignores_the_transient_and_rounding():
+    def records(pairs):
+        return [dg.DiagnosticsRecord(t, *([0.0] * 2), e, *([0.0] * 13)) for t, e in pairs]
+
+    # a rise before t = 1 is the transient; a later one of 1e-13 is rounding
+    assert ex.energy_growth(records([(0.0, 1.0), (0.5, 2.0), (1.0, 1e-3), (1.5, 1e-3 + 1e-13)]), 1e-12) is None
+    rise = ex.energy_growth(records([(1.0, 3e-4), (2.0, 1e-4), (3.0, 2e-4), (4.0, 1.5e-4)]), 1e-12)
+    assert rise == (pytest.approx(1e-4), 3.0)
 
 
 # ---------------------------------------------------------------------------

@@ -488,6 +488,69 @@ def test_run_sampling_cadence():
     assert len(result.samples) == len(seen)
 
 
+def clipped_step_count(horizon, dt_cfl, cadence):
+    """Steps of a run at a constant CFL step that clips the step reaching a
+    sample time or the horizon, the policy the landing rule replaced."""
+    t, next_sample, steps = 0.0, cadence if cadence > 0.0 else np.inf, 0
+    while t < horizon - 1e-12:
+        dt = min(dt_cfl, horizon - t)
+        if t < next_sample:
+            dt = min(dt, next_sample - t)
+        t += dt
+        steps += 1
+        while next_sample <= t + 1e-12:
+            next_sample += cadence
+    return steps
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dt_cfl=hst.floats(1e-3, 1.0),
+    cadence=hst.one_of(hst.just(0.0), hst.floats(1e-2, 1.0)),
+    horizon=hst.floats(1e-3, 3.0),
+)
+def test_run_lands_on_sample_times_and_horizon_in_equal_steps(dt_cfl, cadence, horizon):
+    # step and cfl_dt are stubbed: the run's dt policy alone decides the times
+    state = uniform_state(n=4)
+    taken = []
+
+    def fake_step(st, dt, *args, **kwargs):
+        taken.append((st.t, dt))
+        return FluidState(st.grid, st.t + dt, st.rho, st.theta, st.u)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "step", fake_step)
+        mp.setattr(sim, "cfl_dt", lambda *args: dt_cfl)
+        result = run(state, horizon, StepControl(), GAS, TR, None, diagnostics=lambda s: s.t, cadence=cadence)
+
+    sampled = np.array(result.records[1:])
+    wanted = [k * cadence for k in range(1, int(horizon / cadence) + 2) if k * cadence < horizon - 1e-12] if cadence else []
+    wanted = np.array(wanted + [horizon])
+    assert sampled.shape == wanted.shape and np.max(np.abs(sampled - wanted)) <= 1e-12
+    assert abs(result.final_state.t - horizon) <= 1e-12
+    dts = np.array([dt for _, dt in taken])
+    assert np.all(dts <= dt_cfl + sim._LANDING_SLACK)
+    # the steps between two samples are equal up to rounding
+    interval = np.searchsorted(sampled, [t + 1e-12 for t, _ in taken])
+    for k in np.unique(interval):
+        group = dts[interval == k]
+        assert np.ptp(group) <= 1e-14 * max(1.0, horizon)
+    assert result.steps == len(taken) == clipped_step_count(horizon, dt_cfl, cadence)
+
+
+def test_slab_run_keeps_its_two_factorisations_across_sample_times(tmp_path):
+    # rb-2d-topology at 32x24 samples every 0.05 of a 0.2 horizon that its
+    # CFL step does not divide; landing in equal steps keeps the velocity
+    # and heat factors of the first step for all 44 steps
+    config = ex.config_from_mapping({"domain.nx": "32", "domain.nz": "24"}, preset="rb-2d-topology")
+    manifest = ex.run_experiment(config, output_dir=tmp_path)
+    assert manifest.status == "ok"
+    assert manifest.counters["steps"] == 44
+    assert manifest.counters["step_factorisations"] == 2
+    times = ex.read_csv(tmp_path / "rb-2d-topology.csv")["t"]
+    assert np.max(np.abs(np.asarray(times) - np.arange(5) * 0.05)) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # 2-D slab
 # ---------------------------------------------------------------------------

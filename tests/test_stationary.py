@@ -288,6 +288,36 @@ def test_newton_matches_pipeline_1d():
     assert max(newton.residual_norms.values()) < 1e-9
 
 
+@pytest.mark.parametrize("n", [1024, 2048])
+def test_newton_stops_at_the_rounding_floor_of_a_fine_column(n):
+    # the Kirchhoff rows of a fine column round above tol = 1e-9, so Newton
+    # stops at their floor 2 eps |J| |x| instead of iterating to max_iter
+    grid = Grid1D(n=n, theta_bottom=1.05, theta_top=1.0)
+    config = ProblemConfig(grid=grid, m0=1.0, g=0.01)
+    pipe = solve_rb_pipeline(config, GAS, TR)
+    newton = solve_stationary_newton(config, GAS, TR)
+    assert newton.iterations <= 10
+    assert newton.residual_trace[-1] > 1e-9
+    layout = _Layout(grid)
+    x = layout.pack(newton.rho, newton.theta, newton.u, None, 0.0)
+
+    def fun(xv):
+        return _residual(layout, xv, GAS, TR, config.potential_field(), config.m0)
+
+    f = fun(x)
+    assert np.max(np.abs(f)) == newton.residual_trace[-1]
+    magnitudes = abs(_ColouredJacobian(layout)(fun, x, f)) @ np.abs(x)
+    assert np.all(np.abs(f) <= np.maximum(1e-9, 2.0 * np.finfo(float).eps * magnitudes))
+    # at rounding level, the pipeline's state to a few ulps
+    assert np.max(np.abs(newton.rho - pipe.rho)) < 1e-14
+    assert np.max(np.abs(newton.theta - pipe.theta)) < 1e-14
+    assert np.max(np.abs(newton.u)) < 1e-20
+    assert newton.mass_error < 1e-10
+    # from the pipeline's state, already at the floor, one iteration stops it
+    again = solve_stationary_newton(config, GAS, TR, initial_guess=pipe)
+    assert again.iterations <= 1
+
+
 def test_newton_lateral_heating_velocity_scales_linearly():
     umaxes = []
     theta_devs = []
