@@ -771,7 +771,9 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> RunManifest:
         counters["step_factorisations"] = result.factorisations
         counters["step_refinements"] = result.refinements
         counters["dt_min_clamps"] = result.dt_min_clamps
+        counters["dt_max_clamps"] = result.dt_max_clamps
         counters["heat_backtracks"] = result.heat_backtracks
+        counters["heat_chords"] = result.heat_chords
         counters["wall_time"] = result.wall_time
         if result.aborted:
             raise SolverStageError("simulate", result.abort_reason)

@@ -19,28 +19,33 @@ of ``operators`` on the velocity components and comprises, in order:
       steady residuals call; theta is recovered from rho*e by monotone scalar
       inversion per cell, which seeds the implicit Fourier diffusion, a
       Newton solve in theta through the conductivity primitive K(theta)
-      (kappa ~ theta^beta is stiff) whose Jacobian is the Kirchhoff stencil
-      probed once per grid and scaled by kappa(theta): banded in 1-D; on the
-      slab every Newton direction is an exact solve with the heat factors
-      ``SlabLU`` keeps,
+      (kappa ~ theta^beta is stiff).  The Kirchhoff stencil is linear in K,
+      so div H(theta) = L K(theta) + b, L the stencil probed once per grid
+      and b the plates' term, and the Jacobian diag(rho c) - dt L diag(kappa)
+      is S diag(kappa) with S = diag(rho c / kappa) - dt L symmetric positive
+      definite.  The column takes exact banded Newton steps.  The slab takes
+      chord steps on the band-Cholesky factors of S that ``SlabLU`` keeps
+      (S is a band of half-width nx with the cells x-fastest), refactors
+      where a step would not cut the residual tenfold, and stops at its
+      rounding floor (``_chord_heat``),
 (iv)  boundary enforcement (no-slip walls, Dirichlet temperature traces).
 
-Both slab matrices are probed from their stencils through a ``_ProbePlan``
-built once per grid: the colouring (``_probe_coupling``), the probe stack,
-the coupling pattern's CSC arrays and each stored entry's place in the
-stacked response.  A step's velocity matrix is then one stress-divergence
-call on the probes' kept strains, one gather and a ``csc_matrix`` on the
-fixed arrays (1.0 ms at 32x24, against 4.8 ms probing and converting
-COO -> CSC every step).  It stores the pattern's exact zeros, which
+The velocity matrix and L are probed from their stencils through a
+``_ProbePlan`` built once per grid: the colouring (``_probe_coupling``),
+the probe stack, the coupling pattern's CSC arrays and each stored entry's
+place in the stacked response.  A step's velocity matrix is then one
+stress-divergence call on the probes' kept strains, one gather and a
+``csc_matrix`` on the fixed arrays (1.0 ms at 32x24, against 4.8 ms
+probing and converting COO -> CSC every step).  It stores the pattern's exact zeros, which
 ``SlabLU`` drops from the copy it factors.  The factors use a
 minimum-degree ordering of A^T + A: at 32x24 the velocity LU takes 5.7 ms
 and 88k nonzeros against 9.3 ms and 129k under COLAMD.  Between steps a
 matrix moves by 1e-4 to 2e-3 relative, so ``run`` keeps the factors for
 the whole run (``SlabLU``).  ``run`` also reaches every sample time and
 the horizon in equal steps of at most the CFL step (``_landing_dt``), so no
-sliver step drops dt and sends the factors back to ``splu``: the 5 steps of
-a 32x24 ``rb-2d-topology`` run to t = 0.02 factor twice, not 15 times, and
-so do its 44 steps to t = 0.2 at cadence 0.05.
+sliver step drops dt and makes the kept factors refactor: the 5 steps of
+a 32x24 ``rb-2d-topology`` run to t = 0.02 factor twice (velocity and
+heat), not 15 times, and so do its 44 steps to t = 0.2 at cadence 0.05.
 
 Negative density or temperature is never clamped: a failed step raises
 ``PositivityError`` and ``run`` retries with half the step, as it does
@@ -55,7 +60,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgtsv, dpbtrf, dpbtrs
 from scipy.sparse import coo_matrix, csc_matrix
 from scipy.sparse.linalg import splu
 
@@ -150,56 +155,152 @@ def _positive_newton_update(theta, delta, solver):
 def _heat_operator(grid):
     """L, the divergence of ``ops.kirchhoff_stencil_nd`` at zero walls, probed
     through a ``_ProbePlan``: div H(theta) has the Jacobian L diag(kappa),
-    the stencil being linear in K.  Returns L's values, the column of each
-    (an index into kappa), the diagonal's positions among them, and L; on the
-    column the values are L's bands in solve_banded (1, 1) layout, whose
-    entry j lies in column j."""
+    the stencil being linear in K.  Returns L's bands and L.  On the column
+    the bands are L's three in solve_banded (1, 1) layout, whose entry j
+    lies in column j; on the slab they are L's lower band in the order of
+    ``_x_fastest``, half-width nx, in LAPACK lower band storage (row d holds
+    L[p + d, p])."""
     lattice = (1, grid.n) if grid.dimension == 1 else (grid.nx, grid.nz)
     plan = _ProbePlan(_probe_coupling(*lattice, reach=1), lattice)
     L = plan.matrix(ops._divergence(grid, ops.kirchhoff_stencil_nd(grid, plan.probes, 0.0, 0.0)))
     L.eliminate_zeros()  # the pattern is a superset; its exact zeros only add work
     if grid.dimension == 1:
-        bands = np.stack([np.append(0.0, L.diagonal(1)), L.diagonal(), np.append(L.diagonal(-1), 0.0)])
-        return bands, slice(None), 1, L
-    columns = np.repeat(np.arange(L.shape[1]), np.diff(L.indptr))
-    return L.data, columns, np.flatnonzero(L.indices == columns), L
+        return np.stack([np.append(0.0, L.diagonal(1)), L.diagonal(), np.append(L.diagonal(-1), 0.0)]), L
+    place = _x_fastest(np.arange(L.shape[0]).reshape(grid.nx, grid.nz)).argsort()  # each cell's x-fastest index
+    entries = L.tocoo()
+    rows, cols = place[entries.row], place[entries.col]
+    lower = rows >= cols
+    band = np.zeros((grid.nx + 1, L.shape[0]), order="F")
+    band[rows[lower] - cols[lower], cols[lower]] = entries.data[lower]
+    return band, L
+
+
+def _x_fastest(field):
+    """A slab field (nx, nz) flattened x-fastest, cell (i, k) at k nx + i: in
+    this order L and S are bands of half-width nx, the periodic wrap
+    included."""
+    return field.T.ravel()
 
 
 def _heat_jacobian(grid, gas, transport, rho, theta, dt, operator=None):
-    """Jacobian diag(rho de/dtheta) - dt L diag(kappa) of the heat residual
-    rho*e - dt * div H(theta), L from ``_heat_operator`` (``operator``, if
-    given, is its result): solve_banded (1, 1) layout in 1-D, CSC in 2-D."""
+    """The column's heat Jacobian diag(rho de/dtheta) - dt L diag(kappa) of
+    the residual rho*e - dt * div H(theta) in solve_banded (1, 1) layout, L
+    from ``_heat_operator`` (``operator``, if given, is its result)."""
     kappa = thermo._conductivity_raw(transport, theta)
     cap = thermo._volumetric_heat_capacity_raw(gas, rho, theta)
-    values, columns, diagonal, L = _heat_operator(grid) if operator is None else operator
-    jac = -dt * values * kappa.ravel()[columns]
-    jac[diagonal] += cap.ravel()
-    return jac if grid.dimension == 1 else csc_matrix((jac, L.indices, L.indptr), shape=L.shape)
+    bands = (_heat_operator(grid) if operator is None else operator)[0]
+    jac = -dt * bands * kappa
+    jac[1] += cap
+    return jac
+
+
+def _heat_divergence(grid, operator, plates):
+    """div H as a function of K on the slab: L K + b, L from ``_heat_operator``
+    (``operator``) and b the plates' term, the stencil's divergence at K = 0
+    with the plates' K values ``plates``.  The stencil is linear in (K,
+    K_bottom, K_top), so this is ``ops.kirchhoff_div_nd`` to rounding."""
+    L = operator[1]
+    b = ops._divergence(grid, ops.kirchhoff_stencil_nd(grid, np.zeros((grid.nx, grid.nz)), *plates))
+    return lambda K: (L @ K.ravel()).reshape(K.shape) + b
+
+
+def _heat_factors(gas, transport, rho, theta, dt, band):
+    """Band-Cholesky factors of S = diag(rho de/dtheta / kappa) - dt L at
+    theta, L's lower band ``band`` from ``_heat_operator``, kept with kappa:
+    the slab's heat Jacobian is S diag(kappa), and S is symmetric positive
+    definite."""
+    kappa = thermo._conductivity_raw(transport, theta)
+    ab = -dt * band
+    ab[0] += _x_fastest(thermo._volumetric_heat_capacity_raw(gas, rho, theta) / kappa)
+    factor, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+    if info > 0:
+        raise ImplicitSolveError(f"implicit heat solve: S is not positive definite at row {info}")
+    return factor, _x_fastest(kappa)
+
+
+def _heat_direction(factors, resid):
+    """S^-1 r / kappa for a slab residual r, with S and kappa from
+    ``_heat_factors``."""
+    factor, kappa = factors
+    x, _ = dpbtrs(factor, _x_fastest(resid), lower=1)
+    return (x / kappa).reshape(resid.shape[::-1]).T
 
 
 def _implicit_heat(grid, gas, transport, rho, e_star, theta0, dt, solver=None):
-    """Newton in theta for rho*e(rho, theta) - dt * div H(theta) = e_star.
+    """Newton in theta for rho*e(rho, theta) - dt * div H(theta) = e_star,
+    with the plates' K read once per solve.
 
-    On the slab each Newton direction is an exact (refined) solve with the
-    factors ``solver`` keeps, a fresh ``SlabLU`` when none is given."""
+    The column takes exact banded Newton steps until |r| <= _HEAT_TOL scale.
+    On the slab div H goes through the kept L (``_heat_divergence``), and
+    ``_chord_heat`` takes chord steps on the SPD factors ``solver`` keeps (a
+    fresh ``SlabLU`` when none is given)."""
     if solver is None:
         solver = SlabLU()
     operator = solver.grid_operator("heat", grid)
+    plates = [thermo.conductivity_primitive(transport, grid.wall_theta(w)) for w in ("bottom", "top")]
+    if grid.dimension == 1:
+        def divergence(K):
+            return ops._divergence(grid, ops.kirchhoff_stencil_nd(grid, K, *plates))
+    else:
+        divergence = _heat_divergence(grid, operator, plates)
+
+    def residual(th):
+        K = thermo.conductivity_primitive(transport, th)
+        return thermo._volumetric_energy_raw(gas, rho, th) - dt * divergence(K) - e_star
+
+    tol = _HEAT_TOL * max(1.0, float(np.max(np.abs(e_star))))
+    if grid.dimension == 2:
+        band = operator[0]
+        kept = solver._factors.get("heat")
+        kept = kept if kept is not None and kept[0].shape == band.shape else None
+        return _chord_heat(
+            residual, lambda th: _heat_factors(gas, transport, rho, th, dt, band), kept, theta0, tol, solver
+        )
     theta = theta0.copy()
-    scale = max(1.0, float(np.max(np.abs(e_star))))
     for _ in range(_HEAT_MAXITER):
-        resid = thermo._volumetric_energy_raw(gas, rho, theta) - dt * ops.kirchhoff_div_nd(
-            grid, transport, theta
-        ) - e_star
-        if float(np.max(np.abs(resid))) <= _HEAT_TOL * scale:
+        resid = residual(theta)
+        if float(np.max(np.abs(resid))) <= tol:
             return theta
-        jac = _heat_jacobian(grid, gas, transport, rho, theta, dt, operator)
-        if grid.dimension == 1:
-            delta = solve_banded((1, 1), jac, resid)
-        else:
-            delta = solver.solve("heat", jac, resid.ravel()).reshape(resid.shape)
+        delta = solve_banded((1, 1), _heat_jacobian(grid, gas, transport, rho, theta, dt, operator), resid)
         theta = _positive_newton_update(theta, delta, solver)
-    raise ImplicitSolveError(f"implicit heat solve did not converge in {grid.dimension}-D")
+    raise ImplicitSolveError("implicit heat solve did not converge in 1-D")
+
+
+def _chord_heat(residual, factor, kept, theta0, tol, solver):
+    """The slab's heat Newton: chord steps theta - S0^-1 r / kappa0 on kept
+    factors (Kelley, Iterative Methods for Linear and Nonlinear Equations,
+    1995, sec. 5.4) under the stationary Newton's rule.  ``factor(theta)``
+    makes new ones; ``solver`` keeps them and counts them and the chords.
+
+    Above ``tol`` a trial is taken only if it is positive and cuts |r|
+    tenfold (``_CHORD_CUT``); otherwise it is dropped, S is factored at
+    theta and the exact step taken.  Within ``tol`` trials are taken while
+    they more than halve |r|, and the first that does not is dropped: theta
+    ends at its rounding floor, whichever factors served.  _HEAT_MAXITER
+    counts the trials."""
+    theta = theta0.copy()
+    resid = residual(theta)
+    norm = float(np.max(np.abs(resid)))
+    for _ in range(_HEAT_MAXITER):
+        if kept is not None:
+            trial = theta - _heat_direction(kept, resid)
+            if np.all(trial > 0.0):
+                trial_resid = residual(trial)
+                trial_norm = float(np.max(np.abs(trial_resid)))
+                # strict, so an exact zero residual ends the solve; NaN
+                # compares false, so a non-finite trial is never taken
+                if trial_norm < (_CHORD_CUT if norm > tol else 0.5) * norm:
+                    theta, resid, norm = trial, trial_resid, trial_norm
+                    solver.heat_chords += 1
+                    continue
+            if norm <= tol:
+                return theta
+        kept = solver._factors["heat"] = factor(theta)
+        solver.factorisations += 1
+        theta = _positive_newton_update(theta, _heat_direction(kept, resid), solver)
+        resid = residual(theta)
+        norm = float(np.max(np.abs(resid)))
+    raise ImplicitSolveError("implicit heat solve did not converge in 2-D")
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +419,9 @@ def _solve_velocity_2d(grid, transport, theta, rho, m_star_u, m_star_w, dt, solv
 # Slab LU factors kept across steps
 # ---------------------------------------------------------------------------
 
-# The velocity matrix is symmetric and the heat Jacobian structurally so: a
-# minimum-degree ordering of A^T + A with symmetric pivoting cuts the LU fill
-# by about a third against the COLAMD default (George & Liu, SIAM Rev. 31, 1989).
+# The velocity matrix is symmetric: a minimum-degree ordering of A^T + A with
+# symmetric pivoting cuts the LU fill by about a third against the COLAMD
+# default (George & Liu, SIAM Rev. 31, 1989).
 _LU_ORDERING = dict(permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
 # Refinement stops at a normwise backward error |b - A x| / (|A| |x| + |b|)
 # of 4 eps, max-norms throughout: refined sweeps level off at 1e-16 to
@@ -332,22 +433,25 @@ _REFINE_MAX = 8
 
 
 class SlabLU:
-    """The slab's sparse LU factors, kept from one implicit solve to the next.
+    """The slab's factors, kept from one implicit solve to the next.
 
-    ``solve(kind, a, b)`` starts from the factors last made for ``kind``
-    ("velocity" or "heat") and refines x <- x + LU^-1 (b - a x) against the
-    current matrix ``a`` until the residual is at rounding level, a backward
-    error of at most 4 eps (Kelley, Iterative Methods for Linear and
-    Nonlinear Equations, 1995).  A sweep that cuts the residual less than
-    tenfold (the stationary Newton's ``_CHORD_CUT``), a residual that is not
-    finite, or ``_REFINE_MAX`` sweeps drop the factors; ``a`` is then
-    factored anew and solved directly, as when no factors are kept.
+    The velocity keeps sparse LU factors: ``solve(kind, a, b)`` starts from
+    the factors last made for ``kind`` and refines x <- x + LU^-1 (b - a x)
+    against the current matrix ``a`` until the residual is at rounding
+    level, a backward error of at most 4 eps (Kelley, Iterative Methods for
+    Linear and Nonlinear Equations, 1995).  A sweep that cuts the residual
+    less than tenfold (the stationary Newton's ``_CHORD_CUT``), a residual
+    that is not finite, or ``_REFINE_MAX`` sweeps drop the factors; ``a`` is
+    then factored anew and solved directly, as when no factors are kept.
+    The heat keeps the band-Cholesky factors of its SPD form S with kappa
+    (``_heat_factors``), which ``_chord_heat`` makes and uses; both kinds
+    count in ``factorisations``.
 
     ``run`` makes one per run and hands it to every ``step``; nothing is
     shared between instances, so concurrent runs stay independent.  On the
     column as on the slab it also keeps the probed heat operator, on the
     slab the velocity probe plan and its strains (``grid_operator``), and
-    it counts the heat Newton's positivity halvings.
+    it counts the heat Newton's positivity halvings and chord steps.
     """
 
     def __init__(self):
@@ -357,6 +461,8 @@ class SlabLU:
         self.refinements = 0
         # heat-Newton step halvings that keep theta positive, on either grid
         self.heat_backtracks = 0
+        # accepted heat-Newton chord steps on the slab
+        self.heat_chords = 0
 
     def grid_operator(self, kind, grid):
         """The ``_velocity_operator`` or the ``_heat_operator`` of ``grid``,
@@ -509,7 +615,9 @@ class RunResult:
     factorisations: int = 0  # slab LU factorisations (``SlabLU``)
     refinements: int = 0  # refinement sweeps with kept slab factors
     dt_min_clamps: int = 0  # accepted steps whose cfl_dt was raised to dt_min
+    dt_max_clamps: int = 0  # accepted steps whose cfl_dt came back at dt_max
     heat_backtracks: int = 0  # heat-Newton step halvings for positivity
+    heat_chords: int = 0  # accepted heat-Newton chord steps on the slab
 
 
 def run(
@@ -550,6 +658,7 @@ def run(
         result.factorisations = solver.factorisations
         result.refinements = solver.refinements
         result.heat_backtracks = solver.heat_backtracks
+        result.heat_chords = solver.heat_chords
         result.wall_time = _time.perf_counter() - t_start
         return result
 
@@ -570,7 +679,7 @@ def run(
     next_sample = state.t + cadence if cadence > 0.0 else np.inf
     while state.t < horizon - _LANDING_SLACK:
         dt_cfl = cfl_dt(state, control, gas)
-        clamped = dt_cfl <= control.dt_min
+        at_min, at_max = dt_cfl <= control.dt_min, dt_cfl >= control.dt_max
         target = min(next_sample, horizon)
         dt = _landing_dt(target - state.t, dt_cfl)
         attempt = 0
@@ -588,7 +697,8 @@ def run(
                 dt *= 0.5
         state = new_state
         result.steps += 1
-        result.dt_min_clamps += clamped
+        result.dt_min_clamps += at_min
+        result.dt_max_clamps += at_max
         if sample_every_step and keep_samples:
             result.samples.append((state.t, state.copy()))
         if cadence > 0.0 and state.t >= next_sample - _LANDING_SLACK:

@@ -474,9 +474,28 @@ def test_manifest_records_slab_step_counters(tmp_path):
     # kept factors
     assert 2 <= counters["step_factorisations"] < counters["steps"]
     assert counters["step_refinements"] > 0
+    assert counters["heat_chords"] > 0
     assert counters["dt_min_clamps"] == 0
+    # the 12x10 slab's acoustic step lies above dt_max from the first step on
+    assert counters["dt_max_clamps"] == counters["steps"]
     assert counters["heat_backtracks"] == 0
     assert counters["hydrostatic_halvings"] == 0
+
+
+@pytest.mark.parametrize(
+    "preset, overrides",
+    [
+        ("rb-2d-topology", {"domain.nx": "32", "domain.nz": "24", "horizon": "0.02", "seed": "7"}),
+        ("rb-1d-small", {"horizon": "0.05"}),
+    ],
+    ids=["slab-convection", "rb-1d-small"],
+)
+def test_manifest_counts_no_dt_max_clamps_below_dt_max(tmp_path, preset, overrides):
+    # the acoustic step of these runs stays below dt_max, so no step counts
+    config = ex.config_from_mapping(overrides, preset=preset)
+    manifest = ex.run_experiment(config, output_dir=tmp_path)
+    assert manifest.status == "ok" and manifest.counters["steps"] > 0
+    assert manifest.counters["dt_max_clamps"] == 0
 
 
 def test_manifest_records_hydrostatic_halvings(tmp_path):

@@ -217,15 +217,11 @@ def test_implicit_heat_positivity_floor_fails_at_once(dimension, monkeypatch):
         solves.append(1)
         return np.full(np.shape(rhs), 1.0e9)
 
-    class RunawayLU:
-        def __init__(self, matrix, **options):
-            pass
-
-        def solve(self, rhs):
-            return runaway(rhs)
+    def runaway_band_solve(factor, rhs, lower):
+        return runaway(rhs), 0
 
     monkeypatch.setattr(sim, "solve_banded", lambda bands, ab, rhs: runaway(rhs))
-    monkeypatch.setattr(sim, "splu", RunawayLU)
+    monkeypatch.setattr(sim, "dpbtrs", runaway_band_solve)
     with pytest.raises(ImplicitSolveError, match="positivity backtrack"):
         sim._implicit_heat(grid, GAS, TR, rho, e_star, theta, 1e-3)
     assert len(solves) == 1
@@ -235,7 +231,8 @@ def test_implicit_heat_positivity_floor_fails_at_once(dimension, monkeypatch):
 def test_heat_jacobian_matches_finite_difference_oracle(dimension):
     # the kappa-scaled probe of the Kirchhoff stencil must be the derivative
     # of the K-difference heat residual; a wrong entry would only slow Newton
-    # down
+    # down.  On the slab the Jacobian is S diag(kappa), S rebuilt as C C^T
+    # from the band-Cholesky factors the slab's Newton solves with.
     rng = np.random.default_rng(40 + dimension)
     if dimension == 1:
         grid = Grid1D(n=16, theta_bottom=1.3, theta_top=0.8)
@@ -257,11 +254,15 @@ def test_heat_jacobian_matches_finite_difference_oracle(dimension):
         plus.flat[j] += h
         minus.flat[j] -= h
         fd[:, j] = (residual(plus) - residual(minus)) / (2.0 * h)
-    jac = sim._heat_jacobian(grid, GAS, TR, rho, theta, dt)
     if dimension == 1:  # solve_banded (1, 1) layout
+        jac = sim._heat_jacobian(grid, GAS, TR, rho, theta, dt)
         jac = np.diag(jac[1]) + np.diag(jac[0, 1:], 1) + np.diag(jac[2, :-1], -1)
     else:
-        jac = jac.toarray()
+        factor, kappa = sim._heat_factors(GAS, TR, rho, theta, dt, sim._heat_operator(grid)[0])
+        lower = sum(np.diag(factor[d, : theta.size - d], -d) for d in range(factor.shape[0]))
+        order = np.arange(theta.size).reshape(shape).T.ravel()  # the cells x-fastest
+        jac = np.empty((theta.size, theta.size))
+        jac[np.ix_(order, order)] = (lower @ lower.T) * kappa
     column_max = np.max(np.abs(fd), axis=0)
     assert np.all(np.abs(jac - fd) <= 1e-6 * column_max)
 
@@ -269,7 +270,7 @@ def test_heat_jacobian_matches_finite_difference_oracle(dimension):
 def heat_operator_matrix(grid):
     """The heat operator L of ``sim._heat_operator`` as a sparse matrix: the
     slab's CSC, or the column's bands."""
-    values, _, _, L = sim._heat_operator(grid)
+    values, L = sim._heat_operator(grid)
     if grid.dimension == 2:
         return L
     return scipy.sparse.diags([values[0, 1:], values[1], values[2, :-1]], [1, 0, -1])
@@ -292,6 +293,21 @@ def test_heat_operator_equals_its_stencil(dimension, nx, nz, n, lx, seed):
     K = rng.standard_normal((n,) if dimension == 1 else (nx, nz))
     want = ops._divergence(grid, ops.kirchhoff_stencil_nd(grid, K, 0.0, 0.0)).ravel()
     got = heat_operator_matrix(grid) @ K.ravel()
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(nx=hst.integers(3, 10), nz=hst.integers(3, 7), seed=hst.integers(0, 2**32 - 1))
+def test_heat_divergence_through_the_kept_operator_equals_the_stencil(nx, nz, seed):
+    # L K + b, b the plates' term, is the Kirchhoff divergence the slab's heat
+    # residual takes, laterally varying plates included
+    rng = np.random.default_rng(seed)
+    grid = Grid2D(nx=nx, nz=nz, theta_bottom=1.0 + 0.3 * rng.random(nx), theta_top=0.7 + 0.3 * rng.random(nx))
+    theta = 0.5 + rng.random((nx, nz))
+    plates = [thermo.conductivity_primitive(TR, grid.wall_theta(w)) for w in ("bottom", "top")]
+    divergence = sim._heat_divergence(grid, sim._heat_operator(grid), plates)
+    got = divergence(thermo.conductivity_primitive(TR, theta))
+    want = ops.kirchhoff_div_nd(grid, TR, theta)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -361,9 +377,9 @@ def test_one_solver_keeps_an_operator_per_slab_spacing(monkeypatch):
         state = FluidState(grid, 0.0, np.ones_like(theta), theta, np.zeros_like(theta), np.zeros((8, 7)))
         step(state, 1e-3, GAS, TR, solver=solver)
         operators.append(solver.grid_operator("heat", grid))
-        _, _, _, want = sim._heat_operator(grid)
-        assert (abs(operators[-1][3] - want)).max() == 0.0
-    assert (abs(operators[0][3] - operators[1][3])).max() > 0.0
+        _, want = sim._heat_operator(grid)
+        assert (abs(operators[-1][1] - want)).max() == 0.0
+    assert (abs(operators[0][1] - operators[1][1])).max() > 0.0
     assert len(residuals) == 2 and max(residuals) <= sim._HEAT_TOL
 
 
@@ -547,6 +563,7 @@ def test_slab_run_keeps_its_two_factorisations_across_sample_times(tmp_path):
     assert manifest.status == "ok"
     assert manifest.counters["steps"] == 44
     assert manifest.counters["step_factorisations"] == 2
+    assert manifest.counters["heat_chords"] > 0
     times = ex.read_csv(tmp_path / "rb-2d-topology.csv")["t"]
     assert np.max(np.abs(np.asarray(times) - np.arange(5) * 0.05)) <= 1e-12
 
