@@ -30,22 +30,16 @@ of ``operators`` on the velocity components and comprises, in order:
       rounding floor (``_chord_heat``),
 (iv)  boundary enforcement (no-slip walls, Dirichlet temperature traces).
 
-The velocity matrix and L are probed from their stencils through a
-``_ProbePlan`` built once per grid: the colouring (``_probe_coupling``),
-the probe stack, the coupling pattern's CSC arrays and each stored entry's
-place in the stacked response.  A step's velocity matrix is then one
-stress-divergence call on the probes' kept strains, one gather and a
-``csc_matrix`` on the fixed arrays (1.0 ms at 32x24, against 4.8 ms
-probing and converting COO -> CSC every step).  It stores the pattern's exact zeros, which
-``SlabLU`` drops from the copy it factors.  The factors use a
-minimum-degree ordering of A^T + A: at 32x24 the velocity LU takes 5.7 ms
-and 88k nonzeros against 9.3 ms and 129k under COLAMD.  Between steps a
-matrix moves by 1e-4 to 2e-3 relative, so ``run`` keeps the factors for
-the whole run (``SlabLU``).  ``run`` also reaches every sample time and
-the horizon in equal steps of at most the CFL step (``_landing_dt``), so no
-sliver step drops dt and makes the kept factors refactor: the 5 steps of
-a 32x24 ``rb-2d-topology`` run to t = 0.02 factor twice (velocity and
-heat), not 15 times, and so do its 44 steps to t = 0.2 at cadence 0.05.
+The velocity matrix and L are read off their stencils by ``probing``: the
+stencil's offset table, read on a 5x5 probe slab (``_stencil_table``),
+gives a ``probing.Plan`` built once per grid (``_linear_plan``), whose
+pattern is the stencil's own, without stored zeros.  A step's velocity
+matrix is then one stress-divergence call on the probes' kept strains and
+one gather.  Its factors use a minimum-degree ordering of A^T + A
+(``_LU_ORDERING``).  Between steps a matrix moves by 1e-4 to 2e-3
+relative, so ``run`` keeps the factors for the whole run (``SlabLU``) and
+reaches every sample time and the horizon in equal steps (``_landing_dt``):
+no sliver step drops dt and makes the kept factors refactor.
 
 Negative density or temperature is never clamped: a failed step raises
 ``PositivityError`` and ``run`` retries with half the step, as it does
@@ -61,12 +55,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgtsv, dpbtrf, dpbtrs
-from scipy.sparse import coo_matrix, csc_matrix
+from scipy.sparse import coo_matrix  # noqa: F401 (perfbench's tracer times simulator.coo_matrix)
 from scipy.sparse.linalg import splu
 
 from . import operators as ops
-from . import thermo
-from .grids import FluidState, StepControl
+from . import probing, thermo
+from .grids import FluidState, Grid2D, StepControl
 from .stationary import _CHORD_CUT
 
 __all__ = [
@@ -152,26 +146,57 @@ def _positive_newton_update(theta, delta, solver):
     return new
 
 
+def _linear_plan(lattice, fields, pad, table):
+    """The ``probing.Plan`` of a stencil's offset ``table`` on an (nx, nz)
+    ``lattice`` of alternating ``fields``, its probes padded by ``pad`` wall
+    nodes at either end of z."""
+    nx, nz = lattice
+    at, place = probing.lattice(nx, nz, fields, pad)
+    colour = probing.colouring(table, at, nx)
+    return probing.Plan(*probing.pattern(table, at, at, nx), colour, nx * (nz + 2 * pad), place)
+
+
+def _stencil_table(lattice, fields, pad, response):
+    """The offset table of ``response``, a linear stencil on a stack of
+    lattices laid out as in ``_linear_plan``, read at the zero state."""
+    nx, nz = lattice
+    at, _ = probing.lattice(nx, nz, fields)
+
+    def fun(stack):
+        padded = np.pad(stack.reshape(-1, nx, nz), ((0, 0), (0, 0), (pad, pad)))
+        return response(padded)[..., pad : pad + nz].reshape(len(stack), -1)
+
+    return probing.offsets(fun, [np.zeros(nx * nz)], at, at, nx)[0]
+
+
+def _kirchhoff_divergence(grid, K, K_bottom=0.0, K_top=0.0):
+    """The divergence of ``ops.kirchhoff_stencil_nd``."""
+    return ops._divergence(grid, ops.kirchhoff_stencil_nd(grid, K, K_bottom, K_top))
+
+
+def _heat_table():
+    """The offset table of ``_kirchhoff_divergence`` on a 5x5 slab; on the
+    column, a ring of one, its x offsets merge into the diagonal."""
+    return _stencil_table((5, 5), 1, 0, lambda K: _kirchhoff_divergence(Grid2D(nx=5, nz=5), K))
+
+
 def _heat_operator(grid):
-    """L, the divergence of ``ops.kirchhoff_stencil_nd`` at zero walls, probed
-    through a ``_ProbePlan``: div H(theta) has the Jacobian L diag(kappa),
-    the stencil being linear in K.  Returns L's bands and L.  On the column
-    the bands are L's three in solve_banded (1, 1) layout, whose entry j
-    lies in column j; on the slab they are L's lower band in the order of
-    ``_x_fastest``, half-width nx, in LAPACK lower band storage (row d holds
-    L[p + d, p])."""
+    """L, ``_kirchhoff_divergence`` read off through a ``_linear_plan``, and
+    its bands: div H(theta) has the Jacobian L diag(kappa).  On the column
+    the bands are L's three in solve_banded (1, 1) layout, entry j in column
+    j; on the slab L's lower band in the order of ``_x_fastest``, half-width
+    nx, in LAPACK lower band storage (row d holds L[p + d, p])."""
     lattice = (1, grid.n) if grid.dimension == 1 else (grid.nx, grid.nz)
-    plan = _ProbePlan(_probe_coupling(*lattice, reach=1), lattice)
-    L = plan.matrix(ops._divergence(grid, ops.kirchhoff_stencil_nd(grid, plan.probes, 0.0, 0.0)))
-    L.eliminate_zeros()  # the pattern is a superset; its exact zeros only add work
+    plan = _linear_plan(lattice, 1, 0, _heat_table())
+    probes = plan.probes(np.zeros(plan.size)).reshape(-1, *lattice)
+    L = plan.matrix(_kirchhoff_divergence(grid, probes).ravel()[plan.gather])
     if grid.dimension == 1:
         return np.stack([np.append(0.0, L.diagonal(1)), L.diagonal(), np.append(L.diagonal(-1), 0.0)]), L
     place = _x_fastest(np.arange(L.shape[0]).reshape(grid.nx, grid.nz)).argsort()  # each cell's x-fastest index
-    entries = L.tocoo()
-    rows, cols = place[entries.row], place[entries.col]
+    rows, cols = place[plan.indices], place[plan.cols]
     lower = rows >= cols
     band = np.zeros((grid.nx + 1, L.shape[0]), order="F")
-    band[rows[lower] - cols[lower], cols[lower]] = entries.data[lower]
+    band[rows[lower] - cols[lower], cols[lower]] = L.data[lower]
     return band, L
 
 
@@ -199,8 +224,7 @@ def _heat_divergence(grid, operator, plates):
     (``operator``) and b the plates' term, the stencil's divergence at K = 0
     with the plates' K values ``plates``.  The stencil is linear in (K,
     K_bottom, K_top), so this is ``ops.kirchhoff_div_nd`` to rounding."""
-    L = operator[1]
-    b = ops._divergence(grid, ops.kirchhoff_stencil_nd(grid, np.zeros((grid.nx, grid.nz)), *plates))
+    L, b = operator[1], _kirchhoff_divergence(grid, np.zeros((grid.nx, grid.nz)), *plates)
     return lambda K: (L @ K.ravel()).reshape(K.shape) + b
 
 
@@ -238,11 +262,8 @@ def _implicit_heat(grid, gas, transport, rho, e_star, theta0, dt, solver=None):
         solver = SlabLU()
     operator = solver.grid_operator("heat", grid)
     plates = [thermo.conductivity_primitive(transport, grid.wall_theta(w)) for w in ("bottom", "top")]
-    if grid.dimension == 1:
-        def divergence(K):
-            return ops._divergence(grid, ops.kirchhoff_stencil_nd(grid, K, *plates))
-    else:
-        divergence = _heat_divergence(grid, operator, plates)
+    divergence = _heat_divergence(grid, operator, plates) if grid.dimension == 2 else (
+        lambda K: _kirchhoff_divergence(grid, K, *plates))
 
     def residual(th):
         K = thermo.conductivity_primitive(transport, th)
@@ -324,82 +345,35 @@ def _interleave(u, w):
     return lattice
 
 
-def _probe_coupling(nx, ns, reach):
-    """Probe colours of an (nx, ns) lattice's unknowns, row-major, and the
-    (rows, cols) they may couple, rows ascending.  A stencil row reaches one
-    step in i (periodic; none when nx = 1) and ``reach`` in s, so s takes
-    s mod (2 reach + 1) and i runs through blocks of 3 colours, then of 4
-    (nx = 3a + 4b), one colour per column when nx is 5 or less: columns of
-    one colour lie at least 3 apart around the ring, so no two unknowns of
-    one colour share a row, the periodic wrap included.  From nx = 6 on
-    that takes at most 4 x-colours."""
-    span, m, i = 2 * reach + 1, nx - 4 * (nx % 3), np.arange(nx)
-    ci = np.where(i < m, i % 3, (i - m) % 4) if m >= 0 else i
-    colour = (span * ci[:, None] + np.arange(ns) % span).ravel()
-    node = np.pad(np.arange(nx * ns).reshape(nx, ns), ((0, 0), (reach, reach)), constant_values=-1)
-    rolled = [np.roll(node, -di, axis=0) for di in ((-1, 0, 1) if nx > 1 else (0,))]
-    near = np.stack([r[:, reach + ds:reach + ds + ns] for r in rolled for ds in range(-reach, reach + 1)], axis=-1)
-    coupled = near >= 0
-    return colour, np.broadcast_to(node[:, reach:-reach, None], near.shape)[coupled], near[coupled]
+def _velocity_table():
+    """The offset table of ``ops.viscous_rhs_2d`` on a 5x5 slab at a random
+    theta."""
+    probe, transport = Grid2D(nx=5, nz=5), thermo.TransportModel(eta0=0.5)
+    theta = 0.5 + np.random.default_rng(0).random((5, 5))
 
+    def response(v):
+        return _interleave(*ops.viscous_rhs_2d(probe, transport, theta, v[..., 1::2], v[..., ::2]))
 
-class _ProbePlan:
-    """How a linear operator on a lattice becomes a CSC matrix, fixed per grid.
-
-    ``coupling`` (from ``_probe_coupling``) colours the unknowns of a
-    lattice of ``shape``, padded by ``pad`` zero wall nodes along the last
-    axis.  One colour's summed unit vectors return all its columns (Curtis,
-    Powell & Reid 1974), exact to rounding, so the operator maps ``probes``,
-    the stack of every colour's probe, in one call; ``matrix`` reads the
-    coupling pattern off that response with one gather, no sort.
-    """
-
-    def __init__(self, coupling, shape, pad=0):
-        colour, rows, cols = coupling
-        n, n_colours = colour.size, colour.max() + 1
-        node = np.arange(n)
-        padded = node + pad * (2 * (node // shape[-1]) + 1)  # its place on the padded lattice
-        self.probes = np.zeros((n_colours, *shape[:-1], shape[-1] + 2 * pad))
-        self.probes.reshape(n_colours, -1)[colour, padded] = 1.0
-        # the pairs in CSC order, the storage order of a COO -> CSC
-        # conversion: that of their own indices (with the rows ascending, it
-        # finds every column sorted)
-        pattern = coo_matrix((np.arange(rows.size), (rows, cols)), shape=(n, n)).tocsc()
-        pattern.sort_indices()
-        col = cols[pattern.data]
-        self.indices, self.indptr = pattern.indices, pattern.indptr
-        self.diagonal = np.flatnonzero(pattern.indices == col)
-        # each entry's place in the stacked response: the probe of its
-        # column's colour, at its row's node
-        self.gather = (colour * self.probes[0].size)[col] + padded[pattern.indices]
-
-    def matrix(self, response, scale=1.0, diagonal=0.0):
-        """CSC of ``diagonal`` plus ``scale`` times the operator whose
-        response to ``probes`` is ``response``.  It stores the pattern's
-        exact zeros and owns its index arrays."""
-        data = scale * response.ravel()[self.gather]
-        data[self.diagonal] += diagonal
-        n = self.indptr.size - 1
-        return csc_matrix((data, self.indices.copy(), self.indptr.copy()), shape=(n, n))
+    return _stencil_table((5, 9), 2, 1, response)
 
 
 def _velocity_operator(grid):
-    """The ``_ProbePlan`` of the velocity unknowns, the lattice nodes off the
-    walls, and the ``strain_rates_2d`` of its probes: both fixed per grid."""
-    lattice = (grid.nx, 2 * grid.nz - 1)
-    plan = _ProbePlan(_probe_coupling(*lattice, reach=2), lattice, pad=1)
-    return plan, ops.strain_rates_2d(grid, plan.probes[..., 1::2], plan.probes[..., ::2])
+    """The ``_linear_plan`` of u and the interior w, interleaved along z off
+    the walls, and the ``strain_rates_2d`` of its probes."""
+    plan = _linear_plan((grid.nx, 2 * grid.nz - 1), 2, 1, _velocity_table())
+    probes = plan.probes(np.zeros(plan.size)).reshape(-1, grid.nx, 2 * grid.nz + 1)
+    return plan, ops.strain_rates_2d(grid, probes[..., 1::2], probes[..., ::2])
 
 
 def _velocity_matrix(grid, transport, theta, rho, dt, operator=None):
     """rho_face*v - dt*viscous_rhs_2d(theta, v) over the lattice nodes off
     the walls: one ``stress_divergence_2d`` call on the kept probe strains
-    of ``_velocity_operator`` (``operator``, if given, is its result).  The
-    matrix stores the coupling pattern's exact zeros."""
+    of ``_velocity_operator`` (``operator``, if given, is its result)."""
     plan, strains = _velocity_operator(grid) if operator is None else operator
     rbu, rbw = ops._face_densities(rho, 2)
-    rho_face = _interleave(rbu, np.pad(rbw, ((0, 0), (1, 1))))[:, 1:-1].ravel()
-    return plan.matrix(_interleave(*ops.stress_divergence_2d(grid, transport, theta, strains)), -dt, rho_face)
+    data = -dt * _interleave(*ops.stress_divergence_2d(grid, transport, theta, strains)).ravel()[plan.gather]
+    data[plan.diagonal] += _interleave(rbu, np.pad(rbw, ((0, 0), (1, 1))))[:, 1:-1].ravel()
+    return plan.matrix(data)
 
 
 def _solve_velocity_2d(grid, transport, theta, rho, m_star_u, m_star_w, dt, solver=None):
@@ -481,9 +455,7 @@ class SlabLU:
                 self._factors[kind] = kept
                 return x
         del kept  # the old factors go before the new ones are made
-        nonzero = a.copy()
-        nonzero.eliminate_zeros()  # stored zeros would only add fill
-        lu = splu(nonzero, **_LU_ORDERING)
+        lu = splu(a, **_LU_ORDERING)
         self.factorisations += 1
         self._factors[kind] = lu
         return lu.solve(b)

@@ -8,22 +8,19 @@ scalar multiplier added to the continuity rows, which also removes their
 structural redundancy (upwind fluxes telescope to zero over the domain).
 
 Newton's Jacobian is a coloured finite difference (Curtis, Powell & Reid,
-IMA J. Appl. Math. 13, 1974; Coleman & More, SIAM J. Numer. Anal. 20, 1983).
-Its sparsity pattern is read off the residual itself: forward differences on
-a small probe grid, at a random state and again with every velocity negated,
-give the offsets by which each equation field couples to each unknown
-field, and those are translated to the grid at hand.  Columns that share no
-equation form one colour and are perturbed together.  The same offsets
-colour them: first-fit on a torus of a few nodes per field, whose x period
-divides nx and neither period is within the stencils' reach, and each
-unknown takes the colour of its node.  An iteration evaluates one perturbed
-state per colour plus one for the multiplier, a count fixed by the stencils
-and not by the grid size (32 at 24x16 and 64x48), and all of them are the
-rows of one stacked residual call.  The mass row is linear and set exactly.
-The whole bordered matrix is factored with ``splu``; the core block alone is
-singular because the continuity rows telescope.  Its columns go in a
-nested-dissection order of the grid locations (a 1-D column keeps its z
-order), which SuperLU takes as given.  The factors are kept: later
+IMA J. Appl. Math. 13, 1974; Coleman & More, SIAM J. Numer. Anal. 20, 1983)
+read off the residual by ``probing``: forward differences on a small probe
+grid, at a random state and again with every velocity negated, give the
+offsets by which each equation field couples to each unknown field, and
+those give the pattern on the grid at hand and the colours, columns that
+share no equation being perturbed together.  An iteration evaluates one
+perturbed state per colour plus one for the multiplier, a count fixed by
+the stencils and not by the grid size (32 at 24x16 and 64x48), and all of
+them are the rows of one stacked residual call.  The mass row is linear and
+set exactly.  The whole bordered matrix is factored with ``splu``; the core
+block alone is singular because the continuity rows telescope.  Its columns
+go in a nested-dissection order of the grid locations (a 1-D column keeps
+its z order), which SuperLU takes as given.  The factors are kept: later
 iterations first try a chord step with them (Kelley, Iterative Methods for
 Linear and Nonlinear Equations, SIAM 1995, sec. 5.4), and a Jacobian is built
 and factored afresh only when that step fails to cut the residual tenfold.
@@ -39,11 +36,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from . import operators as ops
-from . import thermo
+from . import probing, thermo
 from .grids import FluidState, Grid1D, Grid2D, VelocityComponents
 
 __all__ = [
@@ -466,15 +462,15 @@ def solve_rb_pipeline(config: ProblemConfig, gas, transport) -> StationaryState:
 
 
 class _Layout:
-    """Packed Newton vector of one grid and the grid location of every entry.
+    """Packed Newton vector of one grid and the grid site of every entry.
 
     Unknowns: rho, theta, u (2-D only), the wall-normal velocity without its
     pinned wall faces, then the mass multiplier lambda.  Equations:
     continuity, momentum, energy, then the mass row.  A 1-D column is laid
     out as a slab one cell wide whose velocity plays the part of w.  A cell
     and the faces west of and below it share the cell's location (i, k);
-    every core unknown and equation carries its field (the index of its
-    block) and its location.
+    ``unknowns`` and ``equations`` hold the ``probing`` site (field, i, k)
+    of every core unknown and equation, the field the index of its block.
     """
 
     def __init__(self, grid):
@@ -484,16 +480,11 @@ class _Layout:
         cells = np.indices((self.nx, self.nz)).reshape(2, -1)
         faces = np.indices((self.nx, self.nz - 1)).reshape(2, -1) + np.array([[0], [1]])
         velocity = [faces] if grid.dimension == 1 else [cells, faces]
-        unknown_blocks = [cells, cells, *velocity]
-        equation_blocks = [cells, *velocity, cells]
-        self.unknown_loc = np.concatenate(unknown_blocks, axis=1)
-        self.equation_loc = np.concatenate(equation_blocks, axis=1)
-        self.unknown_field, self.equation_field = (
-            np.repeat(np.arange(len(blocks)), [b.shape[1] for b in blocks])
-            for blocks in (unknown_blocks, equation_blocks)
+        self.unknowns, self.equations = (
+            np.concatenate([np.vstack([np.full(b.shape[1], f), b]) for f, b in enumerate(blocks)], axis=1)
+            for blocks in ([cells, cells, *velocity], [cells, *velocity, cells])
         )
-        self.size = self.equation_loc.shape[1] + 1
-        self.probe_calls = 0
+        self.size = self.equations.shape[1] + 1
 
     def pack(self, rho, theta, u, w, lam):
         one_d = self.grid.dimension == 1
@@ -518,38 +509,6 @@ class _Layout:
             return rho, theta, wall_normal[..., 0, :], None, x[..., -1]
         return rho, theta, x[..., 2 * nc : 3 * nc].reshape(shape), wall_normal, x[..., -1]
 
-    def probe(self):
-        """The offset table ``_probe_offsets`` reads off the residual of a
-        probe grid of this dimension; its residual calls go to ``probe_calls``."""
-        offsets, self.probe_calls = _probe_offsets(self.grid.dimension)
-        return offsets
-
-    def pattern(self, offsets):
-        """(rows, cols) of the core block (all but the mass row and lambda).
-
-        The offset table ``offsets`` translated to this grid, one equation
-        field at a time: x wraps periodically, z offsets that leave the walls
-        are dropped, and offsets that alias on a narrow grid are merged.
-        """
-        at = np.full((self.unknown_field[-1] + 1, self.nx, self.nz), -1)
-        at[(self.unknown_field, *self.unknown_loc)] = np.arange(self.size - 1)
-        rows, cols = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
-        for eq_field in np.unique(offsets[:, 0]):
-            eqs = np.flatnonzero(self.equation_field == eq_field)
-            _, unknown_field, di, dk = offsets[offsets[:, 0] == eq_field].T
-            ei, ek = self.equation_loc[:, eqs, None]
-            k = ek + dk
-            cand = at[unknown_field, (ei + di) % self.nx, k % self.nz]
-            cand[(k < 0) | (k >= self.nz)] = -1
-            hit = np.nonzero(cand >= 0)
-            rows.append(eqs[hit[0]])
-            cols.append(cand[hit])
-        n = self.size - 1
-        # sort and mask: numpy's unique hashes int64 keys, about 50x slower here
-        entries = np.sort(np.concatenate(rows) * n + np.concatenate(cols))
-        entries = entries[np.diff(entries, prepend=-1) != 0]
-        return entries // n, entries % n
-
 
 def _residual(layout, x, gas, transport, G, m0):
     """Packed residual of one state (size,) or, row by row, of a stack
@@ -565,17 +524,11 @@ def _residual(layout, x, gas, transport, G, m0):
     return np.concatenate([*rows, mass], axis=-1)
 
 
-def _probe_offsets(dimension):
-    """Every (equation field, unknown field, di, dk) coupling of the residual.
-
-    The probe is a 5x5 slab (a 6-cell column in 1-D) with laterally varying
-    plates, gravity with both components and a random state.  x is periodic,
-    so the unknowns of grid column i = 0 show every coupling: each gets one
-    forward difference at the state and one with every velocity negated,
-    which flips every donor-cell branch.  di is signed, within +-2 on the
-    5-periodic probe.  Returns the offsets and the residual states
-    evaluated: one stacked call per velocity sign.
-    """
+def _probe_table(dimension):
+    """The residual's offset table and the states it evaluated, on a 5x5 slab
+    (a 6-cell column in 1-D) with laterally varying plates, gravity with both
+    components and a random state, taken as it is and with every velocity
+    negated, which flips every donor-cell branch."""
     rng = np.random.default_rng(0)
     if dimension == 1:
         grid, g = Grid1D(n=6, theta_bottom=1.1, theta_top=1.0), 0.05
@@ -583,59 +536,16 @@ def _probe_offsets(dimension):
         plates = 1.0 + 0.1 * rng.random((2, 5))
         grid, g = Grid2D(nx=5, nz=5, theta_bottom=plates[0], theta_top=plates[1]), (0.02, 0.05)
     layout = _Layout(grid)
-    gas, transport = thermo.GasModel(), thermo.TransportModel(eta0=0.5)
-    G = _potential_from_gravity(grid, g)
+    gas, transport, G = thermo.GasModel(), thermo.TransportModel(eta0=0.5), _potential_from_gravity(grid, g)
     nc = layout.n_cells
     x = 0.05 * rng.standard_normal(layout.size)
     x[: 2 * nc] = 1.0 + 0.1 * rng.standard_normal(2 * nc)
-    column = np.flatnonzero(layout.unknown_loc[0] == 0)
-    coupled = np.zeros((layout.size - 1, column.size), dtype=bool)
-    for sign in (1.0, -1.0):
-        xs = x.copy()
-        xs[2 * nc : -1] *= sign
-        # row 0 is the state, row j + 1 perturbs column[j]
-        stack = np.tile(xs, (column.size + 1, 1))
-        stack[np.arange(1, column.size + 1), column] += 1.0e-7 * np.maximum(1.0, np.abs(xs[column]))
-        f = _residual(layout, stack, gas, transport, G, grid.volume)[:, :-1]
-        coupled |= (f[1:] != f[0]).T
-    eqs, j = np.nonzero(coupled)
-    unknowns = column[j]
-    di = (layout.unknown_loc[0, unknowns] - layout.equation_loc[0, eqs]) % layout.nx
-    di = np.where(di > layout.nx // 2, di - layout.nx, di)
-    dk = layout.unknown_loc[1, unknowns] - layout.equation_loc[1, eqs]
-    offsets = np.stack([layout.equation_field[eqs], layout.unknown_field[unknowns], di, dk], axis=1)
-    return np.unique(offsets, axis=0), 2 * (column.size + 1)
+    negated = np.concatenate([x[: 2 * nc], -x[2 * nc : -1], x[-1:]])
 
+    def fun(stack):
+        return _residual(layout, stack, gas, transport, G, grid.volume)
 
-def _torus_colouring(offsets, nx, n_fields):
-    """First-fit colours of the nodes (field, i, k) of an n_fields x p x q
-    torus, returned in that shape.
-
-    Two unknowns conflict if one equation reaches both: offsets (e, a, di1,
-    dk1) and (e, b, di2, dk2) give the conflict (a, b, di2 - di1, dk2 - dk1).
-    q exceeds the z reach of the conflicts, and p is the smallest divisor of
-    nx above their x reach (nx itself if there is none).  The unknown of
-    field a at (i, k) then takes the colour of node (a, i mod p, k mod q).
-    p divides nx, so the x wrap maps conflicts onto conflicts of the torus.
-    Two unknowns on one node lie a multiple of q apart in z and of p in x,
-    where p exceeds the reach or is the grid's own period, so they never
-    conflict.  The colouring depends on the stencils and on p, not on the
-    grid size (Gebremedhin, Manne & Pothen, SIAM Rev. 47, 2005).
-    """
-    eq, unknown, di, dk = offsets.T
-    a, b = np.nonzero(eq[:, None] == eq)
-    first, second, ddi, ddk = unknown[a], unknown[b], di[b] - di[a], dk[b] - dk[a]
-    reach = int(np.max(np.abs(ddi), initial=0))
-    p = next((d for d in range(reach + 1, nx + 1) if nx % d == 0), nx)
-    q = int(np.max(np.abs(ddk), initial=0)) + 1
-    node = np.arange(n_fields * p * q).reshape(n_fields, p, q)
-    colour = np.full(node.size, -1)
-    for f, i, k in np.ndindex(node.shape):
-        mine = first == f
-        taken = colour[node[second[mine], (i + ddi[mine]) % p, (k + ddk[mine]) % q]]
-        # the first colour no coloured neighbour holds (-1 marks an uncoloured one)
-        colour[node[f, i, k]] = np.flatnonzero(np.bincount(taken + 1, minlength=taken.size + 2)[1:] == 0)[0]
-    return colour.reshape(node.shape)
+    return probing.offsets(fun, (x, negated), layout.unknowns, layout.equations, layout.nx)
 
 
 def _dissection_ranks(nx, nz, reach):
@@ -675,82 +585,54 @@ def _dissection_ranks(nx, nz, reach):
 
 
 class _ColouredJacobian:
-    """Bordered finite-difference Jacobian of ``_residual``, assembled sparse.
+    """Bordered finite-difference Jacobian of ``_residual``: a
+    ``probing.Plan`` of one offset table (``_probe_table``) plus its border.
+    Every entry equals its one-column forward difference bit for bit.  The
+    lambda column is one more probe and the linear mass row is set exactly:
+    one stacked residual call of (colours + 1, size) states per Jacobian.
 
-    One offset table (``_Layout.probe``) gives the pattern, the colours and
-    the column order.  Each unknown takes the colour of its torus node
-    (``_torus_colouring``), and the colours in use are renumbered 0..C-1,
-    so no stack row is empty.  Columns of one colour share no row, so every
-    entry equals its one-column forward difference bit for bit.  One
-    stacked residual call per Jacobian: the perturbations of every colour
-    of the core columns and of the lambda column are the rows of one
-    (colours + 1, size) stack.  The mass row is linear and set exactly.
-
-    ``rank[j]`` is the column of unknown j in ``factor``.  The locations go
-    in nested-dissection order (``_dissection_ranks``, its bands as wide as
-    the offsets' largest |di| or |dk|), or in z order on a column, whose
+    ``rank[j]``, the column of unknown j, puts the locations in
+    nested-dissection order (``_dissection_ranks``, its bands as wide as the
+    offsets' largest |di| or |dk|), or in z order on a column, whose
     Jacobian is a bordered band that dissection would only fill further.
-    The unknowns of a location stay together in field order, and lambda
-    goes last.
     """
 
     def __init__(self, layout):
         self.layout = layout
-        offsets = layout.probe()
-        self.rows, self.cols = layout.pattern(offsets)
-        node_colour = _torus_colouring(offsets, layout.nx, layout.unknown_field[-1] + 1)
-        _, p, q = node_colour.shape
-        i, k = layout.unknown_loc
-        # renumbered 0..C-1: torus colours no unknown takes would be empty stack rows
-        _, self.colour = np.unique(node_colour[layout.unknown_field, i % p, k % q], return_inverse=True)
-        order = np.argsort(self.colour, kind="stable")
-        self.groups = np.split(order, np.cumsum(np.bincount(self.colour))[:-1])
-        if layout.grid.dimension == 1:
-            location_rank = k
-        else:
-            reach = int(np.max(np.abs(offsets[:, 2:])))
-            location_rank = _dissection_ranks(layout.nx, layout.nz, reach)[i, k]
+        table, self.probe_calls = _probe_table(layout.grid.dimension)
+        rows, cols = probing.pattern(table, layout.unknowns, layout.equations, layout.nx)
+        colour = probing.colouring(table, layout.unknowns, layout.nx)
+        self.colours = int(colour.max()) + 1
+        _, i, k = layout.unknowns
+        reach = int(np.max(np.abs(table[:, 2:]), initial=0))
+        location = k if layout.grid.dimension == 1 else _dissection_ranks(layout.nx, layout.nz, reach)[i, k]
         # the unknowns of a location keep their field order, lambda goes last
-        self.rank = np.empty(layout.size, dtype=int)
-        self.rank[np.argsort(location_rank, kind="stable")] = np.arange(layout.size - 1)
-        self.rank[-1] = layout.size - 1
+        n = layout.size - 1
+        self.rank = np.append(np.argsort(np.argsort(location, kind="stable")), n)
+        # the border: the lambda column, which one more probe gives, and the mass row
+        rows = np.concatenate([rows, np.arange(n), np.full(layout.n_cells, n)])
+        cols = np.concatenate([cols, np.full(n, n), np.arange(layout.n_cells)])
+        self.plan = probing.Plan(rows, cols, np.append(colour, self.colours), layout.size, column=self.rank)
+        self.mass = np.flatnonzero(self.plan.indices == n)
 
     def factor(self, fun, x, f):
-        """SuperLU factors of the Jacobian at x, assembled with unknown j in
-        column ``rank[j]`` and factored in that column order (partial row
-        pivoting kept), and the solve b -> J^-1 b in the packed order.
+        """SuperLU factors of the Jacobian at x in its column order (partial
+        row pivoting kept), and the solve b -> J^-1 b in the packed order.
         ``magnitudes`` becomes |J| |x|, row by row: the size of the terms
         each residual row sums, to first order."""
-        jac = self(fun, x, f, self.rank)
-        ranked = np.empty_like(x)
-        ranked[self.rank] = np.abs(x)
-        self.magnitudes = abs(jac) @ ranked
+        jac = self(fun, x, f)
+        self.magnitudes = abs(jac) @ np.abs(x)[np.argsort(self.rank)]
         lu = splu(jac, permc_spec="NATURAL")
         return lu, lambda b: lu.solve(b)[self.rank]
 
-    def __call__(self, fun, x, f, column=None):
-        """The Jacobian at x; unknown j goes to column ``column[j]``
-        (default: j)."""
-        n = x.size - 1
+    def __call__(self, fun, x, f):
+        """The Jacobian at x in its column order, without its exact zeros."""
         h = 1.0e-7 * np.maximum(1.0, np.abs(x))
-        xp = np.tile(x, (len(self.groups) + 1, 1))
-        xp[self.colour, np.arange(n)] += h[:n]
-        xp[-1, n] += h[n]
-        diffs = fun(xp)[:, :n] - f[:n]
-        n_cells = self.layout.n_cells
-        rows = np.concatenate([self.rows, np.arange(n), np.full(n_cells, n)])
-        cols = np.concatenate([self.cols, np.full(n, n), np.arange(n_cells)])
-        if column is not None:
-            cols = column[cols]
-        values = np.concatenate(
-            [
-                diffs[self.colour[self.cols], self.rows] / h[self.cols],
-                diffs[-1] / h[n],
-                np.full(n_cells, self.layout.grid.cell_volume),
-            ]
-        )
-        keep = values != 0.0
-        return csc_matrix((values[keep], (rows[keep], cols[keep])), shape=(n + 1, n + 1))
+        data = (fun(self.plan.probes(x, h)) - f).ravel()[self.plan.gather] / h[self.plan.cols]
+        data[self.mass] = self.layout.grid.cell_volume
+        jac = self.plan.matrix(data)
+        jac.eliminate_zeros()
+        return jac
 
 
 # a chord step is taken only if it cuts the residual max-norm this much
@@ -885,10 +767,10 @@ def solve_stationary_newton(
     rho, theta, u, w, _ = layout.unpack(x)
     state = StationaryState(grid=grid, rho=rho, theta=theta, u=u, w=w, iterations=iterations)
     state.residual_trace, state.floor_steps, state.jacobians = trace, floor_steps, jacobians
-    state.jacobian_colours = 0 if jacobian is None else len(jacobian.groups)
+    state.jacobian_colours = 0 if jacobian is None else jacobian.colours
     state.lu_fill = 0 if lu is None else lu.nnz
     state.hydrostatic_halvings = getattr(initial_guess, "hydrostatic_halvings", 0)
-    state.residual_calls = calls + layout.probe_calls
+    state.residual_calls = calls + (0 if jacobian is None else jacobian.probe_calls)
     state.residual_norms = _residual_norms(state, gas, transport, G)
     state.mass_error = abs(float(np.sum(rho) * grid.cell_volume) - m0)
     state.proximity = _proximity(config, state)

@@ -12,8 +12,8 @@ from hypothesis import strategies as hst
 
 from nsfsim import experiment as ex
 from nsfsim import operators as ops
+from nsfsim import probing, stationary, thermo
 from nsfsim import simulator as sim
-from nsfsim import thermo
 from nsfsim.grids import FluidState, Grid1D, Grid2D, StepControl
 from nsfsim.simulator import ImplicitSolveError, PositivityError, cfl_dt, run, step
 from nsfsim.stationary import ProblemConfig, solve_rb_pipeline, static_uniform
@@ -311,17 +311,45 @@ def test_heat_divergence_through_the_kept_operator_equals_the_stencil(nx, nz, se
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+# colours of the stationary Newton's lateral Jacobian at nz = 8 from the
+# torus alone, the colouring before the blocks were kept beside it
+TORUS_NEWTON_COLOURS = {
+    3: 32, 4: 32, 5: 40, 6: 36, 7: 32, 8: 32, 9: 36, 10: 40, 11: 32, 12: 32, 13: 36, 14: 32, 15: 40,
+    16: 32, 17: 36, 18: 36, 19: 32, 20: 32, 21: 32, 22: 32, 23: 32, 24: 32, 25: 40, 26: 36, 27: 36,
+    28: 32, 29: 36, 30: 40, 31: 32, 32: 32, 33: 32, 34: 36, 35: 40, 36: 32, 37: 36, 38: 32, 39: 36, 40: 32,
+}
+
+
+def probed_colours(table, unknowns, equations, nx):
+    """The probe count of ``table`` on a lattice of ``unknowns`` and
+    ``equations``, asserting that no row sees two unknowns of one colour,
+    the periodic wrap included."""
+    rows, cols = probing.pattern(table, unknowns, equations, nx)
+    colour = probing.colouring(table, unknowns, nx)
+    assert len(set(zip(rows.tolist(), colour[cols].tolist()))) == rows.size, nx
+    return colour.max() + 1
+
+
 def test_probe_colouring_keeps_rows_apart_with_few_colours():
-    # no row sees two unknowns of one colour, the periodic wrap included, and
-    # blocks of 3 and 4 columns need 4 x-colours on every ring from 6 on
-    ns = 7
-    for reach in (1, 2):
-        for nx in range(3, 41):
-            colour, rows, cols = sim._probe_coupling(nx, ns, reach)
-            assert colour.size == nx * ns
-            assert len(set(zip(rows, colour[cols]))) == rows.size, (nx, reach)
-            x_colours = (colour.max() + 1) // (2 * reach + 1)
-            assert x_colours == (3 if nx % 3 == 0 else nx if nx in (4, 5) else 4), (nx, reach)
+    # both slab operators on every ring of 1 to 130 columns need no more
+    # probes than closed-form blocks of 3 and 4 columns over a box of the
+    # stencil's reach took: the box's z span (5 velocity and 3 heat lattice
+    # nodes) times nx up to 5, else 3 where 3 divides nx and 4 where not
+    for table, fields, nz, span in ((sim._velocity_table(), 2, 9, 5), (sim._heat_table(), 1, 6, 3)):
+        for nx in range(1, 131):
+            box = span * (nx if nx <= 5 else 3 if nx % 3 == 0 else 4)
+            at = probing.lattice(nx, nz, fields)[0]
+            assert probed_colours(table, at, at, nx) <= box, (fields, nx)
+    # the probed stencils are stars, not boxes: 16 velocity and 8 heat
+    # probes at 32x24 (the torus), 15 velocity probes at 12x10 (the blocks)
+    assert sim._velocity_operator(Grid2D(nx=32, nz=24))[0].n_colours == 16
+    assert sim._velocity_operator(Grid2D(nx=12, nz=10))[0].n_colours == 15
+    assert sim._linear_plan((32, 24), 1, 0, sim._heat_table()).n_colours == 8
+    # the stationary Newton's lateral offsets: never more than the torus alone
+    table = stationary._probe_table(2)[0]
+    for nx, torus in TORUS_NEWTON_COLOURS.items():
+        layout = stationary._Layout(Grid2D(nx=nx, nz=8))
+        assert probed_colours(table, layout.unknowns, layout.equations, nx) <= torus, nx
 
 
 @pytest.mark.parametrize(

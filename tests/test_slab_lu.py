@@ -12,7 +12,7 @@ from nsfsim import experiment as ex
 from nsfsim import operators as ops
 from nsfsim import simulator as sim
 from nsfsim import thermo
-from nsfsim.grids import Grid2D, StepControl
+from nsfsim.grids import Grid1D, Grid2D, StepControl
 from nsfsim.thermo import GasModel, TransportModel
 
 GAS = GasModel()
@@ -112,23 +112,31 @@ def test_a_sixteenfold_dt_drop_refactors_once(kind):
     assert solver.factorisations == 2
 
 
-def test_stored_zeros_add_no_fill_and_no_residual():
-    # the velocity matrix stores its coupling pattern's exact zeros: they are
-    # dropped where the matrix is factored, and the refined solve meets the
-    # backward error against the matrix as given
-    rng, grid, rho, theta = random_slab(8, 6, 5)
-    transport = TransportModel(eta0=0.5)
-    a = sim._velocity_matrix(grid, transport, theta, rho, 0.01)
-    nonzero = a.copy()
-    nonzero.eliminate_zeros()
-    assert nonzero.nnz < a.nnz
+@settings(max_examples=25, deadline=None)
+@given(
+    nx=hst.integers(3, 10),
+    nz=hst.integers(3, 7),
+    eta0=hst.sampled_from([0.0, 0.5]),
+    seed=hst.integers(0, 2**32 - 1),
+)
+def test_stored_zeros_add_no_fill_and_no_residual(nx, nz, eta0, seed):
+    # both slab plans store only their stencils' structural nonzeros at a
+    # random theta, rho and dt, so the velocity matrix is factored as given
+    # and the refined solve meets the backward error against it
+    rng, grid, rho, theta = random_slab(nx, nz, seed)
+    transport = TransportModel(eta0=eta0)
+    dt = 0.01 + 0.04 * rng.random()
+    a = sim._velocity_matrix(grid, transport, theta, rho, dt)
+    assert np.all(a.data != 0.0)
+    for heat_grid in (grid, Grid1D(n=nx * nz)):
+        assert np.all(sim._heat_operator(heat_grid)[1].data != 0.0)
     solver = sim.SlabLU()
     b = rng.standard_normal(a.shape[0])
     x = solver.solve("velocity", a, b)
     assert backward_error(a, x, b) <= 4.0 * EPS
-    kept, want = solver._factors["velocity"], splu(nonzero, **sim._LU_ORDERING)
+    kept, want = solver._factors["velocity"], splu(a, **sim._LU_ORDERING)
     assert kept.L.nnz + kept.U.nnz == want.L.nnz + want.U.nnz
-    a = sim._velocity_matrix(grid, transport, theta * (1.0 + 1e-3 * rng.standard_normal(theta.shape)), rho, 0.01)
+    a = sim._velocity_matrix(grid, transport, theta * (1.0 + 1e-3 * rng.standard_normal(theta.shape)), rho, dt)
     x = solver.solve("velocity", a, b)
     assert solver.factorisations == 1 and solver.refinements > 0
     assert backward_error(a, x, b) <= 4.0 * EPS

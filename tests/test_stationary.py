@@ -10,7 +10,8 @@ from hypothesis import strategies as hst
 
 from nsfsim import experiment as ex
 from nsfsim import operators as ops
-from nsfsim import stationary
+from nsfsim import probing, stationary
+from nsfsim import simulator as sim
 from nsfsim.grids import Grid1D, Grid2D
 from nsfsim.stationary import (
     _ColouredJacobian,
@@ -306,8 +307,9 @@ def test_newton_stops_at_the_rounding_floor_of_a_fine_column(n):
 
     f = fun(x)
     assert np.max(np.abs(f)) == newton.residual_trace[-1]
-    magnitudes = abs(_ColouredJacobian(layout)(fun, x, f)) @ np.abs(x)
-    assert np.all(np.abs(f) <= np.maximum(1e-9, 2.0 * np.finfo(float).eps * magnitudes))
+    jacobian = _ColouredJacobian(layout)
+    jacobian.factor(fun, x, f)
+    assert np.all(np.abs(f) <= np.maximum(1e-9, 2.0 * np.finfo(float).eps * jacobian.magnitudes))
     # at rounding level, the pipeline's state to a few ulps
     assert np.max(np.abs(newton.rho - pipe.rho)) < 1e-14
     assert np.max(np.abs(newton.theta - pipe.theta)) < 1e-14
@@ -414,14 +416,21 @@ JACOBIAN_GRIDS = {
 }
 
 
+def declared_pattern(layout):
+    """The core block's pattern, the residual's offset table translated to
+    the layout's grid, as a dense boolean matrix."""
+    table = stationary._probe_table(layout.grid.dimension)[0]
+    declared = np.zeros((layout.size - 1, layout.size - 1), dtype=bool)
+    declared[probing.pattern(table, layout.unknowns, layout.equations, layout.nx)] = True
+    return declared
+
+
 @pytest.mark.parametrize("name", sorted(JACOBIAN_GRIDS))
 @pytest.mark.parametrize("seed", [0, 1])
 def test_jacobian_pattern_contains_every_nonzero(name, seed):
     layout, fun, x = random_problem(JACOBIAN_GRIDS[name](), seed)
     oracle = dense_fd_jacobian(fun, x)[:-1, :-1]
-    rows, cols = layout.pattern(layout.probe())
-    declared = np.zeros(oracle.shape, dtype=bool)
-    declared[rows, cols] = True
+    declared = declared_pattern(layout)
     assert not np.any((oracle != 0.0) & ~declared)
 
 
@@ -431,8 +440,8 @@ def test_coloured_jacobian_matches_dense_oracle(name, seed):
     layout, fun, x = random_problem(JACOBIAN_GRIDS[name](), seed)
     oracle = dense_fd_jacobian(fun, x)
     jacobian = _ColouredJacobian(layout)
-    coloured = jacobian(fun, x, fun(x)).toarray()
-    assert len(jacobian.groups) < x.size - 1
+    coloured = jacobian(fun, x, fun(x)).toarray()[:, jacobian.rank]  # unknown j is in column rank[j]
+    assert jacobian.colours < x.size - 1
     scale = np.max(np.abs(oracle), axis=0)
     assert np.all(np.abs(coloured - oracle) <= 1.0e-6 * scale)
 
@@ -453,7 +462,8 @@ def test_coloured_jacobian_equals_column_by_column_differences_bitwise(name, see
     # The mass row is set exactly rather than differenced.
     layout, fun, x = random_problem(BITWISE_GRIDS[name](), seed)
     oracle = dense_fd_jacobian(fun, x)
-    coloured = _ColouredJacobian(layout)(fun, x, fun(x)).toarray()
+    jacobian = _ColouredJacobian(layout)
+    coloured = jacobian(fun, x, fun(x)).toarray()[:, jacobian.rank]  # unknown j is in column rank[j]
     assert np.array_equal(coloured[:-1], oracle[:-1])
 
 
@@ -469,7 +479,7 @@ def test_coloured_jacobian_makes_one_stacked_residual_call(name):
         return fun(xv)
 
     jacobian(counted, x, f)
-    assert shapes == [(len(jacobian.groups) + 1, x.size)]
+    assert shapes == [(jacobian.colours + 1, x.size)]
 
 
 def assert_stacked_rows_match_single_calls(grid, states, rng):
@@ -521,44 +531,68 @@ def test_colours_never_share_a_pattern_row():
     grids = [Grid2D(nx=nx, nz=nz, theta_bottom=1.0, theta_top=1.0) for nx in range(3, 17) for nz in range(3, 9)]
     grids += [Grid1D(n=n, theta_bottom=1.1, theta_top=1.0) for n in range(3, 41)]
     for grid in grids:
-        jacobian = _ColouredJacobian(_Layout(grid))
-        pairs = np.stack([jacobian.rows, jacobian.colour[jacobian.cols]])
-        assert np.unique(pairs, axis=1).shape[1] == jacobian.rows.size
-        assert np.all(np.bincount(jacobian.colour) > 0)
+        plan = _ColouredJacobian(_Layout(grid)).plan
+        core = plan.indices < plan.colour.size - 1  # the mass row sums every density; it is set exactly
+        pairs = np.stack([plan.indices[core], plan.colour[plan.cols[core]]])
+        assert np.unique(pairs, axis=1).shape[1] == np.count_nonzero(core)
+        assert np.all(np.bincount(plan.colour) > 0)
 
 
-@settings(max_examples=25, deadline=None)
-@given(nx=hst.integers(3, 16), nz=hst.integers(3, 8))
-def test_colouring_is_first_fit_greedy(nx, nz):
-    # The torus nodes (field, i, k) are coloured first-fit in node order, the
-    # conflicts read off a dense boolean pattern of the periodic p x q torus,
-    # and every unknown carries the colour of node (field, i mod p, k mod q),
-    # renumbered in order to 0..C-1.
-    layout = _Layout(Grid2D(nx=nx, nz=nz, theta_bottom=1.0, theta_top=1.0))
-    offsets = layout.probe()
-    node_colour = stationary._torus_colouring(offsets, nx, 4)
-    _, p, q = node_colour.shape
-    same = offsets[:, None, 0] == offsets[None, :, 0]
-    reach = np.abs(offsets[:, None, 2:] - offsets[None, :, 2:])[same].max(axis=0)
-    assert p == min([d for d in range(reach[0] + 1, nx + 1) if nx % d == 0], default=nx)
-    assert q == reach[1] + 1
-
-    node = np.arange(node_colour.size).reshape(node_colour.shape)
+def dense_first_fit(offsets, n_fields, p, q):
+    """First-fit colours of the nodes (field, i, k) of a periodic
+    n_fields x p x q torus, in node order, the conflicts read off a dense
+    boolean pattern of the torus, and the node array."""
+    node = np.arange(n_fields * p * q).reshape(n_fields, p, q)
     torus = np.zeros((node.size, node.size))
     for eq_field, unknown_field, di, dk in offsets:
         for i, k in np.ndindex(p, q):
             torus[node[eq_field, i, k], node[unknown_field, (i + di) % p, (k + dk) % q]] = 1.0
     conflict = (torus.T @ torus) > 0.0
-    colour = node_colour.ravel()
+    colour = np.empty(node.size, dtype=int)
     for m in range(node.size):
         held = set(colour[:m][conflict[m, :m]].tolist())
-        assert colour[m] == min(set(range(len(held) + 1)) - held)
+        colour[m] = min(set(range(len(held) + 1)) - held)
+    return colour, node, conflict
 
-    jacobian = _ColouredJacobian(layout)
-    i, k = layout.unknown_loc
-    carried = node_colour[layout.unknown_field, i % p, k % q]
-    used = np.unique(carried)
-    assert np.array_equal(used[jacobian.colour], carried)
+
+@settings(max_examples=25, deadline=None)
+@given(nx=hst.integers(3, 16), nz=hst.integers(3, 8), operator=hst.sampled_from(["newton", "velocity"]))
+def test_colouring_is_first_fit_greedy(nx, nz, operator):
+    # Under either x map the nodes are coloured first-fit in node order, the
+    # conflicts read off a dense boolean pattern: the torus nodes
+    # (field, i mod p, k mod q) under every conflict, or the nodes
+    # (field, k mod q) of one column of the ring itself times the column's x
+    # colour.  Every unknown carries its node's colour under the map that
+    # needs fewer (the torus on a tie), renumbered in order to 0..C-1.
+    if operator == "newton":
+        offsets = stationary._probe_table(2)[0]
+        unknowns = _Layout(Grid2D(nx=nx, nz=nz, theta_bottom=1.0, theta_top=1.0)).unknowns
+    else:
+        offsets, unknowns = sim._velocity_table(), probing.lattice(nx, 2 * nz - 1, 2)[0]
+    n_fields = unknowns[0].max() + 1
+    same = offsets[:, None, 0] == offsets[None, :, 0]
+    reach, q = np.abs(offsets[:, None, 2:] - offsets[None, :, 2:])[same].max(axis=0) + [0, 1]
+    p = min([d for d in range(reach + 1, nx + 1) if nx % d == 0], default=nx)
+    f, i, k = unknowns
+    colour, node, _ = dense_first_fit(offsets, n_fields, p, q)
+    torus = colour[node[f, i % p, k % q]]
+
+    _, node, conflict = dense_first_fit(offsets, n_fields, nx, q)
+    column = node[:, 0, :].ravel()  # conflicts within a column, aliased x offsets included
+    colour, _, _ = dense_first_fit([], n_fields, 1, q)
+    for m in range(column.size):
+        held = set(colour[:m][conflict[column[m], column[:m]]].tolist())
+        colour[m] = min(set(range(len(held) + 1)) - held)
+    x = probing._blocks(nx, reach)
+    # columns of one x colour lie more than the reach apart around the ring
+    for c in range(x.max() + 1):
+        at = np.flatnonzero(x == c)
+        assert at.size == 1 or np.all(np.diff(np.append(at, at[0] + nx)) > reach)
+    blocks = colour.reshape(n_fields, q)[f, k % q] * (x.max() + 1) + x[i]
+
+    torus, blocks = (np.unique(c, return_inverse=True)[1] for c in (torus, blocks))
+    want = torus if torus.max() <= blocks.max() else blocks
+    assert np.array_equal(probing.colouring(offsets, unknowns, nx), want)
 
 
 def assert_dissection_order(grid, seed):
@@ -570,15 +604,15 @@ def assert_dissection_order(grid, seed):
     rank = jacobian.rank
     assert np.array_equal(np.sort(rank), np.arange(layout.size)) and rank[-1] == layout.size - 1
     order = np.argsort(rank)[:-1]
-    loc = layout.unknown_loc[:, order]
+    loc = layout.unknowns[1:, order]
     starts = np.flatnonzero(np.any(np.diff(loc, axis=1) != 0, axis=0)) + 1
     groups = np.split(order, starts)
     assert len(groups) == layout.nx * layout.nz
-    assert all(np.all(np.diff(layout.unknown_field[g]) > 0) for g in groups)
+    assert all(np.all(np.diff(layout.unknowns[0, g]) > 0) for g in groups)
     f = fun(x)
     b = np.random.default_rng(seed).standard_normal(layout.size)
     _, solve = jacobian.factor(fun, x, f)
-    reference = stationary.splu(jacobian(fun, x, f)).solve(b)
+    reference = stationary.splu(jacobian(fun, x, f)).solve(b)[rank]
     assert np.max(np.abs(solve(b) - reference)) <= 1.0e-12 * np.max(np.abs(reference))
     return layout, rank
 
@@ -590,8 +624,8 @@ def test_dissection_order_on_slabs(nx, nz, seed):
     layout, rank = assert_dissection_order(grid, seed)
     # the band that cuts the x ring open is numbered last, on rings wide
     # enough for two lines out of reach of each other
-    reach = int(np.max(np.abs(layout.probe()[:, 2:])))
-    band = layout.unknown_loc[0] < reach
+    reach = int(np.max(np.abs(stationary._probe_table(2)[0][:, 2:])))
+    band = layout.unknowns[1] < reach
     last = np.sort(rank[:-1])[-np.count_nonzero(band) :]
     assert (nx > 2 * reach + 1) == np.array_equal(np.sort(rank[:-1][band]), last)
 
@@ -600,8 +634,8 @@ def test_dissection_order_on_slabs(nx, nz, seed):
 @given(n=hst.integers(3, 40), seed=hst.integers(0, 2**16))
 def test_dissection_order_keeps_a_column_in_z_order(n, seed):
     layout, rank = assert_dissection_order(Grid1D(n=n, theta_bottom=1.1, theta_top=1.0), seed)
-    k = layout.unknown_loc[1]
-    assert np.array_equal(np.argsort(rank[:-1]), np.lexsort((layout.unknown_field, k)))
+    field, _, k = layout.unknowns
+    assert np.array_equal(np.argsort(rank[:-1]), np.lexsort((field, k)))
 
 
 def test_dissection_ranks_number_both_halves_before_their_separator():
@@ -633,8 +667,7 @@ def assert_pattern_contains_dense_nonzeros(grid, rng):
     x = np.concatenate(
         [1.0 + 0.1 * rng.standard_normal(2 * nc), 0.05 * rng.standard_normal(layout.size - 2 * nc)]
     )
-    declared = np.zeros((layout.size - 1, layout.size - 1), dtype=bool)
-    declared[layout.pattern(layout.probe())] = True
+    declared = declared_pattern(layout)
     for sign in (1.0, -1.0):
         xs = x.copy()
         xs[2 * nc : -1] *= sign
@@ -663,7 +696,7 @@ def test_derived_pattern_contains_dense_nonzeros_1d(n, seed):
 def test_lateral_preset_at_24x16_needs_at_most_40_colours():
     config = ex.config_from_mapping({"domain.nx": "24", "domain.nz": "16"}, preset="rb-2d-lateral")
     jacobian = _ColouredJacobian(_Layout(ex.build_problem(config).grid))
-    assert len(jacobian.groups) <= 40
+    assert jacobian.colours <= 40
 
 
 @pytest.mark.parametrize("grid", [Grid1D(n=40, theta_bottom=1.1), Grid2D(nx=24, nz=16)], ids=["1d", "2d"])
@@ -675,13 +708,12 @@ def test_pattern_derivation_residual_calls(monkeypatch, grid):
         return _residual(layout, x, *args)
 
     monkeypatch.setattr(stationary, "_residual", counted)
-    layout = _Layout(grid)
-    layout.pattern(layout.probe())
+    jacobian = _ColouredJacobian(_Layout(grid))
     probe = probed[0]
     assert all(p is probe for p in probed)
-    column = int(np.sum(probe.unknown_loc[0] == 0))
+    column = int(np.sum(probe.unknowns[1] == 0))
     assert len(probed) <= 2 * column + 2
-    assert layout.probe_calls == len(probed)
+    assert jacobian.probe_calls == len(probed)
 
 
 def test_newton_counts_armijo_floor_acceptances(monkeypatch):
