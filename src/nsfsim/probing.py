@@ -57,10 +57,17 @@ def pattern(table, unknowns, equations, nx):
     at = np.pad(at, ((0, 0), (0, 0), (reach[1],) * 2), constant_values=-1)
     _, width, depth = at.shape
     eq, field, di, dk = (table + [0, 0, *reach]).T
-    # flat indices into ``at``: each equation's site plus each offset's shift
-    reached = at.ravel()[(equations[1] * depth + equations[2])[:, None] + (field * width + di) * depth + dk]
-    hit = (reached >= 0) & (equations[0][:, None] == eq)
-    rows, cols = np.nonzero(hit)[0], reached[hit]
+    # flat indices into ``at``: an equation's site plus the shift of each
+    # offset of its own field
+    site, shift = equations[1] * depth + equations[2], (field * width + di) * depth + dk
+    rows, cols = [], []
+    for f in range(int(equations[0].max()) + 1):
+        own = np.flatnonzero(equations[0] == f)
+        reached = at.ravel()[site[own, None] + shift[eq == f]]
+        hit = reached >= 0
+        rows.append(np.repeat(own, np.count_nonzero(hit, axis=1)))
+        cols.append(reached[hit])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
     if nx <= 2 * reach[0]:
         rows, cols = np.unique(np.stack([rows, cols]), axis=1)
     return rows, cols

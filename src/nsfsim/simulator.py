@@ -11,8 +11,11 @@ of ``operators`` on the velocity components and comprises, in order:
       stress with viscosities frozen at theta^n: the column's banded
       (4/3)mu + eta operator in 1-D, and in 2-D one coupled solve for (u, w)
       under the full stress, its matrix one ``stress_divergence_2d`` call on
-      the kept strains of the velocity probes, and solved with the sparse LU
-      factors ``SlabLU`` keeps,
+      the kept strains of the velocity probes.  The stress is dissipative, so
+      that matrix diag(rho_face) - dt div S is symmetric positive definite,
+      a band of half-width 2 nx with the lattice nodes x-fastest; it is
+      solved on the band-Cholesky factors ``SlabLU`` keeps, refined against
+      the assembled matrix,
 (iii) internal-energy stage: rho*e is advanced by the explicit tendencies of
       ``operators.energy_explicit_nd`` (upwind transport of rho*e and the
       sources S:Du - p div u at half-step velocities), the very function the
@@ -35,11 +38,13 @@ stencil's offset table, read on a 5x5 probe slab (``_stencil_table``),
 gives a ``probing.Plan`` built once per grid (``_linear_plan``), whose
 pattern is the stencil's own, without stored zeros.  A step's velocity
 matrix is then one stress-divergence call on the probes' kept strains and
-one gather.  Its factors use a minimum-degree ordering of A^T + A
-(``_LU_ORDERING``).  Between steps a matrix moves by 1e-4 to 2e-3
-relative, so ``run`` keeps the factors for the whole run (``SlabLU``) and
-reaches every sample time and the horizon in equal steps (``_landing_dt``):
-no sliver step drops dt and makes the kept factors refactor.
+one gather.  Both slab matrices are factored by LAPACK's band Cholesky
+(``dpbtrf``; Golub & Van Loan, Matrix Computations, sec. 4.3) from their
+lower bands, which ``_band_map`` lays out once per grid.  Between steps a
+matrix moves by 1e-4 to 2e-3 relative, so ``run`` keeps the factors for
+the whole run (``SlabLU``) and reaches every sample time and the horizon
+in equal steps (``_landing_dt``): no sliver step drops dt and makes the
+kept factors refactor.
 
 Negative density or temperature is never clamped: a failed step raises
 ``PositivityError`` and ``run`` retries with half the step, as it does
@@ -53,15 +58,14 @@ import time as _time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgtsv, dpbtrf, dpbtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse import coo_matrix  # noqa: F401 (perfbench's tracer times simulator.coo_matrix)
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import splu  # noqa: F401 (perfbench's tracer times simulator.splu)
 
 from . import operators as ops
 from . import probing, thermo
 from .grids import FluidState, Grid2D, StepControl
-from .stationary import _CHORD_CUT
+from .stationary import _CHORD_CUT, solve_banded
 
 __all__ = [
     "PositivityError",
@@ -106,17 +110,6 @@ def cfl_dt(state: FluidState, control: StepControl, gas) -> float:
         rate = (ux + cs) / g.dx + (wz + cs) / g.dz
         dt = control.cfl_target * float(np.min(1.0 / rate))
     return float(np.clip(dt, control.dt_min, control.dt_max))
-
-
-def solve_banded(l_and_u, ab, b):
-    """``scipy.linalg.solve_banded`` for ``l_and_u`` = (1, 1) only, without
-    its input checks: LAPACK ``dgtsv``, the routine it calls, on the bands."""
-    if l_and_u != (1, 1):
-        raise ValueError("only tridiagonal (1, 1) systems are supported")
-    *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
-    if info > 0:
-        raise LinAlgError(f"singular tridiagonal matrix: zero pivot at row {info}")
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +185,7 @@ def _heat_operator(grid):
     L = plan.matrix(_kirchhoff_divergence(grid, probes).ravel()[plan.gather])
     if grid.dimension == 1:
         return np.stack([np.append(0.0, L.diagonal(1)), L.diagonal(), np.append(L.diagonal(-1), 0.0)]), L
-    place = _x_fastest(np.arange(L.shape[0]).reshape(grid.nx, grid.nz)).argsort()  # each cell's x-fastest index
-    rows, cols = place[plan.indices], place[plan.cols]
-    lower = rows >= cols
-    band = np.zeros((grid.nx + 1, L.shape[0]), order="F")
-    band[rows[lower] - cols[lower], cols[lower]] = L.data[lower]
-    return band, L
+    return _lower_band(L.data, _band_map(plan, grid.nx)), L
 
 
 def _x_fastest(field):
@@ -205,6 +193,31 @@ def _x_fastest(field):
     this order L and S are bands of half-width nx, the periodic wrap
     included."""
     return field.T.ravel()
+
+
+def _band_map(plan, nx):
+    """Where ``plan``'s stored entries on and below the diagonal go in LAPACK
+    lower band storage (row d holds A[p + d, p]) with its lattice nodes, nx
+    along x, numbered x-fastest as in ``_x_fastest``: those entries, their
+    flat places in the band's columns laid end to end, the band's shape,
+    its half-width the pattern's largest x-fastest offset, and every node's
+    x-fastest number."""
+    place = _x_fastest(np.arange(plan.colour.size).reshape(nx, -1)).argsort()
+    rows, cols = place[plan.indices], place[plan.cols]
+    entries = np.flatnonzero(rows >= cols)
+    offset, column = rows[entries] - cols[entries], cols[entries]
+    depth = int(offset.max()) + 1
+    return entries, column * depth + offset, (depth, plan.colour.size), place
+
+
+def _lower_band(data, band_map):
+    """The lower band of the matrix whose stored entries are ``data``, laid
+    out by ``_band_map`` (``band_map``), in the Fortran order ``dpbtrf``
+    factors in place."""
+    entries, at, (depth, n), _ = band_map
+    band = np.zeros(depth * n)
+    band[at] = data[entries]
+    return band.reshape(n, depth).T
 
 
 def _heat_jacobian(grid, gas, transport, rho, theta, dt, operator=None):
@@ -359,17 +372,18 @@ def _velocity_table():
 
 def _velocity_operator(grid):
     """The ``_linear_plan`` of u and the interior w, interleaved along z off
-    the walls, and the ``strain_rates_2d`` of its probes."""
+    the walls, the ``strain_rates_2d`` of its probes and its ``_band_map``:
+    x-fastest, the matrix is a band of half-width 2 nx, the wrap included."""
     plan = _linear_plan((grid.nx, 2 * grid.nz - 1), 2, 1, _velocity_table())
     probes = plan.probes(np.zeros(plan.size)).reshape(-1, grid.nx, 2 * grid.nz + 1)
-    return plan, ops.strain_rates_2d(grid, probes[..., 1::2], probes[..., ::2])
+    return plan, ops.strain_rates_2d(grid, probes[..., 1::2], probes[..., ::2]), _band_map(plan, grid.nx)
 
 
 def _velocity_matrix(grid, transport, theta, rho, dt, operator=None):
     """rho_face*v - dt*viscous_rhs_2d(theta, v) over the lattice nodes off
     the walls: one ``stress_divergence_2d`` call on the kept probe strains
     of ``_velocity_operator`` (``operator``, if given, is its result)."""
-    plan, strains = _velocity_operator(grid) if operator is None else operator
+    plan, strains, _ = _velocity_operator(grid) if operator is None else operator
     rbu, rbw = ops._face_densities(rho, 2)
     data = -dt * _interleave(*ops.stress_divergence_2d(grid, transport, theta, strains)).ravel()[plan.gather]
     data[plan.diagonal] += _interleave(rbu, np.pad(rbw, ((0, 0), (1, 1))))[:, 1:-1].ravel()
@@ -382,50 +396,72 @@ def _solve_velocity_2d(grid, transport, theta, rho, m_star_u, m_star_w, dt, solv
     when none is given)."""
     if solver is None:
         solver = SlabLU()
-    a = _velocity_matrix(grid, transport, theta, rho, dt, solver.grid_operator("velocity", grid))
+    operator = solver.grid_operator("velocity", grid)
+    a = _velocity_matrix(grid, transport, theta, rho, dt, operator)
     v = _interleave(m_star_u, m_star_w)
-    v[:, 1:-1] = solver.solve("velocity", a, v[:, 1:-1].ravel()).reshape(grid.nx, -1)
+    v[:, 1:-1] = solver.solve(a, v[:, 1:-1].ravel(), operator[2]).reshape(grid.nx, -1)
     v[:, [0, -1]] = 0.0
     return v[:, 1::2].copy(), v[:, ::2].copy()
 
 
 # ---------------------------------------------------------------------------
-# Slab LU factors kept across steps
+# Slab factors kept across steps
 # ---------------------------------------------------------------------------
 
-# The velocity matrix is symmetric: a minimum-degree ordering of A^T + A with
-# symmetric pivoting cuts the LU fill by about a third against the COLAMD
-# default (George & Liu, SIAM Rev. 31, 1989).
-_LU_ORDERING = dict(permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
 # Refinement stops at a normwise backward error |b - A x| / (|A| |x| + |b|)
-# of 4 eps, max-norms throughout: refined sweeps level off at 1e-16 to
-# 1.7e-16 on the slab at 32x24 to 128x96, and a direct solve lands at 1.5e-16
-# to 6.3e-16.  A fixed 1e-14 |b| is below the direct solve's own residual
-# from 64x48 on (4.4e-14 |b| there, 1e-13 |b| at 128x96).
+# of 4 eps, max-norms throughout: on the slab at 32x24 to 128x96 a direct
+# solve on band-Cholesky factors lands at 1.5e-16 to 4.9e-16, and refined
+# sweeps level off at 6e-17 to 1.1e-16.  A bound on |b| alone would not
+# scale with |A| |x|.
 _REFINE_TOL = 4.0 * np.finfo(float).eps
 _REFINE_MAX = 8
+
+
+def _velocity_factors(a, band_map):
+    """Band-Cholesky factors of the velocity matrix ``a``, read off its lower
+    triangle in the layout of ``band_map`` (``_band_map``), and its nodes'
+    x-fastest numbers.  The viscous stress is dissipative, so ``a`` is
+    symmetric positive definite; where it is not, ImplicitSolveError."""
+    factor, info = dpbtrf(_lower_band(a.data, band_map), lower=1, overwrite_ab=1)
+    if info > 0:
+        raise ImplicitSolveError(f"implicit velocity solve: the matrix is not positive definite at row {info}")
+    return factor, band_map[3]
+
+
+def _velocity_direction(factors, r):
+    """A^-1 r through the factors of ``_velocity_factors``, r and the result
+    in the lattice's own order."""
+    factor, place = factors
+    ordered = np.empty_like(r)
+    ordered[place] = r
+    x, _ = dpbtrs(factor, ordered, lower=1)
+    return x[place]
 
 
 class SlabLU:
     """The slab's factors, kept from one implicit solve to the next.
 
-    The velocity keeps sparse LU factors: ``solve(kind, a, b)`` starts from
-    the factors last made for ``kind`` and refines x <- x + LU^-1 (b - a x)
-    against the current matrix ``a`` until the residual is at rounding
-    level, a backward error of at most 4 eps (Kelley, Iterative Methods for
-    Linear and Nonlinear Equations, 1995).  A sweep that cuts the residual
-    less than tenfold (the stationary Newton's ``_CHORD_CUT``), a residual
-    that is not finite, or ``_REFINE_MAX`` sweeps drop the factors; ``a`` is
-    then factored anew and solved directly, as when no factors are kept.
-    The heat keeps the band-Cholesky factors of its SPD form S with kappa
-    (``_heat_factors``), which ``_chord_heat`` makes and uses; both kinds
-    count in ``factorisations``.
+    The velocity keeps the band-Cholesky factors of its matrix
+    (``_velocity_factors``): ``solve(a, b, band_map)`` starts from the
+    factors last made and refines x <- x + A0^-1 (b - a x) against the
+    current matrix ``a`` until the residual is at rounding level, a
+    backward error of at most 4 eps (Kelley, Iterative Methods for Linear
+    and Nonlinear Equations, 1995).  A sweep that cuts the residual less
+    than tenfold (the stationary Newton's ``_CHORD_CUT``), a residual that
+    is not finite, or ``_REFINE_MAX`` sweeps drop the factors; ``a`` is then
+    factored anew and refined the same way, since the factors read only its
+    lower triangle, so every solve meets the backward error.  A matrix that
+    is not positive definite, or a stalled refinement on its own factors,
+    raises ImplicitSolveError.  The heat keeps the band-Cholesky factors of
+    its SPD form S with kappa (``_heat_factors``), which ``_chord_heat``
+    makes and uses; both kinds count in ``factorisations``.
 
     ``run`` makes one per run and hands it to every ``step``; nothing is
     shared between instances, so concurrent runs stay independent.  On the
     column as on the slab it also keeps the probed heat operator, on the
-    slab the velocity probe plan and its strains (``grid_operator``), and
-    it counts the heat Newton's positivity halvings and chord steps.
+    slab the velocity probe plan, its strains and its band layout
+    (``grid_operator``), and it counts the heat Newton's positivity
+    halvings and chord steps.
     """
 
     def __init__(self):
@@ -447,24 +483,29 @@ class SlabLU:
             self._grid_operators[key] = (_heat_operator if kind == "heat" else _velocity_operator)(grid)
         return self._grid_operators[key]
 
-    def solve(self, kind, a, b):
-        kept = self._factors.pop(kind, None)
-        if kept is not None and kept.shape == a.shape:
+    def solve(self, a, b, band_map):
+        """x with |b - a x| <= 4 eps (|a| |x| + |b|) for the velocity matrix
+        ``a`` of a plan whose ``_band_map`` is ``band_map``."""
+        kept = self._factors.pop("velocity", None)
+        if kept is not None and kept[1].size == a.shape[0]:
             x = self._refine(kept, a, b)
             if x is not None:
-                self._factors[kind] = kept
+                self._factors["velocity"] = kept
                 return x
         del kept  # the old factors go before the new ones are made
-        lu = splu(a, **_LU_ORDERING)
+        fresh = _velocity_factors(a, band_map)
         self.factorisations += 1
-        self._factors[kind] = lu
-        return lu.solve(b)
+        x = self._refine(fresh, a, b)
+        if x is None:
+            raise ImplicitSolveError("implicit velocity solve: refinement on fresh factors stalled")
+        self._factors["velocity"] = fresh
+        return x
 
-    def _refine(self, lu, a, b):
-        """x with |b - a x| <= 4 eps (|a| |x| + |b|) from factors of a nearby
-        matrix, or None once a sweep stalls, the residual is not finite or
-        the cap is hit."""
-        x = lu.solve(b)
+    def _refine(self, factors, a, b):
+        """x with |b - a x| <= 4 eps (|a| |x| + |b|) from velocity factors of
+        a nearby matrix, or None once a sweep stalls, the residual is not
+        finite or the cap is hit."""
+        x = _velocity_direction(factors, b)
         # the row sums of |a| in storage order, as abs(a).sum(axis=1) adds them
         a_norm = float(np.bincount(a.indices, weights=np.abs(a.data), minlength=a.shape[0]).max())
         b_norm = last = float(np.max(np.abs(b)))
@@ -475,7 +516,7 @@ class SlabLU:
                 return x
             if sweep == _REFINE_MAX or not norm <= _CHORD_CUT * last:
                 break
-            x += lu.solve(r)
+            x += _velocity_direction(factors, r)
             self.refinements += 1
             last = norm
         return None

@@ -35,7 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv
 from scipy.sparse.linalg import splu
 
 from . import operators as ops
@@ -269,6 +270,17 @@ _HYDROSTATIC_MAXITER = 100
 _HYDROSTATIC_MASS_TOL = 1.0e-12
 
 
+def solve_banded(l_and_u, ab, b):
+    """``scipy.linalg.solve_banded`` for ``l_and_u`` = (1, 1) only, without
+    its input checks: LAPACK ``dgtsv``, the routine it calls, on the bands."""
+    if l_and_u != (1, 1):
+        raise ValueError("only tridiagonal (1, 1) systems are supported")
+    *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
+    if info > 0:
+        raise LinAlgError(f"singular tridiagonal matrix: zero pivot at row {info}")
+    return x
+
+
 def _hydrostatic_newton(gas, theta, dG, dx, m0):
     """Damped Newton on the n-1 face balances and the mass row.
 
@@ -290,8 +302,8 @@ def _hydrostatic_newton(gas, theta, dG, dx, m0):
         dp_drho, _ = thermo.pressure_partials(gas, rho, theta)
         below = -dp_drho[:-1] - 0.5 * dG  # d face_i / d rho_i
         above = dp_drho[1:] - 0.5 * dG  # d face_i / d rho_{i+1}
-        # an empty upper band keeps solve_banded on LAPACK's tridiagonal
-        # solver, which costs less resident memory than its general band one
+        # a tridiagonal solve with an empty upper band: LAPACK's general band
+        # solver would cost more resident memory
         bands = np.vstack([np.zeros(n - 1), above, np.append(below[1:], 0.0)])
         border = np.zeros(n - 1)
         border[0] = below[0]

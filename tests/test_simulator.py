@@ -3,11 +3,13 @@ conservation, positivity/retry policy, the acoustic signal-speed oracle,
 2-D periodic topology, the one-call assembly of the 2-D momentum matrix and
 the heat operator probed from the Kirchhoff stencil."""
 
+import functools
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from nsfsim import experiment as ex
@@ -328,6 +330,55 @@ def probed_colours(table, unknowns, equations, nx):
     colour = probing.colouring(table, unknowns, nx)
     assert len(set(zip(rows.tolist(), colour[cols].tolist()))) == rows.size, nx
     return colour.max() + 1
+
+
+def full_table_pattern(table, unknowns, equations, nx):
+    """``probing.pattern`` by the full translation, the oracle: every
+    equation against every row of ``table``, masked to its own field's."""
+    reach = np.max(np.abs(table[:, 2:]), axis=0, initial=0)
+    at = np.full((int(unknowns[0].max()) + 1, nx, int(unknowns[2].max()) + 1), -1)
+    at[tuple(unknowns)] = np.arange(unknowns.shape[1])
+    at = np.pad(at, ((0, 0), (reach[0],) * 2, (0, 0)), mode="wrap")
+    at = np.pad(at, ((0, 0), (0, 0), (reach[1],) * 2), constant_values=-1)
+    _, width, depth = at.shape
+    eq, field, di, dk = (table + [0, 0, *reach]).T
+    reached = at.ravel()[(equations[1] * depth + equations[2])[:, None] + (field * width + di) * depth + dk]
+    hit = (reached >= 0) & (equations[0][:, None] == eq)
+    rows, cols = np.nonzero(hit)[0], reached[hit]
+    if nx <= 2 * reach[0]:
+        rows, cols = np.unique(np.stack([rows, cols]), axis=1)
+    return rows, cols
+
+
+@functools.cache
+def offset_table(kind):
+    return {"velocity": sim._velocity_table, "heat": sim._heat_table}.get(kind, lambda: stationary._probe_table(2)[0])()
+
+
+@settings(max_examples=60, deadline=None)
+@given(nx=hst.integers(3, 40), nz=hst.integers(3, 9), kind=hst.sampled_from(["velocity", "heat", "newton"]))
+@example(nx=3, nz=4, kind="newton")
+@example(nx=4, nz=3, kind="newton")
+def test_pattern_per_equation_field_is_the_full_translation(nx, nz, kind):
+    # translating each equation field's own table rows gives the pairs of
+    # the full translation, merged alike where x offsets alias (nx <= 2
+    # max|di|: nx 3 and 4 on the Newton table, whose |di| reaches 2), and
+    # so bit-identical plans
+    table = offset_table(kind)
+    if kind == "newton":
+        layout = stationary._Layout(Grid2D(nx=nx, nz=nz))
+        unknowns, equations = layout.unknowns, layout.equations
+    elif kind == "velocity":
+        unknowns = equations = probing.lattice(nx, 2 * nz - 1, 2)[0]
+    else:
+        unknowns = equations = probing.lattice(nx, nz)[0]
+    got, want = probing.pattern(table, unknowns, equations, nx), full_table_pattern(table, unknowns, equations, nx)
+    order = np.lexsort(got[::-1]), np.lexsort(want[::-1])
+    assert np.array_equal(np.stack(got)[:, order[0]], np.stack(want)[:, order[1]])
+    colour = probing.colouring(table, unknowns, nx)
+    plans = [probing.Plan(*pairs, colour, unknowns.shape[1]) for pairs in (got, want)]
+    for name in ("indices", "indptr", "cols", "diagonal", "gather"):
+        assert np.array_equal(getattr(plans[0], name), getattr(plans[1], name)), name
 
 
 def test_probe_colouring_keeps_rows_apart_with_few_colours():
@@ -772,6 +823,9 @@ def test_tridiagonal_solve_matches_scipy_solve_banded_bit_for_bit():
     x = sim.solve_banded((1, 1), ab, b)
     assert np.array_equal(x, scipy.linalg.solve_banded((1, 1), ab, b))
     assert np.array_equal(ab, ab_copy) and np.array_equal(b, b_copy)
+    # two right-hand sides, as the hydrostatic Newton solves
+    b2 = rng.standard_normal((n, 2))
+    assert np.array_equal(sim.solve_banded((1, 1), ab, b2), scipy.linalg.solve_banded((1, 1), ab, b2))
 
 
 def test_tridiagonal_solve_raises_on_a_singular_matrix():

@@ -1,11 +1,13 @@
-"""The slab's kept factors: refined velocity solves against the assembled
-matrix, heat-Newton chord steps on kept band-Cholesky factors, the refactor
-rules, and a run against steps taken with fresh factors."""
+"""The slab's kept band-Cholesky factors: refined velocity solves against
+the assembled matrix, heat-Newton chord steps, the refactor rules, the
+velocity matrix's symmetric positive definite band, and a run against steps
+taken with fresh factors."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
+from scipy.linalg.lapack import dpbtrf
 from scipy.sparse.linalg import splu
 
 from nsfsim import experiment as ex
@@ -38,12 +40,18 @@ def backward_error(a, x, b):
 EPS = np.finfo(float).eps
 
 
+def velocity_system(grid, transport, theta, rho, dt):
+    """The velocity matrix and the ``_band_map`` of its plan."""
+    operator = sim._velocity_operator(grid)
+    return sim._velocity_matrix(grid, transport, theta, rho, dt, operator), operator[2]
+
+
 def check_velocity_solve(solver, grid, transport, rho, theta, dt, rng):
     """A velocity solve with ``solver`` meets the backward error against the
     assembled matrix and agrees with a fresh LU."""
-    a = sim._velocity_matrix(grid, transport, theta, rho, dt)
+    a, band_map = velocity_system(grid, transport, theta, rho, dt)
     b = rng.standard_normal(a.shape[0])
-    x = solver.solve("velocity", a, b)
+    x = solver.solve(a, b, band_map)
     assert backward_error(a, x, b) <= 4.0 * EPS
     fresh = splu(a).solve(b)
     assert max_norm(x - fresh) <= 1e-13 * max_norm(fresh)
@@ -121,25 +129,95 @@ def test_a_sixteenfold_dt_drop_refactors_once(kind):
 )
 def test_stored_zeros_add_no_fill_and_no_residual(nx, nz, eta0, seed):
     # both slab plans store only their stencils' structural nonzeros at a
-    # random theta, rho and dt, so the velocity matrix is factored as given
-    # and the refined solve meets the backward error against it
+    # random theta, rho and dt, so the velocity matrix's kept band is as
+    # wide as its pattern's largest x-fastest offset, and no wider, and the
+    # refined solve meets the backward error against it
     rng, grid, rho, theta = random_slab(nx, nz, seed)
     transport = TransportModel(eta0=eta0)
     dt = 0.01 + 0.04 * rng.random()
-    a = sim._velocity_matrix(grid, transport, theta, rho, dt)
+    a, band_map = velocity_system(grid, transport, theta, rho, dt)
     assert np.all(a.data != 0.0)
     for heat_grid in (grid, Grid1D(n=nx * nz)):
         assert np.all(sim._heat_operator(heat_grid)[1].data != 0.0)
     solver = sim.SlabLU()
     b = rng.standard_normal(a.shape[0])
-    x = solver.solve("velocity", a, b)
+    x = solver.solve(a, b, band_map)
     assert backward_error(a, x, b) <= 4.0 * EPS
-    kept, want = solver._factors["velocity"], splu(a, **sim._LU_ORDERING)
-    assert kept.L.nnz + kept.U.nnz == want.L.nnz + want.U.nnz
+    # node (i, k) of the (nx, 2 nz - 1) lattice is number k nx + i x-fastest
+    rows, cols = a.nonzero()
+    place = (np.arange(a.shape[0]) % (2 * nz - 1)) * nx + np.arange(a.shape[0]) // (2 * nz - 1)
+    kept = solver._factors["velocity"][0]
+    assert kept.shape[0] - 1 == np.max(np.abs(place[rows] - place[cols])) == 2 * nx
     a = sim._velocity_matrix(grid, transport, theta * (1.0 + 1e-3 * rng.standard_normal(theta.shape)), rho, dt)
-    x = solver.solve("velocity", a, b)
+    x = solver.solve(a, b, band_map)
     assert solver.factorisations == 1 and solver.refinements > 0
     assert backward_error(a, x, b) <= 4.0 * EPS
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nx=hst.integers(3, 13),
+    nz=hst.integers(3, 8),
+    eta0=hst.sampled_from([0.0, 0.5]),
+    seed=hst.integers(0, 2**32 - 1),
+)
+def test_velocity_matrix_is_a_symmetric_positive_definite_band(nx, nz, eta0, seed):
+    # the viscous stress is dissipative, so diag(rho_face) - dt div S is
+    # symmetric positive definite at any positive theta, rho and dt: its
+    # mirrored entries are the same few products summed in another order,
+    # within 2 eps of the largest entry (the first build read at most 0.44
+    # eps over 400 random slabs), and LAPACK factors its lower band
+    rng, grid, rho, theta = random_slab(nx, nz, seed)
+    dt = 0.01 + 0.04 * rng.random()
+    a, band_map = velocity_system(grid, TransportModel(eta0=eta0), theta, rho, dt)
+    assert abs(a - a.T).max() <= 2.0 * EPS * abs(a).max()
+    _, info = dpbtrf(sim._lower_band(a.data, band_map), lower=1)
+    assert info == 0
+
+
+def test_a_solve_on_fresh_factors_is_refined_against_the_whole_matrix():
+    # the band factors read only the lower triangle, so a solve on fresh
+    # factors is refined too: with the upper triangle 1e-8 relative off the
+    # lower, the unrefined solve misses the backward error by far
+    rng, grid, rho, theta = random_slab(8, 6, 5)
+    a, band_map = velocity_system(grid, TransportModel(eta0=0.5), theta, rho, 0.01)
+    place = band_map[3]
+    upper = place[a.indices] < place[np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))]
+    a.data[upper] *= 1.0 + 1e-8
+    b = rng.standard_normal(a.shape[0])
+    solver = sim.SlabLU()
+    x = solver.solve(a, b, band_map)
+    assert solver.factorisations == 1 and solver.refinements > 0
+    assert backward_error(a, x, b) <= 4.0 * EPS
+    assert backward_error(a, sim._velocity_direction(solver._factors["velocity"], b), b) > 1e-10
+
+
+def test_a_velocity_matrix_not_positive_definite_is_retried_at_half_the_step(monkeypatch):
+    # a negated velocity matrix has no Cholesky factor: the solve raises
+    # ImplicitSolveError and keeps no factors, and run() retries the step
+    # with half its dt, which then solves
+    _, grid, rho, theta = random_slab(6, 5, 3)
+    a, band_map = velocity_system(grid, TransportModel(eta0=0.5), theta, rho, 0.01)
+    solver = sim.SlabLU()
+    with pytest.raises(sim.ImplicitSolveError, match="not positive definite"):
+        solver.solve(-a, np.ones(a.shape[0]), band_map)
+    assert solver.factorisations == 0 and "velocity" not in solver._factors
+
+    config = ex.config_from_mapping({"horizon": "0.01"}, preset="rb-2d-topology")
+    gas, transport = ex.build_models(config)
+    problem = ex.build_problem(config)
+    initial = ex.make_initial_state(config, ex.solve_reference(config, problem, gas, transport))
+    velocity_matrix, steps = sim._velocity_matrix, []
+
+    def first_negated(grid, transport, theta, rho, dt, operator=None):
+        steps.append(dt)
+        a = velocity_matrix(grid, transport, theta, rho, dt, operator)
+        return -a if len(steps) == 1 else a
+
+    monkeypatch.setattr(sim, "_velocity_matrix", first_negated)
+    result = sim.run(initial, config["horizon"], StepControl(), gas, transport, problem.potential_field())
+    assert not result.aborted and result.retries == 1
+    assert steps[1] == steps[0] / 2
 
 
 def test_run_with_kept_factors_matches_steps_with_fresh_factors():
