@@ -660,12 +660,7 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> RunManifest:
         counters["stationary_mass_error"] = reference.mass_error
         counters["stationary_u_max"] = reference.max_velocity()
         counters["stationary_theta_dev"] = reference.proximity["theta_dev"]
-        counters["stationary_residual_trace"] = reference.residual_trace
-        counters["stationary_jacobian_colours"] = reference.jacobian_colours
-        counters["stationary_jacobians"] = reference.jacobians
-        counters["stationary_residual_calls"] = reference.residual_calls
-        counters["stationary_lu_fill"] = reference.lu_fill
-        counters["hydrostatic_halvings"] = reference.hydrostatic_halvings
+        counters.update(reference.counters)
         if reference.floor_steps:
             warnings.append(
                 f"stationary Newton accepted {reference.floor_steps} line-search step(s) "
@@ -766,15 +761,7 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> RunManifest:
                 result = sim.RunResult(final_state=initial, steps=0, retries=0, wall_time=0.0, records=[record])
         artifacts.append(str(csv_path))
 
-        counters["steps"] = result.steps
-        counters["retries"] = result.retries
-        counters["step_factorisations"] = result.factorisations
-        counters["step_refinements"] = result.refinements
-        counters["dt_min_clamps"] = result.dt_min_clamps
-        counters["dt_max_clamps"] = result.dt_max_clamps
-        counters["heat_backtracks"] = result.heat_backtracks
-        counters["heat_chords"] = result.heat_chords
-        counters["wall_time"] = result.wall_time
+        counters.update(result.counters, steps=result.steps, retries=result.retries, wall_time=result.wall_time)
         if result.aborted:
             raise SolverStageError("simulate", result.abort_reason)
 

@@ -29,9 +29,9 @@ cell (i, k), shape (nx, nz+1), wall rows pinned to zero.
 Per dimension stays only what differs in arithmetic: the column's
 longitudinal (4/3)mu + eta stress, its hand-banded matrix and its shear
 heating against the slab's full stress (``viscous_*``, ``shear_heating_*``),
-and in ``simulator`` the layout of the implicit solves (banded on the
-column, sparse LU on the slab) and ``cfl_dt``, whose two formulas round dt
-differently.
+and in ``simulator`` the layout of the implicit solves (tridiagonal on the
+column, band Cholesky on the slab) and ``cfl_dt``, whose two formulas round
+dt differently.
 
 Every stencil the steady residual uses also carries leading stack axes in
 front of the grid axes: fields of shape (K, n) or (K, nx, nz) are K states,

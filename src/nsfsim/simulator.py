@@ -53,6 +53,7 @@ for ``ImplicitSolveError`` and ``thermo.TemperatureInversionError``.
 
 from __future__ import annotations
 
+import functools
 import math
 import time as _time
 from dataclasses import dataclass, field
@@ -122,7 +123,7 @@ _HEAT_MAXITER = 50
 
 def _positive_newton_update(theta, delta, solver):
     """theta - s * delta with s halved from 1 until every value is positive;
-    ``solver.heat_backtracks`` counts the halvings.
+    ``solver.counts["heat_backtracks"]`` counts the halvings.
 
     Raises ImplicitSolveError once s reaches its 1e-6 floor, so that the
     caller retries the step with a smaller dt instead of iterating on a
@@ -134,7 +135,7 @@ def _positive_newton_update(theta, delta, solver):
         if shrink <= 1.0e-6:
             raise ImplicitSolveError("implicit heat solve: positivity backtrack reached its floor")
         shrink *= 0.5
-        solver.heat_backtracks += 1
+        solver.counts["heat_backtracks"] += 1
         new = theta - shrink * delta
     return new
 
@@ -151,7 +152,8 @@ def _linear_plan(lattice, fields, pad, table):
 
 def _stencil_table(lattice, fields, pad, response):
     """The offset table of ``response``, a linear stencil on a stack of
-    lattices laid out as in ``_linear_plan``, read at the zero state."""
+    lattices laid out as in ``_linear_plan``, read at the zero state and
+    read-only: each table depends on no grid and is built once per process."""
     nx, nz = lattice
     at, _ = probing.lattice(nx, nz, fields)
 
@@ -159,7 +161,9 @@ def _stencil_table(lattice, fields, pad, response):
         padded = np.pad(stack.reshape(-1, nx, nz), ((0, 0), (0, 0), (pad, pad)))
         return response(padded)[..., pad : pad + nz].reshape(len(stack), -1)
 
-    return probing.offsets(fun, [np.zeros(nx * nz)], at, at, nx)[0]
+    table = probing.offsets(fun, [np.zeros(nx * nz)], at, at, nx)[0]
+    table.flags.writeable = False
+    return table
 
 
 def _kirchhoff_divergence(grid, K, K_bottom=0.0, K_top=0.0):
@@ -167,6 +171,7 @@ def _kirchhoff_divergence(grid, K, K_bottom=0.0, K_top=0.0):
     return ops._divergence(grid, ops.kirchhoff_stencil_nd(grid, K, K_bottom, K_top))
 
 
+@functools.cache
 def _heat_table():
     """The offset table of ``_kirchhoff_divergence`` on a 5x5 slab; on the
     column, a ring of one, its x offsets merge into the diagonal."""
@@ -295,7 +300,7 @@ def _implicit_heat(grid, gas, transport, rho, e_star, theta0, dt, solver=None):
         resid = residual(theta)
         if float(np.max(np.abs(resid))) <= tol:
             return theta
-        delta = solve_banded((1, 1), _heat_jacobian(grid, gas, transport, rho, theta, dt, operator), resid)
+        delta = solve_banded(_heat_jacobian(grid, gas, transport, rho, theta, dt, operator), resid)
         theta = _positive_newton_update(theta, delta, solver)
     raise ImplicitSolveError("implicit heat solve did not converge in 1-D")
 
@@ -325,12 +330,12 @@ def _chord_heat(residual, factor, kept, theta0, tol, solver):
                 # compares false, so a non-finite trial is never taken
                 if trial_norm < (_CHORD_CUT if norm > tol else 0.5) * norm:
                     theta, resid, norm = trial, trial_resid, trial_norm
-                    solver.heat_chords += 1
+                    solver.counts["heat_chords"] += 1
                     continue
             if norm <= tol:
                 return theta
         kept = solver._factors["heat"] = factor(theta)
-        solver.factorisations += 1
+        solver.counts["step_factorisations"] += 1
         theta = _positive_newton_update(theta, _heat_direction(kept, resid), solver)
         resid = residual(theta)
         norm = float(np.max(np.abs(resid)))
@@ -345,7 +350,7 @@ def _chord_heat(residual, factor, kept, theta0, tol, solver):
 def _solve_velocity_1d(grid, transport, theta, rho_face, m_star, dt):
     ab = ops.viscous_banded_matrix_1d(grid, transport, theta, rho_face, dt)
     u = np.zeros(grid.n + 1)
-    u[1:-1] = solve_banded((1, 1), ab, m_star)
+    u[1:-1] = solve_banded(ab, m_star)
     return u
 
 
@@ -358,6 +363,7 @@ def _interleave(u, w):
     return lattice
 
 
+@functools.cache
 def _velocity_table():
     """The offset table of ``ops.viscous_rhs_2d`` on a 5x5 slab at a random
     theta."""
@@ -454,25 +460,24 @@ class SlabLU:
     is not positive definite, or a stalled refinement on its own factors,
     raises ImplicitSolveError.  The heat keeps the band-Cholesky factors of
     its SPD form S with kappa (``_heat_factors``), which ``_chord_heat``
-    makes and uses; both kinds count in ``factorisations``.
+    makes and uses.
 
     ``run`` makes one per run and hands it to every ``step``; nothing is
     shared between instances, so concurrent runs stay independent.  On the
     column as on the slab it also keeps the probed heat operator, on the
     slab the velocity probe plan, its strains and its band layout
-    (``grid_operator``), and it counts the heat Newton's positivity
-    halvings and chord steps.
+    (``grid_operator``).  ``counts`` is the run's counter record,
+    ``RunResult.counters``, keyed by the manifest's names:
+    ``step_factorisations`` (velocity and heat alike), ``step_refinements``,
+    ``heat_backtracks`` and ``heat_chords`` are counted where the work is
+    done, and ``run`` counts ``dt_min_clamps`` and ``dt_max_clamps`` in it.
     """
 
     def __init__(self):
         self._factors = {}
         self._grid_operators = {}
-        self.factorisations = 0
-        self.refinements = 0
-        # heat-Newton step halvings that keep theta positive, on either grid
-        self.heat_backtracks = 0
-        # accepted heat-Newton chord steps on the slab
-        self.heat_chords = 0
+        names = "step_factorisations step_refinements heat_backtracks heat_chords dt_min_clamps dt_max_clamps"
+        self.counts = dict.fromkeys(names.split(), 0)
 
     def grid_operator(self, kind, grid):
         """The ``_velocity_operator`` or the ``_heat_operator`` of ``grid``,
@@ -494,7 +499,7 @@ class SlabLU:
                 return x
         del kept  # the old factors go before the new ones are made
         fresh = _velocity_factors(a, band_map)
-        self.factorisations += 1
+        self.counts["step_factorisations"] += 1
         x = self._refine(fresh, a, b)
         if x is None:
             raise ImplicitSolveError("implicit velocity solve: refinement on fresh factors stalled")
@@ -517,7 +522,7 @@ class SlabLU:
             if sweep == _REFINE_MAX or not norm <= _CHORD_CUT * last:
                 break
             x += _velocity_direction(factors, r)
-            self.refinements += 1
+            self.counts["step_refinements"] += 1
             last = norm
         return None
 
@@ -625,12 +630,8 @@ class RunResult:
     samples: list = field(default_factory=list)
     aborted: bool = False
     abort_reason: str = ""
-    factorisations: int = 0  # slab LU factorisations (``SlabLU``)
-    refinements: int = 0  # refinement sweeps with kept slab factors
-    dt_min_clamps: int = 0  # accepted steps whose cfl_dt was raised to dt_min
-    dt_max_clamps: int = 0  # accepted steps whose cfl_dt came back at dt_max
-    heat_backtracks: int = 0  # heat-Newton step halvings for positivity
-    heat_chords: int = 0  # accepted heat-Newton chord steps on the slab
+    # the manifest's stepper counters, ``SlabLU.counts``; all 0 without a step
+    counters: dict = field(default_factory=lambda: SlabLU().counts)
 
 
 def run(
@@ -658,20 +659,18 @@ def run(
     implicit-solve or temperature-inversion failure the step is retried
     with dt/2 up to ``control.max_retries`` times, then the run aborts with
     the offending error recorded.  One ``SlabLU`` keeps the slab's factors
-    across the whole run.
+    across the whole run, and its ``counts`` are the result's ``counters``:
+    there an accepted step counts in ``dt_min_clamps`` when its ``cfl_dt``
+    came back at dt_min, in ``dt_max_clamps`` when at dt_max.
     """
     t_start = _time.perf_counter()
     state = initial
-    result = RunResult(final_state=state, steps=0, retries=0, wall_time=0.0)
     solver = SlabLU()
+    result = RunResult(final_state=state, steps=0, retries=0, wall_time=0.0, counters=solver.counts)
     last_sampled = [-np.inf]
 
     def finish(st):
         result.final_state = st
-        result.factorisations = solver.factorisations
-        result.refinements = solver.refinements
-        result.heat_backtracks = solver.heat_backtracks
-        result.heat_chords = solver.heat_chords
         result.wall_time = _time.perf_counter() - t_start
         return result
 
@@ -710,8 +709,8 @@ def run(
                 dt *= 0.5
         state = new_state
         result.steps += 1
-        result.dt_min_clamps += at_min
-        result.dt_max_clamps += at_max
+        result.counters["dt_min_clamps"] += at_min
+        result.counters["dt_max_clamps"] += at_max
         if sample_every_step and keep_samples:
             result.samples.append((state.t, state.copy()))
         if cadence > 0.0 and state.t >= next_sample - _LANDING_SLACK:

@@ -121,6 +121,19 @@ class ProblemConfig:
         return max(eps_theta, eps_g)
 
 
+def _stationary_counters():
+    """The counter record of a stationary solve, ``StationaryState.counters``,
+    keyed by the manifest's names, each empty or 0 until counted."""
+    return {
+        "stationary_residual_trace": [],  # Newton's residual max-norm per iterate
+        "stationary_jacobian_colours": 0,
+        "stationary_jacobians": 0,  # built and factored
+        "stationary_residual_calls": 0,  # the pattern probe's calls included; a stack of K states counts K
+        "stationary_lu_fill": 0,  # the nonzeros SuperLU stores for L and U of the last factors
+        "hydrostatic_halvings": 0,  # the pipeline's hydrostatic positivity halvings
+    }
+
+
 @dataclass
 class StationaryState(VelocityComponents):
     """Discrete stationary fields with residual and proximity bookkeeping."""
@@ -134,18 +147,8 @@ class StationaryState(VelocityComponents):
     mass_error: float = 0.0
     proximity: dict = field(default_factory=dict)
     iterations: int = 0
-    # Newton bookkeeping: residual max-norm per iterate, colours of the
-    # Jacobian, Jacobians built and factored (``jacobians``), residual calls
-    # (pattern probe included), the Armijo steps accepted at the floor
-    # without a decrease, and the nonzeros SuperLU stores for L and U of the
-    # last factorisation (``SuperLU.nnz``)
-    residual_trace: list = field(default_factory=list)
-    jacobian_colours: int = 0
-    jacobians: int = 0
-    residual_calls: int = 0
-    floor_steps: int = 0
-    lu_fill: int = 0
-    hydrostatic_halvings: int = 0  # the pipeline's (or guess's) hydrostatic positivity halvings
+    floor_steps: int = 0  # Newton's Armijo steps accepted at the floor without a decrease
+    counters: dict = field(default_factory=_stationary_counters)
 
     def as_fluid_state(self, t: float = 0.0) -> FluidState:
         return FluidState(
@@ -270,11 +273,9 @@ _HYDROSTATIC_MAXITER = 100
 _HYDROSTATIC_MASS_TOL = 1.0e-12
 
 
-def solve_banded(l_and_u, ab, b):
-    """``scipy.linalg.solve_banded`` for ``l_and_u`` = (1, 1) only, without
-    its input checks: LAPACK ``dgtsv``, the routine it calls, on the bands."""
-    if l_and_u != (1, 1):
-        raise ValueError("only tridiagonal (1, 1) systems are supported")
+def solve_banded(ab, b):
+    """``scipy.linalg.solve_banded((1, 1), ab, b)`` without its input
+    checks: LAPACK ``dgtsv``, the routine it calls, on the bands."""
     *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
     if info > 0:
         raise LinAlgError(f"singular tridiagonal matrix: zero pivot at row {info}")
@@ -308,7 +309,7 @@ def _hydrostatic_newton(gas, theta, dG, dx, m0):
         border = np.zeros(n - 1)
         border[0] = below[0]
         try:
-            y = solve_banded((1, 1), bands, np.column_stack([-face, border]))
+            y = solve_banded(bands, np.column_stack([-face, border]))
         except np.linalg.LinAlgError as exc:
             raise ShootingFailure(f"singular hydrostatic Jacobian: {exc}") from exc
         d0 = (m0 / dx - np.sum(rho) - np.sum(y[:, 0])) / (1.0 - np.sum(y[:, 1]))
@@ -348,9 +349,10 @@ def solve_hydrostatic_density(
     grid: Grid1D,
     mode: str = "discrete",
     theta_profile=None,
-    return_details: bool = False,
 ):
-    """Density in hydrostatic balance with the given temperature field.
+    """Density in hydrostatic balance with the given temperature field, and
+    the details of the solve: a dict of rho0 = rho[0], the mass, and in the
+    discrete mode the Newton's positivity ``halvings``.
 
     mode="discrete" (default): zeros the stepper's face balance
     p_{i+1} - p_i = 0.5 (rho_i + rho_{i+1}) (G_{i+1} - G_i) at all n-1 faces
@@ -368,9 +370,7 @@ def solve_hydrostatic_density(
         theta_s = np.asarray(theta_s, dtype=float)
         dG = np.full(grid.n - 1, float(g) * grid.dx) if np.ndim(g) == 0 else np.diff(np.asarray(g))
         rho, halvings = _hydrostatic_newton(gas, theta_s, dG, grid.dx, m0)
-        if return_details:
-            return rho, {"rho0": float(rho[0]), "mass": float(np.sum(rho) * grid.dx), "halvings": halvings}
-        return rho
+        return rho, {"rho0": float(rho[0]), "mass": float(np.sum(rho) * grid.dx), "halvings": halvings}
 
     if mode != "rk4":
         raise ValueError("mode must be 'discrete' or 'rk4'")
@@ -427,9 +427,7 @@ def solve_hydrostatic_density(
     rho, mass = rk4_path(rho0)
     if np.any(rho <= 0.0):
         raise ShootingFailure("nonpositive density in the integrated profile")
-    if return_details:
-        return rho, {"rho0": rho0, "mass": mass}
-    return rho
+    return rho, {"rho0": rho0, "mass": mass}
 
 
 def solve_rb_pipeline(config: ProblemConfig, gas, transport) -> StationaryState:
@@ -451,7 +449,7 @@ def solve_rb_pipeline(config: ProblemConfig, gas, transport) -> StationaryState:
     gval = 0.0 if config.g is None else (float(config.g[-1]) if np.ndim(config.g) else float(config.g))
     theta_col = solve_heat_profile_1d(transport, col.theta_bottom, col.theta_top, col)
     m0_col = config.m0 / (1.0 if grid.dimension == 1 else grid.lx)
-    rho_col, details = solve_hydrostatic_density(gas, theta_col, gval, m0_col, col, return_details=True)
+    rho_col, details = solve_hydrostatic_density(gas, theta_col, gval, m0_col, col)
     if grid.dimension == 1:
         rho, theta = rho_col, theta_col
         u, w = np.zeros(grid.n + 1), None
@@ -461,7 +459,8 @@ def solve_rb_pipeline(config: ProblemConfig, gas, transport) -> StationaryState:
         u = np.zeros((grid.nx, grid.nz))
         w = np.zeros((grid.nx, grid.nz + 1))
     G = config.potential_field()
-    state = StationaryState(grid=grid, rho=rho, theta=theta, u=u, w=w, hydrostatic_halvings=details["halvings"])
+    state = StationaryState(grid=grid, rho=rho, theta=theta, u=u, w=w)
+    state.counters["hydrostatic_halvings"] = details["halvings"]
     state.residual_norms = _residual_norms(state, gas, transport, G)
     state.mass_error = abs(float(np.sum(rho) * grid.cell_volume) - config.m0)
     state.proximity = _proximity(config, state)
@@ -674,15 +673,12 @@ def solve_stationary_newton(
     system is factored with ``splu`` in the column order of
     ``_ColouredJacobian.factor`` (``permc_spec="NATURAL"``, partial row
     pivoting kept); every solve, damped step and chord step alike, maps the
-    result back with one index.  ``lu_fill`` is the stored nonzeros of the
-    last factors.  The factors are reused: every
+    result back with one index.  The factors are reused: every
     iteration after the first tries the chord step x - J0^-1 f(x), J0 the
     last Jacobian factored, and takes it only if it keeps (rho, theta)
     positive and cuts the residual max-norm at least tenfold.  Otherwise the
     trial is dropped (it never enters the trace), and the Jacobian is rebuilt
-    at x, factored afresh and used for a damped step.  ``jacobians`` counts the
-    factorisations and ``residual_calls`` the evaluated states, so a stack
-    of K rows counts K.
+    at x, factored afresh and used for a damped step.
     The damped step is Armijo backtracking on the residual 2-norm with floor
     step 2^-20: below it a step is taken without a decrease, and
     ``floor_steps`` counts these.
@@ -692,8 +688,9 @@ def solve_stationary_newton(
     is higher, its rounding floor ``_ROUNDING_FLOOR * (|J| |x|)_i`` from the
     last Jacobian factored.  Raises
     ``NewtonFailure`` with the residual trace on stagnation, a singular
-    Jacobian or a final norm that is not finite; on success the trace is the
-    state's ``residual_trace``.
+    Jacobian or a final norm that is not finite.  On success the state's
+    ``counters`` hold the trace and the counts of ``_stationary_counters``,
+    starting from the guess's, whose hydrostatic halvings it keeps.
     """
     grid = config.grid
     G = config.potential_field()
@@ -777,12 +774,16 @@ def solve_stationary_newton(
         raise NewtonFailure(f"no convergence after {iterations} iterations", trace)
 
     rho, theta, u, w, _ = layout.unpack(x)
-    state = StationaryState(grid=grid, rho=rho, theta=theta, u=u, w=w, iterations=iterations)
-    state.residual_trace, state.floor_steps, state.jacobians = trace, floor_steps, jacobians
-    state.jacobian_colours = 0 if jacobian is None else jacobian.colours
-    state.lu_fill = 0 if lu is None else lu.nnz
-    state.hydrostatic_halvings = getattr(initial_guess, "hydrostatic_halvings", 0)
-    state.residual_calls = calls + (0 if jacobian is None else jacobian.probe_calls)
+    state = StationaryState(grid=grid, rho=rho, theta=theta, u=u, w=w, iterations=iterations, floor_steps=floor_steps)
+    if initial_guess is not None:
+        state.counters.update(initial_guess.counters)
+    state.counters.update(
+        stationary_residual_trace=trace,
+        stationary_jacobian_colours=0 if jacobian is None else jacobian.colours,
+        stationary_jacobians=jacobians,
+        stationary_residual_calls=calls + (0 if jacobian is None else jacobian.probe_calls),
+        stationary_lu_fill=0 if lu is None else lu.nnz,
+    )
     state.residual_norms = _residual_norms(state, gas, transport, G)
     state.mass_error = abs(float(np.sum(rho) * grid.cell_volume) - m0)
     state.proximity = _proximity(config, state)

@@ -507,6 +507,48 @@ def test_manifest_records_hydrostatic_halvings(tmp_path):
     assert manifest.counters["hydrostatic_halvings"] == 2
 
 
+# the manifest counters the README documents: every run carries all of them,
+# those of a solver or stepper that did not run at their zeroed defaults
+MANIFEST_COUNTERS = {
+    "epsilon_report",
+    "stationary_iterations",
+    "stationary_mass_error",
+    "stationary_u_max",
+    "stationary_theta_dev",
+    "stationary_residual_trace",
+    "stationary_jacobian_colours",
+    "stationary_jacobians",
+    "stationary_residual_calls",
+    "stationary_lu_fill",
+    "hydrostatic_halvings",
+    "steps",
+    "retries",
+    "step_factorisations",
+    "step_refinements",
+    "heat_backtracks",
+    "heat_chords",
+    "dt_min_clamps",
+    "dt_max_clamps",
+    "wall_time",
+    "relative_energy_initial",
+    "relative_energy_final",
+}
+
+
+@pytest.mark.parametrize(
+    "preset, overrides",
+    [("rb-1d-small", {"horizon": "0.05"}), ("rb-2d-topology", {"horizon": "0.05"}), ("rb-2d-lateral", {})],
+    ids=["column", "slab", "lateral-horizon-0"],
+)
+def test_manifest_carries_exactly_the_documented_counters(tmp_path, preset, overrides):
+    manifest = ex.run_experiment(ex.config_from_mapping(overrides, preset=preset), output_dir=tmp_path)
+    assert manifest.status == "ok"
+    assert set(manifest.counters) == MANIFEST_COUNTERS
+    if manifest.counters["steps"] == 0:
+        stepper = ("step_factorisations", "step_refinements", "heat_backtracks", "heat_chords")
+        assert all(manifest.counters[name] == 0 for name in stepper + ("dt_min_clamps", "dt_max_clamps"))
+
+
 def test_lateral_newton_at_24x16_factors_one_jacobian(tmp_path):
     config = ex.config_from_mapping({"domain.nx": "24", "domain.nz": "16"}, preset="rb-2d-lateral")
     manifest = ex.run_experiment(config, output_dir=tmp_path)

@@ -95,15 +95,15 @@ def test_kept_factors_solve_to_rounding_and_agree_with_a_fresh_lu(nx, nz, eta0, 
     solver = sim.SlabLU()
     for check in CHECKS.values():
         check(solver, grid, transport, rho, theta, dt, rng)
-    assert solver.factorisations == 2
-    chords = solver.heat_chords
+    assert solver.counts["step_factorisations"] == 2
+    chords = solver.counts["heat_chords"]
     theta_next = theta * (1.0 + 1e-3 * rng.standard_normal(theta.shape))
     dt_next = dt * (1.0 + 1e-3 * rng.random())
     for check in CHECKS.values():
         check(solver, grid, transport, rho, theta_next, dt_next, rng)
-    assert solver.factorisations == 2
-    assert solver.refinements > 0
-    assert solver.heat_chords > chords
+    assert solver.counts["step_factorisations"] == 2
+    assert solver.counts["step_refinements"] > 0
+    assert solver.counts["heat_chords"] > chords
 
 
 @pytest.mark.parametrize("kind", ["velocity", "heat"])
@@ -115,9 +115,9 @@ def test_a_sixteenfold_dt_drop_refactors_once(kind):
     dt = 0.005
     solver = sim.SlabLU()
     CHECKS[kind](solver, grid, transport, rho, theta, dt, rng)
-    assert solver.factorisations == 1
+    assert solver.counts["step_factorisations"] == 1
     CHECKS[kind](solver, grid, transport, rho, theta, dt / 16, rng)
-    assert solver.factorisations == 2
+    assert solver.counts["step_factorisations"] == 2
 
 
 @settings(max_examples=25, deadline=None)
@@ -150,7 +150,7 @@ def test_stored_zeros_add_no_fill_and_no_residual(nx, nz, eta0, seed):
     assert kept.shape[0] - 1 == np.max(np.abs(place[rows] - place[cols])) == 2 * nx
     a = sim._velocity_matrix(grid, transport, theta * (1.0 + 1e-3 * rng.standard_normal(theta.shape)), rho, dt)
     x = solver.solve(a, b, band_map)
-    assert solver.factorisations == 1 and solver.refinements > 0
+    assert solver.counts["step_factorisations"] == 1 and solver.counts["step_refinements"] > 0
     assert backward_error(a, x, b) <= 4.0 * EPS
 
 
@@ -187,7 +187,7 @@ def test_a_solve_on_fresh_factors_is_refined_against_the_whole_matrix():
     b = rng.standard_normal(a.shape[0])
     solver = sim.SlabLU()
     x = solver.solve(a, b, band_map)
-    assert solver.factorisations == 1 and solver.refinements > 0
+    assert solver.counts["step_factorisations"] == 1 and solver.counts["step_refinements"] > 0
     assert backward_error(a, x, b) <= 4.0 * EPS
     assert backward_error(a, sim._velocity_direction(solver._factors["velocity"], b), b) > 1e-10
 
@@ -201,7 +201,7 @@ def test_a_velocity_matrix_not_positive_definite_is_retried_at_half_the_step(mon
     solver = sim.SlabLU()
     with pytest.raises(sim.ImplicitSolveError, match="not positive definite"):
         solver.solve(-a, np.ones(a.shape[0]), band_map)
-    assert solver.factorisations == 0 and "velocity" not in solver._factors
+    assert solver.counts["step_factorisations"] == 0 and "velocity" not in solver._factors
 
     config = ex.config_from_mapping({"horizon": "0.01"}, preset="rb-2d-topology")
     gas, transport = ex.build_models(config)
@@ -231,8 +231,8 @@ def test_run_with_kept_factors_matches_steps_with_fresh_factors():
     assert not result.aborted
     # every step solves at least one velocity and one heat system; the kept
     # factors serve most of them
-    assert 2 <= result.factorisations < result.steps
-    assert result.refinements > 0 and result.heat_chords > 0
+    assert 2 <= result.counters["step_factorisations"] < result.steps
+    assert result.counters["step_refinements"] > 0 and result.counters["heat_chords"] > 0
     state = initial
     for (t0, _), (t1, kept) in zip(result.samples, result.samples[1:]):
         state = sim.step(state, t1 - t0, gas, transport, G)

@@ -118,13 +118,13 @@ def test_heat_profile_matches_primitive_linearity():
 
 def test_hydrostatic_zero_gravity_uniform():
     grid = Grid1D(n=50)
-    rho = solve_hydrostatic_density(GAS, np.ones(50), 0.0, 1.0, grid)
+    rho, _ = solve_hydrostatic_density(GAS, np.ones(50), 0.0, 1.0, grid)
     assert np.max(np.abs(rho - 1.0)) < 1e-13
 
 
 def test_hydrostatic_discrete_monotone_and_mass():
     grid = Grid1D(n=64)
-    rho = solve_hydrostatic_density(GAS, np.ones(64), 0.01, 1.0, grid)
+    rho, _ = solve_hydrostatic_density(GAS, np.ones(64), 0.01, 1.0, grid)
     assert np.all(np.diff(rho) > 0.0)  # denser toward increasing potential
     assert abs(np.sum(rho) * grid.dx - 1.0) < 1e-12
     assert np.all(rho > 0.0)
@@ -133,7 +133,7 @@ def test_hydrostatic_discrete_monotone_and_mass():
 def test_hydrostatic_discrete_zeroes_face_balance():
     grid = Grid1D(n=64)
     theta = solve_heat_profile_1d(TR, 1.05, 1.0, Grid1D(n=64, theta_bottom=1.05, theta_top=1.0))
-    rho = solve_hydrostatic_density(GAS, theta, 0.01, 1.0, grid)
+    rho, _ = solve_hydrostatic_density(GAS, theta, 0.01, 1.0, grid)
     p = pressure(GAS, rho, theta)
     face_balance = np.diff(p) - 0.5 * (rho[:-1] + rho[1:]) * 0.01 * grid.dx
     assert np.max(np.abs(face_balance)) < 1e-13
@@ -161,7 +161,7 @@ def _march_faces(theta, g, dx, rho0):
 def test_hydrostatic_discrete_matches_scalar_march(n):
     grid = Grid1D(n=n, theta_bottom=1.05, theta_top=1.0)
     theta = solve_heat_profile_1d(TR, 1.05, 1.0, grid)
-    rho, details = solve_hydrostatic_density(GAS, theta, 0.01, 1.0, grid, return_details=True)
+    rho, details = solve_hydrostatic_density(GAS, theta, 0.01, 1.0, grid)
     assert details["rho0"] == rho[0]
     assert details["mass"] == pytest.approx(1.0, abs=1e-12)
     oracle = _march_faces(theta, 0.01, grid.dx, rho[0])
@@ -178,7 +178,7 @@ def test_hydrostatic_discrete_matches_scalar_march(n):
 def test_hydrostatic_discrete_balance_mass_positivity(n, theta_bottom, theta_top, g):
     grid = Grid1D(n=n, theta_bottom=theta_bottom, theta_top=theta_top)
     theta = solve_heat_profile_1d(TR, theta_bottom, theta_top, grid)
-    rho = solve_hydrostatic_density(GAS, theta, g, 1.0, grid)
+    rho, _ = solve_hydrostatic_density(GAS, theta, g, 1.0, grid)
     p = pressure(GAS, rho, theta)
     face_balance = np.diff(p) - 0.5 * (rho[:-1] + rho[1:]) * g * grid.dx
     assert np.all(np.abs(face_balance) <= 1e-13 * np.maximum(1.0, np.abs(p[:-1])))
@@ -189,8 +189,8 @@ def test_hydrostatic_discrete_balance_mass_positivity(n, theta_bottom, theta_top
 def test_hydrostatic_discrete_per_node_potential_matches_scalar_gravity():
     grid = Grid1D(n=96, theta_bottom=1.1, theta_top=1.0)
     theta = solve_heat_profile_1d(TR, 1.1, 1.0, grid)
-    scalar = solve_hydrostatic_density(GAS, theta, 0.3, 1.0, grid)
-    per_node = solve_hydrostatic_density(GAS, theta, 0.3 * grid.centers(), 1.0, grid)
+    scalar, _ = solve_hydrostatic_density(GAS, theta, 0.3, 1.0, grid)
+    per_node, _ = solve_hydrostatic_density(GAS, theta, 0.3 * grid.centers(), 1.0, grid)
     assert np.max(np.abs(per_node - scalar) / scalar) < 1e-13
 
 
@@ -202,7 +202,7 @@ def test_hydrostatic_rk4_mass_and_fourth_order():
     for n in (8, 16, 32, 64):
         grid = Grid1D(n=n, theta_bottom=1.2, theta_top=1.0)
         rho, details = solve_hydrostatic_density(
-            GAS, None, 0.2, 1.0, grid, mode="rk4", theta_profile=profile, return_details=True
+            GAS, None, 0.2, 1.0, grid, mode="rk4", theta_profile=profile
         )
         assert np.all(np.diff(rho) > 0.0)  # monotone toward the potential
         assert abs(details["mass"] - 1.0) < 1e-10
@@ -223,7 +223,7 @@ def test_hydrostatic_face_residual_second_order():
     errs = []
     for n in (32, 64, 128):
         grid = Grid1D(n=n, theta_bottom=1.2, theta_top=1.0)
-        rho = solve_hydrostatic_density(GAS, None, 0.2, 1.0, grid, mode="rk4", theta_profile=profile)
+        rho, _ = solve_hydrostatic_density(GAS, None, 0.2, 1.0, grid, mode="rk4", theta_profile=profile)
         theta = theta_of_x(grid.centers())
         p = pressure(GAS, rho, theta)
         resid = np.diff(p) / grid.dx - 0.5 * (rho[:-1] + rho[1:]) * 0.2
@@ -239,19 +239,21 @@ def test_hydrostatic_newton_counts_its_positivity_halvings():
     # from its guess report the count
     grid = Grid1D(n=32)
     theta = np.ones(32)
-    rho, details = solve_hydrostatic_density(GAS, theta, 30.0, 1.0, grid, return_details=True)
+    rho, details = solve_hydrostatic_density(GAS, theta, 30.0, 1.0, grid)
     assert details["halvings"] == 2
     p = pressure(GAS, rho, theta)
     face_balance = np.diff(p) - 0.5 * (rho[:-1] + rho[1:]) * 30.0 * grid.dx
     assert np.all(np.abs(face_balance) <= 1e-9 * np.maximum(1.0, np.abs(p[:-1])))
     assert abs(np.sum(rho) * grid.dx - 1.0) <= 1e-12
-    mild = solve_hydrostatic_density(GAS, theta, 0.01, 1.0, grid, return_details=True)[1]
+    mild = solve_hydrostatic_density(GAS, theta, 0.01, 1.0, grid)[1]
     assert mild["halvings"] == 0
     config = ProblemConfig(grid=grid, m0=1.0, g=30.0)
     pipeline = solve_rb_pipeline(config, GAS, TR)
-    assert pipeline.hydrostatic_halvings == 2
-    assert solve_stationary_newton(config, GAS, TR, initial_guess=pipeline).hydrostatic_halvings == 2
-    assert solve_rb_pipeline(ProblemConfig(grid=grid, m0=1.0, g=0.01), GAS, TR).hydrostatic_halvings == 0
+    assert pipeline.counters["hydrostatic_halvings"] == 2
+    newton = solve_stationary_newton(config, GAS, TR, initial_guess=pipeline)
+    assert newton.counters["hydrostatic_halvings"] == 2
+    mild_pipeline = solve_rb_pipeline(ProblemConfig(grid=grid, m0=1.0, g=0.01), GAS, TR)
+    assert mild_pipeline.counters["hydrostatic_halvings"] == 0
 
 
 def test_hydrostatic_shooting_failure_outside_regime():
@@ -298,7 +300,7 @@ def test_newton_stops_at_the_rounding_floor_of_a_fine_column(n):
     pipe = solve_rb_pipeline(config, GAS, TR)
     newton = solve_stationary_newton(config, GAS, TR)
     assert newton.iterations <= 10
-    assert newton.residual_trace[-1] > 1e-9
+    assert newton.counters["stationary_residual_trace"][-1] > 1e-9
     layout = _Layout(grid)
     x = layout.pack(newton.rho, newton.theta, newton.u, None, 0.0)
 
@@ -306,7 +308,7 @@ def test_newton_stops_at_the_rounding_floor_of_a_fine_column(n):
         return _residual(layout, xv, GAS, TR, config.potential_field(), config.m0)
 
     f = fun(x)
-    assert np.max(np.abs(f)) == newton.residual_trace[-1]
+    assert np.max(np.abs(f)) == newton.counters["stationary_residual_trace"][-1]
     jacobian = _ColouredJacobian(layout)
     jacobian.factor(fun, x, f)
     assert np.all(np.abs(f) <= np.maximum(1e-9, 2.0 * np.finfo(float).eps * jacobian.magnitudes))
@@ -733,9 +735,10 @@ def test_newton_counts_armijo_floor_acceptances(monkeypatch):
     state = solve_stationary_newton(config, GAS, TR)
     assert state.floor_steps == 1
     assert np.allclose(state.theta, target + shift)
-    assert state.residual_trace[0] == pytest.approx(target - theta0)
-    assert state.residual_trace[-1] <= 1.0e-9
-    assert len(state.residual_trace) == state.iterations + 1
+    trace = state.counters["stationary_residual_trace"]
+    assert trace[0] == pytest.approx(target - theta0)
+    assert trace[-1] <= 1.0e-9
+    assert len(trace) == state.iterations + 1
 
 
 def test_newton_state_keeps_trace_colours_and_calls(monkeypatch):
@@ -750,13 +753,16 @@ def test_newton_state_keeps_trace_colours_and_calls(monkeypatch):
     xc = (np.arange(nx) + 0.5) * (2.0 / nx)
     grid = Grid2D(nx=nx, nz=8, theta_bottom=1.0 + 1e-3 * np.cos(np.pi * xc), theta_top=1.0)
     state = solve_stationary_newton(ProblemConfig(grid=grid, m0=grid.volume, g=(0.0, 0.01)), GAS, TR)
+    counters, trace = state.counters, state.counters["stationary_residual_trace"]
     assert state.iterations >= 1 and state.floor_steps == 0
-    assert len(state.residual_trace) == state.iterations + 1
-    assert state.residual_trace[-1] <= 1.0e-9 < state.residual_trace[0]
-    assert 0 < state.jacobian_colours <= 40
-    assert state.residual_calls == len(calls)
-    assert 1 <= state.jacobians <= state.iterations
-    assert state.residual_calls >= state.jacobians * (state.jacobian_colours + 1) + state.iterations + 1
+    assert len(trace) == state.iterations + 1
+    assert trace[-1] <= 1.0e-9 < trace[0]
+    assert 0 < counters["stationary_jacobian_colours"] <= 40
+    assert counters["stationary_residual_calls"] == len(calls)
+    assert 1 <= counters["stationary_jacobians"] <= state.iterations
+    assert counters["stationary_residual_calls"] >= counters["stationary_jacobians"] * (
+        counters["stationary_jacobian_colours"] + 1
+    ) + state.iterations + 1
 
 
 def test_newton_refreshes_the_jacobian_when_a_chord_step_stalls(monkeypatch):
@@ -780,13 +786,14 @@ def test_newton_refreshes_the_jacobian_when_a_chord_step_stalls(monkeypatch):
     monkeypatch.setattr(ops, "steady_residual_1d", quadratic)
     monkeypatch.setattr(stationary, "_residual", logged)
     state = solve_stationary_newton(ProblemConfig(grid=Grid1D(n=8), m0=1.0), GAS, TR)
-    assert state.jacobians >= 2
-    assert state.residual_trace[-1] <= 1.0e-9 and np.allclose(state.theta, target)
-    assert len(state.residual_trace) == state.iterations + 1
+    trace = state.counters["stationary_residual_trace"]
+    assert state.counters["stationary_jacobians"] >= 2
+    assert trace[-1] <= 1.0e-9 and np.allclose(state.theta, target)
+    assert len(trace) == state.iterations + 1
     # after the initial residual, a single state followed by a stacked call
     # (a fresh Jacobian) is a dropped chord trial
     dropped = [norm for norm, after in zip(events[1:], events[2:]) if norm is not None and after is None]
-    assert dropped and not set(dropped) & set(state.residual_trace)
+    assert dropped and not set(dropped) & set(trace)
 
 
 def nan_after_first_factorisation(monkeypatch):
