@@ -6,14 +6,77 @@ off a small probe lattice, ``pattern`` translates it, ``colouring`` gives
 unknowns that share no equation one probe (Curtis, Powell & Reid, IMA J.
 Appl. Math. 13, 1974; Gebremedhin, Manne & Pothen, SIAM Rev. 47, 2005), and
 a ``Plan`` reads the matrix off the stacked responses with one gather.
+None of these depends on more than a grid's shape and spacing, so their
+builders are ``shared``: each result is built once per process, read-only.
 """
 
 from __future__ import annotations
 
+import functools
+import threading
+from collections import OrderedDict
+
 import numpy as np
 from scipy.sparse import coo_matrix, csc_matrix
 
-__all__ = ["lattice", "offsets", "pattern", "colouring", "Plan"]
+__all__ = ["lattice", "offsets", "pattern", "colouring", "Plan", "shared", "clear"]
+
+# the results each ``shared`` builder keeps, the least recently used dropped first
+KEPT = 8
+_kept = []
+
+
+def _read_only(value):
+    """``value`` with every array in it made read-only: arrays, and those
+    held in sequences, dicts and objects (a ``Plan``, a sparse matrix)."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            _read_only(item)
+    elif isinstance(value, dict):
+        _read_only(list(value.values()))
+    elif hasattr(value, "__dict__"):
+        _read_only(vars(value))
+    return value
+
+
+def shared(key):
+    """Decorate ``build``: its result for ``key(*args)`` is built once,
+    made read-only and kept process-wide for the ``KEPT`` keys last used,
+    so that every caller on one grid gets the same arrays and none can
+    change them for another.  ``builds`` counts the calls that built, and
+    ``kept`` maps the keys to the results."""
+
+    def decorate(build):
+        kept, lock = OrderedDict(), threading.Lock()
+
+        @functools.wraps(build)
+        def cached(*args):
+            at = key(*args)
+            with lock:
+                if at in kept:
+                    kept.move_to_end(at)
+                    return kept[at]
+            value = _read_only(build(*args))
+            with lock:
+                cached.builds += 1
+                kept[at] = value
+                while len(kept) > KEPT:
+                    kept.popitem(last=False)
+            return value
+
+        cached.builds, cached.kept = 0, kept
+        _kept.append(kept)
+        return cached
+
+    return decorate
+
+
+def clear():
+    """Empty every ``shared`` builder's results."""
+    for kept in _kept:
+        kept.clear()
 
 
 def lattice(nx, nz, fields=1, pad=0):
@@ -77,12 +140,16 @@ def _first_fit(shape, first, second, ddi, ddk):
     """First-fit colours of the nodes (field, x, z) of a periodic ``shape``,
     in that order, under the conflicts (first, second, ddi, ddk)."""
     node = np.arange(np.prod(shape)).reshape(shape)
+    f, i, k = np.indices(shape).reshape(3, -1, 1)
+    # every node's conflicting nodes, in node order
+    near = []
+    for g in range(shape[0]):
+        own, at = first == g, f[:, 0] == g
+        near += list(node[second[own], (i[at] + ddi[own]) % shape[1], (k[at] + ddk[own]) % shape[2]])
     colour = np.full(node.size, -1)
-    of_field = [(second[first == f], ddi[first == f], ddk[first == f]) for f in range(shape[0])]
-    for f, i, k in np.ndindex(shape):
-        b, di, dk = of_field[f]
-        taken = set(colour[node[b, (i + di) % shape[1], (k + dk) % shape[2]]].tolist())
-        colour[node[f, i, k]] = next(c for c in range(len(taken) + 1) if c not in taken)
+    for m, conflicting in enumerate(near):
+        taken = set(colour[conflicting].tolist())
+        colour[m] = next(c for c in range(len(taken) + 1) if c not in taken)
     return colour.reshape(shape)
 
 
@@ -100,24 +167,31 @@ def colouring(table, unknowns, nx):
     nodes (field, x node, k mod q) under two x maps, whichever needs fewer
     colours (the torus on a tie).  Two offsets of ``table`` with one
     equation field give a conflict (a, b, ddi, ddk); q exceeds their z
-    reach, R is their x reach.  The torus takes x node i mod p, p the least
+    reach, R is their x reach.  The torus takes x node i mod p, p a
     divisor of nx above R (else nx), so the x wrap maps conflicts onto the
-    torus.  The blocks take the x colour of ``_blocks`` times the colour of
+    torus; of these periods the one with the fewest colours, the least on
+    a tie.  The blocks take the x colour of ``_blocks`` times the colour of
     (field, k mod q) under the conflicts within a column (ddi = 0 mod nx).
     Unknowns on one node lie a multiple of q apart in z, or of p in x, or
     in one column, so they never conflict."""
     eq, field, di, dk = table.T
     a, b = np.nonzero(eq[:, None] == eq)
-    first, second, ddi, ddk = field[a], field[b], di[b] - di[a], dk[b] - dk[a]
+    # each distinct conflict once
+    first, second, ddi, ddk = np.unique(np.stack([field[a], field[b], di[b] - di[a], dk[b] - dk[a]]), axis=1)
     reach, q = int(np.max(np.abs(ddi), initial=0)), int(np.max(np.abs(ddk), initial=0)) + 1
     f, i, k = unknowns
     n_fields = int(f.max()) + 1
-    p = next((d for d in range(reach + 1, nx + 1) if nx % d == 0), nx)
-    torus = _first_fit((n_fields, p, q), first, second, ddi, ddk)[f, i % p, k % q]
+
+    def renumbered(c):
+        """0..C-1: nodes no unknown takes would be empty probes."""
+        return np.unique(c, return_inverse=True)[1]
+
+    periods = [d for d in range(reach + 1, nx + 1) if nx % d == 0] or [nx]
+    tori = (renumbered(_first_fit((n_fields, p, q), first, second, ddi, ddk)[f, i % p, k % q]) for p in periods)
+    torus = min(tori, key=np.max)  # the first, least period on a tie
     own, x = ddi % nx == 0, _blocks(nx, reach)
     z = _first_fit((n_fields, 1, q), first[own], second[own], 0 * ddi[own], ddk[own])[f, 0, k % q]
-    # renumbered 0..C-1: nodes no unknown takes would be empty probes
-    torus, blocks = (np.unique(c, return_inverse=True)[1] for c in (torus, z * (x.max() + 1) + x[i]))
+    blocks = renumbered(z * (x.max() + 1) + x[i])
     return torus if torus.max() <= blocks.max() else blocks
 
 

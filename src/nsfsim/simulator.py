@@ -35,8 +35,9 @@ of ``operators`` on the velocity components and comprises, in order:
 
 The velocity matrix and L are read off their stencils by ``probing``: the
 stencil's offset table, read on a 5x5 probe slab (``_stencil_table``),
-gives a ``probing.Plan`` built once per grid (``_linear_plan``), whose
-pattern is the stencil's own, without stored zeros.  A step's velocity
+gives a ``probing.Plan`` (``_linear_plan``), whose pattern is the
+stencil's own, without stored zeros; each grid shape and spacing builds
+its plans once per process (``probing.shared``).  A step's velocity
 matrix is then one stress-divergence call on the probes' kept strains and
 one gather.  Both slab matrices are factored by LAPACK's band Cholesky
 (``dpbtrf``; Golub & Van Loan, Matrix Computations, sec. 4.3) from their
@@ -178,6 +179,12 @@ def _heat_table():
     return _stencil_table((5, 5), 1, 0, lambda K: _kirchhoff_divergence(Grid2D(nx=5, nz=5), K))
 
 
+def _grid_key(grid):
+    """What a slab plan or L depends on: the grid's shape and spacing."""
+    return (grid.dx, grid.dz) + ((grid.n,) if grid.dimension == 1 else (grid.nx, grid.nz))
+
+
+@probing.shared(_grid_key)
 def _heat_operator(grid):
     """L, ``_kirchhoff_divergence`` read off through a ``_linear_plan``, and
     its bands: div H(theta) has the Jacobian L diag(kappa).  On the column
@@ -225,14 +232,13 @@ def _lower_band(data, band_map):
     return band.reshape(n, depth).T
 
 
-def _heat_jacobian(grid, gas, transport, rho, theta, dt, operator=None):
+def _heat_jacobian(grid, gas, transport, rho, theta, dt):
     """The column's heat Jacobian diag(rho de/dtheta) - dt L diag(kappa) of
     the residual rho*e - dt * div H(theta) in solve_banded (1, 1) layout, L
-    from ``_heat_operator`` (``operator``, if given, is its result)."""
+    from ``_heat_operator``."""
     kappa = thermo._conductivity_raw(transport, theta)
     cap = thermo._volumetric_heat_capacity_raw(gas, rho, theta)
-    bands = (_heat_operator(grid) if operator is None else operator)[0]
-    jac = -dt * bands * kappa
+    jac = -dt * _heat_operator(grid)[0] * kappa
     jac[1] += cap
     return jac
 
@@ -278,7 +284,7 @@ def _implicit_heat(grid, gas, transport, rho, e_star, theta0, dt, solver=None):
     fresh ``SlabLU`` when none is given)."""
     if solver is None:
         solver = SlabLU()
-    operator = solver.grid_operator("heat", grid)
+    operator = _heat_operator(grid)
     plates = [thermo.conductivity_primitive(transport, grid.wall_theta(w)) for w in ("bottom", "top")]
     divergence = _heat_divergence(grid, operator, plates) if grid.dimension == 2 else (
         lambda K: _kirchhoff_divergence(grid, K, *plates))
@@ -300,7 +306,7 @@ def _implicit_heat(grid, gas, transport, rho, e_star, theta0, dt, solver=None):
         resid = residual(theta)
         if float(np.max(np.abs(resid))) <= tol:
             return theta
-        delta = solve_banded(_heat_jacobian(grid, gas, transport, rho, theta, dt, operator), resid)
+        delta = solve_banded(_heat_jacobian(grid, gas, transport, rho, theta, dt), resid)
         theta = _positive_newton_update(theta, delta, solver)
     raise ImplicitSolveError("implicit heat solve did not converge in 1-D")
 
@@ -376,6 +382,7 @@ def _velocity_table():
     return _stencil_table((5, 9), 2, 1, response)
 
 
+@probing.shared(_grid_key)
 def _velocity_operator(grid):
     """The ``_linear_plan`` of u and the interior w, interleaved along z off
     the walls, the ``strain_rates_2d`` of its probes and its ``_band_map``:
@@ -385,11 +392,11 @@ def _velocity_operator(grid):
     return plan, ops.strain_rates_2d(grid, probes[..., 1::2], probes[..., ::2]), _band_map(plan, grid.nx)
 
 
-def _velocity_matrix(grid, transport, theta, rho, dt, operator=None):
+def _velocity_matrix(grid, transport, theta, rho, dt):
     """rho_face*v - dt*viscous_rhs_2d(theta, v) over the lattice nodes off
     the walls: one ``stress_divergence_2d`` call on the kept probe strains
-    of ``_velocity_operator`` (``operator``, if given, is its result)."""
-    plan, strains, _ = _velocity_operator(grid) if operator is None else operator
+    of ``_velocity_operator``."""
+    plan, strains, _ = _velocity_operator(grid)
     rbu, rbw = ops._face_densities(rho, 2)
     data = -dt * _interleave(*ops.stress_divergence_2d(grid, transport, theta, strains)).ravel()[plan.gather]
     data[plan.diagonal] += _interleave(rbu, np.pad(rbw, ((0, 0), (1, 1))))[:, 1:-1].ravel()
@@ -402,10 +409,9 @@ def _solve_velocity_2d(grid, transport, theta, rho, m_star_u, m_star_w, dt, solv
     when none is given)."""
     if solver is None:
         solver = SlabLU()
-    operator = solver.grid_operator("velocity", grid)
-    a = _velocity_matrix(grid, transport, theta, rho, dt, operator)
+    a = _velocity_matrix(grid, transport, theta, rho, dt)
     v = _interleave(m_star_u, m_star_w)
-    v[:, 1:-1] = solver.solve(a, v[:, 1:-1].ravel(), operator[2]).reshape(grid.nx, -1)
+    v[:, 1:-1] = solver.solve(a, v[:, 1:-1].ravel(), _velocity_operator(grid)[2]).reshape(grid.nx, -1)
     v[:, [0, -1]] = 0.0
     return v[:, 1::2].copy(), v[:, ::2].copy()
 
@@ -462,12 +468,12 @@ class SlabLU:
     its SPD form S with kappa (``_heat_factors``), which ``_chord_heat``
     makes and uses.
 
-    ``run`` makes one per run and hands it to every ``step``; nothing is
-    shared between instances, so concurrent runs stay independent.  On the
-    column as on the slab it also keeps the probed heat operator, on the
-    slab the velocity probe plan, its strains and its band layout
-    (``grid_operator``).  ``counts`` is the run's counter record,
-    ``RunResult.counters``, keyed by the manifest's names:
+    ``run`` makes one per run and hands it to every ``step``.  The
+    read-only plans of a grid (the probed heat operator, the velocity probe
+    plan with its strains, their band layouts) are shared by every instance
+    in the process (``probing.shared``); the factors and the counts are
+    not, so concurrent runs stay independent.  ``counts`` is the run's
+    counter record, ``RunResult.counters``, keyed by the manifest's names:
     ``step_factorisations`` (velocity and heat alike), ``step_refinements``,
     ``heat_backtracks`` and ``heat_chords`` are counted where the work is
     done, and ``run`` counts ``dt_min_clamps`` and ``dt_max_clamps`` in it.
@@ -475,18 +481,8 @@ class SlabLU:
 
     def __init__(self):
         self._factors = {}
-        self._grid_operators = {}
         names = "step_factorisations step_refinements heat_backtracks heat_chords dt_min_clamps dt_max_clamps"
         self.counts = dict.fromkeys(names.split(), 0)
-
-    def grid_operator(self, kind, grid):
-        """The ``_velocity_operator`` or the ``_heat_operator`` of ``grid``,
-        built once per grid shape and spacing, which L and the probe strains
-        hold."""
-        key = (kind, grid.dx, grid.dz) + ((grid.n,) if grid.dimension == 1 else (grid.nx, grid.nz))
-        if key not in self._grid_operators:
-            self._grid_operators[key] = (_heat_operator if kind == "heat" else _velocity_operator)(grid)
-        return self._grid_operators[key]
 
     def solve(self, a, b, band_map):
         """x with |b - a x| <= 4 eps (|a| |x| + |b|) for the velocity matrix

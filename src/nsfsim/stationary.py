@@ -13,7 +13,8 @@ read off the residual by ``probing``: forward differences on a small probe
 grid, at a random state and again with every velocity negated, give the
 offsets by which each equation field couples to each unknown field, and
 those give the pattern on the grid at hand and the colours, columns that
-share no equation being perturbed together.  An iteration evaluates one
+share no equation being perturbed together; a process builds this plan
+once for each grid shape (``_newton_plan``).  An iteration evaluates one
 perturbed state per colour plus one for the multiplier, a count fixed by
 the stencils and not by the grid size (32 at 24x16 and 64x48), and all of
 them are the rows of one stacked residual call.  The mass row is linear and
@@ -535,6 +536,7 @@ def _residual(layout, x, gas, transport, G, m0):
     return np.concatenate([*rows, mass], axis=-1)
 
 
+@probing.shared(lambda dimension: dimension)
 def _probe_table(dimension):
     """The residual's offset table and the states it evaluated, on a 5x5 slab
     (a 6-cell column in 1-D) with laterally varying plates, gravity with both
@@ -595,36 +597,47 @@ def _dissection_ranks(nx, nz, reach):
     return rank
 
 
-class _ColouredJacobian:
-    """Bordered finite-difference Jacobian of ``_residual``: a
-    ``probing.Plan`` of one offset table (``_probe_table``) plus its border.
-    Every entry equals its one-column forward difference bit for bit.  The
-    lambda column is one more probe and the linear mass row is set exactly:
-    one stacked residual call of (colours + 1, size) states per Jacobian.
+@probing.shared(lambda layout: (layout.grid.dimension, layout.nx, layout.nz))
+def _newton_plan(layout):
+    """The Jacobian's ``probing.Plan`` in its column order, that order
+    ``rank``, the places of the mass row's entries, the colour count and
+    the residual calls of the pattern probe (``_probe_table``), for the
+    shape of ``layout``'s grid.
 
     ``rank[j]``, the column of unknown j, puts the locations in
     nested-dissection order (``_dissection_ranks``, its bands as wide as the
     offsets' largest |di| or |dk|), or in z order on a column, whose
     Jacobian is a bordered band that dissection would only fill further.
     """
+    table, probe_calls = _probe_table(layout.grid.dimension)
+    rows, cols = probing.pattern(table, layout.unknowns, layout.equations, layout.nx)
+    colour = probing.colouring(table, layout.unknowns, layout.nx)
+    colours = int(colour.max()) + 1
+    _, i, k = layout.unknowns
+    reach = int(np.max(np.abs(table[:, 2:]), initial=0))
+    location = k if layout.grid.dimension == 1 else _dissection_ranks(layout.nx, layout.nz, reach)[i, k]
+    # the unknowns of a location keep their field order, lambda goes last
+    n = layout.size - 1
+    rank = np.append(np.argsort(np.argsort(location, kind="stable")), n)
+    # the border: the lambda column, which one more probe gives, and the mass row
+    rows = np.concatenate([rows, np.arange(n), np.full(layout.n_cells, n)])
+    cols = np.concatenate([cols, np.full(n, n), np.arange(layout.n_cells)])
+    plan = probing.Plan(rows, cols, np.append(colour, colours), layout.size, column=rank)
+    return plan, rank, np.flatnonzero(plan.indices == n), colours, probe_calls
+
+
+class _ColouredJacobian:
+    """Bordered finite-difference Jacobian of ``_residual``: a
+    ``probing.Plan`` of one offset table (``_probe_table``) plus its border,
+    shared by every solve on the grid's shape (``_newton_plan``).  Every
+    entry equals its one-column forward difference bit for bit.  The
+    lambda column is one more probe and the linear mass row is set exactly:
+    one stacked residual call of (colours + 1, size) states per Jacobian.
+    """
 
     def __init__(self, layout):
         self.layout = layout
-        table, self.probe_calls = _probe_table(layout.grid.dimension)
-        rows, cols = probing.pattern(table, layout.unknowns, layout.equations, layout.nx)
-        colour = probing.colouring(table, layout.unknowns, layout.nx)
-        self.colours = int(colour.max()) + 1
-        _, i, k = layout.unknowns
-        reach = int(np.max(np.abs(table[:, 2:]), initial=0))
-        location = k if layout.grid.dimension == 1 else _dissection_ranks(layout.nx, layout.nz, reach)[i, k]
-        # the unknowns of a location keep their field order, lambda goes last
-        n = layout.size - 1
-        self.rank = np.append(np.argsort(np.argsort(location, kind="stable")), n)
-        # the border: the lambda column, which one more probe gives, and the mass row
-        rows = np.concatenate([rows, np.arange(n), np.full(layout.n_cells, n)])
-        cols = np.concatenate([cols, np.full(n, n), np.arange(layout.n_cells)])
-        self.plan = probing.Plan(rows, cols, np.append(colour, self.colours), layout.size, column=self.rank)
-        self.mass = np.flatnonzero(self.plan.indices == n)
+        self.plan, self.rank, self.mass, self.colours, self.probe_calls = _newton_plan(layout)
 
     def factor(self, fun, x, f):
         """SuperLU factors of the Jacobian at x in its column order (partial

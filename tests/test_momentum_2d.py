@@ -101,9 +101,8 @@ def test_velocity_matrix_from_a_kept_plan_is_the_coo_assembly(nx, nz, eta0, seed
     # where the COO -> CSC conversion puts it, bit for bit, and the plan
     # stores no entry the stencil leaves zero
     grid, transport, rho, theta, _, _ = random_slab(nx, nz, eta0, seed)
-    operator = sim._velocity_operator(grid)
     for dt in (0.3, 0.002):
-        got = sim._velocity_matrix(grid, transport, theta, rho, dt, operator)
+        got = sim._velocity_matrix(grid, transport, theta, rho, dt)
         want = coo_velocity_matrix(grid, transport, theta, rho, dt)
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)

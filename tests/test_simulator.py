@@ -423,9 +423,10 @@ def test_probe_colouring_keeps_rows_apart_with_few_colours():
             box = span * (nx if nx <= 5 else 3 if nx % 3 == 0 else 4)
             at = probing.lattice(nx, nz, fields)[0]
             assert probed_colours(table, at, at, nx) <= box, (fields, nx)
-    # the probed stencils are stars, not boxes: 16 velocity and 8 heat
-    # probes at 32x24 (the torus), 15 velocity probes at 12x10 (the blocks)
-    assert sim._velocity_operator(Grid2D(nx=32, nz=24))[0].n_colours == 16
+    # the probed stencils are stars, not boxes: 15 velocity probes at 32x24
+    # (the torus of period 32; periods 4, 8 and 16 need 16) and at 12x10 (the
+    # torus of period 6 and the blocks alike), 8 heat probes at 32x24
+    assert sim._velocity_operator(Grid2D(nx=32, nz=24))[0].n_colours == 15
     assert sim._velocity_operator(Grid2D(nx=12, nz=10))[0].n_colours == 15
     assert sim._linear_plan((32, 24), 1, 0, sim._heat_table()).n_colours == 8
     # the stationary Newton's lateral offsets: never more than the torus alone
@@ -444,30 +445,39 @@ def test_probe_colouring_keeps_rows_apart_with_few_colours():
     ],
     ids=["rb-2d-topology", "rb-1d-small", "rb-2d-topology-velocity"],
 )
-def test_run_builds_the_heat_operator_once(preset, builder, monkeypatch):
-    # the heat operator and the velocity probe plan are built once per run:
-    # after that L is only rescaled by kappa in every heat-Newton iteration,
-    # and the plan's kept strains only meet each step's viscosities
+def test_run_builds_the_heat_operator_once(preset, builder):
+    # the heat operator and the velocity probe plan are built once per
+    # process for a grid: after that L is only rescaled by kappa in every
+    # heat-Newton iteration, and the plan's kept strains only meet each
+    # step's viscosities.  A run on a cleared cache builds it once, and a
+    # second run on the grid builds nothing and ends in the same state
+    # with the same counters.
     config = ex.config_from_mapping({"horizon": "0.02"}, preset=preset)
     gas, transport = ex.build_models(config)
     problem = ex.build_problem(config)
     initial = ex.make_initial_state(config, ex.solve_reference(config, problem, gas, transport))
-    builds = []
-
-    def counted(grid):
-        builds.append(grid)
-        return build(grid)
-
     build = getattr(sim, builder)
-    monkeypatch.setattr(sim, builder, counted)
-    result = sim.run(initial, config["horizon"], StepControl(), gas, transport, problem.potential_field())
-    assert not result.aborted and result.steps >= 2
-    assert len(builds) == 1
+    probing.clear()
+    results = []
+    for built in (1, 0):
+        before = build.builds
+        result = sim.run(initial, config["horizon"], StepControl(), gas, transport, problem.potential_field())
+        assert not result.aborted and result.steps >= 2
+        assert build.builds - before == built
+        results.append(result)
+    cold, warm = results
+    assert warm.counters == cold.counters and warm.steps == cold.steps
+    for name in ("rho", "theta", "u"):
+        assert np.array_equal(getattr(warm.final_state, name), getattr(cold.final_state, name)), name
 
 
 def test_one_solver_keeps_an_operator_per_slab_spacing(monkeypatch):
     # two slabs of one shape but different periods: L holds 1/dx^2, so each
-    # gets its own, and each step's heat Newton converges with it
+    # gets its own, and each step's heat Newton converges with it.  On a
+    # cleared cache each spacing builds its L once; stepping both again with
+    # a second solver builds nothing and repeats the first steps bit for bit
+    probing.clear()
+    builds = sim._heat_operator.builds
     solver = sim.SlabLU()
     residuals = []
 
@@ -481,17 +491,22 @@ def test_one_solver_keeps_an_operator_per_slab_spacing(monkeypatch):
 
     implicit_heat = sim._implicit_heat
     monkeypatch.setattr(sim, "_implicit_heat", checked)
-    operators = []
+    operators, states, steps = [], [], []
     for lx in (2.0, 0.5):
         grid = Grid2D(nx=8, nz=6, theta_bottom=1.1, theta_top=1.0, lx=lx)
         theta = 1.0 + 0.1 * np.sin(2 * np.pi * grid.x_centers())[:, None] * np.ones(grid.nz)
-        state = FluidState(grid, 0.0, np.ones_like(theta), theta, np.zeros_like(theta), np.zeros((8, 7)))
-        step(state, 1e-3, GAS, TR, solver=solver)
-        operators.append(solver.grid_operator("heat", grid))
-        _, want = sim._heat_operator(grid)
+        states.append(FluidState(grid, 0.0, np.ones_like(theta), theta, np.zeros_like(theta), np.zeros((8, 7))))
+        steps.append(step(states[-1], 1e-3, GAS, TR, solver=solver))
+        operators.append(sim._heat_operator(grid))
+        _, want = sim._heat_operator.__wrapped__(grid)  # built afresh
         assert (abs(operators[-1][1] - want)).max() == 0.0
     assert (abs(operators[0][1] - operators[1][1])).max() > 0.0
     assert len(residuals) == 2 and max(residuals) <= sim._HEAT_TOL
+    assert sim._heat_operator.builds - builds == 2
+    again = sim.SlabLU()
+    for state, first in zip(states, steps):
+        assert np.array_equal(step(state, 1e-3, GAS, TR, solver=again).theta, first.theta)
+    assert sim._heat_operator.builds - builds == 2 and again.counts == solver.counts
 
 
 def test_implicit_velocity_solve_damps_and_preserves_zero():
@@ -771,7 +786,7 @@ def test_velocity_matrix_reads_the_stencil_and_the_closure_once(monkeypatch):
     # on the kept probe strains: the viscosities at the centers and the wall
     # rows are the only closure reads
     grid = Grid2D(nx=32, nz=24, theta_bottom=1.05, theta_top=1.0)
-    operator = sim._velocity_operator(grid)
+    sim._velocity_operator(grid)
     calls = {"stress_divergence_2d": 0, "strain_rates_2d": 0, "transport": 0}
 
     def counted(owner, name):
@@ -787,7 +802,7 @@ def test_velocity_matrix_reads_the_stencil_and_the_closure_once(monkeypatch):
     counted(ops, "strain_rates_2d")
     counted(thermo, "transport")
     theta = np.full((grid.nx, grid.nz), 1.02)
-    sim._velocity_matrix(grid, TR, theta, np.ones_like(theta), 1e-3, operator)
+    sim._velocity_matrix(grid, TR, theta, np.ones_like(theta), 1e-3)
     assert calls["stress_divergence_2d"] == 1
     assert calls["strain_rates_2d"] == 0
     assert calls["transport"] <= 2

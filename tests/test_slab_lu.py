@@ -42,8 +42,7 @@ EPS = np.finfo(float).eps
 
 def velocity_system(grid, transport, theta, rho, dt):
     """The velocity matrix and the ``_band_map`` of its plan."""
-    operator = sim._velocity_operator(grid)
-    return sim._velocity_matrix(grid, transport, theta, rho, dt, operator), operator[2]
+    return sim._velocity_matrix(grid, transport, theta, rho, dt), sim._velocity_operator(grid)[2]
 
 
 def check_velocity_solve(solver, grid, transport, rho, theta, dt, rng):
@@ -209,9 +208,9 @@ def test_a_velocity_matrix_not_positive_definite_is_retried_at_half_the_step(mon
     initial = ex.make_initial_state(config, ex.solve_reference(config, problem, gas, transport))
     velocity_matrix, steps = sim._velocity_matrix, []
 
-    def first_negated(grid, transport, theta, rho, dt, operator=None):
+    def first_negated(grid, transport, theta, rho, dt):
         steps.append(dt)
-        a = velocity_matrix(grid, transport, theta, rho, dt, operator)
+        a = velocity_matrix(grid, transport, theta, rho, dt)
         return -a if len(steps) == 1 else a
 
     monkeypatch.setattr(sim, "_velocity_matrix", first_negated)

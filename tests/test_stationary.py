@@ -562,7 +562,8 @@ def dense_first_fit(offsets, n_fields, p, q):
 def test_colouring_is_first_fit_greedy(nx, nz, operator):
     # Under either x map the nodes are coloured first-fit in node order, the
     # conflicts read off a dense boolean pattern: the torus nodes
-    # (field, i mod p, k mod q) under every conflict, or the nodes
+    # (field, i mod p, k mod q) under every conflict, p the divisor of nx
+    # above the reach with the fewest colours, or the nodes
     # (field, k mod q) of one column of the ring itself times the column's x
     # colour.  Every unknown carries its node's colour under the map that
     # needs fewer (the torus on a tie), renumbered in order to 0..C-1.
@@ -574,10 +575,13 @@ def test_colouring_is_first_fit_greedy(nx, nz, operator):
     n_fields = unknowns[0].max() + 1
     same = offsets[:, None, 0] == offsets[None, :, 0]
     reach, q = np.abs(offsets[:, None, 2:] - offsets[None, :, 2:])[same].max(axis=0) + [0, 1]
-    p = min([d for d in range(reach + 1, nx + 1) if nx % d == 0], default=nx)
     f, i, k = unknowns
-    colour, node, _ = dense_first_fit(offsets, n_fields, p, q)
-    torus = colour[node[f, i % p, k % q]]
+    tori = []
+    for p in [d for d in range(reach + 1, nx + 1) if nx % d == 0] or [nx]:
+        colour, node, _ = dense_first_fit(offsets, n_fields, p, q)
+        tori.append(np.unique(colour[node[f, i % p, k % q]], return_inverse=True)[1])
+    # the period with the fewest colours, the least on a tie
+    torus = tori[int(np.argmin([c.max() for c in tori]))]
 
     _, node, conflict = dense_first_fit(offsets, n_fields, nx, q)
     column = node[:, 0, :].ravel()  # conflicts within a column, aliased x offsets included
@@ -592,7 +596,7 @@ def test_colouring_is_first_fit_greedy(nx, nz, operator):
         assert at.size == 1 or np.all(np.diff(np.append(at, at[0] + nx)) > reach)
     blocks = colour.reshape(n_fields, q)[f, k % q] * (x.max() + 1) + x[i]
 
-    torus, blocks = (np.unique(c, return_inverse=True)[1] for c in (torus, blocks))
+    blocks = np.unique(blocks, return_inverse=True)[1]
     want = torus if torus.max() <= blocks.max() else blocks
     assert np.array_equal(probing.colouring(offsets, unknowns, nx), want)
 
@@ -701,6 +705,17 @@ def test_lateral_preset_at_24x16_needs_at_most_40_colours():
     assert jacobian.colours <= 40
 
 
+def test_torus_colouring_takes_the_period_with_fewest_colours():
+    # at 10x6 the torus of period 5, the least divisor above the x reach 3,
+    # needs 40 colours and that of period 10 needs 36; at 24x16 the periods
+    # 4, 12 and 24 tie at 32 and the least is kept
+    table = stationary._probe_table(2)[0]
+    for (nx, nz), want in {(10, 6): 36, (24, 16): 32}.items():
+        unknowns = _Layout(Grid2D(nx=nx, nz=nz)).unknowns
+        assert probing.colouring(table, unknowns, nx).max() + 1 == want, (nx, nz)
+        assert _ColouredJacobian(_Layout(Grid2D(nx=nx, nz=nz))).colours == want, (nx, nz)
+
+
 @pytest.mark.parametrize("grid", [Grid1D(n=40, theta_bottom=1.1), Grid2D(nx=24, nz=16)], ids=["1d", "2d"])
 def test_pattern_derivation_residual_calls(monkeypatch, grid):
     probed = []
@@ -710,12 +725,18 @@ def test_pattern_derivation_residual_calls(monkeypatch, grid):
         return _residual(layout, x, *args)
 
     monkeypatch.setattr(stationary, "_residual", counted)
+    probing.clear()
     jacobian = _ColouredJacobian(_Layout(grid))
     probe = probed[0]
     assert all(p is probe for p in probed)
     column = int(np.sum(probe.unknowns[1] == 0))
     assert len(probed) <= 2 * column + 2
     assert jacobian.probe_calls == len(probed)
+    # the plan is shared: a second Jacobian on the grid probes nothing and
+    # reports the same calls
+    probed.clear()
+    again = _ColouredJacobian(_Layout(grid))
+    assert probed == [] and again.plan is jacobian.plan and again.probe_calls == jacobian.probe_calls
 
 
 def test_newton_counts_armijo_floor_acceptances(monkeypatch):
@@ -749,10 +770,12 @@ def test_newton_state_keeps_trace_colours_and_calls(monkeypatch):
         return _residual(layout, x, *args)
 
     monkeypatch.setattr(stationary, "_residual", counted)
+    probing.clear()
     nx = 12
     xc = (np.arange(nx) + 0.5) * (2.0 / nx)
     grid = Grid2D(nx=nx, nz=8, theta_bottom=1.0 + 1e-3 * np.cos(np.pi * xc), theta_top=1.0)
-    state = solve_stationary_newton(ProblemConfig(grid=grid, m0=grid.volume, g=(0.0, 0.01)), GAS, TR)
+    config = ProblemConfig(grid=grid, m0=grid.volume, g=(0.0, 0.01))
+    state = solve_stationary_newton(config, GAS, TR)
     counters, trace = state.counters, state.counters["stationary_residual_trace"]
     assert state.iterations >= 1 and state.floor_steps == 0
     assert len(trace) == state.iterations + 1
@@ -763,6 +786,13 @@ def test_newton_state_keeps_trace_colours_and_calls(monkeypatch):
     assert counters["stationary_residual_calls"] >= counters["stationary_jacobians"] * (
         counters["stationary_jacobian_colours"] + 1
     ) + state.iterations + 1
+    # a second solve on the grid shares the plan: it makes none of the
+    # pattern probe's calls, yet counts them, and reports the same counters
+    probe_calls = stationary._probe_table(2)[1]
+    calls.clear()
+    again = solve_stationary_newton(config, GAS, TR)
+    assert again.counters == counters
+    assert len(calls) == counters["stationary_residual_calls"] - probe_calls > 0
 
 
 def test_newton_refreshes_the_jacobian_when_a_chord_step_stalls(monkeypatch):
