@@ -67,7 +67,7 @@ from scipy.sparse.linalg import splu  # noqa: F401 (perfbench's tracer times sim
 from . import operators as ops
 from . import probing, thermo
 from .grids import FluidState, Grid2D, StepControl
-from .stationary import _CHORD_CUT, solve_banded
+from .stationary import _CHORD_CUT, refine, solve_banded
 
 __all__ = [
     "PositivityError",
@@ -420,15 +420,6 @@ def _solve_velocity_2d(grid, transport, theta, rho, m_star_u, m_star_w, dt, solv
 # Slab factors kept across steps
 # ---------------------------------------------------------------------------
 
-# Refinement stops at a normwise backward error |b - A x| / (|A| |x| + |b|)
-# of 4 eps, max-norms throughout: on the slab at 32x24 to 128x96 a direct
-# solve on band-Cholesky factors lands at 1.5e-16 to 4.9e-16, and refined
-# sweeps level off at 6e-17 to 1.1e-16.  A bound on |b| alone would not
-# scale with |A| |x|.
-_REFINE_TOL = 4.0 * np.finfo(float).eps
-_REFINE_MAX = 8
-
-
 def _velocity_factors(a, band_map):
     """Band-Cholesky factors of the velocity matrix ``a``, read off its lower
     triangle in the layout of ``band_map`` (``_band_map``), and its nodes'
@@ -457,16 +448,15 @@ class SlabLU:
     (``_velocity_factors``): ``solve(a, b, band_map)`` starts from the
     factors last made and refines x <- x + A0^-1 (b - a x) against the
     current matrix ``a`` until the residual is at rounding level, a
-    backward error of at most 4 eps (Kelley, Iterative Methods for Linear
-    and Nonlinear Equations, 1995).  A sweep that cuts the residual less
-    than tenfold (the stationary Newton's ``_CHORD_CUT``), a residual that
-    is not finite, or ``_REFINE_MAX`` sweeps drop the factors; ``a`` is then
-    factored anew and refined the same way, since the factors read only its
-    lower triangle, so every solve meets the backward error.  A matrix that
-    is not positive definite, or a stalled refinement on its own factors,
-    raises ImplicitSolveError.  The heat keeps the band-Cholesky factors of
-    its SPD form S with kappa (``_heat_factors``), which ``_chord_heat``
-    makes and uses.
+    backward error of at most 4 eps, under the rule the stationary Newton's
+    slab solve follows too (``stationary.refine``).  A sweep that cuts the
+    residual less than tenfold, a residual that is not finite, or the sweep
+    cap drop the factors; ``a`` is then factored anew and refined the same
+    way, since the factors read only its lower triangle, so every solve
+    meets the backward error.  A matrix that is not positive definite, or a
+    stalled refinement on its own factors, raises ImplicitSolveError.  The
+    heat keeps the band-Cholesky factors of its SPD form S with kappa
+    (``_heat_factors``), which ``_chord_heat`` makes and uses.
 
     ``run`` makes one per run and hands it to every ``step``.  The
     read-only plans of a grid (the probed heat operator, the velocity probe
@@ -503,24 +493,11 @@ class SlabLU:
         return x
 
     def _refine(self, factors, a, b):
-        """x with |b - a x| <= 4 eps (|a| |x| + |b|) from velocity factors of
-        a nearby matrix, or None once a sweep stalls, the residual is not
-        finite or the cap is hit."""
-        x = _velocity_direction(factors, b)
-        # the row sums of |a| in storage order, as abs(a).sum(axis=1) adds them
-        a_norm = float(np.bincount(a.indices, weights=np.abs(a.data), minlength=a.shape[0]).max())
-        b_norm = last = float(np.max(np.abs(b)))
-        for sweep in range(_REFINE_MAX + 1):
-            r = b - a @ x
-            norm = float(np.max(np.abs(r)))
-            if norm <= _REFINE_TOL * (a_norm * float(np.max(np.abs(x))) + b_norm):
-                return x
-            if sweep == _REFINE_MAX or not norm <= _CHORD_CUT * last:
-                break
-            x += _velocity_direction(factors, r)
-            self.counts["step_refinements"] += 1
-            last = norm
-        return None
+        """``refine`` on velocity factors of a nearby matrix, its sweeps
+        counted."""
+        x, sweeps = refine(functools.partial(_velocity_direction, factors), a, b)
+        self.counts["step_refinements"] += sweeps
+        return x
 
 
 # ---------------------------------------------------------------------------

@@ -519,6 +519,7 @@ MANIFEST_COUNTERS = {
     "stationary_jacobian_colours",
     "stationary_jacobians",
     "stationary_residual_calls",
+    "stationary_refinements",
     "stationary_lu_fill",
     "hydrostatic_halvings",
     "steps",
@@ -556,9 +557,26 @@ def test_lateral_newton_at_24x16_factors_one_jacobian(tmp_path):
     assert manifest.counters["stationary_jacobians"] == 1
 
 
+def test_lateral_newton_at_24x16_solves_on_x_fourier_blocks_alone(tmp_path, monkeypatch):
+    # the slab's Jacobian at the uniform guess is block-circulant but for the
+    # plates: refinement from its x-Fourier blocks serves every solve, and
+    # the Newton takes the iterations and the one Jacobian it took on SuperLU
+    factored = []
+    monkeypatch.setattr(st, "splu", lambda *args, **options: factored.append(args))
+    config = ex.config_from_mapping({"domain.nx": "24", "domain.nz": "16"}, preset="rb-2d-lateral")
+    manifest = ex.run_experiment(config, output_dir=tmp_path)
+    assert manifest.status == "ok" and factored == []
+    counters = manifest.counters
+    assert counters["stationary_iterations"] == 4 and counters["stationary_jacobians"] == 1
+    assert counters["stationary_refinements"] > 0
+    # the blocks of wavenumbers 0..12, each of 4 nz rows, each complex entry once
+    assert counters["stationary_lu_fill"] == 13 * 64**2
+
+
 def test_lateral_newton_at_24x16_fills_at_most_0_8_of_colamd(tmp_path, monkeypatch):
     # the nested-dissection column order against splu's default COLAMD
-    # ordering of the same bordered Jacobian, as counts of stored LU nonzeros
+    # ordering of the same bordered Jacobian, as counts of stored LU nonzeros;
+    # every refinement from the x-Fourier blocks gives up, so SuperLU serves
     real = st.splu
     factored = []
 
@@ -567,6 +585,7 @@ def test_lateral_newton_at_24x16_fills_at_most_0_8_of_colamd(tmp_path, monkeypat
         return factored[-1][1]
 
     monkeypatch.setattr(st, "splu", kept)
+    monkeypatch.setattr(st, "refine", lambda direction, a, b: (None, 0))
     config = ex.config_from_mapping({"domain.nx": "24", "domain.nz": "16"}, preset="rb-2d-lateral")
     manifest = ex.run_experiment(config, output_dir=tmp_path)
     fill = manifest.counters["stationary_lu_fill"]

@@ -24,8 +24,10 @@ def shared_arrays():
     for grid in (slab, column):
         band, L = sim._heat_operator(grid)
         arrays += [band, L.data, L.indices, L.indptr]
-        newton, rank, mass, _, _ = stationary._newton_plan(stationary._Layout(grid))
+        newton, rank, mass, _, _, blocks = stationary._newton_plan(stationary._Layout(grid))
         arrays += [newton.gather, newton.indices, newton.cols, rank, mass]
+        if blocks is not None:
+            arrays += [blocks.slot, blocks.phases, blocks.rows_at, blocks.cols_at]
         arrays.append(stationary._probe_table(grid.dimension)[0])
     return arrays
 

@@ -3,6 +3,8 @@ conduction profile with its constant discrete flux, hydrostatic balance in
 both discrete and fourth-order modes, the coupled Newton solve and its
 coloured sparse Jacobian."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -617,7 +619,7 @@ def assert_dissection_order(grid, seed):
     assert all(np.all(np.diff(layout.unknowns[0, g]) > 0) for g in groups)
     f = fun(x)
     b = np.random.default_rng(seed).standard_normal(layout.size)
-    _, solve = jacobian.factor(fun, x, f)
+    solve = jacobian.factor(fun, x, f)
     reference = stationary.splu(jacobian(fun, x, f)).solve(b)[rank]
     assert np.max(np.abs(solve(b) - reference)) <= 1.0e-12 * np.max(np.abs(reference))
     return layout, rank
@@ -642,6 +644,81 @@ def test_dissection_order_keeps_a_column_in_z_order(n, seed):
     layout, rank = assert_dissection_order(Grid1D(n=n, theta_bottom=1.1, theta_top=1.0), seed)
     field, _, k = layout.unknowns
     assert np.array_equal(np.argsort(rank[:-1]), np.lexsort((field, k)))
+
+
+def x_fourier_problem(nx, nz, seed, invariant):
+    """A slab with a smooth 1% plate wobble and vertical gravity, and a
+    random packed state, the same in every x column if ``invariant``."""
+    rng = np.random.default_rng(seed)
+    plate = 1.0 + 0.01 * np.cos(2.0 * np.pi * (np.arange(nx) + 0.5) / nx)
+    grid = Grid2D(nx=nx, nz=nz, theta_bottom=plate, theta_top=1.0)
+    config = ProblemConfig(grid=grid, m0=grid.volume, g=(0.0, 0.05))
+    layout = _Layout(grid)
+
+    def field(mean, scale, depth):
+        values = mean + scale * rng.standard_normal((1 if invariant else nx, depth))
+        return np.broadcast_to(values, (nx, depth)).ravel()
+
+    rho, theta, u, w = field(1.0, 0.1, nz), field(1.0, 0.1, nz), field(0.0, 0.05, nz), field(0.0, 0.05, nz - 1)
+    x = np.concatenate([rho, theta, u, w, [0.01]])
+    G = config.potential_field()
+
+    def fun(xv):
+        return _residual(layout, xv, GAS, TR, G, config.m0)
+
+    return layout, fun, x
+
+
+@settings(max_examples=25, deadline=None)
+@given(nx=hst.integers(3, 16), nz=hst.integers(3, 8), seed=hst.integers(0, 2**16))
+def test_slab_solve_refines_its_x_fourier_blocks_or_falls_back_to_superlu(nx, nz, seed):
+    # at an x-invariant state the Jacobian is block-circulant but for the
+    # plates, so refinement from its x-Fourier blocks serves the solve; at a
+    # random state refinement gives up and SuperLU factors the Jacobian once
+    # for all its solves; either way the solve matches SuperLU's
+    real = stationary.splu
+    for invariant in (True, False):
+        layout, fun, x = x_fourier_problem(nx, nz, seed, invariant)
+        jacobian = _ColouredJacobian(layout)
+        b = np.random.default_rng(seed).standard_normal(layout.size)
+        made = []
+
+        def kept(matrix, **options):
+            made.append(real(matrix, **options))
+            return made[-1]
+
+        with mock.patch.object(stationary, "splu", kept):
+            solve = jacobian.factor(fun, x, fun(x))
+            got, again = solve(b), solve(-b)
+        reference = real(jacobian(fun, x, fun(x))).solve(b)[jacobian.rank]
+        assert np.max(np.abs(got - reference)) <= 1.0e-12 * np.max(np.abs(reference))
+        assert np.max(np.abs(again + reference)) <= 1.0e-12 * np.max(np.abs(reference))
+        if invariant:
+            assert made == [] and jacobian.refinements > 0
+            assert jacobian.fill == (nx // 2 + 1) * (4 * nz) ** 2  # the blocks, each of 4 nz rows
+        else:
+            assert len(made) == 1 and jacobian.fill == made[0].nnz
+
+
+def test_singular_x_fourier_blocks_fall_back_to_superlu(monkeypatch):
+    # a slab residual that ignores the state: every block is singular, so
+    # SuperLU factors the Jacobian and finds it singular too
+    def frozen(grid, gas, transport, G, rho, theta, u, w):
+        return np.ones_like(rho), np.ones_like(u), np.ones_like(w[..., 1:-1]), np.ones_like(theta)
+
+    factored = []
+    real = stationary.splu
+
+    def counted(matrix, **options):
+        factored.append(matrix.shape)
+        return real(matrix, **options)
+
+    monkeypatch.setattr(ops, "steady_residual_2d", frozen)
+    monkeypatch.setattr(stationary, "splu", counted)
+    config = ProblemConfig(grid=Grid2D(nx=6, nz=4, theta_bottom=1.05, theta_top=1.0), m0=1.0)
+    with pytest.raises(NewtonFailure, match="singular") as err:
+        solve_stationary_newton(config, GAS, TR)
+    assert err.value.trace and len(factored) == 1
 
 
 def test_dissection_ranks_number_both_halves_before_their_separator():
