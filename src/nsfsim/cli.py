@@ -1,6 +1,7 @@
 """Command-line front end: validate / run / compare / sweep.
 
-Exit codes: 0 success, 1 invariant violation, 2 configuration error,
+Exit codes: 0 success, 1 invariant violation, 2 configuration error (code
+``output-dir`` where the output directory cannot be made or written),
 3 solver failure.  ``--set key=value`` overrides configuration keys
 one-to-one and may be repeated.
 """

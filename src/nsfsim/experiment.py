@@ -599,10 +599,11 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> RunManifest:
     """Execute one experiment; always writes a manifest, even on failure.
 
     Any exception raised in a stage ends the run with status
-    ``failed:<stage>`` and the error text in the manifest.
+    ``failed:<stage>`` and the error text in the manifest.  An output
+    directory that cannot be made, or the config text not written there,
+    raises ConfigError ``output-dir`` before any stage.
     """
     out = Path(output_dir if output_dir is not None else config["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
     label = config["label"]
     started = _iso_now()
     artifacts = []
@@ -613,7 +614,11 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> RunManifest:
 
     config_text = resolved_config_text(config)
     config_path = out / f"{label}.config.txt"
-    config_path.write_text(config_text)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        config_path.write_text(config_text)
+    except OSError as exc:
+        raise ConfigError("output-dir", f"cannot write the run's output to {out}: {exc}") from exc
     artifacts.append(str(config_path))
     config_hash = hashlib.sha256(config_text.encode()).hexdigest()
 
@@ -740,25 +745,19 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> RunManifest:
                 dt_max=config["dt_max"],
                 max_retries=config["max_retries"],
             )
-            G = problem.potential_field()
-            if config["horizon"] > 0.0:
-                result = sim.run(
-                    initial,
-                    config["horizon"],
-                    control,
-                    gas,
-                    transport,
-                    G,
-                    diagnostics=compute,
-                    cadence=config["cadence"],
-                    sinks=(sink,),
-                    keep_samples=False,
-                    convection=config["convection"],
-                )
-            else:
-                record = compute(initial)
-                sink(record)
-                result = sim.RunResult(final_state=initial, steps=0, retries=0, wall_time=0.0, records=[record])
+            result = sim.run(
+                initial,
+                config["horizon"],
+                control,
+                gas,
+                transport,
+                problem.potential_field(),
+                diagnostics=compute,
+                cadence=config["cadence"],
+                sinks=(sink,),
+                keep_samples=False,
+                convection=config["convection"],
+            )
         artifacts.append(str(csv_path))
 
         counters.update(result.counters, steps=result.steps, retries=result.retries, wall_time=result.wall_time)

@@ -39,13 +39,14 @@ gives a ``probing.Plan`` (``_linear_plan``), whose pattern is the
 stencil's own, without stored zeros; each grid shape and spacing builds
 its plans once per process (``probing.shared``).  A step's velocity
 matrix is then one stress-divergence call on the probes' kept strains and
-one gather.  Both slab matrices are factored by LAPACK's band Cholesky
-(``dpbtrf``; Golub & Van Loan, Matrix Computations, sec. 4.3) from their
-lower bands, which ``_band_map`` lays out once per grid.  Between steps a
-matrix moves by 1e-4 to 2e-3 relative, so ``run`` keeps the factors for
-the whole run (``SlabLU``) and reaches every sample time and the horizon
-in equal steps (``_landing_dt``): no sliver step drops dt and makes the
-kept factors refactor.
+one gather.  Both slab matrices are laid out as lower bands by
+``_band_map``, once per grid, and go through one pair: ``_band_factors``,
+LAPACK's band Cholesky (``dpbtrf``; Golub & Van Loan, Matrix Computations,
+sec. 4.3), and ``_band_direction``.  Between steps a matrix moves by 1e-4
+to 2e-3 relative, so ``run`` keeps the factors for the whole run
+(``SlabLU``) and reaches every sample time and the horizon in equal steps
+(``_landing_dt``): no sliver step drops dt and makes the kept factors
+refactor.
 
 Negative density or temperature is never clamped: a failed step raises
 ``PositivityError`` and ``run`` retries with half the step, as it does
@@ -186,35 +187,30 @@ def _grid_key(grid):
 
 @probing.shared(_grid_key)
 def _heat_operator(grid):
-    """L, ``_kirchhoff_divergence`` read off through a ``_linear_plan``, and
-    its bands: div H(theta) has the Jacobian L diag(kappa).  On the column
-    the bands are L's three in solve_banded (1, 1) layout, entry j in column
-    j; on the slab L's lower band in the order of ``_x_fastest``, half-width
-    nx, in LAPACK lower band storage (row d holds L[p + d, p])."""
+    """L, ``_kirchhoff_divergence`` read off through a ``_linear_plan``, its
+    bands and their order: div H(theta) has the Jacobian L diag(kappa).  On
+    the column the bands are L's three in solve_banded (1, 1) layout, entry j
+    in column j, and the order None; on the slab L's lower band, half-width
+    nx, and the cells' x-fastest numbers, the place of ``_band_map``."""
     lattice = (1, grid.n) if grid.dimension == 1 else (grid.nx, grid.nz)
     plan = _linear_plan(lattice, 1, 0, _heat_table())
     probes = plan.probes(np.zeros(plan.size)).reshape(-1, *lattice)
     L = plan.matrix(_kirchhoff_divergence(grid, probes).ravel()[plan.gather])
     if grid.dimension == 1:
-        return np.stack([np.append(0.0, L.diagonal(1)), L.diagonal(), np.append(L.diagonal(-1), 0.0)]), L
-    return _lower_band(L.data, _band_map(plan, grid.nx)), L
-
-
-def _x_fastest(field):
-    """A slab field (nx, nz) flattened x-fastest, cell (i, k) at k nx + i: in
-    this order L and S are bands of half-width nx, the periodic wrap
-    included."""
-    return field.T.ravel()
+        return np.stack([np.append(0.0, L.diagonal(1)), L.diagonal(), np.append(L.diagonal(-1), 0.0)]), L, None
+    band_map = _band_map(plan, grid.nx)
+    return _lower_band(L.data, band_map), L, band_map[3]
 
 
 def _band_map(plan, nx):
     """Where ``plan``'s stored entries on and below the diagonal go in LAPACK
     lower band storage (row d holds A[p + d, p]) with its lattice nodes, nx
-    along x, numbered x-fastest as in ``_x_fastest``: those entries, their
-    flat places in the band's columns laid end to end, the band's shape,
-    its half-width the pattern's largest x-fastest offset, and every node's
-    x-fastest number."""
-    place = _x_fastest(np.arange(plan.colour.size).reshape(nx, -1)).argsort()
+    along x, numbered x-fastest (node (i, k) at k nx + i; in this order the
+    slab's matrices are bands, the periodic wrap included): those entries,
+    their flat places in the band's columns laid end to end, the band's
+    shape, its half-width the pattern's largest x-fastest offset, and every
+    node's x-fastest number, ``place``."""
+    place = np.arange(plan.colour.size).reshape(nx, -1).T.ravel().argsort()
     rows, cols = place[plan.indices], place[plan.cols]
     entries = np.flatnonzero(rows >= cols)
     offset, column = rows[entries] - cols[entries], cols[entries]
@@ -230,6 +226,27 @@ def _lower_band(data, band_map):
     band = np.zeros(depth * n)
     band[at] = data[entries]
     return band.reshape(n, depth).T
+
+
+def _band_factors(ab, place):
+    """Band-Cholesky factors of a symmetric positive definite matrix from its
+    lower band ``ab`` (``_lower_band``; overwritten), with its nodes'
+    x-fastest numbers ``place`` (``_band_map``); a matrix that is not
+    positive definite raises ImplicitSolveError."""
+    factor, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+    if info > 0:
+        raise ImplicitSolveError(f"implicit solve: the matrix is not positive definite at row {info}")
+    return factor, place
+
+
+def _band_direction(factors, r):
+    """A^-1 r through the factors of ``_band_factors`` (and what is kept with
+    them), r and the result in the lattice's own order."""
+    factor, place = factors[:2]
+    ordered = np.empty_like(r)
+    ordered[place] = r
+    x, _ = dpbtrs(factor, ordered, lower=1)
+    return x[place]
 
 
 def _heat_jacobian(grid, gas, transport, rho, theta, dt):
@@ -252,26 +269,16 @@ def _heat_divergence(grid, operator, plates):
     return lambda K: (L @ K.ravel()).reshape(K.shape) + b
 
 
-def _heat_factors(gas, transport, rho, theta, dt, band):
-    """Band-Cholesky factors of S = diag(rho de/dtheta / kappa) - dt L at
-    theta, L's lower band ``band`` from ``_heat_operator``, kept with kappa:
-    the slab's heat Jacobian is S diag(kappa), and S is symmetric positive
-    definite."""
-    kappa = thermo._conductivity_raw(transport, theta)
+def _heat_band(gas, transport, rho, theta, dt, operator):
+    """S = diag(rho de/dtheta / kappa) - dt L at theta as ``SlabLU.factor``
+    takes it: its lower band, its order and kappa, L's band and order from
+    ``_heat_operator`` (``operator``).  The slab's heat Jacobian is
+    S diag(kappa), and S is symmetric positive definite."""
+    band, _, place = operator
+    kappa = thermo._conductivity_raw(transport, theta).ravel()
     ab = -dt * band
-    ab[0] += _x_fastest(thermo._volumetric_heat_capacity_raw(gas, rho, theta) / kappa)
-    factor, info = dpbtrf(ab, lower=1, overwrite_ab=1)
-    if info > 0:
-        raise ImplicitSolveError(f"implicit heat solve: S is not positive definite at row {info}")
-    return factor, _x_fastest(kappa)
-
-
-def _heat_direction(factors, resid):
-    """S^-1 r / kappa for a slab residual r, with S and kappa from
-    ``_heat_factors``."""
-    factor, kappa = factors
-    x, _ = dpbtrs(factor, _x_fastest(resid), lower=1)
-    return (x / kappa).reshape(resid.shape[::-1]).T
+    ab[0, place] += thermo._volumetric_heat_capacity_raw(gas, rho, theta).ravel() / kappa
+    return ab, place, kappa
 
 
 def _implicit_heat(grid, gas, transport, rho, e_star, theta0, dt, solver=None):
@@ -295,12 +302,8 @@ def _implicit_heat(grid, gas, transport, rho, e_star, theta0, dt, solver=None):
 
     tol = _HEAT_TOL * max(1.0, float(np.max(np.abs(e_star))))
     if grid.dimension == 2:
-        band = operator[0]
-        kept = solver._factors.get("heat")
-        kept = kept if kept is not None and kept[0].shape == band.shape else None
-        return _chord_heat(
-            residual, lambda th: _heat_factors(gas, transport, rho, th, dt, band), kept, theta0, tol, solver
-        )
+        band = functools.partial(_heat_band, gas, transport, rho, dt=dt, operator=operator)
+        return _chord_heat(residual, band, operator[2], theta0, tol, solver)
     theta = theta0.copy()
     for _ in range(_HEAT_MAXITER):
         resid = residual(theta)
@@ -311,11 +314,12 @@ def _implicit_heat(grid, gas, transport, rho, e_star, theta0, dt, solver=None):
     raise ImplicitSolveError("implicit heat solve did not converge in 1-D")
 
 
-def _chord_heat(residual, factor, kept, theta0, tol, solver):
+def _chord_heat(residual, band, place, theta0, tol, solver):
     """The slab's heat Newton: chord steps theta - S0^-1 r / kappa0 on kept
     factors (Kelley, Iterative Methods for Linear and Nonlinear Equations,
-    1995, sec. 5.4) under the stationary Newton's rule.  ``factor(theta)``
-    makes new ones; ``solver`` keeps them and counts them and the chords.
+    1995, sec. 5.4) under the stationary Newton's rule.  ``solver`` keeps
+    the factors made on the grid whose order is ``place`` and counts them
+    and the chords; ``band(theta)`` is S at theta (``_heat_band``).
 
     Above ``tol`` a trial is taken only if it is positive and cuts |r|
     tenfold (``_CHORD_CUT``); otherwise it is dropped, S is factored at
@@ -323,12 +327,17 @@ def _chord_heat(residual, factor, kept, theta0, tol, solver):
     they more than halve |r|, and the first that does not is dropped: theta
     ends at its rounding floor, whichever factors served.  _HEAT_MAXITER
     counts the trials."""
+
+    def direction(factors, r):
+        return (_band_direction(factors, r.ravel()) / factors[2]).reshape(r.shape)
+
+    kept = solver.kept("heat", place)
     theta = theta0.copy()
     resid = residual(theta)
     norm = float(np.max(np.abs(resid)))
     for _ in range(_HEAT_MAXITER):
         if kept is not None:
-            trial = theta - _heat_direction(kept, resid)
+            trial = theta - direction(kept, resid)
             if np.all(trial > 0.0):
                 trial_resid = residual(trial)
                 trial_norm = float(np.max(np.abs(trial_resid)))
@@ -340,9 +349,8 @@ def _chord_heat(residual, factor, kept, theta0, tol, solver):
                     continue
             if norm <= tol:
                 return theta
-        kept = solver._factors["heat"] = factor(theta)
-        solver.counts["step_factorisations"] += 1
-        theta = _positive_newton_update(theta, _heat_direction(kept, resid), solver)
+        kept = solver.factor("heat", *band(theta))
+        theta = _positive_newton_update(theta, direction(kept, resid), solver)
         resid = residual(theta)
         norm = float(np.max(np.abs(resid)))
     raise ImplicitSolveError("implicit heat solve did not converge in 2-D")
@@ -420,43 +428,26 @@ def _solve_velocity_2d(grid, transport, theta, rho, m_star_u, m_star_w, dt, solv
 # Slab factors kept across steps
 # ---------------------------------------------------------------------------
 
-def _velocity_factors(a, band_map):
-    """Band-Cholesky factors of the velocity matrix ``a``, read off its lower
-    triangle in the layout of ``band_map`` (``_band_map``), and its nodes'
-    x-fastest numbers.  The viscous stress is dissipative, so ``a`` is
-    symmetric positive definite; where it is not, ImplicitSolveError."""
-    factor, info = dpbtrf(_lower_band(a.data, band_map), lower=1, overwrite_ab=1)
-    if info > 0:
-        raise ImplicitSolveError(f"implicit velocity solve: the matrix is not positive definite at row {info}")
-    return factor, band_map[3]
-
-
-def _velocity_direction(factors, r):
-    """A^-1 r through the factors of ``_velocity_factors``, r and the result
-    in the lattice's own order."""
-    factor, place = factors
-    ordered = np.empty_like(r)
-    ordered[place] = r
-    x, _ = dpbtrs(factor, ordered, lower=1)
-    return x[place]
-
 
 class SlabLU:
-    """The slab's factors, kept from one implicit solve to the next.
+    """The slab's band-Cholesky factors, kept from one implicit solve to the
+    next: ``factor(kind, ab, place)`` makes them (``_band_factors``), keeps
+    them as the last of ``kind`` ("velocity" or "heat") and counts them, and
+    ``kept(kind, place)`` serves them again.  The key is the band order
+    ``place``, the very array of ``_band_map``: ``probing.shared`` builds
+    one per grid shape and spacing, so no factors serve another grid.
 
-    The velocity keeps the band-Cholesky factors of its matrix
-    (``_velocity_factors``): ``solve(a, b, band_map)`` starts from the
-    factors last made and refines x <- x + A0^-1 (b - a x) against the
-    current matrix ``a`` until the residual is at rounding level, a
-    backward error of at most 4 eps, under the rule the stationary Newton's
-    slab solve follows too (``stationary.refine``).  A sweep that cuts the
-    residual less than tenfold, a residual that is not finite, or the sweep
-    cap drop the factors; ``a`` is then factored anew and refined the same
-    way, since the factors read only its lower triangle, so every solve
-    meets the backward error.  A matrix that is not positive definite, or a
-    stalled refinement on its own factors, raises ImplicitSolveError.  The
-    heat keeps the band-Cholesky factors of its SPD form S with kappa
-    (``_heat_factors``), which ``_chord_heat`` makes and uses.
+    The velocity: ``solve(a, b, band_map)`` refines x <- x + A0^-1 (b - a x)
+    on the kept factors against the current matrix ``a`` until the residual
+    is at rounding level, a backward error of at most 4 eps, under the rule
+    the stationary Newton's slab solve follows too (``stationary.refine``).
+    A sweep that cuts the residual less than tenfold, a residual that is not
+    finite, or the sweep cap drop the factors; ``a`` is then factored anew
+    and refined the same way, since the factors read only its lower
+    triangle.  A matrix that is not positive definite, or a stalled
+    refinement on its own factors, raises ImplicitSolveError and keeps no
+    velocity factors.  The heat: ``_chord_heat`` takes chord steps on the
+    kept factors of S, kept with kappa (``_heat_band``).
 
     ``run`` makes one per run and hands it to every ``step``.  The
     read-only plans of a grid (the probed heat operator, the velocity probe
@@ -474,30 +465,37 @@ class SlabLU:
         names = "step_factorisations step_refinements heat_backtracks heat_chords dt_min_clamps dt_max_clamps"
         self.counts = dict.fromkeys(names.split(), 0)
 
+    def kept(self, kind, place):
+        """The factors kept for ``kind`` if they were made in the order
+        ``place`` (that very array), else None."""
+        factors = self._factors.get(kind)
+        return factors if factors is not None and factors[1] is place else None
+
+    def factor(self, kind, ab, place, *extra):
+        """``_band_factors`` of ``ab`` in the order ``place``, kept for
+        ``kind`` with ``extra`` (the heat's kappa) and counted."""
+        factors = self._factors[kind] = _band_factors(ab, place) + extra
+        self.counts["step_factorisations"] += 1
+        return factors
+
     def solve(self, a, b, band_map):
         """x with |b - a x| <= 4 eps (|a| |x| + |b|) for the velocity matrix
         ``a`` of a plan whose ``_band_map`` is ``band_map``."""
-        kept = self._factors.pop("velocity", None)
-        if kept is not None and kept[1].size == a.shape[0]:
-            x = self._refine(kept, a, b)
+        place = band_map[3]
+        factors = self.kept("velocity", place)
+        while True:
+            fresh = factors is None
+            if fresh:
+                self._factors.pop("velocity", None)  # the old factors go before the new ones are made
+                factors = self.factor("velocity", _lower_band(a.data, band_map), place)
+            x, sweeps = refine(functools.partial(_band_direction, factors), a, b)
+            self.counts["step_refinements"] += sweeps
             if x is not None:
-                self._factors["velocity"] = kept
                 return x
-        del kept  # the old factors go before the new ones are made
-        fresh = _velocity_factors(a, band_map)
-        self.counts["step_factorisations"] += 1
-        x = self._refine(fresh, a, b)
-        if x is None:
-            raise ImplicitSolveError("implicit velocity solve: refinement on fresh factors stalled")
-        self._factors["velocity"] = fresh
-        return x
-
-    def _refine(self, factors, a, b):
-        """``refine`` on velocity factors of a nearby matrix, its sweeps
-        counted."""
-        x, sweeps = refine(functools.partial(_velocity_direction, factors), a, b)
-        self.counts["step_refinements"] += sweeps
-        return x
+            if fresh:
+                del self._factors["velocity"]
+                raise ImplicitSolveError("implicit velocity solve: refinement on fresh factors stalled")
+            factors = None
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +526,9 @@ def step(
 
     ``convection`` selects the 1-D transport reconstruction ("upwind" or
     "minmod"); the 2-D slab has donor-cell upwind only and raises
-    ValueError for any other name.  ``solver`` keeps the slab's LU factors
-    across calls; without one the step factors its own matrices."""
+    ValueError for any other name.  ``solver`` keeps the slab's
+    band-Cholesky factors across calls; without one the step factors its
+    own matrices."""
     grid = state.grid
     if grid.dimension == 2 and convection != "upwind":
         raise ValueError(f"the 2-D slab supports only upwind convection, not {convection!r}")
@@ -589,7 +588,7 @@ def _landing_dt(remaining, dt_cfl):
     Recomputed every step, the last step of an interval has k = 1 and lands
     exactly, and an interval takes as many steps as clipping the step that
     reaches the point would; but no sliver step is left at the point, whose
-    dt drop would make the kept slab LU factors refactor twice."""
+    dt drop would make the kept slab band-Cholesky factors refactor twice."""
     return float(remaining) / max(1, math.ceil((remaining - _LANDING_SLACK) / dt_cfl))
 
 
@@ -599,12 +598,11 @@ class RunResult:
     steps: int
     retries: int
     wall_time: float
+    counters: dict  # the manifest's stepper counters, ``SlabLU.counts``
     records: list = field(default_factory=list)
     samples: list = field(default_factory=list)
     aborted: bool = False
     abort_reason: str = ""
-    # the manifest's stepper counters, ``SlabLU.counts``; all 0 without a step
-    counters: dict = field(default_factory=lambda: SlabLU().counts)
 
 
 def run(

@@ -297,6 +297,21 @@ def test_cli_run_with_overrides(tmp_path, capsys):
     assert payload["status"] == "ok"
 
 
+@pytest.mark.parametrize("verb", ["run", "sweep"])
+def test_cli_output_under_a_regular_file_is_config_error(verb, tmp_path, capsys):
+    # the output directory cannot be made: a configuration error, exit 2,
+    # with its own code, not a traceback
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    args = [verb, "--preset", "static-sanity", "--set", "horizon=0.05", "--out", str(blocker / "out")]
+    if verb == "sweep":
+        args += ["--param", "seed", "--values", "1,2"]
+    assert cli.main(args) == 2
+    assert "[output-dir]" in capsys.readouterr().err
+    with pytest.raises(ex.ConfigError, match="output-dir"):
+        ex.run_experiment(ex.config_from_mapping({"horizon": "0.05"}, preset="static-sanity"), blocker / "out")
+
+
 def test_cli_unknown_override_is_config_error(tmp_path):
     assert cli.main(["run", "--preset", "static-sanity", "--set", "nope=1", "--out", str(tmp_path)]) == 2
 

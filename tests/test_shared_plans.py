@@ -22,8 +22,8 @@ def shared_arrays():
     arrays = [plan.colour, plan.place, plan.indices, plan.indptr, plan.cols, plan.diagonal, plan.gather]
     arrays += [*strains, *band_map[:2], band_map[3]]
     for grid in (slab, column):
-        band, L = sim._heat_operator(grid)
-        arrays += [band, L.data, L.indices, L.indptr]
+        band, L, place = sim._heat_operator(grid)
+        arrays += [band, L.data, L.indices, L.indptr] + ([place] if place is not None else [])
         newton, rank, mass, _, _, blocks = stationary._newton_plan(stationary._Layout(grid))
         arrays += [newton.gather, newton.indices, newton.cols, rank, mass]
         if blocks is not None:

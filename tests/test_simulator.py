@@ -260,11 +260,10 @@ def test_heat_jacobian_matches_finite_difference_oracle(dimension):
         jac = sim._heat_jacobian(grid, GAS, TR, rho, theta, dt)
         jac = np.diag(jac[1]) + np.diag(jac[0, 1:], 1) + np.diag(jac[2, :-1], -1)
     else:
-        factor, kappa = sim._heat_factors(GAS, TR, rho, theta, dt, sim._heat_operator(grid)[0])
+        ab, place, kappa = sim._heat_band(GAS, TR, rho, theta, dt, sim._heat_operator(grid))
+        factor, _ = sim._band_factors(ab, place)
         lower = sum(np.diag(factor[d, : theta.size - d], -d) for d in range(factor.shape[0]))
-        order = np.arange(theta.size).reshape(shape).T.ravel()  # the cells x-fastest
-        jac = np.empty((theta.size, theta.size))
-        jac[np.ix_(order, order)] = (lower @ lower.T) * kappa
+        jac = (lower @ lower.T)[np.ix_(place, place)] * kappa  # S in the cells' own order, times kappa
     column_max = np.max(np.abs(fd), axis=0)
     assert np.all(np.abs(jac - fd) <= 1e-6 * column_max)
 
@@ -304,7 +303,7 @@ def test_column_viscous_band_is_the_jacobian_of_its_stencil(n, theta_low, theta_
 def heat_operator_matrix(grid):
     """The heat operator L of ``sim._heat_operator`` as a sparse matrix: the
     slab's CSC, or the column's bands."""
-    values, L = sim._heat_operator(grid)
+    values, L, _ = sim._heat_operator(grid)
     if grid.dimension == 2:
         return L
     return scipy.sparse.diags([values[0, 1:], values[1], values[2, :-1]], [1, 0, -1])
@@ -498,7 +497,7 @@ def test_one_solver_keeps_an_operator_per_slab_spacing(monkeypatch):
         states.append(FluidState(grid, 0.0, np.ones_like(theta), theta, np.zeros_like(theta), np.zeros((8, 7))))
         steps.append(step(states[-1], 1e-3, GAS, TR, solver=solver))
         operators.append(sim._heat_operator(grid))
-        _, want = sim._heat_operator.__wrapped__(grid)  # built afresh
+        _, want, _ = sim._heat_operator.__wrapped__(grid)  # built afresh
         assert (abs(operators[-1][1] - want)).max() == 0.0
     assert (abs(operators[0][1] - operators[1][1])).max() > 0.0
     assert len(residuals) == 2 and max(residuals) <= sim._HEAT_TOL

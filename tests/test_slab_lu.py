@@ -188,7 +188,7 @@ def test_a_solve_on_fresh_factors_is_refined_against_the_whole_matrix():
     x = solver.solve(a, b, band_map)
     assert solver.counts["step_factorisations"] == 1 and solver.counts["step_refinements"] > 0
     assert backward_error(a, x, b) <= 4.0 * EPS
-    assert backward_error(a, sim._velocity_direction(solver._factors["velocity"], b), b) > 1e-10
+    assert backward_error(a, sim._band_direction(solver._factors["velocity"], b), b) > 1e-10
 
 
 def test_a_velocity_matrix_not_positive_definite_is_retried_at_half_the_step(monkeypatch):
@@ -217,6 +217,24 @@ def test_a_velocity_matrix_not_positive_definite_is_retried_at_half_the_step(mon
     result = sim.run(initial, config["horizon"], StepControl(), gas, transport, problem.potential_field())
     assert not result.aborted and result.retries == 1
     assert steps[1] == steps[0] / 2
+
+
+def test_a_slab_of_another_spacing_refactors_both_solves():
+    # two slabs of one shape, 12x10, whose spacings differ by 1%: the kept
+    # factors are keyed by the grid's shared band order, so the second slab
+    # factors its velocity and its heat matrix anew and takes none of the
+    # first slab's factors, which a key on the shape alone would serve it
+    solver, factorisations = sim.SlabLU(), []
+    for lx in (2.0, 2.02):
+        config = ex.config_from_mapping({"domain.lx": str(lx)}, preset="rb-2d-topology")
+        assert (config["domain.nx"], config["domain.nz"]) == (12, 10)
+        gas, transport = ex.build_models(config)
+        problem = ex.build_problem(config)
+        initial = ex.make_initial_state(config, ex.solve_reference(config, problem, gas, transport))
+        before = solver.counts["step_factorisations"]
+        sim.step(initial, 1e-3, gas, transport, problem.potential_field(), solver=solver)
+        factorisations.append(solver.counts["step_factorisations"] - before)
+    assert factorisations == [2, 2]
 
 
 def test_run_with_kept_factors_matches_steps_with_fresh_factors():
