@@ -283,8 +283,15 @@ def config_from_mapping(mapping, preset=None) -> ExperimentConfig:
     return ExperimentConfig(values=values)
 
 
+def _unquoted(raw):
+    """``raw`` without one pair of matching quotes around it: the stored
+    config writes every value with ``repr``, so a string reads back bare."""
+    return raw[1:-1] if len(raw) >= 2 and raw[0] == raw[-1] and raw[0] in "'\"" else raw
+
+
 def parse_config_text(text: str) -> ExperimentConfig:
-    """Parse the canonical flat ``key = value`` format (# comments)."""
+    """Parse the canonical flat ``key = value`` format (# comments); a
+    value may be quoted, as ``resolved_config_text`` writes strings."""
     mapping = {}
     preset = None
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -296,6 +303,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if not key or not raw:
             raise ConfigError("parse", f"line {lineno}: empty key or value")
+        raw = _unquoted(raw)
         if key in mapping or (key == "preset" and preset is not None):
             raise ConfigError("duplicate-key", f"line {lineno}: duplicate key {key!r}")
         if key == "preset":

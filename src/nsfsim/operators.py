@@ -7,7 +7,11 @@ Both sides call the same functions: ``mass_rhs_nd`` for continuity,
 ``momentum_explicit_nd`` and ``viscous_rhs_*`` for momentum, and
 ``energy_explicit_nd`` (transport of rho*e, shear heating, pressure work) with
 ``kirchhoff_div_nd`` for energy.  ``steady_residual_*`` combines them with the
-stepper's signs; the 2-D velocity gradients, wall ghost reflection included,
+stepper's signs, evaluating every closure once: it checks rho and theta
+once, computes p, mu and eta with the ``thermo`` ``_raw`` kernels and the
+strain rates and their divergence once, and passes them to the private
+kernels behind the public stencils, with which it agrees bit for bit (a
+test pins this); the 2-D velocity gradients, wall ghost reflection included,
 come from ``strain_rates_2d`` alone.  The slab's stress divergence is split
 like the heat flux below: ``viscous_rhs_2d`` is ``stress_divergence_2d``, the
 closure and a stress linear in the strains, on those strain rates, so that
@@ -156,17 +160,19 @@ def mass_rhs_nd(grid, rho, vel, scheme="upwind"):
     return -_divergence(grid, _mass_fluxes(rho, vel, scheme))
 
 
-def momentum_explicit_nd(grid, gas, G, rho_pressure, theta, rho_inertia, vel):
+def momentum_explicit_nd(grid, gas, G, rho_pressure, theta, rho_inertia, vel, *, p=None):
     """Explicit tendencies (conv, grad p, grav) of every velocity component.
 
     Upwinded momentum convection, the central pressure gradient evaluated at
     ``rho_pressure`` (the already-updated density, which keeps the acoustic
     coupling neutrally stable), and the potential force with the same face
     density.  The wall-normal component comes at its interior faces; the
-    slab's x-component, in front, at every x-face (nx, nz).
+    slab's x-component, in front, at every x-face (nx, nz).  ``p`` is
+    p(rho_pressure, theta) where the caller has it already.
     """
     w, dz = vel[-1], grid.dz
-    p = thermo.pressure(gas, rho_pressure, theta)
+    if p is None:
+        p = thermo.pressure(gas, rho_pressure, theta)
     rb_p, rb = _face_densities(rho_pressure, len(vel)), _face_densities(rho_inertia, len(vel))
 
     mw = np.zeros_like(w)
@@ -226,29 +232,60 @@ def shear_heating_nd(grid, transport, theta, vel):
     return heating(grid, transport, theta, *vel)
 
 
-def energy_explicit_nd(grid, gas, transport, rho_pressure, theta, evol, vel, vel_source, scheme="upwind"):
+def energy_explicit_nd(grid, gas, transport, rho_pressure, theta, evol, vel, vel_source, scheme="upwind", *, p=None):
     """Explicit internal-energy tendencies (conv_e, heat, work) at centers.
 
     ``evol`` (rho*e) is transported by ``vel``; the shear heating and the
     pressure work p(rho_pressure) div u use ``vel_source``, which is the
     half-step velocity in the stepper and ``vel`` in the steady residual.
+    ``p`` is p(rho_pressure, theta) where the caller has it already: the
+    stepper's momentum stage computes it too.
     """
+    if p is None:
+        p = thermo.pressure(gas, rho_pressure, theta)
     conv_e = _divergence(grid, _mass_fluxes(evol, vel, scheme))
     heat = shear_heating_nd(grid, transport, theta, vel_source)
-    work = thermo.pressure(gas, rho_pressure, theta) * _divergence(grid, vel_source)
-    return conv_e, heat, work
+    return conv_e, heat, p * _divergence(grid, vel_source)
 
 
-def _steady_residual(grid, gas, transport, G, rho, theta, vel, viscous):
-    """(continuity, *momentum, energy) residuals; ``viscous`` holds the
-    stress divergence of every component at its interior nodes."""
-    cont = -mass_rhs_nd(grid, rho, vel)
-    tendencies = momentum_explicit_nd(grid, gas, G, rho, theta, rho, vel)
+def _steady_residual(grid, gas, transport, G, rho, theta, vel):
+    """(continuity, *momentum, energy) residuals of one state, or row by row
+    of a stack of states, with every closure evaluated once.
+
+    rho and theta are checked once, here; p(rho, theta), mu, eta, the
+    strain rates and their divergence are computed once and shared by the
+    momentum tendencies, the stress divergence, the shear heating and the
+    pressure work, through the ``thermo`` ``_raw`` kernels and the private
+    kernels of the public stencils, so that the result equals the public
+    stencils' composition bit for bit.
+    """
+    thermo._require_positive("theta", theta)
+    thermo._require_positive("rho", rho)
+    p = thermo._pressure_raw(gas, rho, theta)
+    viscous, energy = _steady_sources(grid, gas, transport, rho, theta, vel, p)
+    tendencies = momentum_explicit_nd(grid, gas, G, rho, theta, rho, vel, p=p)
     mom = [conv + dp - grav - v for (conv, dp, grav), v in zip(tendencies, viscous)]
-    evol = rho * thermo.internal_energy(gas, rho, theta)
-    conv_e, heat, work = energy_explicit_nd(grid, gas, transport, rho, theta, evol, vel, vel)
-    energy = conv_e - kirchhoff_div_nd(grid, transport, theta) - heat + work
-    return (cont, *mom, energy)
+    return (-mass_rhs_nd(grid, rho, vel), *mom, energy)
+
+
+def _steady_sources(grid, gas, transport, rho, theta, vel, p):
+    """(viscous, energy): the stress divergence of every velocity component
+    at its interior nodes (``viscous_rhs_*``) and the energy residual, its
+    shear heating (``shear_heating_*``) and pressure work sharing mu, eta,
+    the strain rates and div u; the energy's temporaries end with this
+    call, before the momentum's begin."""
+    mu, eta = thermo._viscosities_raw(transport, theta)
+    if len(vel) == 1:
+        (u,), nu = vel, _column_viscosity(mu, eta)
+        div = (u[..., 1:] - u[..., :-1]) / grid.dx
+        viscous, heat = (_viscous_1d(grid, nu, u),), nu * div**2
+    else:
+        strains = strain_rates_2d(grid, *vel)
+        div = strains[0] + strains[1]
+        vx, vz = _stress_divergence_2d(grid, transport, mu, eta, strains, div)
+        viscous, heat = (vx, vz[..., 1:-1]), _shear_heating_2d(mu, eta, strains, div)
+    conv_e = _divergence(grid, _mass_fluxes(rho * thermo._internal_energy_raw(gas, rho, theta), vel))
+    return viscous, conv_e - kirchhoff_div_nd(grid, transport, theta) - heat + p * div
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +295,20 @@ def _steady_residual(grid, gas, transport, G, rho, theta, vel, viscous):
 
 def column_viscosity(transport, theta):
     """(4/3) mu + eta: the 1-D longitudinal viscous coefficient."""
-    mu, eta = thermo.viscosities(transport, theta)
+    return _column_viscosity(*thermo.viscosities(transport, theta))
+
+
+def _column_viscosity(mu, eta):
     return 4.0 / 3.0 * mu + eta
 
 
 def viscous_rhs_1d(grid, transport, theta, u):
     """d/dx( ((4/3)mu + eta) du/dx ) at interior faces."""
-    nu = column_viscosity(transport, theta)
+    return _viscous_1d(grid, column_viscosity(transport, theta), u)
+
+
+def _viscous_1d(grid, nu, u):
+    """``viscous_rhs_1d`` from the ``column_viscosity`` nu."""
     stress = nu * (u[..., 1:] - u[..., :-1]) / grid.dx
     return (stress[..., 1:] - stress[..., :-1]) / grid.dx
 
@@ -293,8 +337,7 @@ def shear_heating_1d(grid, transport, theta, u):
 
 def steady_residual_1d(grid, gas, transport, G, rho, theta, u):
     """(continuity, momentum, energy) residuals of the semi-discrete system."""
-    viscous = (viscous_rhs_1d(grid, transport, theta, u),)
-    return _steady_residual(grid, gas, transport, G, rho, theta, (u,), viscous)
+    return _steady_residual(grid, gas, transport, G, rho, theta, (u,))
 
 
 # ---------------------------------------------------------------------------
@@ -336,11 +379,15 @@ def stress_divergence_2d(grid, transport, theta, strains):
     The strains may be stacks along leading axes; the viscosities are read
     from ``theta`` once and serve every field.
     """
-    dx, dz = grid.dx, grid.dz
     mu_c, eta_c = thermo.viscosities(transport, theta)
+    return _stress_divergence_2d(grid, transport, mu_c, eta_c, strains, strains[0] + strains[1])
+
+
+def _stress_divergence_2d(grid, transport, mu_c, eta_c, strains, div):
+    """``stress_divergence_2d`` from mu and eta at the centers and div u."""
+    dx, dz = grid.dx, grid.dz
     lam_c = eta_c - 2.0 / 3.0 * mu_c
     dudx, dwdz, dudz, dwdx = strains
-    div = dudx + dwdz
     sxx = 2.0 * mu_c * dudx + lam_c * div
     szz = 2.0 * mu_c * dwdz + lam_c * div
     sxz = _corner_mu(grid, transport, mu_c) * (dudz + dwdx)
@@ -358,8 +405,13 @@ def viscous_rhs_2d(grid, transport, theta, u, w):
 def shear_heating_2d(grid, transport, theta, u, w):
     """S(theta, Du) : Du at centers; nonnegative by construction."""
     mu_c, eta_c = thermo.viscosities(transport, theta)
-    dudx, dwdz, dudz, dwdx = strain_rates_2d(grid, u, w)
-    div = dudx + dwdz
+    strains = strain_rates_2d(grid, u, w)
+    return _shear_heating_2d(mu_c, eta_c, strains, strains[0] + strains[1])
+
+
+def _shear_heating_2d(mu_c, eta_c, strains, div):
+    """``shear_heating_2d`` from mu and eta at the centers, the strain rates and div u."""
+    dudx, dwdz, dudz, dwdx = strains
     dxz_sq = (0.5 * (dudz + dwdx)) ** 2
     dxz_sq_c = 0.25 * (
         (dxz_sq + _east(dxz_sq))[..., :-1] + (dxz_sq + _east(dxz_sq))[..., 1:]
@@ -373,5 +425,4 @@ def shear_heating_2d(grid, transport, theta, u, w):
 
 def steady_residual_2d(grid, gas, transport, G, rho, theta, u, w):
     """(continuity, x-momentum, z-momentum (interior), energy) residuals."""
-    vx, vz = viscous_rhs_2d(grid, transport, theta, u, w)
-    return _steady_residual(grid, gas, transport, G, rho, theta, (u, w), (vx, vz[..., 1:-1]))
+    return _steady_residual(grid, gas, transport, G, rho, theta, (u, w))

@@ -539,7 +539,9 @@ def step(
     rho1 = rho + dt * ops.mass_rhs_nd(grid, rho, vel, convection)
     _check_positive("rho", rho1)
 
-    tendencies = ops.momentum_explicit_nd(grid, gas, G, rho1, theta, rho, vel)
+    # the pressure of both stages: p(rho1, theta)
+    p1 = thermo.pressure(gas, rho1, theta)
+    tendencies = ops.momentum_explicit_nd(grid, gas, G, rho1, theta, rho, vel, p=p1)
     interior = (*vel[:-1], vel[-1][..., 1:-1])
     m_star = [
         rho_face * v - dt * (conv + dp - grav)
@@ -556,9 +558,7 @@ def step(
     # floor, inverted for theta, which seeds the implicit heat conduction
     evol = rho * thermo.internal_energy(gas, rho, theta)
     half = [0.5 * (v + v_new) for v, v_new in zip(vel, vel_new)]
-    conv_e, heat, work = ops.energy_explicit_nd(
-        grid, gas, transport, rho1, theta, evol, vel, half, convection
-    )
+    conv_e, heat, work = ops.energy_explicit_nd(grid, gas, transport, rho1, theta, evol, vel, half, convection, p=p1)
     e_star = evol + dt * (-conv_e + heat - work)
     floor = thermo._zero_point_energy_raw(gas, rho1)
     if np.any(e_star <= floor):

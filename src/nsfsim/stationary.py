@@ -20,10 +20,11 @@ the stencils and not by the grid size (32 at 24x16 and 64x48), and all of
 them are the rows of one stacked residual call.  The mass row is linear and
 set exactly.  The whole bordered matrix is solved at once; the core block
 alone is singular because the continuity rows telescope.  On a slab the
-solve starts from small dense blocks, one per x wavenumber, of the
-Jacobian's block-circulant part (T. Chan, SIAM J. Sci. Stat. Comput. 9,
-1988): Newton's guess is x-invariant, so the Jacobian differs from that
-part only through laterally varying plates, and refinement against the
+solve starts from small blocks, one per x wavenumber, of the Jacobian's
+block-circulant part (T. Chan, SIAM J. Sci. Stat. Comput. 9, 1988),
+banded in z and factored as one dense block and one stacked complex band
+(``_XBlocks``): Newton's guess is x-invariant, so the Jacobian differs from
+that part only through laterally varying plates, and refinement against the
 Jacobian itself makes the solve exact.  Where a block is singular or the
 refinement stalls, and always on a 1-D column, the Jacobian is factored
 with ``splu``, its columns in a nested-dissection order of the grid
@@ -45,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgtsv, zgetrf, zgetrs
+from scipy.linalg.lapack import dgetrf, dgetrs, dgtsv, zgbtrf, zgbtrs
 from scipy.sparse.linalg import splu
 
 from . import operators as ops
@@ -182,8 +183,12 @@ def _steady_residual(grid, gas, transport, G, rho, theta, vel):
 
 
 def _residual_norms(state, gas, transport, G):
-    grid, rho, theta = state.grid, state.rho, state.theta
-    cont, *mom, energy = _steady_residual(grid, gas, transport, G, rho, theta, state.velocity)
+    return _norms(_steady_residual(state.grid, gas, transport, G, state.rho, state.theta, state.velocity))
+
+
+def _norms(parts):
+    """The max-norms of the residual parts (continuity, *momentum, energy)."""
+    cont, *mom, energy = parts
     return {
         "continuity": float(np.max(np.abs(cont))),
         "momentum": max((float(np.max(np.abs(m))) for m in mom if m.size), default=0.0),
@@ -531,14 +536,18 @@ class _Layout:
         return rho, theta, x[..., 2 * nc : 3 * nc].reshape(shape), wall_normal, x[..., -1]
 
 
-def _residual(layout, x, gas, transport, G, m0):
+def _residual(layout, x, gas, transport, G, m0, parts=None):
     """Packed residual of one state (size,) or, row by row, of a stack
     (K, size) in one stencil call: lam shifts each state's continuity rows
-    and the mass row sums each state's densities."""
+    and the mass row sums each state's densities.  A list ``parts`` takes
+    the residuals (continuity, *momentum, energy) of a single state, before
+    the shift."""
     rho, theta, u, w, lam = layout.unpack(x)
     grid = layout.grid
     vel = (u,) if w is None else (u, w)
     cont, *rest = _steady_residual(grid, gas, transport, G, rho, theta, vel)
+    if parts is not None and x.ndim == 1:
+        parts[:] = cont, *rest
     mass = np.sum(x[..., : layout.n_cells], axis=-1, keepdims=True) * grid.cell_volume - m0
     rows = [r.reshape(x.shape[:-1] + (-1,)) for r in (cont, *rest)]
     rows[0] = rows[0] + lam[..., None]
@@ -641,83 +650,103 @@ def _newton_plan(layout):
 class _XBlocks:
     """The x-Fourier blocks of a slab Jacobian's block-circulant part, the
     optimal circulant approximation of T. Chan (SIAM J. Sci. Stat. Comput.
-    9, 1988), fixed per grid shape.
+    9, 1988), fixed per grid shape and factored as bands.
 
     The core equations and unknowns of x column i take the places (i, a),
-    a = 0..m-1, fields in order and then z, m = 4 nz - 1.  Averaged over i,
-    the block coupling column i to column i + d is B_d; the block of
-    wavenumber q is sum_d B_d exp(2 pi i d q / nx), q = 0..nx//2 (the rest
-    are their conjugates), d over the pattern's x offsets only.  ``slot``
-    places every stored entry of the plan in the stack of the transposed
-    B_d, so that each block lands in Fortran order for LAPACK, then in the
-    lambda column and the mass row: one ``bincount`` sums them all.  Block
-    q = 0 is bordered by the lambda column, nx times its mean (a column
-    constant in x transforms to q = 0 alone), and by the mass row, which
-    reads q = 0 alone; the others carry a 1 there, so every block has
-    m + 1 rows.  ``rows_at[i, a]`` is the packed equation of a place and
-    ``cols_at[i, a]`` the Jacobian column of its unknown.
+    a = 0..m-1, z-major: the fields of one z level together, in field
+    order, m = 4 nz - 1.  Averaged over i, the block coupling column i to
+    column i + d is B_d; the block of wavenumber q is
+    sum_d B_d exp(2 pi i d q / nx), q = 0..nx//2 (the rest are their
+    conjugates), d over the pattern's x offsets only.  On z-major places
+    every block is a band, ``kl`` rows below and ``ku`` above its diagonal,
+    widths set by the stencils' z reach and not by the grid.  ``slot``
+    places every stored entry of the plan in the stack of the B_d in
+    LAPACK's band storage, column by column, then in the lambda column and
+    the mass row: one ``bincount`` sums them all, and two real matrix
+    products apply the phases' cosines and sines to every band at once.
+    Block q = 0 is real: its entries are gathered from its band into a
+    dense matrix, bordered by the lambda column, nx times its mean (a
+    column constant in x transforms to q = 0 alone), and by the mass row,
+    which reads q = 0 alone, and LAPACK's ``dgetrf`` factors it.  The
+    blocks q >= 1 lie end to end as one block-diagonal complex band, which
+    one ``zgbtrf`` factors and one ``zgbtrs`` solves.  ``rows_at[i, a]`` is the packed
+    equation of a place and ``cols_at[i, a]`` the Jacobian column of its
+    unknown; ``fill`` counts the entries the factors store, the band's
+    fill rows for LAPACK's pivoting included.
     """
 
     def __init__(self, layout, plan, rank):
         nx, n = layout.nx, layout.size - 1
-        self.nx, self.m = nx, n // nx
+        m = n // nx
+        self.nx, self.m = nx, m
         places = []
         for field_, i, k in (layout.equations, layout.unknowns):
-            order = np.lexsort((k, field_, i))  # x column by x column
+            order = np.lexsort((field_, k, i))  # x column by x column, z-major
             place = np.empty(n, dtype=int)
-            place[order] = np.arange(n) % self.m
-            places.append((order.reshape(nx, self.m), i, place))
+            place[order] = np.arange(n) % m
+            places.append((order.reshape(nx, m), i, place))
         (self.rows_at, eq_i, eq_place), (unknown_at, un_i, un_place) = places
         self.cols_at = rank[unknown_at]
         rows, cols = plan.indices, plan.cols
         core = (rows < n) & (cols < n)
         lam, mass = np.flatnonzero(cols == n), np.flatnonzero(rows == n)
-        row, col = rows[core], cols[core]
-        shift = (un_i[col] - eq_i[row]) % nx
+        row, col = eq_place[rows[core]], un_place[cols[core]]
+        self.kl, self.ku = int(np.max(row - col, initial=0)), int(np.max(col - row, initial=0))
+        width = self.kl + self.ku + 1
+        shift = (un_i[cols[core]] - eq_i[rows[core]]) % nx
         present = np.zeros(nx, dtype=bool)
         present[shift] = True  # the shifts in use, found without sorting every entry
         offsets, d = np.flatnonzero(present), (np.cumsum(present) - 1)[shift]
-        edge = offsets.size * self.m**2
+        band = col * width + self.ku + row - col  # the entry's place in one band
+        self.edge = edge = offsets.size * m * width
         self.slot = np.empty(rows.size, dtype=int)
-        self.slot[core] = (d * self.m + un_place[col]) * self.m + eq_place[row]
+        self.slot[core] = d * m * width + band
         self.slot[lam] = edge + eq_place[rows[lam]]
-        self.slot[mass] = edge + self.m + un_place[cols[mass]]
-        self.phases = np.exp(2j * np.pi / nx * np.outer(np.arange(nx // 2 + 1), offsets))
+        self.slot[mass] = edge + m + un_place[cols[mass]]
+        # block 0's entries: their places in its band and in its transposed dense matrix
+        stored = np.zeros(m * width, dtype=bool)
+        stored[band] = True
+        self.band_at = np.flatnonzero(stored)
+        column, diagonal = np.divmod(self.band_at, width)
+        self.dense_at = column * (m + 2) + diagonal - self.ku
+        angles = 2.0 * np.pi / nx * np.outer(np.arange(nx // 2 + 1), offsets)
+        self.cos, self.sin = np.cos(angles), np.sin(angles[1:])
+        self.fill = (m + 1) ** 2 + (self.kl + width) * (nx // 2) * m
 
     def factor(self, data):
-        """LU factors, in place, of every block of the Jacobian whose stored
-        entries are ``data``, with their pivots; None if a block is singular."""
-        nx, m, (count, shifts) = self.nx, self.m, self.phases.shape
-        edge = shifts * m * m
+        """LU factors of every block of the Jacobian whose stored entries are
+        ``data``: block 0's and the band's, each with its pivots; None if a
+        block is singular."""
+        nx, m, kl, ku, edge = self.nx, self.m, self.kl, self.ku, self.edge
         mean = np.bincount(self.slot, weights=data, minlength=edge + 2 * m) / nx
-        shifted = mean[:edge].reshape(shifts, m, m)
-        blocks = np.zeros((count, m + 1, m + 1), dtype=complex)
-        # transposed, as the B_d: row m holds the lambda column, column m the mass row
-        blocks[0, m, :m] = nx * mean[edge : edge + m]
-        blocks[0, :m, m] = mean[edge + m :]
-        blocks[1:, m, m] = 1.0
-        pivots = np.empty((count, m + 1), dtype=np.int32)
-        # block by block, so that no second stack of blocks is held
-        for q, block in enumerate(blocks):
-            block[:m, :m] = np.tensordot(self.phases[q], shifted, 1)
-            _, pivots[q], info = zgetrf(block.T, overwrite_a=1)
-            if info != 0:
-                return None
-        return blocks, pivots
+        bands = mean[:edge].reshape(-1, m * (kl + ku + 1))
+        real = self.cos @ bands
+        # transposed, as the bands: row m holds the lambda column, column m the mass row
+        block = np.zeros((m + 1, m + 1))
+        block.flat[self.dense_at] = real[0, self.band_at]
+        block[m, :m] = nx * mean[edge : edge + m]
+        block[:m, m] = mean[edge + m :]
+        lu, piv, info = dgetrf(block.T, overwrite_a=1)
+        if info != 0:
+            return None
+        # column by column, kl rows on top for the fill of LAPACK's pivoting
+        ab = np.zeros((len(self.sin), m, 2 * kl + ku + 1), dtype=complex)
+        ab.real[..., kl:] = real[1:].reshape(ab.shape[0], m, -1)
+        ab.imag[..., kl:] = (self.sin @ bands).reshape(ab.shape[0], m, -1)
+        band, pivots, info = zgbtrf(ab.reshape(-1, ab.shape[-1]).T, kl, ku, overwrite_ab=1)
+        return None if info != 0 else (lu, piv, band, pivots)
 
     def solve(self, factors, b):
         """C^-1 b for the circulant part C of ``factor``'s Jacobian, b in the
         packed equation order, the result in the Jacobian's column order."""
-        blocks, pivots = factors
-        m = self.m
-        rhs = np.zeros((len(blocks), m + 1), dtype=complex)
-        rhs[:, :m] = np.fft.rfft(b[self.rows_at], axis=0)
-        rhs[0, m] = b[-1]
-        for q, block in enumerate(blocks):
-            rhs[q], _ = zgetrs(block.T, pivots[q], rhs[q])
+        lu, piv, band, pivots = factors
+        rhs = np.fft.rfft(b[self.rows_at], axis=0)
+        y0, _ = dgetrs(lu, piv, np.append(rhs[0].real, b[-1]))
+        rhs[0] = y0[:-1]
+        rhs[1:] = zgbtrs(band, self.kl, self.ku, rhs[1:].ravel(), pivots)[0].reshape(-1, self.m)
         y = np.empty_like(b)
-        y[self.cols_at] = np.fft.irfft(rhs[:, :m], self.nx, axis=0)
-        y[-1] = rhs[0, m].real
+        y[self.cols_at] = np.fft.irfft(rhs, self.nx, axis=0)
+        y[-1] = y0[-1]
         return y
 
 
@@ -775,7 +804,7 @@ class _ColouredJacobian:
     def factor(self, fun, x, f):
         """The solve b -> J^-1 b, in the packed order, of the Jacobian J at x.
 
-        On a slab the solve starts from the x-Fourier blocks of J's
+        On a slab the solve starts from the banded x-Fourier blocks of J's
         block-circulant part (``_XBlocks``) and refines against J itself
         (``refine``).  Where a block is singular or a refinement gives up,
         and always on a 1-D column, J is factored by SuperLU in its column
@@ -788,7 +817,7 @@ class _ColouredJacobian:
         self.magnitudes = abs(jac) @ np.abs(x)[np.argsort(self.rank)]
         if factors is None:
             return self._superlu(jac)
-        self.fill = factors[0].size  # each complex entry once
+        self.fill = self.blocks.fill
         direction, direct = functools.partial(self.blocks.solve, factors), None
 
         def solve(b):
@@ -850,7 +879,8 @@ def solve_stationary_newton(
     The Jacobian is a coloured sparse finite difference (one stacked
     residual call per Jacobian, a row per column colour).  The bordered
     system is solved by ``_ColouredJacobian.factor``: on a slab from the
-    x-Fourier blocks of its block-circulant part, refined against the
+    x-Fourier blocks of its block-circulant part (one dense LU for
+    wavenumber 0, one complex band LU for the rest), refined against the
     Jacobian to a backward error of 4 eps, and with ``splu`` factors in a
     nested-dissection column order (``permc_spec="NATURAL"``, partial row
     pivoting kept) on a 1-D column or where a block is singular or the
@@ -871,7 +901,9 @@ def solve_stationary_newton(
     ``NewtonFailure`` with the residual trace on stagnation, a singular
     Jacobian or a final norm that is not finite.  On success the state's
     ``counters`` hold the trace and the counts of ``_stationary_counters``,
-    starting from the guess's, whose hydrostatic halvings it keeps.
+    starting from the guess's, whose hydrostatic halvings it keeps, and
+    its ``residual_norms`` are those of the residual evaluated at the last
+    iterate, with no further evaluation.
     """
     grid = config.grid
     G = config.potential_field()
@@ -888,11 +920,14 @@ def solve_stationary_newton(
         x = layout.pack(guess.rho, guess.theta, guess.u, guess.w, 0.0)
 
     calls = 0
+    # the residual parts of the last single state evaluated, which is the
+    # iterate: every trial that is not taken precedes a later evaluation
+    parts = []
 
     def fun(xv):
         nonlocal calls
         calls += xv.size // layout.size
-        return _residual(layout, xv, gas, transport, G, m0)
+        return _residual(layout, xv, gas, transport, G, m0, parts)
 
     def positive(xv):
         return np.all(xv[: 2 * n_cells] > 0.0)
@@ -969,7 +1004,7 @@ def solve_stationary_newton(
         stationary_refinements=0 if jacobian is None else jacobian.refinements,
         stationary_lu_fill=0 if jacobian is None else jacobian.fill,
     )
-    state.residual_norms = _residual_norms(state, gas, transport, G)
+    state.residual_norms = _norms(parts)
     state.mass_error = abs(float(np.sum(rho) * grid.cell_volume) - m0)
     state.proximity = _proximity(config, state)
     return state

@@ -67,6 +67,14 @@ def _require_positive(name, value):
         raise ValueError(f"{name} must be positive and finite")
 
 
+def _checked(rho, theta):
+    """(rho, theta) as float arrays, each checked positive and finite: the
+    check of every public closure, whose ``_raw`` kernel then runs unchecked."""
+    _require_positive("rho", rho)
+    _require_positive("theta", theta)
+    return np.asarray(rho, dtype=float), np.asarray(theta, dtype=float)
+
+
 # ---------------------------------------------------------------------------
 # Models
 # ---------------------------------------------------------------------------
@@ -200,10 +208,10 @@ def pressure_molecular(gas: GasModel, rho, theta):
 
 def pressure(gas: GasModel, rho, theta):
     """Total pressure: p_inf rho^(5/3) + molecular part + radiation a/3 theta^4."""
-    _require_positive("rho", rho)
-    _require_positive("theta", theta)
-    rho = np.asarray(rho, dtype=float)
-    theta = np.asarray(theta, dtype=float)
+    return _pressure_raw(gas, *_checked(rho, theta))
+
+
+def _pressure_raw(gas: GasModel, rho, theta):
     return (
         gas.p_inf * rho ** (5.0 / 3.0)
         + pressure_molecular(gas, rho, theta)
@@ -217,10 +225,10 @@ def internal_energy(gas: GasModel, rho, theta):
     The p_inf part contributes the temperature-independent zero-point term
     (3/2) p_inf rho^(2/3); the molecular and radiation parts vanish with theta.
     """
-    _require_positive("rho", rho)
-    _require_positive("theta", theta)
-    rho = np.asarray(rho, dtype=float)
-    theta = np.asarray(theta, dtype=float)
+    return _internal_energy_raw(gas, *_checked(rho, theta))
+
+
+def _internal_energy_raw(gas: GasModel, rho, theta):
     z = degeneracy(rho, theta)
     return (
         1.5 * gas.p_inf * rho ** (2.0 / 3.0)
@@ -292,10 +300,10 @@ def entropy_kernel(gas: GasModel, z):
 
 def entropy(gas: GasModel, rho, theta):
     """Specific entropy s(rho, theta) = S(Z) + (4a/3) theta^3 / rho."""
-    _require_positive("rho", rho)
-    _require_positive("theta", theta)
-    rho = np.asarray(rho, dtype=float)
-    theta = np.asarray(theta, dtype=float)
+    return _entropy_raw(gas, *_checked(rho, theta))
+
+
+def _entropy_raw(gas: GasModel, rho, theta):
     return entropy_kernel(gas, degeneracy(rho, theta)) + 4.0 * gas.a / 3.0 * theta ** 3 / rho
 
 
@@ -310,10 +318,10 @@ def pressure_partials(gas: GasModel, rho, theta):
     dp/drho = (5/3) p_inf rho^(2/3) + theta P_m'(Z) > 0 (thermodynamic
     stability); dp/dtheta = (3/2) theta^(3/2) ((5/3)P_m - P_m' Z) + (4a/3) theta^3.
     """
-    _require_positive("rho", rho)
-    _require_positive("theta", theta)
-    rho = np.asarray(rho, dtype=float)
-    theta = np.asarray(theta, dtype=float)
+    return _pressure_partials_raw(gas, *_checked(rho, theta))
+
+
+def _pressure_partials_raw(gas: GasModel, rho, theta):
     z = degeneracy(rho, theta)
     dp_drho = 5.0 / 3.0 * gas.p_inf * rho ** (2.0 / 3.0) + theta * gas.pm_prime(z)
     dp_dtheta = 1.5 * theta ** 1.5 * gas.pm_excess(z) + 4.0 * gas.a / 3.0 * theta ** 3
@@ -322,10 +330,10 @@ def pressure_partials(gas: GasModel, rho, theta):
 
 def energy_partial_theta(gas: GasModel, rho, theta):
     """de/dtheta = (9/4) theta^(3/2)/rho * ((5/3)P - P'Z) + 4a theta^3 / rho > 0."""
-    _require_positive("rho", rho)
-    _require_positive("theta", theta)
-    rho = np.asarray(rho, dtype=float)
-    theta = np.asarray(theta, dtype=float)
+    return _energy_partial_theta_raw(gas, *_checked(rho, theta))
+
+
+def _energy_partial_theta_raw(gas: GasModel, rho, theta):
     z = degeneracy(rho, theta)
     return 2.25 * theta ** 1.5 / rho * gas.pm_excess(z) + 4.0 * gas.a * theta ** 3 / rho
 
@@ -336,10 +344,10 @@ def entropy_partials(gas: GasModel, rho, theta):
     Uses S'(Z) = -(3/2) ((5/3)P_m - P_m'Z) / Z^2; together with the pressure
     and energy partials these satisfy the Gibbs relation identically.
     """
-    _require_positive("rho", rho)
-    _require_positive("theta", theta)
-    rho = np.asarray(rho, dtype=float)
-    theta = np.asarray(theta, dtype=float)
+    return _entropy_partials_raw(gas, *_checked(rho, theta))
+
+
+def _entropy_partials_raw(gas: GasModel, rho, theta):
     z = degeneracy(rho, theta)
     kernel_prime = -1.5 * gas.pm_excess(z) / z**2
     ds_drho = kernel_prime * theta ** (-1.5) - 4.0 * gas.a / 3.0 * theta ** 3 / rho ** 2
@@ -378,10 +386,9 @@ def gibbs_residual(gas: GasModel, rho, theta, h):
 
 def sound_speed(gas: GasModel, rho, theta):
     """Adiabatic sound speed: c^2 = dp/drho + theta (dp/dtheta)^2 / (rho^2 de/dtheta)."""
-    dp_drho, dp_dtheta = pressure_partials(gas, rho, theta)
-    e_theta = energy_partial_theta(gas, rho, theta)
-    rho = np.asarray(rho, dtype=float)
-    theta = np.asarray(theta, dtype=float)
+    rho, theta = _checked(rho, theta)
+    dp_drho, dp_dtheta = _pressure_partials_raw(gas, rho, theta)
+    e_theta = _energy_partial_theta_raw(gas, rho, theta)
     return np.sqrt(dp_drho + theta * dp_dtheta**2 / (rho**2 * e_theta))
 
 
@@ -393,7 +400,10 @@ def sound_speed(gas: GasModel, rho, theta):
 def viscosities(model: TransportModel, theta):
     """(mu, eta) at temperature theta, without the conductivity's power."""
     _require_positive("theta", theta)
-    theta = np.asarray(theta, dtype=float)
+    return _viscosities_raw(model, np.asarray(theta, dtype=float))
+
+
+def _viscosities_raw(model: TransportModel, theta):
     return model.mu0 * (1.0 + theta), model.eta0 * (1.0 + theta)
 
 
@@ -443,7 +453,9 @@ def invert_conductivity_primitive(model: TransportModel, value, guess=None):
         bad = ((new <= lo) | (new >= hi)) & (new != theta) | ~np.isfinite(new)
         mid = np.where(np.isfinite(hi), 0.5 * (lo + hi), 2.0 * np.maximum(theta, 1.0))
         new = np.where(bad, mid, new)
-        done = np.abs(new - theta) <= 1.0e-16 * np.maximum(1.0, np.abs(theta))
+        # Newton descends on the convex K; a step up starts below the root,
+        # where rounding left the iterate, so only a step down is converged
+        done = (new <= theta) & (np.abs(new - theta) <= 1.0e-16 * np.maximum(1.0, np.abs(theta)))
         theta = new
         if np.all(done):
             break

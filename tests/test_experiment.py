@@ -98,6 +98,44 @@ def test_comments_and_blank_lines():
     assert config["m0"] == 1.5
 
 
+def every_key_config():
+    """A config that sets every key of the schema, away from its default
+    where validation allows; its label holds a quote, so ``repr`` writes it
+    in double quotes."""
+    mapping = {
+        "label": "it's every key", "seed": 5, "output_dir": "elsewhere", "gas.p_inf": 1.5, "gas.a": 2.5,
+        "gas.pm_gain": 0.5, "gas.z_max_validate": 500.0, "transport.mu0": 0.5, "transport.eta0": 0.25,
+        "transport.kappa0": 2.0, "transport.beta": 8.0, "domain.kind": "slab", "domain.n": 64, "domain.nx": 16,
+        "domain.nz": 12, "domain.lx": 3.0, "m0": 2.5, "theta_bottom": 1.1, "theta_top": 0.9,
+        "theta_bottom_wobble": 0.01, "g": 0.02, "gx": 0.001, "stationary_solver": "newton",
+        "perturbation.family": "velocity-kick", "perturbation.amplitude": 0.02, "horizon": 0.5, "cfl": 0.3,
+        "dt_min": 1.0e-9, "dt_max": 5.0e-3, "max_retries": 4, "cadence": 0.05, "snapshots": "none",
+        "snapshot_every": 3, "convection": "upwind",
+    }
+    assert set(mapping) == set(ex._SCHEMA)
+    return ex.config_from_mapping(mapping)
+
+
+@pytest.mark.parametrize("name", [*sorted(ex.PRESETS), "every-key"])
+def test_stored_config_text_reads_back_as_its_config(name):
+    config = every_key_config() if name == "every-key" else ex.config_from_mapping({}, preset=name)
+    text = ex.resolved_config_text(config)
+    assert ex.parse_config_text(text) == config
+    # the types too, so that the text, and with it the config hash, is the same
+    assert ex.resolved_config_text(ex.parse_config_text(text)) == text
+
+
+def test_cli_run_from_a_stored_config_writes_the_same_csv(tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert cli.main(["run", "--preset", "rb-2d-lateral", "--out", str(first)]) == 0
+    stored = first / "rb-2d-lateral.config.txt"
+    assert cli.main(["validate", str(stored)]) == 0
+    assert cli.main(["run", str(stored), "--out", str(second)]) == 0
+    assert (second / "rb-2d-lateral.csv").read_bytes() == (first / "rb-2d-lateral.csv").read_bytes()
+    hashes = [json.loads((out / "rb-2d-lateral.manifest.json").read_text())["config_hash"] for out in (first, second)]
+    assert hashes[0] == hashes[1]
+
+
 # ---------------------------------------------------------------------------
 # Snapshots
 # ---------------------------------------------------------------------------
@@ -584,8 +622,9 @@ def test_lateral_newton_at_24x16_solves_on_x_fourier_blocks_alone(tmp_path, monk
     counters = manifest.counters
     assert counters["stationary_iterations"] == 4 and counters["stationary_jacobians"] == 1
     assert counters["stationary_refinements"] > 0
-    # the blocks of wavenumbers 0..12, each of 4 nz rows, each complex entry once
-    assert counters["stationary_lu_fill"] == 13 * 64**2
+    # the dense block of wavenumber 0, 4 nz rows bordered, and the band of
+    # wavenumbers 1..12, each of 4 nz - 1 columns of 2 kl + ku + 1 = 28 rows
+    assert counters["stationary_lu_fill"] == 64**2 + 12 * 63 * 28
 
 
 def test_lateral_newton_at_24x16_fills_at_most_0_8_of_colamd(tmp_path, monkeypatch):

@@ -27,7 +27,8 @@ def shared_arrays():
         newton, rank, mass, _, _, blocks = stationary._newton_plan(stationary._Layout(grid))
         arrays += [newton.gather, newton.indices, newton.cols, rank, mass]
         if blocks is not None:
-            arrays += [blocks.slot, blocks.phases, blocks.rows_at, blocks.cols_at]
+            arrays += [blocks.slot, blocks.cos, blocks.sin, blocks.band_at, blocks.dense_at]
+            arrays += [blocks.rows_at, blocks.cols_at]
         arrays.append(stationary._probe_table(grid.dimension)[0])
     return arrays
 

@@ -695,7 +695,10 @@ def test_slab_solve_refines_its_x_fourier_blocks_or_falls_back_to_superlu(nx, nz
         assert np.max(np.abs(again + reference)) <= 1.0e-12 * np.max(np.abs(reference))
         if invariant:
             assert made == [] and jacobian.refinements > 0
-            assert jacobian.fill == (nx // 2 + 1) * (4 * nz) ** 2  # the blocks, each of 4 nz rows
+            # the dense block 0 of 4 nz rows, bordered, and the band of the
+            # blocks 1..nx // 2 of 4 nz - 1 columns, LAPACK's fill rows included
+            kl, ku = jacobian.blocks.kl, jacobian.blocks.ku
+            assert jacobian.fill == (4 * nz) ** 2 + nx // 2 * (4 * nz - 1) * (2 * kl + ku + 1)
         else:
             assert len(made) == 1 and jacobian.fill == made[0].nnz
 
@@ -719,6 +722,79 @@ def test_singular_x_fourier_blocks_fall_back_to_superlu(monkeypatch):
     with pytest.raises(NewtonFailure, match="singular") as err:
         solve_stationary_newton(config, GAS, TR)
     assert err.value.trace and len(factored) == 1
+
+
+def circulant_part(layout, jac):
+    """The block-circulant part of the bordered Jacobian ``jac`` (packed
+    order): the mean of jac over every joint x translation of its
+    equations and unknowns, the border translating with them."""
+    nx = layout.nx
+
+    def translations(sites):
+        field, i, k = sites
+        at = np.full((field.max() + 1, nx, k.max() + 1), -1)
+        at[field, i, k] = np.arange(field.size)
+        # the border (the mass row, the lambda column) stays in place
+        return [np.append(at[field, (i + s) % nx, k], field.size) for s in range(nx)]
+
+    rows, cols = translations(layout.equations), translations(layout.unknowns)
+    return sum(jac[np.ix_(r, c)] for r, c in zip(rows, cols)) / nx
+
+
+@pytest.mark.parametrize("nx, nz", [(12, 8), (24, 16), (13, 9)])
+def test_x_fourier_blocks_solve_the_circulant_part(nx, nz):
+    # the banded blocks against a dense solve of the circulant part, built
+    # here from the Jacobian's x-averaged couplings at a random state
+    layout, fun, x = x_fourier_problem(nx, nz, seed=nx, invariant=False)
+    jacobian = _ColouredJacobian(layout)
+    f = fun(x)
+    blocks, data = jacobian.blocks, jacobian._data(fun, x, f)
+    factors = blocks.factor(data)
+    # columns in packed order; dropping the zeros overwrites ``data``
+    circulant = circulant_part(layout, jacobian._matrix(data).toarray()[:, jacobian.rank])
+    for seed in (0, 1):
+        b = np.random.default_rng(seed).standard_normal(layout.size)
+        want = np.linalg.solve(circulant, b)
+        got = blocks.solve(factors, b)[jacobian.rank]
+        assert np.max(np.abs(got - want)) <= 1.0e-12 * np.max(np.abs(want))
+
+
+def test_x_fourier_band_widths_do_not_grow_with_the_grid():
+    # z-major places make every block a band whose widths the stencils'
+    # z reach sets, not the grid
+    blocks = [_ColouredJacobian(_Layout(Grid2D(nx=nx, nz=nz))).blocks for nx, nz in [(12, 8), (24, 16), (48, 32)]]
+    assert len({(b.kl, b.ku) for b in blocks}) == 1
+
+
+def newton_residual_norms_are_those_of_its_state(config):
+    state = solve_stationary_newton(config, GAS, TR)
+    fresh = stationary._residual_norms(state, GAS, TR, config.potential_field())
+    assert state.residual_norms == fresh
+    return state
+
+
+def test_newton_residual_norms_come_from_its_last_evaluation():
+    # the norms of the residual the Newton evaluated at its last iterate
+    # are those of a fresh evaluation at the state it returns, bit for bit
+    nx = 12
+    xc = (np.arange(nx) + 0.5) * (2.0 / nx)
+    grid = Grid2D(nx=nx, nz=8, theta_bottom=1.0 + 1e-3 * np.cos(np.pi * xc), theta_top=1.0)
+    state = newton_residual_norms_are_those_of_its_state(ProblemConfig(grid=grid, m0=grid.volume, g=(0.0, 0.01)))
+    assert state.iterations >= 1 and max(state.residual_norms.values()) > 0.0
+    column = Grid1D(n=32, theta_bottom=1.05, theta_top=1.0)
+    newton_residual_norms_are_those_of_its_state(ProblemConfig(grid=column, m0=1.0, g=0.01))
+
+
+def test_newton_residual_norms_after_a_dropped_chord_trial(monkeypatch):
+    # theta^2 = 4 from theta = 1: the chord trial from theta = 2.5 is
+    # dropped (test_newton_refreshes_the_jacobian_when_a_chord_step_stalls),
+    # and the norms still come from the iterate, not from that trial
+    def quadratic(grid, gas, transport, G, rho, theta, u):
+        return rho - 1.0, u[..., 1:-1], theta**2 - 4.0
+
+    monkeypatch.setattr(ops, "steady_residual_1d", quadratic)
+    state = newton_residual_norms_are_those_of_its_state(ProblemConfig(grid=Grid1D(n=8), m0=1.0))
+    assert state.counters["stationary_jacobians"] >= 2
 
 
 def test_dissection_ranks_number_both_halves_before_their_separator():

@@ -322,7 +322,8 @@ def test_conductivity_inversion_stops_once_converged(monkeypatch):
 def test_conductivity_inversion_ends_at_a_newton_fixed_point(thetas, kappa0, beta):
     # Every cell stops where the Newton step rounds to no change, or where K
     # hits the target exactly.  From theta = 0.5 up one ulp exceeds the
-    # stopping test's 1e-16 max(1, theta); below, a last one-ulp step passes it.
+    # stopping test's 1e-16 max(1, theta); below, a last one-ulp step down
+    # passes it, and a step up, which starts below the root, never does.
     model = TransportModel(kappa0=kappa0, beta=beta)
     values = conductivity_primitive(model, np.array(thetas))
     theta = invert_conductivity_primitive(model, values)
