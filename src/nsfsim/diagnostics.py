@@ -213,7 +213,11 @@ def relative_energy_form_delta(state, reference, gas) -> float:
     return float(np.sum(form1 - form2) * state.grid.cell_volume)
 
 
-def ballistic_energy(state, theta_tilde, gas, trace_rtol: float = 1.0e-4) -> float:
+# the relative tolerance of a wall trace, beside the extrapolation's own error
+_TRACE_RTOL = 1.0e-4
+
+
+def ballistic_energy(state, theta_tilde, gas) -> float:
     """Integral of 0.5 rho |u|^2 + rho e - theta_tilde rho s.
 
     ``theta_tilde`` must be positive and carry the wall temperature trace of
@@ -222,11 +226,11 @@ def ballistic_energy(state, theta_tilde, gas, trace_rtol: float = 1.0e-4) -> flo
     theta_tilde = np.asarray(theta_tilde, dtype=float)
     if theta_tilde.shape != state.theta.shape:
         raise ValueError("theta_tilde must live on the state grid")
-    _check_trace(state.grid, theta_tilde, trace_rtol)
+    _check_trace(state.grid, theta_tilde)
     return float(np.sum(_ballistic_density(_Fields(state, gas), theta_tilde)) * state.grid.cell_volume)
 
 
-def _check_trace(grid, theta_tilde, trace_rtol=1.0e-4):
+def _check_trace(grid, theta_tilde):
     """Raise unless ``theta_tilde`` is positive and meets the plate
     temperatures of ``grid``; the wall-normal direction is the last axis."""
     tt = theta_tilde
@@ -240,7 +244,7 @@ def _check_trace(grid, theta_tilde, trace_rtol=1.0e-4):
     )
     for wall, value, curv in zip(walls, edge, curvature):
         # the linear extrapolation itself is off by O(second difference)
-        tol = trace_rtol * np.abs(np.asarray(wall)) + curv
+        tol = _TRACE_RTOL * np.abs(np.asarray(wall)) + curv
         if np.max(np.abs(value - wall) - tol) > 0.0:
             raise ValueError("theta_tilde violates the boundary temperature trace")
 
@@ -328,11 +332,11 @@ def _dissipation(f, thresholds):
     grid = state.grid
     dv = grid.cell_volume
 
-    dw = state.velocity[-1] - reference.velocity[-1]
-    grad_du_sq = ((dw[..., 1:] - dw[..., :-1]) / grid.dz) ** 2
+    strains = ops.strain_rates_nd(grid, [v - v_s for v, v_s in zip(state.velocity, reference.velocity)])
+    grad_du_sq = strains[-1] ** 2
     if grid.dimension == 2:
         # natural-position gradients; corner squares averaged back to centers
-        dudx, _, dudz, dwdx = ops.strain_rates_2d(grid, state.u - reference.u, dw)
+        dudx, dudz, dwdx, _ = strains
         corner_sq = dudz**2 + dwdx**2
         pairs = corner_sq + ops._east(corner_sq)
         grad_du_sq = dudx**2 + grad_du_sq + 0.25 * (pairs[:, :-1] + pairs[:, 1:])
@@ -422,40 +426,27 @@ def _entropy_balance_rates(state, gas, transport):
     return visc + prod, flux
 
 
-def _face_heat_pair(transport, th_left, th_right, tt_left, tt_right, delta, area):
-    """Face contributions to the weighted dissipation and transport terms.
-
-    Both use the same face gradient, integral-mean conductivity, and
-    arithmetic face temperature, so they cancel exactly when theta matches
-    theta_tilde (as on a stationary trajectory).
-    """
-    dth = th_right - th_left
-    grad = dth / delta
-    kmean = thermo._conductivity_raw(transport, 0.5 * (th_left + th_right))
-    safe = np.where(dth == 0.0, 1.0, dth)
-    K = thermo.conductivity_primitive
-    kappa_f = np.where(dth == 0.0, kmean, (K(transport, th_right) - K(transport, th_left)) / safe)
-    grad_t = (tt_right - tt_left) / delta
-    th_f = 0.5 * (th_left + th_right)
-    tt_f = 0.5 * (tt_left + tt_right)
-    d = float(np.sum(tt_f * kappa_f * grad**2 / th_f**2 * delta * area))
-    t = float(np.sum(-kappa_f * grad * grad_t / th_f * delta * area))
-    return d, t
-
-
 def _ballistic_rates(state, reference, gas, transport, G=None):
-    """(weighted dissipation D, transport term T, gravity power)."""
+    """(weighted dissipation D, transport term T, gravity power).
+
+    The heat terms are face sums over the Kirchhoff flux H of
+    ``ops.kirchhoff_fluxes_nd``, with the arithmetic face temperatures
+    theta_f, theta~_f and the face gradients, each times delta * area:
+    D = sum theta~_f H grad theta / theta_f^2 and T = -sum H grad theta~ /
+    theta_f, which cancel to rounding when theta matches theta~ (as on a
+    stationary trajectory).
+    """
     grid = state.grid
     th, th_t = state.theta, reference.theta
     dv = grid.cell_volume
     d_visc = float(np.sum(th_t / th * ops.shear_heating_nd(grid, transport, th, state.velocity)) * dv)
     d_heat = t_heat = 0.0
-    for (left, right, delta, area), (left_t, right_t, _, _) in zip(
-        _conduction_faces(grid, th), _conduction_faces(grid, th_t)
+    for H, (left, right, delta, area), (left_t, right_t, _, _) in zip(
+        ops.kirchhoff_fluxes_nd(grid, transport, th), _conduction_faces(grid, th), _conduction_faces(grid, th_t)
     ):
-        d, t = _face_heat_pair(transport, left, right, left_t, right_t, delta, area)
-        d_heat += d
-        t_heat += t
+        th_f, tt_f = 0.5 * (left + right), 0.5 * (left_t + right_t)
+        d_heat += float(np.sum(tt_f * H * ((right - left) / delta) / th_f**2 * delta * area))
+        t_heat += float(np.sum(-H * ((right_t - left_t) / delta) / th_f * delta * area))
 
     grads_t = _grad_theta_centers(reference)
     comps = _center_velocity(state)

@@ -4,16 +4,16 @@ These stencils are the single source of truth for the semi-discrete system:
 the time stepper advances them and the stationary solvers zero them, so a
 stationary state is an exact fixed point of the stepper (to solver rounding).
 Both sides call the same functions: ``mass_rhs_nd`` for continuity,
-``momentum_explicit_nd`` and ``viscous_rhs_*`` for momentum, and
+``momentum_explicit_nd`` and ``viscous_rhs_nd`` for momentum, and
 ``energy_explicit_nd`` (transport of rho*e, shear heating, pressure work) with
 ``kirchhoff_div_nd`` for energy.  ``steady_residual_*`` combines them with the
 stepper's signs, evaluating every closure once: it checks rho and theta
 once, computes p, mu and eta with the ``thermo`` ``_raw`` kernels and the
 strain rates and their divergence once, and passes them to the private
 kernels behind the public stencils, with which it agrees bit for bit (a
-test pins this); the 2-D velocity gradients, wall ghost reflection included,
-come from ``strain_rates_2d`` alone.  The slab's stress divergence is split
-like the heat flux below: ``viscous_rhs_2d`` is ``stress_divergence_2d``, the
+test pins this); the velocity gradients, wall ghost reflection included,
+come from ``strain_rates_nd`` alone.  The stress divergence is split like
+the heat flux below: ``viscous_rhs_nd`` is ``stress_divergence_nd``, the
 closure and a stress linear in the strains, on those strain rates, so that
 the stepper computes the strains of its velocity probes once per grid.
 
@@ -30,12 +30,12 @@ faces pinned to zero.  2-D (periodic x, walls in z): scalars (nx, nz);
 ``u[i, k]`` on the x-face west of cell (i, k); ``w[i, k]`` on the z-face below
 cell (i, k), shape (nx, nz+1), wall rows pinned to zero.
 
-Per dimension stays only what differs in arithmetic: the column's
-longitudinal (4/3)mu + eta stress, its hand-banded matrix and its shear
-heating against the slab's full stress (``viscous_*``, ``shear_heating_*``),
-and in ``simulator`` the layout of the implicit solves (tridiagonal on the
-column, band Cholesky on the slab) and ``cfl_dt``, whose two formulas round
-dt differently.
+The stress is one too: the column's normal stress is the slab's own
+szz = 2 mu w_z + (eta - 2 mu / 3) div u, and its shear heating the slab's
+with the x and shear strains left out, so an x-uniform slab reproduces both
+bit for bit (a test pins this).  Per dimension stays only, in
+``simulator``, the layout of the implicit solves: tridiagonal on the column,
+band Cholesky on the slab, both matrices read off these stencils.
 
 Every stencil the steady residual uses also carries leading stack axes in
 front of the grid axes: fields of shape (K, n) or (K, nx, nz) are K states,
@@ -65,18 +65,13 @@ __all__ = [
     "kirchhoff_stencil_nd",
     "kirchhoff_fluxes_nd",
     "kirchhoff_div_nd",
+    "strain_rates_nd",
+    "stress_divergence_nd",
+    "viscous_rhs_nd",
     "shear_heating_nd",
     "energy_explicit_nd",
-    "viscous_rhs_1d",
-    "viscous_banded_matrix_1d",
-    "shear_heating_1d",
     "steady_residual_1d",
-    "strain_rates_2d",
-    "stress_divergence_2d",
-    "viscous_rhs_2d",
-    "shear_heating_2d",
     "steady_residual_2d",
-    "column_viscosity",
 ]
 
 
@@ -225,11 +220,110 @@ def kirchhoff_div_nd(grid, transport, theta):
     return _divergence(grid, kirchhoff_fluxes_nd(grid, transport, theta))
 
 
+# ---------------------------------------------------------------------------
+# The viscous stress: the normal stress along the wall normal, the slab's x
+# and shear terms in front
+# ---------------------------------------------------------------------------
+
+
+def _corner_mu(grid: Grid2D, transport, mu_c):
+    """mu at x-face/z-face crossings, shape (..., nx, nz+1), averaged from
+    mu_c at the centers; the wall rows read the closure at theta_B."""
+    mu = np.empty(mu_c.shape[:-1] + (grid.nz + 1,))
+    mu[..., 1:-1] = 0.25 * (
+        mu_c[..., :-1] + mu_c[..., 1:] + _west(mu_c)[..., :-1] + _west(mu_c)[..., 1:]
+    )
+    walls = np.stack([grid.wall_theta("bottom"), grid.wall_theta("top")], axis=1)
+    mu[..., [0, -1]] = thermo.viscosities(transport, 0.5 * (walls + _west(walls)))[0]
+    return mu
+
+
+def strain_rates_nd(grid, vel):
+    """The strain rates of the velocity components, wall-normal last: w_z at
+    the centers, with the slab's u_x at the centers and u_z, w_x at the
+    x-face/z-face crossings in front, (u_x, u_z, w_x, w_z).
+
+    At the walls u_z reflects u across the no-slip wall (ghost value -u).
+    Leading axes of the components (a stack of fields) are carried through.
+    """
+    w, dz = vel[-1], grid.dz
+    dwdz = (w[..., 1:] - w[..., :-1]) / dz
+    if len(vel) == 1:
+        return (dwdz,)
+    u = vel[0]
+    dudz = np.empty(u.shape[:-1] + (u.shape[-1] + 1,))
+    dudz[..., 1:-1] = (u[..., 1:] - u[..., :-1]) / dz
+    dudz[..., 0] = 2.0 * u[..., 0] / dz
+    dudz[..., -1] = -2.0 * u[..., -1] / dz
+    return (_east(u) - u) / grid.dx, dudz, (w - _west(w)) / grid.dx, dwdz
+
+
+def _strain_divergence(strains):
+    """div u from ``strain_rates_nd``: w_z, the slab's u_x in front."""
+    return strains[-1] if len(strains) == 1 else strains[0] + strains[-1]
+
+
+def stress_divergence_nd(grid, transport, theta, strains):
+    """The Newtonian stress divergence at the velocity nodes, from the
+    ``strain_rates_nd`` of the velocity: the closure (mu and eta at the
+    centers, the slab's mu at the corners) and the stress, linear in the
+    strains.  One array per component, the wall-normal one at every face,
+    zero at the walls.
+
+    The strains may be stacks along leading axes; the viscosities are read
+    from ``theta`` once and serve every field.
+    """
+    mu_c, eta_c = thermo.viscosities(transport, theta)
+    return _stress_divergence_nd(grid, transport, mu_c, eta_c, strains, _strain_divergence(strains))
+
+
+def _stress_divergence_nd(grid, transport, mu_c, eta_c, strains, div):
+    """``stress_divergence_nd`` from mu and eta at the centers and div u: the
+    normal stress szz = 2 mu w_z + (eta - 2 mu / 3) div u differenced along
+    the wall normal, and on the slab sxx and the shear stress sxz in front."""
+    dz = grid.dz
+    lam_c = eta_c - 2.0 / 3.0 * mu_c
+    szz = 2.0 * mu_c * strains[-1] + lam_c * div
+    vz = np.zeros(szz.shape[:-1] + (szz.shape[-1] + 1,))
+    vz[..., 1:-1] = (szz[..., 1:] - szz[..., :-1]) / dz
+    if len(strains) == 1:
+        return (vz,)
+    dx = grid.dx
+    dudx, dudz, dwdx, _ = strains
+    sxx = 2.0 * mu_c * dudx + lam_c * div
+    sxz = _corner_mu(grid, transport, mu_c) * (dudz + dwdx)
+    vx = (sxx - _west(sxx)) / dx + (sxz[..., 1:] - sxz[..., :-1]) / dz
+    vz[..., 1:-1] = (_east(sxz) - sxz)[..., 1:-1] / dx + vz[..., 1:-1]
+    return vx, vz
+
+
+def viscous_rhs_nd(grid, transport, theta, vel):
+    """``stress_divergence_nd`` of the strain rates of the components ``vel``."""
+    return stress_divergence_nd(grid, transport, theta, strain_rates_nd(grid, vel))
+
+
 def shear_heating_nd(grid, transport, theta, vel):
-    """S(theta, Du) : Du at centers: the column's longitudinal form on
-    ``(u,)``, the slab's full stress on ``(u, w)``."""
-    heating = shear_heating_1d if len(vel) == 1 else shear_heating_2d
-    return heating(grid, transport, theta, *vel)
+    """S(theta, Du) : Du at the centers; nonnegative by construction."""
+    mu_c, eta_c = thermo.viscosities(transport, theta)
+    strains = strain_rates_nd(grid, vel)
+    return _shear_heating_nd(mu_c, eta_c, strains, _strain_divergence(strains))
+
+
+def _shear_heating_nd(mu_c, eta_c, strains, div):
+    """``shear_heating_nd`` from mu and eta at the centers, the strain rates
+    and div u: 2 mu |D|^2 - (2/3) mu div^2 + eta div^2, |D|^2 the square of
+    w_z with the slab's u_x^2 in front and its 2 D_xz^2, averaged from the
+    corners, behind."""
+    sq = strains[-1] ** 2
+    if len(strains) > 1:
+        dudx, dudz, dwdx, _ = strains
+        dxz_sq = (0.5 * (dudz + dwdx)) ** 2
+        dxz_sq_c = 0.25 * (
+            (dxz_sq + _east(dxz_sq))[..., :-1] + (dxz_sq + _east(dxz_sq))[..., 1:]
+        )
+        sq = dudx**2 + sq + 2.0 * dxz_sq_c
+    div_sq = div**2
+    return 2.0 * mu_c * sq - 2.0 / 3.0 * mu_c * div_sq + eta_c * div_sq
 
 
 def energy_explicit_nd(grid, gas, transport, rho_pressure, theta, evol, vel, vel_source, scheme="upwind", *, p=None):
@@ -270,157 +364,22 @@ def _steady_residual(grid, gas, transport, G, rho, theta, vel):
 
 def _steady_sources(grid, gas, transport, rho, theta, vel, p):
     """(viscous, energy): the stress divergence of every velocity component
-    at its interior nodes (``viscous_rhs_*``) and the energy residual, its
-    shear heating (``shear_heating_*``) and pressure work sharing mu, eta,
+    at its interior nodes (``viscous_rhs_nd``) and the energy residual, its
+    shear heating (``shear_heating_nd``) and pressure work sharing mu, eta,
     the strain rates and div u; the energy's temporaries end with this
     call, before the momentum's begin."""
     mu, eta = thermo._viscosities_raw(transport, theta)
-    if len(vel) == 1:
-        (u,), nu = vel, _column_viscosity(mu, eta)
-        div = (u[..., 1:] - u[..., :-1]) / grid.dx
-        viscous, heat = (_viscous_1d(grid, nu, u),), nu * div**2
-    else:
-        strains = strain_rates_2d(grid, *vel)
-        div = strains[0] + strains[1]
-        vx, vz = _stress_divergence_2d(grid, transport, mu, eta, strains, div)
-        viscous, heat = (vx, vz[..., 1:-1]), _shear_heating_2d(mu, eta, strains, div)
+    strains = strain_rates_nd(grid, vel)
+    div = _strain_divergence(strains)
+    *viscous, vz = _stress_divergence_nd(grid, transport, mu, eta, strains, div)
+    heat = _shear_heating_nd(mu, eta, strains, div)
     conv_e = _divergence(grid, _mass_fluxes(rho * thermo._internal_energy_raw(gas, rho, theta), vel))
-    return viscous, conv_e - kirchhoff_div_nd(grid, transport, theta) - heat + p * div
-
-
-# ---------------------------------------------------------------------------
-# 1-D column: the longitudinal stress
-# ---------------------------------------------------------------------------
-
-
-def column_viscosity(transport, theta):
-    """(4/3) mu + eta: the 1-D longitudinal viscous coefficient."""
-    return _column_viscosity(*thermo.viscosities(transport, theta))
-
-
-def _column_viscosity(mu, eta):
-    return 4.0 / 3.0 * mu + eta
-
-
-def viscous_rhs_1d(grid, transport, theta, u):
-    """d/dx( ((4/3)mu + eta) du/dx ) at interior faces."""
-    return _viscous_1d(grid, column_viscosity(transport, theta), u)
-
-
-def _viscous_1d(grid, nu, u):
-    """``viscous_rhs_1d`` from the ``column_viscosity`` nu."""
-    stress = nu * (u[..., 1:] - u[..., :-1]) / grid.dx
-    return (stress[..., 1:] - stress[..., :-1]) / grid.dx
-
-
-def viscous_banded_matrix_1d(grid, transport, theta, rho_face, dt):
-    """Banded matrix of rho_face*u - dt * viscous(u) on interior faces.
-
-    Returns ``ab`` in scipy solve_banded (1, 1) layout.
-    """
-    n = grid.n
-    nu = column_viscosity(transport, theta)
-    lam = dt / grid.dx**2
-    diag = rho_face + lam * (nu[1:] + nu[:-1])
-    upper = np.zeros(n - 1)
-    lower = np.zeros(n - 1)
-    upper[1:] = -lam * nu[1:-1]
-    lower[:-1] = -lam * nu[1:-1]
-    return np.vstack([upper, diag, lower])
-
-
-def shear_heating_1d(grid, transport, theta, u):
-    """Viscous dissipation density ((4/3)mu + eta) (du/dx)^2 >= 0 at centers."""
-    divu = (u[..., 1:] - u[..., :-1]) / grid.dx
-    return column_viscosity(transport, theta) * divu**2
+    return (*viscous, vz[..., 1:-1]), conv_e - kirchhoff_div_nd(grid, transport, theta) - heat + p * div
 
 
 def steady_residual_1d(grid, gas, transport, G, rho, theta, u):
     """(continuity, momentum, energy) residuals of the semi-discrete system."""
     return _steady_residual(grid, gas, transport, G, rho, theta, (u,))
-
-
-# ---------------------------------------------------------------------------
-# 2-D slab: the full stress
-# ---------------------------------------------------------------------------
-
-
-def _corner_mu(grid: Grid2D, transport, mu_c):
-    """mu at x-face/z-face crossings, shape (..., nx, nz+1), averaged from
-    mu_c at the centers; the wall rows read the closure at theta_B."""
-    mu = np.empty(mu_c.shape[:-1] + (grid.nz + 1,))
-    mu[..., 1:-1] = 0.25 * (
-        mu_c[..., :-1] + mu_c[..., 1:] + _west(mu_c)[..., :-1] + _west(mu_c)[..., 1:]
-    )
-    walls = np.stack([grid.wall_theta("bottom"), grid.wall_theta("top")], axis=1)
-    mu[..., [0, -1]] = thermo.viscosities(transport, 0.5 * (walls + _west(walls)))[0]
-    return mu
-
-
-def strain_rates_2d(grid: Grid2D, u, w):
-    """(du/dx, dw/dz) at centers and (du/dz, dw/dx) at corners.
-
-    At the walls du/dz reflects u across the no-slip wall (ghost value -u).
-    Leading axes of ``u`` and ``w`` (a stack of fields) are carried through.
-    """
-    dz = grid.dz
-    dudz = np.empty(u.shape[:-1] + (grid.nz + 1,))
-    dudz[..., 1:-1] = (u[..., 1:] - u[..., :-1]) / dz
-    dudz[..., 0] = 2.0 * u[..., 0] / dz
-    dudz[..., -1] = -2.0 * u[..., -1] / dz
-    return (_east(u) - u) / grid.dx, (w[..., 1:] - w[..., :-1]) / dz, dudz, (w - _west(w)) / grid.dx
-
-
-def stress_divergence_2d(grid, transport, theta, strains):
-    """Full Newtonian stress divergence at the velocity nodes, from the
-    ``strain_rates_2d`` of (u, w): the closure (mu and eta at the centers,
-    mu at the corners) and the stress, linear in the strains.
-
-    The strains may be stacks along leading axes; the viscosities are read
-    from ``theta`` once and serve every field.
-    """
-    mu_c, eta_c = thermo.viscosities(transport, theta)
-    return _stress_divergence_2d(grid, transport, mu_c, eta_c, strains, strains[0] + strains[1])
-
-
-def _stress_divergence_2d(grid, transport, mu_c, eta_c, strains, div):
-    """``stress_divergence_2d`` from mu and eta at the centers and div u."""
-    dx, dz = grid.dx, grid.dz
-    lam_c = eta_c - 2.0 / 3.0 * mu_c
-    dudx, dwdz, dudz, dwdx = strains
-    sxx = 2.0 * mu_c * dudx + lam_c * div
-    szz = 2.0 * mu_c * dwdz + lam_c * div
-    sxz = _corner_mu(grid, transport, mu_c) * (dudz + dwdx)
-    vx = (sxx - _west(sxx)) / dx + (sxz[..., 1:] - sxz[..., :-1]) / dz
-    vz = np.zeros(dwdx.shape)
-    vz[..., 1:-1] = (_east(sxz) - sxz)[..., 1:-1] / dx + (szz[..., 1:] - szz[..., :-1]) / dz
-    return vx, vz
-
-
-def viscous_rhs_2d(grid, transport, theta, u, w):
-    """``stress_divergence_2d`` of the strain rates of ``u`` and ``w``."""
-    return stress_divergence_2d(grid, transport, theta, strain_rates_2d(grid, u, w))
-
-
-def shear_heating_2d(grid, transport, theta, u, w):
-    """S(theta, Du) : Du at centers; nonnegative by construction."""
-    mu_c, eta_c = thermo.viscosities(transport, theta)
-    strains = strain_rates_2d(grid, u, w)
-    return _shear_heating_2d(mu_c, eta_c, strains, strains[0] + strains[1])
-
-
-def _shear_heating_2d(mu_c, eta_c, strains, div):
-    """``shear_heating_2d`` from mu and eta at the centers, the strain rates and div u."""
-    dudx, dwdz, dudz, dwdx = strains
-    dxz_sq = (0.5 * (dudz + dwdx)) ** 2
-    dxz_sq_c = 0.25 * (
-        (dxz_sq + _east(dxz_sq))[..., :-1] + (dxz_sq + _east(dxz_sq))[..., 1:]
-    )
-    return (
-        2.0 * mu_c * (dudx**2 + dwdz**2 + 2.0 * dxz_sq_c)
-        - 2.0 / 3.0 * mu_c * div**2
-        + eta_c * div**2
-    )
 
 
 def steady_residual_2d(grid, gas, transport, G, rho, theta, u, w):

@@ -8,14 +8,14 @@ of ``operators`` on the velocity components and comprises, in order:
 (ii)  momentum update: upwinded convection, central pressure gradient
       evaluated at the updated density (keeps the acoustic coupling neutrally
       stable), potential force, and a backward-Euler solve for the viscous
-      stress with viscosities frozen at theta^n: the column's banded
-      (4/3)mu + eta operator in 1-D, and in 2-D one coupled solve for (u, w)
-      under the full stress, its matrix one ``stress_divergence_2d`` call on
-      the kept strains of the velocity probes.  The stress is dissipative, so
-      that matrix diag(rho_face) - dt div S is symmetric positive definite,
-      a band of half-width 2 nx with the lattice nodes x-fastest; it is
-      solved on the band-Cholesky factors ``SlabLU`` keeps, refined against
-      the assembled matrix,
+      stress with viscosities frozen at theta^n, its matrix
+      diag(rho_face) - dt div S one ``stress_divergence_nd`` call on the kept
+      strains of the velocity probes.  On the column it is tridiagonal and
+      solved afresh every step (``solve_banded``).  On the slab it is one
+      coupled solve for (u, w); the stress is dissipative, so the matrix is
+      symmetric positive definite, a band of half-width 2 nx with the
+      lattice nodes x-fastest; it is solved on the band-Cholesky factors
+      ``SlabLU`` keeps, refined against the assembled matrix,
 (iii) internal-energy stage: rho*e is advanced by the explicit tendencies of
       ``operators.energy_explicit_nd`` (upwind transport of rho*e and the
       sources S:Du - p div u at half-step velocities), the very function the
@@ -34,12 +34,14 @@ of ``operators`` on the velocity components and comprises, in order:
 (iv)  boundary enforcement (no-slip walls, Dirichlet temperature traces).
 
 The velocity matrix and L are read off their stencils by ``probing``: the
-stencil's offset table, read on a 5x5 probe slab (``_stencil_table``),
-gives a ``probing.Plan`` (``_linear_plan``), whose pattern is the
-stencil's own, without stored zeros; each grid shape and spacing builds
-its plans once per process (``probing.shared``).  A step's velocity
-matrix is then one stress-divergence call on the probes' kept strains and
-one gather.  Both slab matrices are laid out as lower bands by
+stencil's offset table, read on a 5x5 probe slab or, for the column's
+velocity, a probe column (``_stencil_table``), gives a ``probing.Plan``
+(``_linear_plan``), whose pattern is the stencil's own, without stored
+zeros; each grid shape and spacing builds its plans once per process
+(``probing.shared``).  A step's velocity matrix is then one
+stress-divergence call on the probes' kept strains and one gather.  The
+column's matrices go straight into solve_banded's three bands.  Both
+slab matrices are laid out as lower bands by
 ``_band_map``, once per grid, and go through one pair: ``_band_factors``,
 LAPACK's band Cholesky (``dpbtrf``; Golub & Van Loan, Matrix Computations,
 sec. 4.3), and ``_band_direction``.  Between steps a matrix moves by 1e-4
@@ -67,7 +69,7 @@ from scipy.sparse.linalg import splu  # noqa: F401 (perfbench's tracer times sim
 
 from . import operators as ops
 from . import probing, thermo
-from .grids import FluidState, Grid2D, StepControl
+from .grids import FluidState, Grid1D, Grid2D, StepControl
 from .stationary import _CHORD_CUT, refine, solve_banded
 
 __all__ = [
@@ -98,20 +100,20 @@ class ImplicitSolveError(RuntimeError):
 def cfl_dt(state: FluidState, control: StepControl, gas) -> float:
     """Acoustic CFL estimate, clamped to [dt_min, dt_max].
 
-    dt = cfl_target * min over cells of dx / (|u| + c_s) with the adiabatic
-    sound speed from the thermodynamic partials.  The viscous stress is
-    implicit in both dimensions, so it sets no bound.
+    dt = cfl_target * min over cells of 1 / rate, the rate the sum over the
+    velocity components of (max |v| on the cell's two faces + c_s) / h: the
+    wall-normal term, the slab's x term in front, with the adiabatic sound
+    speed from the thermodynamic partials.  The viscous stress is implicit
+    in both dimensions, so it sets no bound.
     """
     g = state.grid
     cs = thermo.sound_speed(gas, state.rho, state.theta)
-    if g.dimension == 1:
-        speed = np.maximum(np.abs(state.u[:-1]), np.abs(state.u[1:])) + cs
-        dt = control.cfl_target * float(np.min(g.dx / speed))
-    else:
-        ux = np.maximum(np.abs(state.u), np.abs(np.roll(state.u, -1, axis=0)))
-        wz = np.maximum(np.abs(state.w[:, :-1]), np.abs(state.w[:, 1:]))
-        rate = (ux + cs) / g.dx + (wz + cs) / g.dz
-        dt = control.cfl_target * float(np.min(1.0 / rate))
+    w = np.abs(state.velocity[-1])
+    rate = (np.maximum(w[..., :-1], w[..., 1:]) + cs) / g.dz
+    if g.dimension == 2:
+        u = np.abs(state.u)
+        rate = (np.maximum(u, ops._east(u)) + cs) / g.dx + rate
+    dt = control.cfl_target * float(np.min(1.0 / rate))
     return float(np.clip(dt, control.dt_min, control.dt_max))
 
 
@@ -281,16 +283,14 @@ def _heat_band(gas, transport, rho, theta, dt, operator):
     return ab, place, kappa
 
 
-def _implicit_heat(grid, gas, transport, rho, e_star, theta0, dt, solver=None):
+def _implicit_heat(grid, gas, transport, rho, e_star, theta0, dt, solver):
     """Newton in theta for rho*e(rho, theta) - dt * div H(theta) = e_star,
     with the plates' K read once per solve.
 
     The column takes exact banded Newton steps until |r| <= _HEAT_TOL scale.
     On the slab div H goes through the kept L (``_heat_divergence``), and
-    ``_chord_heat`` takes chord steps on the SPD factors ``solver`` keeps (a
-    fresh ``SlabLU`` when none is given)."""
-    if solver is None:
-        solver = SlabLU()
+    ``_chord_heat`` takes chord steps on the SPD factors ``solver`` keeps;
+    on both, ``solver`` counts the positivity backtracks."""
     operator = _heat_operator(grid)
     plates = [thermo.conductivity_primitive(transport, grid.wall_theta(w)) for w in ("bottom", "top")]
     divergence = _heat_divergence(grid, operator, plates) if grid.dimension == 2 else (
@@ -361,13 +361,6 @@ def _chord_heat(residual, band, place, theta0, tol, solver):
 # ---------------------------------------------------------------------------
 
 
-def _solve_velocity_1d(grid, transport, theta, rho_face, m_star, dt):
-    ab = ops.viscous_banded_matrix_1d(grid, transport, theta, rho_face, dt)
-    u = np.zeros(grid.n + 1)
-    u[1:-1] = solve_banded(ab, m_star)
-    return u
-
-
 def _interleave(u, w):
     """u (..., nx, nz) and w (..., nx, nz+1) on one lattice of half z-spacings,
     shape (..., nx, 2nz+1): w of face k at s = 2k, u of cell k at s = 2k+1."""
@@ -378,45 +371,73 @@ def _interleave(u, w):
 
 
 @functools.cache
-def _velocity_table():
-    """The offset table of ``ops.viscous_rhs_2d`` on a 5x5 slab at a random
-    theta."""
-    probe, transport = Grid2D(nx=5, nz=5), thermo.TransportModel(eta0=0.5)
-    theta = 0.5 + np.random.default_rng(0).random((5, 5))
+def _velocity_table(dimension):
+    """The offset table of ``ops.viscous_rhs_nd`` at a random theta, on a
+    column of 6 cells (its 5 interior faces) or on a 5x5 slab (u and w
+    interleaved, ``_interleave``)."""
+    transport, rng = thermo.TransportModel(eta0=0.5), np.random.default_rng(0)
+    if dimension == 1:
+        probe, theta = Grid1D(n=6), 0.5 + rng.random(6)
+        return _stencil_table((1, 5), 1, 1, lambda v: ops.viscous_rhs_nd(probe, transport, theta, (v,))[0])
+    probe, theta = Grid2D(nx=5, nz=5), 0.5 + rng.random((5, 5))
 
     def response(v):
-        return _interleave(*ops.viscous_rhs_2d(probe, transport, theta, v[..., 1::2], v[..., ::2]))
+        return _interleave(*ops.viscous_rhs_nd(probe, transport, theta, (v[..., 1::2], v[..., ::2])))
 
     return _stencil_table((5, 9), 2, 1, response)
 
 
 @probing.shared(_grid_key)
 def _velocity_operator(grid):
-    """The ``_linear_plan`` of u and the interior w, interleaved along z off
-    the walls, the ``strain_rates_2d`` of its probes and its ``_band_map``:
+    """The ``_linear_plan`` of the velocity nodes off the walls, the
+    ``strain_rates_nd`` of its probes and where its entries go.  On the
+    column, the interior faces, and the place in the probes' response of
+    every entry of solve_banded's (1, 1) bands, flattened: entry (i, j) of
+    the tridiagonal matrix at row 1 + i - j, column j, and the two corners
+    outside the matrix at a wall face, where every response is 0.  On the
+    slab, u and the interior w interleaved along z, and its ``_band_map``:
     x-fastest, the matrix is a band of half-width 2 nx, the wrap included."""
-    plan = _linear_plan((grid.nx, 2 * grid.nz - 1), 2, 1, _velocity_table())
+    if grid.dimension == 1:
+        plan, n = _linear_plan((1, grid.n - 1), 1, 1, _velocity_table(1)), grid.n - 1
+        at = np.zeros(3 * n, dtype=plan.gather.dtype)
+        at[(1 + plan.indices - plan.cols) * n + plan.cols] = plan.gather
+        return plan, ops.strain_rates_nd(grid, (plan.probes(np.zeros(plan.size)),)), at
+    plan = _linear_plan((grid.nx, 2 * grid.nz - 1), 2, 1, _velocity_table(2))
     probes = plan.probes(np.zeros(plan.size)).reshape(-1, grid.nx, 2 * grid.nz + 1)
-    return plan, ops.strain_rates_2d(grid, probes[..., 1::2], probes[..., ::2]), _band_map(plan, grid.nx)
+    return plan, ops.strain_rates_nd(grid, (probes[..., 1::2], probes[..., ::2])), _band_map(plan, grid.nx)
+
+
+def _column_velocity_band(grid, transport, theta, rho_face, dt):
+    """rho_face*w - dt*viscous_rhs_nd(theta, w) over the column's interior
+    faces in solve_banded's (1, 1) bands: one ``stress_divergence_nd`` call
+    on the kept probe strains of ``_velocity_operator``."""
+    _, strains, at = _velocity_operator(grid)
+    band = -dt * ops.stress_divergence_nd(grid, transport, theta, strains)[0].ravel()[at].reshape(3, -1)
+    band[1] += rho_face
+    return band
+
+
+def _solve_velocity_1d(grid, transport, theta, rho_face, m_star, dt):
+    """Backward-Euler solve of rho_face*w - dt*div S(theta, w) = m* on the column."""
+    w = np.zeros(grid.n + 1)
+    w[1:-1] = solve_banded(_column_velocity_band(grid, transport, theta, rho_face, dt), m_star)
+    return w
 
 
 def _velocity_matrix(grid, transport, theta, rho, dt):
-    """rho_face*v - dt*viscous_rhs_2d(theta, v) over the lattice nodes off
-    the walls: one ``stress_divergence_2d`` call on the kept probe strains
-    of ``_velocity_operator``."""
+    """rho_face*v - dt*viscous_rhs_nd(theta, v) over the slab's lattice
+    nodes off the walls: one ``stress_divergence_nd`` call on the kept probe
+    strains of ``_velocity_operator``."""
     plan, strains, _ = _velocity_operator(grid)
     rbu, rbw = ops._face_densities(rho, 2)
-    data = -dt * _interleave(*ops.stress_divergence_2d(grid, transport, theta, strains)).ravel()[plan.gather]
+    data = -dt * _interleave(*ops.stress_divergence_nd(grid, transport, theta, strains)).ravel()[plan.gather]
     data[plan.diagonal] += _interleave(rbu, np.pad(rbw, ((0, 0), (1, 1))))[:, 1:-1].ravel()
     return plan.matrix(data)
 
 
-def _solve_velocity_2d(grid, transport, theta, rho, m_star_u, m_star_w, dt, solver=None):
+def _solve_velocity_2d(grid, transport, theta, rho, m_star_u, m_star_w, dt, solver):
     """Backward-Euler solve of rho_face*v - dt*div S(theta, v) = m* for (u, w),
-    with the factors and the coupling ``solver`` keeps (a fresh ``SlabLU``
-    when none is given)."""
-    if solver is None:
-        solver = SlabLU()
+    with the factors and the coupling ``solver`` keeps."""
     a = _velocity_matrix(grid, transport, theta, rho, dt)
     v = _interleave(m_star_u, m_star_w)
     v[:, 1:-1] = solver.solve(a, v[:, 1:-1].ravel(), _velocity_operator(grid)[2]).reshape(grid.nx, -1)

@@ -18,8 +18,8 @@ def face_densities(rho):
 
 
 def momentum_operator(grid, transport, theta, rho, u, w, dt):
-    """rho_face*v - dt*viscous_rhs_2d(theta, v) at u and the interior w faces."""
-    vx, vz = ops.viscous_rhs_2d(grid, transport, theta, u, w)
+    """rho_face*v - dt*viscous_rhs_nd(theta, v) at u and the interior w faces."""
+    vx, vz = ops.viscous_rhs_nd(grid, transport, theta, (u, w))
     rbu, rbw = face_densities(rho)
     return rbu * u - dt * vx, (rbw * w[:, 1:-1] - dt * vz[:, 1:-1])
 
@@ -68,7 +68,7 @@ def coo_velocity_matrix(grid, transport, theta, rho, dt):
     n = nx * ns
     probes = np.zeros((n, nx, ns + 2))
     probes[..., 1:-1] = np.eye(n).reshape(n, nx, ns)
-    vx, vz = ops.viscous_rhs_2d(grid, transport, theta, probes[..., 1::2], probes[..., ::2])
+    vx, vz = ops.viscous_rhs_nd(grid, transport, theta, (probes[..., 1::2], probes[..., ::2]))
     response = sim._interleave(vx, vz)[..., 1:-1].reshape(n, -1)  # row j: the column of unknown j
     cols, rows = np.nonzero(response)
     rbu, rbw = face_densities(rho)
@@ -114,7 +114,7 @@ def test_velocity_matrix_from_a_kept_plan_is_the_coo_assembly(nx, nz, eta0, seed
 def test_velocity_solve_residual_contract(nx, nz, eta0, seed):
     grid, transport, rho, theta, m_u, m_w = random_slab(nx, nz, eta0, seed)
     dt = 0.05
-    u, w = sim._solve_velocity_2d(grid, transport, theta, rho, m_u, m_w, dt)
+    u, w = sim._solve_velocity_2d(grid, transport, theta, rho, m_u, m_w, dt, sim.SlabLU())
     assert np.all(w[:, [0, -1]] == 0.0)
     res_u, res_w = momentum_operator(grid, transport, theta, rho, u, w, dt)
     scale = max(float(np.max(np.abs(m_u))), float(np.max(np.abs(m_w))))

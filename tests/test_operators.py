@@ -6,7 +6,8 @@ J. Fluids Eng. 124, 2002).  Refining 16 -> 32 -> 64 cells must show a
 max-norm order of at least 1.9 for every stencil the stepper and the
 steady residuals share.  The last section pins the stencils the column and
 the slab share: an x-uniform slab with u = 0 reproduces the column's, bit
-for bit in every column, and steps like it to rounding.
+for bit in every column, the stress and the shear heating included, and
+steps like it to rounding.
 """
 
 import numpy as np
@@ -105,7 +106,7 @@ def test_viscous_rhs_2d_second_order():
     errors_u, errors_w = [], []
     for nz in RESOLUTIONS:
         grid, theta, u, w, _, (Xu, Zu), (Xw, Zw) = slab(nz)
-        vx, vz = ops.viscous_rhs_2d(grid, TR, theta, u, w)
+        vx, vz = ops.viscous_rhs_nd(grid, TR, theta, (u, w))
         errors_u.append(np.max(np.abs(vx - stress_divergence_2d(Xu, Zu)[0])))
         exact_w = stress_divergence_2d(Xw, Zw)[1]
         errors_w.append(np.max(np.abs(vz[:, 1:-1] - exact_w[:, 1:-1])))
@@ -126,7 +127,7 @@ def test_shear_heating_2d_second_order():
             2 * mu * (d["u_x"] ** 2 + d["w_z"] ** 2 + 2 * dxz**2)
             - 2.0 / 3.0 * mu * div**2 + eta * div**2
         )
-        errors.append(np.max(np.abs(ops.shear_heating_2d(grid, TR, theta, u, w) - exact)))
+        errors.append(np.max(np.abs(ops.shear_heating_nd(grid, TR, theta, (u, w)) - exact)))
     assert_second_order(errors)
 
 
@@ -179,7 +180,8 @@ def u_1d_derivatives(x):
     return u_x, u_xx
 
 
-NU0 = 4.0 / 3.0 * TR.mu0 + TR.eta0  # (4/3) mu + eta = NU0 * (1 + theta)
+# along one axis 2 mu + (eta - 2 mu / 3) = (4/3) mu + eta = NU0 * (1 + theta)
+NU0 = 4.0 / 3.0 * TR.mu0 + TR.eta0
 
 
 def test_viscous_rhs_1d_second_order():
@@ -190,7 +192,8 @@ def test_viscous_rhs_1d_second_order():
         th, th_x, _ = theta_1d_derivatives(x)
         u_x, u_xx = u_1d_derivatives(x)
         exact = NU0 * th_x * u_x + NU0 * (1 + th) * u_xx
-        errors.append(np.max(np.abs(ops.viscous_rhs_1d(grid, TR, theta, u) - exact)))
+        (numeric,) = ops.viscous_rhs_nd(grid, TR, theta, (u,))
+        errors.append(np.max(np.abs(numeric[1:-1] - exact)))
     assert_second_order(errors)
 
 
@@ -202,7 +205,7 @@ def test_shear_heating_1d_second_order():
         th, _, _ = theta_1d_derivatives(x)
         u_x, _ = u_1d_derivatives(x)
         exact = NU0 * (1 + th) * u_x**2
-        errors.append(np.max(np.abs(ops.shear_heating_1d(grid, TR, theta, u) - exact)))
+        errors.append(np.max(np.abs(ops.shear_heating_nd(grid, TR, theta, (u,)) - exact)))
     assert_second_order(errors)
 
 
@@ -256,21 +259,23 @@ def test_x_uniform_slab_reproduces_the_column_stencils_bit_for_bit(n):
                 "momentum": ops.momentum_explicit_nd(grid, gas, G, 0.9 * rho, theta, rho, vel)[-1],
                 "energy": ops.energy_explicit_nd(grid, gas, TR, 0.9 * rho, theta, evol, vel, vel),
                 "heat": ops.kirchhoff_div_nd(grid, TR, theta),
+                "stress": ops.viscous_rhs_nd(grid, TR, theta, vel)[-1],
             }
         )
     on_column, on_slab = results
     assert_every_column_equal(on_slab["mass"], on_column["mass"])
     for slab_part, column_part in zip(on_slab["momentum"], on_column["momentum"]):  # conv, grad p, grav
         assert_every_column_equal(slab_part, column_part)
-    (slab_conv_e, _, slab_work), (conv_e, _, work) = on_slab["energy"], on_column["energy"]
-    assert_every_column_equal(slab_conv_e, conv_e)  # the shear heating differs in arithmetic
-    assert_every_column_equal(slab_work, work)
+    for slab_part, column_part in zip(on_slab["energy"], on_column["energy"]):  # conv_e, shear heating, work
+        assert_every_column_equal(slab_part, column_part)
     assert_every_column_equal(on_slab["heat"], on_column["heat"])
+    assert_every_column_equal(on_slab["stress"], on_column["stress"])
 
 
 def test_x_uniform_slab_steps_like_the_column():
-    # the slab's full stress rounds differently from the column's (4/3)mu + eta,
-    # so the steps agree to rounding, not bit for bit
+    # the stencils agree bit for bit (above), but the slab's band Cholesky
+    # rounds differently from the column's tridiagonal solves, so the steps
+    # agree to rounding
     gas = GasModel()
     (c_grid, rho, theta, (w,), G), (s_grid, rho_s, theta_s, (u_s, w_s), G_s) = column_and_slab(24, 3)
     c_state = FluidState(grid=c_grid, t=0.0, rho=rho, theta=theta, u=w)
@@ -305,11 +310,8 @@ def random_state(grid, rng, stack=()):
 def steady_residual_of_public_stencils(grid, gas, G, rho, theta, vel):
     """(continuity, *momentum, energy) composed from the public stencils,
     nothing shared between them."""
-    if grid.dimension == 1:
-        viscous = (ops.viscous_rhs_1d(grid, TR, theta, *vel),)
-    else:
-        vx, vz = ops.viscous_rhs_2d(grid, TR, theta, *vel)
-        viscous = (vx, vz[..., 1:-1])
+    *viscous, vz = ops.viscous_rhs_nd(grid, TR, theta, vel)
+    viscous = (*viscous, vz[..., 1:-1])
     tendencies = ops.momentum_explicit_nd(grid, gas, G, rho, theta, rho, vel)
     mom = [conv + dp - grav - v for (conv, dp, grav), v in zip(tendencies, viscous)]
     evol = rho * internal_energy(gas, rho, theta)

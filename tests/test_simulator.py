@@ -192,7 +192,7 @@ def test_implicit_heat_solve_residual_contract():
     theta = 1.0 + 0.3 * rng.random(n)
     e_star = rho * internal_energy(GAS, rho, theta) * (1.0 + 0.05 * rng.standard_normal(n))
     dt = 1e-3
-    theta_new = sim._implicit_heat(grid, GAS, TR, rho, e_star, theta, dt)
+    theta_new = sim._implicit_heat(grid, GAS, TR, rho, e_star, theta, dt, sim.SlabLU())
     resid = rho * internal_energy(GAS, rho, theta_new) - dt * ops.kirchhoff_div_nd(
         grid, TR, theta_new
     ) - e_star
@@ -225,7 +225,7 @@ def test_implicit_heat_positivity_floor_fails_at_once(dimension, monkeypatch):
     monkeypatch.setattr(sim, "solve_banded", lambda ab, rhs: runaway(rhs))
     monkeypatch.setattr(sim, "dpbtrs", runaway_band_solve)
     with pytest.raises(ImplicitSolveError, match="positivity backtrack"):
-        sim._implicit_heat(grid, GAS, TR, rho, e_star, theta, 1e-3)
+        sim._implicit_heat(grid, GAS, TR, rho, e_star, theta, 1e-3, sim.SlabLU())
     assert len(solves) == 1
 
 
@@ -278,11 +278,12 @@ def test_heat_jacobian_matches_finite_difference_oracle(dimension):
     seed=hst.integers(0, 2**32 - 1),
 )
 def test_column_viscous_band_is_the_jacobian_of_its_stencil(n, theta_low, theta_spread, eta0, dt, seed):
-    # the column's hand-banded implicit viscous matrix against the central
-    # differences of rho_face*u - dt*viscous_rhs_1d(u) on the interior faces.
-    # The map is linear, so the differences miss it only by the rounding of
-    # its values, |F| <= 3 max|A| (max|u| + h), over 2h: 8 eps of that scale
-    # (the first build read at most 1.7 eps over 3000 random columns)
+    # the column's implicit viscous bands, read off the stress stencil by its
+    # probes, against the central differences of
+    # rho_face*u - dt*viscous_rhs_nd(u) on the interior faces.  The map is
+    # linear, so the differences miss it only by the rounding of its values,
+    # |F| <= 3 max|A| (max|u| + h), over 2h: 8 eps of that scale (the
+    # probed bands read at most 1.8 eps over 3000 random columns)
     rng = np.random.default_rng(seed)
     grid, transport = Grid1D(n=n), TransportModel(eta0=eta0)
     theta = theta_low + theta_spread * rng.random(n)
@@ -290,11 +291,11 @@ def test_column_viscous_band_is_the_jacobian_of_its_stencil(n, theta_low, theta_
     u = rng.standard_normal(n - 1)
 
     def residual(v):
-        return rho_face * v - dt * ops.viscous_rhs_1d(grid, transport, theta, np.pad(v, 1))
+        return rho_face * v - dt * ops.viscous_rhs_nd(grid, transport, theta, (np.pad(v, 1),))[0][1:-1]
 
     h = 1e-3
     fd = np.stack([(residual(u + h * e) - residual(u - h * e)) / (2.0 * h) for e in np.eye(n - 1)], axis=1)
-    ab = ops.viscous_banded_matrix_1d(grid, transport, theta, rho_face, dt)  # solve_banded (1, 1) layout
+    ab = sim._column_velocity_band(grid, transport, theta, rho_face, dt)  # solve_banded (1, 1) layout
     band = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
     scale = np.max(np.abs(band)) * (np.max(np.abs(u)) + h) / h
     assert np.max(np.abs(band - fd)) <= 8.0 * np.finfo(float).eps * scale
@@ -383,7 +384,7 @@ def full_table_pattern(table, unknowns, equations, nx):
 
 @functools.cache
 def offset_table(kind):
-    return {"velocity": sim._velocity_table, "heat": sim._heat_table}.get(kind, lambda: stationary._probe_table(2)[0])()
+    return {"velocity": lambda: sim._velocity_table(2), "heat": sim._heat_table}.get(kind, lambda: stationary._probe_table(2)[0])()
 
 
 @settings(max_examples=60, deadline=None)
@@ -417,7 +418,7 @@ def test_probe_colouring_keeps_rows_apart_with_few_colours():
     # probes than closed-form blocks of 3 and 4 columns over a box of the
     # stencil's reach took: the box's z span (5 velocity and 3 heat lattice
     # nodes) times nx up to 5, else 3 where 3 divides nx and 4 where not
-    for table, fields, nz, span in ((sim._velocity_table(), 2, 9, 5), (sim._heat_table(), 1, 6, 3)):
+    for table, fields, nz, span in ((sim._velocity_table(2), 2, 9, 5), (sim._heat_table(), 1, 6, 3)):
         for nx in range(1, 131):
             box = span * (nx if nx <= 5 else 3 if nx % 3 == 0 else 4)
             at = probing.lattice(nx, nz, fields)[0]
@@ -480,7 +481,7 @@ def test_one_solver_keeps_an_operator_per_slab_spacing(monkeypatch):
     solver = sim.SlabLU()
     residuals = []
 
-    def checked(grid, gas, transport, rho, e_star, theta0, dt, solver=None):
+    def checked(grid, gas, transport, rho, e_star, theta0, dt, solver):
         theta = implicit_heat(grid, gas, transport, rho, e_star, theta0, dt, solver)
         resid = thermo._volumetric_energy_raw(gas, rho, theta) - dt * ops.kirchhoff_div_nd(
             grid, transport, theta
@@ -591,7 +592,7 @@ def test_run_counts_heat_positivity_backtracks(monkeypatch):
     real_heat, real_solve = sim._implicit_heat, sim.solve_banded
     first = {}
 
-    def heat(grid, gas, transport, rho, e_star, theta0, dt, solver=None):
+    def heat(grid, gas, transport, rho, e_star, theta0, dt, solver):
         first.setdefault("theta0", theta0)
         return real_heat(grid, gas, transport, rho, e_star, theta0, dt, solver)
 
@@ -774,9 +775,9 @@ def test_viscous_rhs_2d_on_a_stack_equals_the_single_calls(nx, nz, stack, eta0, 
     theta = 0.5 + rng.random((nx, nz))
     u = rng.standard_normal((stack, nx, nz))
     w = rng.standard_normal((stack, nx, nz + 1))
-    vx, vz = ops.viscous_rhs_2d(grid, transport, theta, u, w)
+    vx, vz = ops.viscous_rhs_nd(grid, transport, theta, (u, w))
     for k in range(stack):
-        one_x, one_z = ops.viscous_rhs_2d(grid, transport, theta, u[k], w[k])
+        one_x, one_z = ops.viscous_rhs_nd(grid, transport, theta, (u[k], w[k]))
         assert np.array_equal(vx[k], one_x) and np.array_equal(vz[k], one_z)
 
 
@@ -786,7 +787,7 @@ def test_velocity_matrix_reads_the_stencil_and_the_closure_once(monkeypatch):
     # rows are the only closure reads
     grid = Grid2D(nx=32, nz=24, theta_bottom=1.05, theta_top=1.0)
     sim._velocity_operator(grid)
-    calls = {"stress_divergence_2d": 0, "strain_rates_2d": 0, "transport": 0}
+    calls = {"stress_divergence_nd": 0, "strain_rates_nd": 0, "transport": 0}
 
     def counted(owner, name):
         inner = getattr(owner, name)
@@ -797,14 +798,20 @@ def test_velocity_matrix_reads_the_stencil_and_the_closure_once(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    counted(ops, "stress_divergence_2d")
-    counted(ops, "strain_rates_2d")
+    counted(ops, "stress_divergence_nd")
+    counted(ops, "strain_rates_nd")
     counted(thermo, "transport")
     theta = np.full((grid.nx, grid.nz), 1.02)
     sim._velocity_matrix(grid, TR, theta, np.ones_like(theta), 1e-3)
-    assert calls["stress_divergence_2d"] == 1
-    assert calls["strain_rates_2d"] == 0
+    assert calls["stress_divergence_nd"] == 1
+    assert calls["strain_rates_nd"] == 0
     assert calls["transport"] <= 2
+    # the column's bands likewise
+    column = Grid1D(n=64, theta_bottom=1.05, theta_top=1.0)
+    sim._velocity_operator(column)
+    calls.update(dict.fromkeys(calls, 0))
+    sim._column_velocity_band(column, TR, np.full(64, 1.02), np.ones(63), 1e-3)
+    assert calls["stress_divergence_nd"] == 1 and calls["strain_rates_nd"] == 0
 
 
 @pytest.mark.parametrize("scheme", ["minmod", "no-such-scheme"])

@@ -68,7 +68,7 @@ def check_heat_solve(solver, grid, transport, rho, theta, dt, rng):
     e_star = heat_residual(grid, transport, rho, target, dt, 0.0)
     x = sim._implicit_heat(grid, GAS, transport, rho, e_star, theta, dt, solver)
     assert max_norm(heat_residual(grid, transport, rho, x, dt, e_star)) <= sim._HEAT_TOL * max(1.0, max_norm(e_star))
-    fresh = sim._implicit_heat(grid, GAS, transport, rho, e_star, theta, dt)
+    fresh = sim._implicit_heat(grid, GAS, transport, rho, e_star, theta, dt, sim.SlabLU())
     assert max_norm(x - fresh) <= 1e-13 * max_norm(fresh)
 
 

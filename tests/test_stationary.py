@@ -573,7 +573,7 @@ def test_colouring_is_first_fit_greedy(nx, nz, operator):
         offsets = stationary._probe_table(2)[0]
         unknowns = _Layout(Grid2D(nx=nx, nz=nz, theta_bottom=1.0, theta_top=1.0)).unknowns
     else:
-        offsets, unknowns = sim._velocity_table(), probing.lattice(nx, 2 * nz - 1, 2)[0]
+        offsets, unknowns = sim._velocity_table(2), probing.lattice(nx, 2 * nz - 1, 2)[0]
     n_fields = unknowns[0].max() + 1
     same = offsets[:, None, 0] == offsets[None, :, 0]
     reach, q = np.abs(offsets[:, None, 2:] - offsets[None, :, 2:])[same].max(axis=0) + [0, 1]
