@@ -33,9 +33,8 @@ cell (i, k), shape (nx, nz+1), wall rows pinned to zero.
 The stress is one too: the column's normal stress is the slab's own
 szz = 2 mu w_z + (eta - 2 mu / 3) div u, and its shear heating the slab's
 with the x and shear strains left out, so an x-uniform slab reproduces both
-bit for bit (a test pins this).  Per dimension stays only, in
-``simulator``, the layout of the implicit solves: tridiagonal on the column,
-band Cholesky on the slab, both matrices read off these stencils.
+bit for bit (a test pins this).  ``simulator`` reads its implicit matrices
+off these stencils and lays them out as one lower band on both grids.
 
 Every stencil the steady residual uses also carries leading stack axes in
 front of the grid axes: fields of shape (K, n) or (K, nx, nz) are K states,

@@ -10,12 +10,12 @@ of ``operators`` on the velocity components and comprises, in order:
       stable), potential force, and a backward-Euler solve for the viscous
       stress with viscosities frozen at theta^n, its matrix
       diag(rho_face) - dt div S one ``stress_divergence_nd`` call on the kept
-      strains of the velocity probes.  On the column it is tridiagonal and
-      solved afresh every step (``solve_banded``).  On the slab it is one
-      coupled solve for (u, w); the stress is dissipative, so the matrix is
-      symmetric positive definite, a band of half-width 2 nx with the
-      lattice nodes x-fastest; it is solved on the band-Cholesky factors
-      ``SlabLU`` keeps, refined against the assembled matrix,
+      strains of the velocity probes, one solve for all components.  The
+      stress is dissipative, so the matrix is symmetric positive definite:
+      tridiagonal on the column, solved afresh; on the slab a band of
+      half-width 2 nx (u and w interleaved along z, the nodes x-fastest),
+      solved on the band-Cholesky factors ``SlabLU`` keeps and refined
+      against it,
 (iii) internal-energy stage: rho*e is advanced by the explicit tendencies of
       ``operators.energy_explicit_nd`` (upwind transport of rho*e and the
       sources S:Du - p div u at half-step velocities), the very function the
@@ -26,11 +26,10 @@ of ``operators`` on the velocity components and comprises, in order:
       so div H(theta) = L K(theta) + b, L the stencil probed once per grid
       and b the plates' term, and the Jacobian diag(rho c) - dt L diag(kappa)
       is S diag(kappa) with S = diag(rho c / kappa) - dt L symmetric positive
-      definite.  The column takes exact banded Newton steps.  The slab takes
-      chord steps on the band-Cholesky factors of S that ``SlabLU`` keeps
-      (S is a band of half-width nx with the cells x-fastest), refactors
-      where a step would not cut the residual tenfold, and stops at its
-      rounding floor (``_chord_heat``),
+      definite (a band of half-width nx on the slab), so Newton steps by
+      S^-1 r / kappa: exact on the column, chord steps on the factors of S
+      ``SlabLU`` keeps on the slab, refactored where a step would not cut
+      the residual tenfold, down to the rounding floor (``_chord_heat``),
 (iv)  boundary enforcement (no-slip walls, Dirichlet temperature traces).
 
 The velocity matrix and L are read off their stencils by ``probing``: the
@@ -39,16 +38,16 @@ velocity, a probe column (``_stencil_table``), gives a ``probing.Plan``
 (``_linear_plan``), whose pattern is the stencil's own, without stored
 zeros; each grid shape and spacing builds its plans once per process
 (``probing.shared``).  A step's velocity matrix is then one
-stress-divergence call on the probes' kept strains and one gather.  The
-column's matrices go straight into solve_banded's three bands.  Both
-slab matrices are laid out as lower bands by
-``_band_map``, once per grid, and go through one pair: ``_band_factors``,
-LAPACK's band Cholesky (``dpbtrf``; Golub & Van Loan, Matrix Computations,
-sec. 4.3), and ``_band_direction``.  Between steps a matrix moves by 1e-4
-to 2e-3 relative, so ``run`` keeps the factors for the whole run
-(``SlabLU``) and reaches every sample time and the horizon in equal steps
-(``_landing_dt``): no sliver step drops dt and makes the kept factors
-refactor.
+stress-divergence call on the probes' kept strains and one gather.  Both
+matrices are laid out as lower bands by ``_band_map``, once per grid, and
+one rule picks the solve (``_tridiagonal``): the column's tridiagonal
+bands are solved afresh by LAPACK's ``dptsv``, the slab's wider bands by
+one pair, ``_band_factors``, LAPACK's band Cholesky (``dpbtrf``; Golub &
+Van Loan, Matrix Computations, sec. 4.3), and ``_band_direction``.
+Between steps a matrix moves by 1e-4 to 2e-3 relative, so ``run`` keeps
+those factors for the whole run (``SlabLU``) and reaches every sample time
+and the horizon in equal steps (``_landing_dt``): no sliver step drops dt
+and makes the kept factors refactor.
 
 Negative density or temperature is never clamped: a failed step raises
 ``PositivityError`` and ``run`` retries with half the step, as it does
@@ -63,14 +62,15 @@ import time as _time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dptsv
 from scipy.sparse import coo_matrix  # noqa: F401 (perfbench's tracer times simulator.coo_matrix)
 from scipy.sparse.linalg import splu  # noqa: F401 (perfbench's tracer times simulator.splu)
 
 from . import operators as ops
 from . import probing, thermo
 from .grids import FluidState, Grid1D, Grid2D, StepControl
-from .stationary import _CHORD_CUT, refine, solve_banded
+from .stationary import _CHORD_CUT, refine
+from .stationary import solve_banded  # noqa: F401 (perfbench's tracer times simulator.solve_banded)
 
 __all__ = [
     "PositivityError",
@@ -182,25 +182,27 @@ def _heat_table():
     return _stencil_table((5, 5), 1, 0, lambda K: _kirchhoff_divergence(Grid2D(nx=5, nz=5), K))
 
 
+def _cells(grid):
+    """The grid's cells as an (nx, nz) lattice, the column a ring of one."""
+    return (1, grid.n) if grid.dimension == 1 else (grid.nx, grid.nz)
+
+
 def _grid_key(grid):
-    """What a slab plan or L depends on: the grid's shape and spacing."""
-    return (grid.dx, grid.dz) + ((grid.n,) if grid.dimension == 1 else (grid.nx, grid.nz))
+    """What a plan or L depends on: the grid's shape and spacing."""
+    return (grid.dx, grid.dz) + _cells(grid)
 
 
 @probing.shared(_grid_key)
 def _heat_operator(grid):
     """L, ``_kirchhoff_divergence`` read off through a ``_linear_plan``, its
-    bands and their order: div H(theta) has the Jacobian L diag(kappa).  On
-    the column the bands are L's three in solve_banded (1, 1) layout, entry j
-    in column j, and the order None; on the slab L's lower band, half-width
-    nx, and the cells' x-fastest numbers, the place of ``_band_map``."""
-    lattice = (1, grid.n) if grid.dimension == 1 else (grid.nx, grid.nz)
+    lower band and the cells' x-fastest numbers, the place of ``_band_map``:
+    div H(theta) has the Jacobian L diag(kappa).  The band's half-width is
+    nx on the slab and 1 on the column."""
+    lattice = _cells(grid)
     plan = _linear_plan(lattice, 1, 0, _heat_table())
     probes = plan.probes(np.zeros(plan.size)).reshape(-1, *lattice)
     L = plan.matrix(_kirchhoff_divergence(grid, probes).ravel()[plan.gather])
-    if grid.dimension == 1:
-        return np.stack([np.append(0.0, L.diagonal(1)), L.diagonal(), np.append(L.diagonal(-1), 0.0)]), L, None
-    band_map = _band_map(plan, grid.nx)
+    band_map = _band_map(plan, lattice[0])
     return _lower_band(L.data, band_map), L, band_map[3]
 
 
@@ -251,31 +253,37 @@ def _band_direction(factors, r):
     return x[place]
 
 
-def _heat_jacobian(grid, gas, transport, rho, theta, dt):
-    """The column's heat Jacobian diag(rho de/dtheta) - dt L diag(kappa) of
-    the residual rho*e - dt * div H(theta) in solve_banded (1, 1) layout, L
-    from ``_heat_operator``."""
-    kappa = thermo._conductivity_raw(transport, theta)
-    cap = thermo._volumetric_heat_capacity_raw(gas, rho, theta)
-    jac = -dt * _heat_operator(grid)[0] * kappa
-    jac[1] += cap
-    return jac
+def _tridiagonal(depth):
+    """Whether a band of ``depth`` rows (``_band_map``) is the column's, solved
+    afresh (``_tridiagonal_solve``) with exact heat-Newton steps, which cost
+    it less than chords; wider bands are solved on ``SlabLU``'s factors."""
+    return depth == 2
+
+
+def _tridiagonal_solve(ab, r):
+    """A^-1 r for the tridiagonal A of the lower band ``ab`` by LAPACK's ``dptsv``
+    (L D L^T); an A that is not positive definite raises ImplicitSolveError."""
+    *_, x, info = dptsv(ab[0], ab[1, :-1], r)
+    if info > 0:
+        raise ImplicitSolveError(f"implicit solve: the matrix is not positive definite at row {info}")
+    return x
 
 
 def _heat_divergence(grid, operator, plates):
-    """div H as a function of K on the slab: L K + b, L from ``_heat_operator``
-    (``operator``) and b the plates' term, the stencil's divergence at K = 0
-    with the plates' K values ``plates``.  The stencil is linear in (K,
-    K_bottom, K_top), so this is ``ops.kirchhoff_div_nd`` to rounding."""
-    L, b = operator[1], _kirchhoff_divergence(grid, np.zeros((grid.nx, grid.nz)), *plates)
+    """div H of K, the plates' K values ``plates``: the stencil on the column,
+    and on the slab (2.4x faster at 32x24) L K + b, L from ``_heat_operator``
+    (``operator``) and b the stencil at K = 0, equal to rounding."""
+    if grid.dimension == 1:
+        return lambda K: _kirchhoff_divergence(grid, K, *plates)
+    L, b = operator[1], _kirchhoff_divergence(grid, np.zeros(_cells(grid)), *plates)
     return lambda K: (L @ K.ravel()).reshape(K.shape) + b
 
 
 def _heat_band(gas, transport, rho, theta, dt, operator):
     """S = diag(rho de/dtheta / kappa) - dt L at theta as ``SlabLU.factor``
     takes it: its lower band, its order and kappa, L's band and order from
-    ``_heat_operator`` (``operator``).  The slab's heat Jacobian is
-    S diag(kappa), and S is symmetric positive definite."""
+    ``_heat_operator`` (``operator``).  The heat Jacobian is S diag(kappa),
+    and S is symmetric positive definite."""
     band, _, place = operator
     kappa = thermo._conductivity_raw(transport, theta).ravel()
     ab = -dt * band
@@ -287,30 +295,28 @@ def _implicit_heat(grid, gas, transport, rho, e_star, theta0, dt, solver):
     """Newton in theta for rho*e(rho, theta) - dt * div H(theta) = e_star,
     with the plates' K read once per solve.
 
-    The column takes exact banded Newton steps until |r| <= _HEAT_TOL scale.
-    On the slab div H goes through the kept L (``_heat_divergence``), and
-    ``_chord_heat`` takes chord steps on the SPD factors ``solver`` keeps;
-    on both, ``solver`` counts the positivity backtracks."""
+    Steps are S^-1 r / kappa (``_heat_band``): exact until |r| <= _HEAT_TOL
+    scale on a tridiagonal S (``_tridiagonal``), else ``_chord_heat``; div H
+    is ``_heat_divergence``; ``solver`` counts the positivity backtracks."""
     operator = _heat_operator(grid)
     plates = [thermo.conductivity_primitive(transport, grid.wall_theta(w)) for w in ("bottom", "top")]
-    divergence = _heat_divergence(grid, operator, plates) if grid.dimension == 2 else (
-        lambda K: _kirchhoff_divergence(grid, K, *plates))
+    divergence = _heat_divergence(grid, operator, plates)
 
     def residual(th):
         K = thermo.conductivity_primitive(transport, th)
         return thermo._volumetric_energy_raw(gas, rho, th) - dt * divergence(K) - e_star
 
     tol = _HEAT_TOL * max(1.0, float(np.max(np.abs(e_star))))
-    if grid.dimension == 2:
-        band = functools.partial(_heat_band, gas, transport, rho, dt=dt, operator=operator)
+    band = functools.partial(_heat_band, gas, transport, rho, dt=dt, operator=operator)
+    if not _tridiagonal(len(operator[0])):
         return _chord_heat(residual, band, operator[2], theta0, tol, solver)
     theta = theta0.copy()
     for _ in range(_HEAT_MAXITER):
         resid = residual(theta)
         if float(np.max(np.abs(resid))) <= tol:
             return theta
-        delta = solve_banded(_heat_jacobian(grid, gas, transport, rho, theta, dt), resid)
-        theta = _positive_newton_update(theta, delta, solver)
+        ab, _, kappa = band(theta)
+        theta = _positive_newton_update(theta, _tridiagonal_solve(ab, resid) / kappa, solver)
     raise ImplicitSolveError("implicit heat solve did not converge in 1-D")
 
 
@@ -361,88 +367,83 @@ def _chord_heat(residual, band, place, theta0, tol, solver):
 # ---------------------------------------------------------------------------
 
 
-def _interleave(u, w):
-    """u (..., nx, nz) and w (..., nx, nz+1) on one lattice of half z-spacings,
-    shape (..., nx, 2nz+1): w of face k at s = 2k, u of cell k at s = 2k+1."""
+def _interleave(*components):
+    """The velocity components on one lattice of half z-spacings: the
+    column's one is it; the slab's u (..., nx, nz) and w (..., nx, nz+1) give
+    (..., nx, 2nz+1), w of face k at s = 2k, u of cell k at s = 2k+1."""
+    if len(components) == 1:
+        return components[0]
+    u, w = components
     lattice = np.empty(u.shape[:-1] + (2 * u.shape[-1] + 1,))
     lattice[..., 1::2] = u
     lattice[..., ::2] = w
     return lattice
 
 
+def _components(lattice, count):
+    """The ``count`` velocity components ``_interleave`` put on ``lattice``:
+    the column's is the lattice, the slab's u and w are copied out of it."""
+    return (lattice,) if count == 1 else (lattice[..., 1::2].copy(), lattice[..., ::2].copy())
+
+
+def _pad_walls(a):
+    """``a`` at the interior wall-normal nodes, zero at the walls (``np.pad`` costs 10x)."""
+    padded = np.zeros(a.shape[:-1] + (a.shape[-1] + 2,))
+    padded[..., 1:-1] = a
+    return padded
+
+
 @functools.cache
 def _velocity_table(dimension):
     """The offset table of ``ops.viscous_rhs_nd`` at a random theta, on a
     column of 6 cells (its 5 interior faces) or on a 5x5 slab (u and w
-    interleaved, ``_interleave``)."""
+    interleaved)."""
     transport, rng = thermo.TransportModel(eta0=0.5), np.random.default_rng(0)
-    if dimension == 1:
-        probe, theta = Grid1D(n=6), 0.5 + rng.random(6)
-        return _stencil_table((1, 5), 1, 1, lambda v: ops.viscous_rhs_nd(probe, transport, theta, (v,))[0])
-    probe, theta = Grid2D(nx=5, nz=5), 0.5 + rng.random((5, 5))
+    probe, lattice = (Grid1D(n=6), (1, 5)) if dimension == 1 else (Grid2D(nx=5, nz=5), (5, 9))
+    theta = 0.5 + rng.random(_cells(probe))
 
     def response(v):
-        return _interleave(*ops.viscous_rhs_nd(probe, transport, theta, (v[..., 1::2], v[..., ::2])))
+        return _interleave(*ops.viscous_rhs_nd(probe, transport, theta, _components(v, dimension)))
 
-    return _stencil_table((5, 9), 2, 1, response)
+    return _stencil_table(lattice, dimension, 1, response)
 
 
 @probing.shared(_grid_key)
 def _velocity_operator(grid):
-    """The ``_linear_plan`` of the velocity nodes off the walls, the
-    ``strain_rates_nd`` of its probes and where its entries go.  On the
-    column, the interior faces, and the place in the probes' response of
-    every entry of solve_banded's (1, 1) bands, flattened: entry (i, j) of
-    the tridiagonal matrix at row 1 + i - j, column j, and the two corners
-    outside the matrix at a wall face, where every response is 0.  On the
-    slab, u and the interior w interleaved along z, and its ``_band_map``:
-    x-fastest, the matrix is a band of half-width 2 nx, the wrap included."""
-    if grid.dimension == 1:
-        plan, n = _linear_plan((1, grid.n - 1), 1, 1, _velocity_table(1)), grid.n - 1
-        at = np.zeros(3 * n, dtype=plan.gather.dtype)
-        at[(1 + plan.indices - plan.cols) * n + plan.cols] = plan.gather
-        return plan, ops.strain_rates_nd(grid, (plan.probes(np.zeros(plan.size)),)), at
-    plan = _linear_plan((grid.nx, 2 * grid.nz - 1), 2, 1, _velocity_table(2))
-    probes = plan.probes(np.zeros(plan.size)).reshape(-1, grid.nx, 2 * grid.nz + 1)
-    return plan, ops.strain_rates_nd(grid, (probes[..., 1::2], probes[..., ::2])), _band_map(plan, grid.nx)
+    """The ``_linear_plan`` of the velocity nodes off the walls, its
+    components interleaved along z, the ``strain_rates_nd`` of its probes
+    and its ``_band_map``: the matrix is tridiagonal on the column and,
+    x-fastest, a band of half-width 2 nx on the slab."""
+    (nx, cells), count = _cells(grid), grid.dimension
+    plan = _linear_plan((nx, count * cells - 1), count, 1, _velocity_table(count))
+    probes = plan.probes(np.zeros(plan.size)).reshape(-1, nx, count * cells + 1)
+    return plan, ops.strain_rates_nd(grid, _components(probes, count)), _band_map(plan, nx)
 
 
-def _column_velocity_band(grid, transport, theta, rho_face, dt):
-    """rho_face*w - dt*viscous_rhs_nd(theta, w) over the column's interior
-    faces in solve_banded's (1, 1) bands: one ``stress_divergence_nd`` call
-    on the kept probe strains of ``_velocity_operator``."""
-    _, strains, at = _velocity_operator(grid)
-    band = -dt * ops.stress_divergence_nd(grid, transport, theta, strains)[0].ravel()[at].reshape(3, -1)
-    band[1] += rho_face
-    return band
-
-
-def _solve_velocity_1d(grid, transport, theta, rho_face, m_star, dt):
-    """Backward-Euler solve of rho_face*w - dt*div S(theta, w) = m* on the column."""
-    w = np.zeros(grid.n + 1)
-    w[1:-1] = solve_banded(_column_velocity_band(grid, transport, theta, rho_face, dt), m_star)
-    return w
-
-
-def _velocity_matrix(grid, transport, theta, rho, dt):
-    """rho_face*v - dt*viscous_rhs_nd(theta, v) over the slab's lattice
-    nodes off the walls: one ``stress_divergence_nd`` call on the kept probe
-    strains of ``_velocity_operator``."""
+def _velocity_entries(grid, transport, theta, rho, dt):
+    """The stored entries of rho_face*v - dt*viscous_rhs_nd(theta, v) over
+    the velocity nodes off the walls, in the order of the plan of
+    ``_velocity_operator``: one ``stress_divergence_nd`` call on its kept
+    probe strains and one gather."""
     plan, strains, _ = _velocity_operator(grid)
-    rbu, rbw = ops._face_densities(rho, 2)
+    *faces, normal = ops._face_densities(rho, grid.dimension)
     data = -dt * _interleave(*ops.stress_divergence_nd(grid, transport, theta, strains)).ravel()[plan.gather]
-    data[plan.diagonal] += _interleave(rbu, np.pad(rbw, ((0, 0), (1, 1))))[:, 1:-1].ravel()
-    return plan.matrix(data)
+    data[plan.diagonal] += _interleave(*faces, _pad_walls(normal))[..., 1:-1].ravel()
+    return data
 
 
-def _solve_velocity_2d(grid, transport, theta, rho, m_star_u, m_star_w, dt, solver):
-    """Backward-Euler solve of rho_face*v - dt*div S(theta, v) = m* for (u, w),
-    with the factors and the coupling ``solver`` keeps."""
-    a = _velocity_matrix(grid, transport, theta, rho, dt)
-    v = _interleave(m_star_u, m_star_w)
-    v[:, 1:-1] = solver.solve(a, v[:, 1:-1].ravel(), _velocity_operator(grid)[2]).reshape(grid.nx, -1)
-    v[:, [0, -1]] = 0.0
-    return v[:, 1::2].copy(), v[:, ::2].copy()
+def _solve_velocity(grid, transport, theta, rho, m_star, dt, solver):
+    """Backward-Euler solve of rho_face*v - dt*div S(theta, v) = m* for all
+    components, m*'s wall-normal one at every face (walls unread): afresh if
+    tridiagonal (``_tridiagonal``), else on the factors ``solver`` keeps."""
+    plan, _, band_map = _velocity_operator(grid)
+    data = _velocity_entries(grid, transport, theta, rho, dt)
+    b = _interleave(*m_star)[..., 1:-1]
+    if _tridiagonal(band_map[2][0]):
+        x = _tridiagonal_solve(_lower_band(data, band_map), b.ravel())
+    else:
+        x = solver.solve(plan.matrix(data), b.ravel(), band_map)
+    return _components(_pad_walls(x.reshape(b.shape)), len(m_star))
 
 
 # ---------------------------------------------------------------------------
@@ -568,12 +569,8 @@ def step(
         rho_face * v - dt * (conv + dp - grav)
         for rho_face, v, (conv, dp, grav) in zip(ops._face_densities(rho, len(vel)), interior, tendencies)
     ]
-    if grid.dimension == 1:
-        rb1 = ops._face_densities(rho1, 1)[0]
-        vel_new = (_solve_velocity_1d(grid, transport, theta, rb1, *m_star, dt),)
-    else:
-        m_star[-1] = np.pad(m_star[-1], ((0, 0), (1, 1)))
-        vel_new = _solve_velocity_2d(grid, transport, theta, rho1, *m_star, dt, solver)
+    m_star[-1] = _pad_walls(m_star[-1])
+    vel_new = _solve_velocity(grid, transport, theta, rho1, m_star, dt, solver)
 
     # stage (iii): rho*e advanced explicitly, checked against the zero-point
     # floor, inverted for theta, which seeds the implicit heat conduction

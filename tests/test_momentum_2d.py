@@ -37,6 +37,11 @@ def random_slab(nx, nz, eta0, seed):
     return grid, TransportModel(eta0=eta0), rho, theta, u, w
 
 
+def velocity_matrix(grid, transport, theta, rho, dt):
+    """The velocity matrix: the stepper's stored entries on its plan's pattern."""
+    return sim._velocity_operator(grid)[0].matrix(sim._velocity_entries(grid, transport, theta, rho, dt))
+
+
 SLABS = dict(
     nx=hst.integers(3, 12),
     nz=hst.integers(3, 8),
@@ -52,7 +57,7 @@ def test_velocity_matrix_equals_its_stencil(nx, nz, eta0, seed):
     # neighbour's coefficient in the wrong column and fails this
     grid, transport, rho, theta, u, w = random_slab(nx, nz, eta0, seed)
     dt = 0.3
-    a = sim._velocity_matrix(grid, transport, theta, rho, dt)
+    a = velocity_matrix(grid, transport, theta, rho, dt)
     res_u, res_w = momentum_operator(grid, transport, theta, rho, u, w, dt)
     # the unknowns are u and the interior w, interleaved along z
     got = a @ sim._interleave(u, w)[:, 1:-1].ravel()
@@ -102,7 +107,7 @@ def test_velocity_matrix_from_a_kept_plan_is_the_coo_assembly(nx, nz, eta0, seed
     # stores no entry the stencil leaves zero
     grid, transport, rho, theta, _, _ = random_slab(nx, nz, eta0, seed)
     for dt in (0.3, 0.002):
-        got = sim._velocity_matrix(grid, transport, theta, rho, dt)
+        got = velocity_matrix(grid, transport, theta, rho, dt)
         want = coo_velocity_matrix(grid, transport, theta, rho, dt)
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
@@ -114,7 +119,7 @@ def test_velocity_matrix_from_a_kept_plan_is_the_coo_assembly(nx, nz, eta0, seed
 def test_velocity_solve_residual_contract(nx, nz, eta0, seed):
     grid, transport, rho, theta, m_u, m_w = random_slab(nx, nz, eta0, seed)
     dt = 0.05
-    u, w = sim._solve_velocity_2d(grid, transport, theta, rho, m_u, m_w, dt, sim.SlabLU())
+    u, w = sim._solve_velocity(grid, transport, theta, rho, (m_u, m_w), dt, sim.SlabLU())
     assert np.all(w[:, [0, -1]] == 0.0)
     res_u, res_w = momentum_operator(grid, transport, theta, rho, u, w, dt)
     scale = max(float(np.max(np.abs(m_u))), float(np.max(np.abs(m_w))))

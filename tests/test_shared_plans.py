@@ -21,11 +21,11 @@ def shared_arrays():
     plan, strains, band_map = sim._velocity_operator(slab)
     arrays = [plan.colour, plan.place, plan.indices, plan.indptr, plan.cols, plan.diagonal, plan.gather]
     arrays += [*strains, *band_map[:2], band_map[3]]
-    plan, strains, at = sim._velocity_operator(column)
-    arrays += [plan.gather, plan.indices, plan.cols, *strains, at]
+    plan, strains, band_map = sim._velocity_operator(column)
+    arrays += [plan.gather, plan.indices, plan.cols, *strains, *band_map[:2], band_map[3]]
     for grid in (slab, column):
         band, L, place = sim._heat_operator(grid)
-        arrays += [band, L.data, L.indices, L.indptr] + ([place] if place is not None else [])
+        arrays += [band, L.data, L.indices, L.indptr, place]
         newton, rank, mass, _, _, blocks = stationary._newton_plan(stationary._Layout(grid))
         arrays += [newton.gather, newton.indices, newton.cols, rank, mass]
         if blocks is not None:

@@ -8,7 +8,6 @@ import functools
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
@@ -222,7 +221,10 @@ def test_implicit_heat_positivity_floor_fails_at_once(dimension, monkeypatch):
     def runaway_band_solve(factor, rhs, lower):
         return runaway(rhs), 0
 
-    monkeypatch.setattr(sim, "solve_banded", lambda ab, rhs: runaway(rhs))
+    def runaway_tridiagonal_solve(d, e, rhs):
+        return d, e, runaway(rhs), 0
+
+    monkeypatch.setattr(sim, "dptsv", runaway_tridiagonal_solve)
     monkeypatch.setattr(sim, "dpbtrs", runaway_band_solve)
     with pytest.raises(ImplicitSolveError, match="positivity backtrack"):
         sim._implicit_heat(grid, GAS, TR, rho, e_star, theta, 1e-3, sim.SlabLU())
@@ -233,8 +235,8 @@ def test_implicit_heat_positivity_floor_fails_at_once(dimension, monkeypatch):
 def test_heat_jacobian_matches_finite_difference_oracle(dimension):
     # the kappa-scaled probe of the Kirchhoff stencil must be the derivative
     # of the K-difference heat residual; a wrong entry would only slow Newton
-    # down.  On the slab the Jacobian is S diag(kappa), S rebuilt as C C^T
-    # from the band-Cholesky factors the slab's Newton solves with.
+    # down.  On both grids the Jacobian is S diag(kappa), S rebuilt as C C^T
+    # from the band-Cholesky factors of the lower band the Newton solves.
     rng = np.random.default_rng(40 + dimension)
     if dimension == 1:
         grid = Grid1D(n=16, theta_bottom=1.3, theta_top=0.8)
@@ -256,14 +258,10 @@ def test_heat_jacobian_matches_finite_difference_oracle(dimension):
         plus.flat[j] += h
         minus.flat[j] -= h
         fd[:, j] = (residual(plus) - residual(minus)) / (2.0 * h)
-    if dimension == 1:  # solve_banded (1, 1) layout
-        jac = sim._heat_jacobian(grid, GAS, TR, rho, theta, dt)
-        jac = np.diag(jac[1]) + np.diag(jac[0, 1:], 1) + np.diag(jac[2, :-1], -1)
-    else:
-        ab, place, kappa = sim._heat_band(GAS, TR, rho, theta, dt, sim._heat_operator(grid))
-        factor, _ = sim._band_factors(ab, place)
-        lower = sum(np.diag(factor[d, : theta.size - d], -d) for d in range(factor.shape[0]))
-        jac = (lower @ lower.T)[np.ix_(place, place)] * kappa  # S in the cells' own order, times kappa
+    ab, place, kappa = sim._heat_band(GAS, TR, rho, theta, dt, sim._heat_operator(grid))
+    factor, _ = sim._band_factors(ab, place)
+    lower = sum(np.diag(factor[d, : theta.size - d], -d) for d in range(factor.shape[0]))
+    jac = (lower @ lower.T)[np.ix_(place, place)] * kappa  # S in the cells' own order, times kappa
     column_max = np.max(np.abs(fd), axis=0)
     assert np.all(np.abs(jac - fd) <= 1e-6 * column_max)
 
@@ -278,8 +276,9 @@ def test_heat_jacobian_matches_finite_difference_oracle(dimension):
     seed=hst.integers(0, 2**32 - 1),
 )
 def test_column_viscous_band_is_the_jacobian_of_its_stencil(n, theta_low, theta_spread, eta0, dt, seed):
-    # the column's implicit viscous bands, read off the stress stencil by its
-    # probes, against the central differences of
+    # the column's implicit viscous band, the lower band read off the stress
+    # stencil by its probes and mirrored (the matrix is symmetric), against
+    # the central differences of
     # rho_face*u - dt*viscous_rhs_nd(u) on the interior faces.  The map is
     # linear, so the differences miss it only by the rounding of its values,
     # |F| <= 3 max|A| (max|u| + h), over 2h: 8 eps of that scale (the
@@ -287,7 +286,8 @@ def test_column_viscous_band_is_the_jacobian_of_its_stencil(n, theta_low, theta_
     rng = np.random.default_rng(seed)
     grid, transport = Grid1D(n=n), TransportModel(eta0=eta0)
     theta = theta_low + theta_spread * rng.random(n)
-    rho_face = 0.5 + rng.random(n - 1)
+    rho = 0.5 + rng.random(n)
+    rho_face = 0.5 * (rho[:-1] + rho[1:])
     u = rng.standard_normal(n - 1)
 
     def residual(v):
@@ -295,19 +295,10 @@ def test_column_viscous_band_is_the_jacobian_of_its_stencil(n, theta_low, theta_
 
     h = 1e-3
     fd = np.stack([(residual(u + h * e) - residual(u - h * e)) / (2.0 * h) for e in np.eye(n - 1)], axis=1)
-    ab = sim._column_velocity_band(grid, transport, theta, rho_face, dt)  # solve_banded (1, 1) layout
-    band = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
+    ab = sim._lower_band(sim._velocity_entries(grid, transport, theta, rho, dt), sim._velocity_operator(grid)[2])
+    band = np.diag(ab[0]) + np.diag(ab[1, :-1], 1) + np.diag(ab[1, :-1], -1)
     scale = np.max(np.abs(band)) * (np.max(np.abs(u)) + h) / h
     assert np.max(np.abs(band - fd)) <= 8.0 * np.finfo(float).eps * scale
-
-
-def heat_operator_matrix(grid):
-    """The heat operator L of ``sim._heat_operator`` as a sparse matrix: the
-    slab's CSC, or the column's bands."""
-    values, L, _ = sim._heat_operator(grid)
-    if grid.dimension == 2:
-        return L
-    return scipy.sparse.diags([values[0, 1:], values[1], values[2, :-1]], [1, 0, -1])
 
 
 @settings(max_examples=40, deadline=None)
@@ -326,7 +317,7 @@ def test_heat_operator_equals_its_stencil(dimension, nx, nz, n, lx, seed):
     grid = Grid1D(n=n) if dimension == 1 else Grid2D(nx=nx, nz=nz, lx=lx)
     K = rng.standard_normal((n,) if dimension == 1 else (nx, nz))
     want = ops._divergence(grid, ops.kirchhoff_stencil_nd(grid, K, 0.0, 0.0)).ravel()
-    got = heat_operator_matrix(grid) @ K.ravel()
+    got = sim._heat_operator(grid)[1] @ K.ravel()
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -513,10 +504,10 @@ def test_implicit_velocity_solve_damps_and_preserves_zero():
     n = 32
     grid = Grid1D(n=n, theta_bottom=1.0, theta_top=1.0)
     theta = np.ones(n)
-    rb = np.ones(n - 1)
-    zero = sim._solve_velocity_1d(grid, TR, theta, rb, np.zeros(n - 1), 1e-2)
+    rho = np.ones(n)
+    (zero,) = sim._solve_velocity(grid, TR, theta, rho, (np.zeros(n + 1),), 1e-2, sim.SlabLU())
     assert np.all(zero == 0.0)
-    kicked = sim._solve_velocity_1d(grid, TR, theta, rb, np.sin(np.pi * grid.faces()[1:-1]), 1e-2)
+    (kicked,) = sim._solve_velocity(grid, TR, theta, rho, (np.sin(np.pi * grid.faces()),), 1e-2, sim.SlabLU())
     assert np.max(np.abs(kicked)) < 1.0  # backward Euler contracts
 
 
@@ -589,7 +580,7 @@ def test_run_counts_heat_positivity_backtracks(monkeypatch):
     plain = run(state, horizon, StepControl(), GAS, TR, None)
     assert plain.counters["heat_backtracks"] == 0
 
-    real_heat, real_solve = sim._implicit_heat, sim.solve_banded
+    real_heat, real_solve = sim._implicit_heat, sim._tridiagonal_solve
     first = {}
 
     def heat(grid, gas, transport, rho, e_star, theta0, dt, solver):
@@ -597,15 +588,17 @@ def test_run_counts_heat_positivity_backtracks(monkeypatch):
         return real_heat(grid, gas, transport, rho, e_star, theta0, dt, solver)
 
     def solve(ab, b):
-        delta = real_solve(ab, b)
-        # the first solve after the first heat call is that call's first direction
+        x = real_solve(ab, b)
+        # the first solve after the first heat call is that call's first
+        # direction, S^-1 r / kappa
         if "theta0" in first and "forced" not in first:
             first["forced"] = True
-            delta[0] = 1.5 * first["theta0"][0]
-        return delta
+            theta0 = first["theta0"][0]
+            x[0] = 1.5 * theta0 * thermo._conductivity_raw(TR, theta0)
+        return x
 
     monkeypatch.setattr(sim, "_implicit_heat", heat)
-    monkeypatch.setattr(sim, "solve_banded", solve)
+    monkeypatch.setattr(sim, "_tridiagonal_solve", solve)
     forced = run(state, horizon, StepControl(), GAS, TR, None)
     assert "forced" in first and not forced.aborted and forced.retries == 0
     assert forced.steps == plain.steps
@@ -787,7 +780,7 @@ def test_velocity_matrix_reads_the_stencil_and_the_closure_once(monkeypatch):
     # rows are the only closure reads
     grid = Grid2D(nx=32, nz=24, theta_bottom=1.05, theta_top=1.0)
     sim._velocity_operator(grid)
-    calls = {"stress_divergence_nd": 0, "strain_rates_nd": 0, "transport": 0}
+    calls = {"stress_divergence_nd": 0, "strain_rates_nd": 0, "viscosities": 0}
 
     def counted(owner, name):
         inner = getattr(owner, name)
@@ -800,18 +793,19 @@ def test_velocity_matrix_reads_the_stencil_and_the_closure_once(monkeypatch):
 
     counted(ops, "stress_divergence_nd")
     counted(ops, "strain_rates_nd")
-    counted(thermo, "transport")
+    counted(thermo, "viscosities")
     theta = np.full((grid.nx, grid.nz), 1.02)
-    sim._velocity_matrix(grid, TR, theta, np.ones_like(theta), 1e-3)
+    sim._velocity_entries(grid, TR, theta, np.ones_like(theta), 1e-3)
     assert calls["stress_divergence_nd"] == 1
     assert calls["strain_rates_nd"] == 0
-    assert calls["transport"] <= 2
-    # the column's bands likewise
+    assert calls["viscosities"] == 2  # the centers and _corner_mu's wall rows
+    # the column's entries likewise, its one read at the centers
     column = Grid1D(n=64, theta_bottom=1.05, theta_top=1.0)
     sim._velocity_operator(column)
     calls.update(dict.fromkeys(calls, 0))
-    sim._column_velocity_band(column, TR, np.full(64, 1.02), np.ones(63), 1e-3)
+    sim._velocity_entries(column, TR, np.full(64, 1.02), np.ones(64), 1e-3)
     assert calls["stress_divergence_nd"] == 1 and calls["strain_rates_nd"] == 0
+    assert calls["viscosities"] == 1
 
 
 @pytest.mark.parametrize("scheme", ["minmod", "no-such-scheme"])
@@ -874,15 +868,24 @@ def test_tridiagonal_solve_matches_scipy_solve_banded_bit_for_bit():
     ab[1] += 4.0
     b = rng.standard_normal(n)
     ab_copy, b_copy = ab.copy(), b.copy()
-    x = sim.solve_banded(ab, b)
+    x = stationary.solve_banded(ab, b)
     assert np.array_equal(x, scipy.linalg.solve_banded((1, 1), ab, b))
     assert np.array_equal(ab, ab_copy) and np.array_equal(b, b_copy)
     # two right-hand sides, as the hydrostatic Newton solves
     b2 = rng.standard_normal((n, 2))
-    assert np.array_equal(sim.solve_banded(ab, b2), scipy.linalg.solve_banded((1, 1), ab, b2))
+    assert np.array_equal(stationary.solve_banded(ab, b2), scipy.linalg.solve_banded((1, 1), ab, b2))
+
+
+def test_a_tridiagonal_band_not_positive_definite_raises_a_retriable_error():
+    # the column's solves keep no factors to drop: a band that is not
+    # positive definite raises the ImplicitSolveError that run() retries
+    grid = Grid1D(n=16)
+    data = sim._velocity_entries(grid, TR, np.ones(16), np.ones(16), 1e-2)
+    with pytest.raises(ImplicitSolveError, match="not positive definite"):
+        sim._tridiagonal_solve(sim._lower_band(-data, sim._velocity_operator(grid)[2]), np.ones(15))
 
 
 def test_tridiagonal_solve_raises_on_a_singular_matrix():
     ab = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 1.0], [0.0, 0.0, 0.0]])  # a zero middle row
     with pytest.raises(np.linalg.LinAlgError):
-        sim.solve_banded(ab, np.ones(3))
+        stationary.solve_banded(ab, np.ones(3))

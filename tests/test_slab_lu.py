@@ -42,7 +42,8 @@ EPS = np.finfo(float).eps
 
 def velocity_system(grid, transport, theta, rho, dt):
     """The velocity matrix and the ``_band_map`` of its plan."""
-    return sim._velocity_matrix(grid, transport, theta, rho, dt), sim._velocity_operator(grid)[2]
+    plan, _, band_map = sim._velocity_operator(grid)
+    return plan.matrix(sim._velocity_entries(grid, transport, theta, rho, dt)), band_map
 
 
 def check_velocity_solve(solver, grid, transport, rho, theta, dt, rng):
@@ -147,7 +148,7 @@ def test_stored_zeros_add_no_fill_and_no_residual(nx, nz, eta0, seed):
     place = (np.arange(a.shape[0]) % (2 * nz - 1)) * nx + np.arange(a.shape[0]) // (2 * nz - 1)
     kept = solver._factors["velocity"][0]
     assert kept.shape[0] - 1 == np.max(np.abs(place[rows] - place[cols])) == 2 * nx
-    a = sim._velocity_matrix(grid, transport, theta * (1.0 + 1e-3 * rng.standard_normal(theta.shape)), rho, dt)
+    a, _ = velocity_system(grid, transport, theta * (1.0 + 1e-3 * rng.standard_normal(theta.shape)), rho, dt)
     x = solver.solve(a, b, band_map)
     assert solver.counts["step_factorisations"] == 1 and solver.counts["step_refinements"] > 0
     assert backward_error(a, x, b) <= 4.0 * EPS
@@ -206,14 +207,14 @@ def test_a_velocity_matrix_not_positive_definite_is_retried_at_half_the_step(mon
     gas, transport = ex.build_models(config)
     problem = ex.build_problem(config)
     initial = ex.make_initial_state(config, ex.solve_reference(config, problem, gas, transport))
-    velocity_matrix, steps = sim._velocity_matrix, []
+    velocity_entries, steps = sim._velocity_entries, []
 
     def first_negated(grid, transport, theta, rho, dt):
         steps.append(dt)
-        a = velocity_matrix(grid, transport, theta, rho, dt)
-        return -a if len(steps) == 1 else a
+        data = velocity_entries(grid, transport, theta, rho, dt)
+        return -data if len(steps) == 1 else data
 
-    monkeypatch.setattr(sim, "_velocity_matrix", first_negated)
+    monkeypatch.setattr(sim, "_velocity_entries", first_negated)
     result = sim.run(initial, config["horizon"], StepControl(), gas, transport, problem.potential_field())
     assert not result.aborted and result.retries == 1
     assert steps[1] == steps[0] / 2
