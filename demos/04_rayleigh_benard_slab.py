@@ -23,12 +23,11 @@ print("== short perturbed run on the vertically heated slab ==")
 config = ex.config_from_mapping({}, preset="rb-2d-topology")
 problem = ex.build_problem(config)
 reference = ex.solve_reference(config, problem, gas, trans)
-refs = reference.as_fluid_state()
 initial = ex.make_initial_state(config, reference)
 control = StepControl(cfl_target=config["cfl"], dt_min=config["dt_min"], dt_max=config["dt_max"])
 result = sim.run(
     initial, config["horizon"], control, gas, trans, problem.potential_field(),
-    diagnostics=dg.make_diagnostics(refs, gas, trans), cadence=config["cadence"],
+    diagnostics=dg.make_diagnostics(reference, gas, trans), cadence=config["cadence"],
     keep_samples=False,
 )
 print(f"  steps = {result.steps}, wall = {result.wall_time:.1f}s")

@@ -12,8 +12,10 @@ byte-identical CSV output.
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
+import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -283,27 +285,39 @@ def config_from_mapping(mapping, preset=None) -> ExperimentConfig:
     return ExperimentConfig(values=values)
 
 
-def _unquoted(raw):
-    """``raw`` without one pair of matching quotes around it: the stored
-    config writes every value with ``repr``, so a string reads back bare."""
-    return raw[1:-1] if len(raw) >= 2 and raw[0] == raw[-1] and raw[0] in "'\"" else raw
+# a value that is one Python string literal, as ``repr`` writes a string,
+# then at most a comment
+_QUOTED = re.compile(r"""\s*('(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*")\s*(?:#.*)?""")
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
-    """Parse the canonical flat ``key = value`` format (# comments); a
-    value may be quoted, as ``resolved_config_text`` writes strings."""
+    """Parse the canonical flat ``key = value`` format (# comments).  A
+    value that is a string literal, as ``resolved_config_text`` writes
+    strings with ``repr``, is read as the inverse of ``repr``: ``#`` and
+    escapes included; any other value ends at the first ``#``, and one that
+    starts with a quote without being one string literal is an error."""
     mapping = {}
     preset = None
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError("parse", f"line {lineno}: expected 'key = value', got {line!r}")
-        key, raw = (part.strip() for part in stripped.split("=", 1))
-        if not key or not raw:
-            raise ConfigError("parse", f"line {lineno}: empty key or value")
-        raw = _unquoted(raw)
+        key, _, rest = line.partition("=")
+        quoted = _QUOTED.fullmatch(rest) if key.strip() and "#" not in key else None
+        if quoted is not None:
+            key = key.strip()
+            try:
+                raw = ast.literal_eval(quoted[1])
+            except (SyntaxError, ValueError) as exc:
+                raise ConfigError("parse", f"line {lineno}: bad string literal {quoted[1]}: {exc}") from exc
+        else:
+            stripped = line.split("#", 1)[0].strip()
+            if not stripped:
+                continue
+            if "=" not in stripped:
+                raise ConfigError("parse", f"line {lineno}: expected 'key = value', got {line!r}")
+            key, raw = (part.strip() for part in stripped.split("=", 1))
+            if not key or not raw:
+                raise ConfigError("parse", f"line {lineno}: empty key or value")
+            if raw[0] in "'\"":
+                raise ConfigError("parse", f"line {lineno}: quoted value is not one string literal: {line!r}")
         if key in mapping or (key == "preset" and preset is not None):
             raise ConfigError("duplicate-key", f"line {lineno}: duplicate key {key!r}")
         if key == "preset":
@@ -379,31 +393,18 @@ def build_problem(config: ExperimentConfig) -> st.ProblemConfig:
 
 
 def solve_reference(config: ExperimentConfig, problem, gas, transport) -> st.StationaryState:
+    """The stationary reference by the configured solver; ``auto`` takes the
+    static solver at epsilon = 0, else the pipeline where it applies, else
+    Newton, which starts from the pipeline's state where that applies."""
     mode = config["stationary_solver"]
+    applies = st._pipeline_applies(problem)
     if mode == "auto":
-        needs_newton = False
-        if problem.grid.dimension == 2:
-            lateral = (
-                float(np.ptp(problem.grid.wall_theta("bottom"))) > 0.0
-                or float(np.ptp(problem.grid.wall_theta("top"))) > 0.0
-            )
-            tilted = problem.g is not None and np.ndim(problem.g) and float(problem.g[0]) != 0.0
-            needs_newton = lateral or tilted
-        if problem.epsilon_report == 0.0:
-            mode = "static"
-        elif needs_newton:
-            mode = "newton"
-        else:
-            mode = "pipeline"
+        mode = "static" if problem.epsilon_report == 0.0 else "pipeline" if applies else "newton"
     if mode == "static":
         return st.static_uniform(problem, gas, transport)
     if mode == "pipeline":
         return st.solve_rb_pipeline(problem, gas, transport)
-    guess = None
-    try:
-        guess = st.solve_rb_pipeline(problem, gas, transport)
-    except ValueError:
-        pass
+    guess = st.solve_rb_pipeline(problem, gas, transport) if applies else None
     return st.solve_stationary_newton(problem, gas, transport, initial_guess=guess)
 
 
@@ -426,7 +427,7 @@ def make_initial_state(config: ExperimentConfig, reference: st.StationaryState) 
     Density perturbations are mass-neutral; temperature and velocity
     perturbations vanish at the walls so traces are preserved exactly.
     """
-    state = reference.as_fluid_state(t=0.0)
+    state = reference.copy()
     family = config["perturbation.family"]
     amp = config["perturbation.amplitude"]
     if family == "none" or amp == 0.0:
@@ -667,7 +668,7 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> RunManifest:
             )
         reference = solve_reference(config, problem, gas, transport)
         ref_path = out / f"{label}.reference.npz"
-        save_snapshot(ref_path, reference.as_fluid_state())
+        save_snapshot(ref_path, reference)
         artifacts.append(str(ref_path))
         counters["stationary_iterations"] = reference.iterations
         counters["stationary_mass_error"] = reference.mass_error
@@ -691,9 +692,8 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> RunManifest:
         stage = "simulate"
         csv_path = out / f"{label}.csv"
         meta_path = out / f"{label}.meta.jsonl"
-        ref_state = reference.as_fluid_state()
-        thresholds = dg.Thresholds.from_reference(ref_state)
-        compute = dg.make_diagnostics(ref_state, gas, transport, thresholds)
+        thresholds = dg.Thresholds.from_reference(reference)
+        compute = dg.make_diagnostics(reference, gas, transport, thresholds)
         with open(meta_path, "w") as fh:
             fh.write(json.dumps({"kind": "gas", "p_inf": gas.p_inf, "a": gas.a, "pm_gain": gas.pm_gain}, sort_keys=True) + "\n")
             fh.write(

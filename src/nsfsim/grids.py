@@ -5,15 +5,21 @@ The 1-D column occupies (0, 1) with walls at both ends; the 2-D slab is
 periodic in x with period ``lx`` and wall-bounded in z on (0, 1).  Wall
 boundaries carry a Dirichlet temperature per boundary node; velocity
 satisfies no-slip at walls exactly (wall faces are never unknowns).
+
+Each grid owns its layout: ``lattice`` is its cells as an (nx, nz) lattice,
+the column a ring of one (1, n), and ``field_shapes`` the shape of rho and
+theta, then of each velocity component, wall-normal last.  A stationary
+state is a ``FluidState`` at t = 0 (``stationary.StationaryState`` adds only
+its solver's report).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Grid1D", "Grid2D", "VelocityComponents", "FluidState", "StepControl"]
+__all__ = ["Grid1D", "Grid2D", "FluidState", "StepControl"]
 
 
 @dataclass(frozen=True)
@@ -46,6 +52,16 @@ class Grid1D:
     @property
     def dimension(self) -> int:
         return 1
+
+    @property
+    def lattice(self) -> tuple:
+        """The cells as an (nx, nz) lattice: the column is a ring of one."""
+        return (1, self.n)
+
+    @property
+    def field_shapes(self) -> tuple:
+        """The shape of rho and theta, then of the face velocity."""
+        return (self.n,), (self.n + 1,)
 
     def centers(self) -> np.ndarray:
         return (np.arange(self.n) + 0.5) * self.dx
@@ -105,6 +121,16 @@ class Grid2D:
     def dimension(self) -> int:
         return 2
 
+    @property
+    def lattice(self) -> tuple:
+        """The cells as an (nx, nz) lattice."""
+        return (self.nx, self.nz)
+
+    @property
+    def field_shapes(self) -> tuple:
+        """The shape of rho and theta, then of u on x-faces and w on z-faces."""
+        return (self.nx, self.nz), (self.nx, self.nz), (self.nx, self.nz + 1)
+
     def x_centers(self) -> np.ndarray:
         return (np.arange(self.nx) + 0.5) * self.dx
 
@@ -124,18 +150,10 @@ class Grid2D:
         return np.broadcast_to(value, (self.nx,))
 
 
-class VelocityComponents:
-    """``velocity`` of a state with fields ``u`` and ``w`` (None on the column)."""
-
-    @property
-    def velocity(self) -> tuple:
-        """The velocity components, wall-normal last: (u,) or (u, w)."""
-        return (self.u,) if self.w is None else (self.u, self.w)
-
-
 @dataclass
-class FluidState(VelocityComponents):
-    """Discrete (rho, theta, velocity) fields at one time.
+class FluidState:
+    """Discrete (rho, theta, velocity) fields at one time, in the shapes of
+    ``grid.field_shapes``.
 
     1-D: ``u`` has shape (n+1,) on faces with u[0] = u[n] = 0 (no-slip).
     2-D: ``u`` (x-velocity) has shape (nx, nz) on x-faces (u[i] sits between
@@ -156,19 +174,23 @@ class FluidState(VelocityComponents):
         self.u = np.asarray(self.u, dtype=float)
         if self.w is not None:
             self.w = np.asarray(self.w, dtype=float)
-        g = self.grid
-        if g.dimension == 1:
-            if self.rho.shape != (g.n,) or self.theta.shape != (g.n,):
-                raise ValueError("scalar fields must have shape (n,)")
-            if self.u.shape != (g.n + 1,):
-                raise ValueError("face velocity must have shape (n+1,)")
-        else:
-            if self.rho.shape != (g.nx, g.nz) or self.theta.shape != (g.nx, g.nz):
-                raise ValueError("scalar fields must have shape (nx, nz)")
-            if self.u.shape != (g.nx, g.nz):
-                raise ValueError("x-velocity must have shape (nx, nz)")
-            if self.w is None or self.w.shape != (g.nx, g.nz + 1):
-                raise ValueError("z-velocity must have shape (nx, nz+1)")
+        cells, *faces = self.grid.field_shapes
+        want = [cells, cells, *faces]
+        shapes = [a.shape for a in (self.rho, self.theta, *self.velocity)]
+        if shapes != want:
+            raise ValueError(f"fields of shapes {shapes} on a grid whose fields have shapes {want}")
+
+    @classmethod
+    def at_rest(cls, grid, rho, theta):
+        """The state at t = 0 of the scalar fields ``rho`` and ``theta`` with
+        every velocity component zero."""
+        _, *faces = grid.field_shapes
+        return cls(grid, 0.0, rho, theta, *(np.zeros(shape) for shape in faces))
+
+    @property
+    def velocity(self) -> tuple:
+        """The velocity components, wall-normal last: (u,) or (u, w)."""
+        return (self.u,) if self.w is None else (self.u, self.w)
 
     def validate(self):
         """Positivity and boundary traces; raises on violation."""
@@ -180,14 +202,9 @@ class FluidState(VelocityComponents):
             raise ValueError("no-slip violated at walls")
 
     def copy(self) -> "FluidState":
-        return FluidState(
-            grid=self.grid,
-            t=self.t,
-            rho=self.rho.copy(),
-            theta=self.theta.copy(),
-            u=self.u.copy(),
-            w=None if self.w is None else self.w.copy(),
-        )
+        """A plain ``FluidState`` of copies of the fields."""
+        fields = (self.rho, self.theta, *self.velocity)
+        return FluidState(self.grid, self.t, *(a.copy() for a in fields))
 
     def total_mass(self) -> float:
         return float(np.sum(self.rho) * self.grid.cell_volume)

@@ -182,14 +182,9 @@ def _heat_table():
     return _stencil_table((5, 5), 1, 0, lambda K: _kirchhoff_divergence(Grid2D(nx=5, nz=5), K))
 
 
-def _cells(grid):
-    """The grid's cells as an (nx, nz) lattice, the column a ring of one."""
-    return (1, grid.n) if grid.dimension == 1 else (grid.nx, grid.nz)
-
-
 def _grid_key(grid):
     """What a plan or L depends on: the grid's shape and spacing."""
-    return (grid.dx, grid.dz) + _cells(grid)
+    return (grid.dx, grid.dz) + grid.lattice
 
 
 @probing.shared(_grid_key)
@@ -198,7 +193,7 @@ def _heat_operator(grid):
     lower band and the cells' x-fastest numbers, the place of ``_band_map``:
     div H(theta) has the Jacobian L diag(kappa).  The band's half-width is
     nx on the slab and 1 on the column."""
-    lattice = _cells(grid)
+    lattice = grid.lattice
     plan = _linear_plan(lattice, 1, 0, _heat_table())
     probes = plan.probes(np.zeros(plan.size)).reshape(-1, *lattice)
     L = plan.matrix(_kirchhoff_divergence(grid, probes).ravel()[plan.gather])
@@ -275,7 +270,7 @@ def _heat_divergence(grid, operator, plates):
     (``operator``) and b the stencil at K = 0, equal to rounding."""
     if grid.dimension == 1:
         return lambda K: _kirchhoff_divergence(grid, K, *plates)
-    L, b = operator[1], _kirchhoff_divergence(grid, np.zeros(_cells(grid)), *plates)
+    L, b = operator[1], _kirchhoff_divergence(grid, np.zeros(grid.lattice), *plates)
     return lambda K: (L @ K.ravel()).reshape(K.shape) + b
 
 
@@ -400,7 +395,7 @@ def _velocity_table(dimension):
     interleaved)."""
     transport, rng = thermo.TransportModel(eta0=0.5), np.random.default_rng(0)
     probe, lattice = (Grid1D(n=6), (1, 5)) if dimension == 1 else (Grid2D(nx=5, nz=5), (5, 9))
-    theta = 0.5 + rng.random(_cells(probe))
+    theta = 0.5 + rng.random(probe.lattice)
 
     def response(v):
         return _interleave(*ops.viscous_rhs_nd(probe, transport, theta, _components(v, dimension)))
@@ -414,7 +409,7 @@ def _velocity_operator(grid):
     components interleaved along z, the ``strain_rates_nd`` of its probes
     and its ``_band_map``: the matrix is tridiagonal on the column and,
     x-fastest, a band of half-width 2 nx on the slab."""
-    (nx, cells), count = _cells(grid), grid.dimension
+    (nx, cells), count = grid.lattice, grid.dimension
     plan = _linear_plan((nx, count * cells - 1), count, 1, _velocity_table(count))
     probes = plan.probes(np.zeros(plan.size)).reshape(-1, nx, count * cells + 1)
     return plan, ops.strain_rates_nd(grid, _components(probes, count)), _band_map(plan, nx)

@@ -37,6 +37,10 @@ fails to cut the residual tenfold.
 The pipeline's hydrostatic density is a Newton solve too: the face balances
 and the mass row in the cell densities form a bidiagonal system bordered by
 one row, solved in O(n) per iteration.
+
+Every solver returns a ``StationaryState``, a ``grids.FluidState`` at t = 0
+of owned fields plus the solver's report, which ``_finish`` writes for all
+three; ``_pipeline_applies`` says where the pipeline solves the problem.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from scipy.sparse.linalg import splu
 
 from . import operators as ops
 from . import probing, thermo
-from .grids import FluidState, Grid1D, Grid2D, VelocityComponents
+from .grids import FluidState, Grid1D, Grid2D
 
 __all__ = [
     "ProblemConfig",
@@ -146,30 +150,17 @@ def _stationary_counters():
 
 
 @dataclass
-class StationaryState(VelocityComponents):
-    """Discrete stationary fields with residual and proximity bookkeeping."""
+class StationaryState(FluidState):
+    """A stationary ``FluidState`` at t = 0 with its solver's report: the
+    residual norms, mass error and proximity (``_finish``), the Newton
+    iterations and the counters."""
 
-    grid: object
-    rho: np.ndarray
-    theta: np.ndarray
-    u: np.ndarray
-    w: np.ndarray = None
     residual_norms: dict = field(default_factory=dict)
     mass_error: float = 0.0
     proximity: dict = field(default_factory=dict)
     iterations: int = 0
     floor_steps: int = 0  # Newton's Armijo steps accepted at the floor without a decrease
     counters: dict = field(default_factory=_stationary_counters)
-
-    def as_fluid_state(self, t: float = 0.0) -> FluidState:
-        return FluidState(
-            grid=self.grid,
-            t=t,
-            rho=self.rho.copy(),
-            theta=self.theta.copy(),
-            u=self.u.copy(),
-            w=None if self.w is None else self.w.copy(),
-        )
 
     def max_velocity(self) -> float:
         return max(float(np.max(np.abs(v))) for v in self.velocity)
@@ -196,14 +187,19 @@ def _norms(parts):
     }
 
 
-def _proximity(config: ProblemConfig, state):
+def _finish(config: ProblemConfig, state: StationaryState, residual_norms) -> StationaryState:
+    """``state`` with the report every stationary solver ends with: the
+    ``residual_norms``, the mass error and the proximity to the flat state."""
     rho_flat = config.m0 / config.grid.volume
-    return {
+    state.residual_norms = residual_norms
+    state.mass_error = abs(state.total_mass() - config.m0)
+    state.proximity = {
         "rho_dev": float(np.max(np.abs(state.rho - rho_flat))),
         "theta_dev": float(np.max(np.abs(state.theta - config.theta_bar))),
         "u_dev": state.max_velocity(),
         "epsilon": config.epsilon_report,
     }
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -220,24 +216,10 @@ def static_uniform(config: ProblemConfig, gas=None, transport=None) -> Stationar
     G = config.potential_field()
     if G is not None and float(np.max(np.abs(G - G.flat[0]))) != 0.0:
         raise ValueError("static_uniform requires a constant (removable) potential")
-    theta_b = float(walls[0])
-    rho_flat = config.m0 / grid.volume
-    if grid.dimension == 1:
-        rho = np.full(grid.n, rho_flat)
-        theta = np.full(grid.n, theta_b)
-        u = np.zeros(grid.n + 1)
-        w = None
-    else:
-        rho = np.full((grid.nx, grid.nz), rho_flat)
-        theta = np.full((grid.nx, grid.nz), theta_b)
-        u = np.zeros((grid.nx, grid.nz))
-        w = np.zeros((grid.nx, grid.nz + 1))
-    state = StationaryState(grid=grid, rho=rho, theta=theta, u=u, w=w)
-    if gas is not None and transport is not None:
-        state.residual_norms = _residual_norms(state, gas, transport, None)
-    state.mass_error = abs(float(np.sum(rho) * grid.cell_volume) - config.m0)
-    state.proximity = _proximity(config, state)
-    return state
+    cells = grid.field_shapes[0]
+    state = StationaryState.at_rest(grid, np.full(cells, config.m0 / grid.volume), np.full(cells, float(walls[0])))
+    norms = {} if gas is None or transport is None else _residual_norms(state, gas, transport, None)
+    return _finish(config, state, norms)
 
 
 # ---------------------------------------------------------------------------
@@ -445,41 +427,38 @@ def solve_hydrostatic_density(
     return rho, {"rho0": rho0, "mass": mass}
 
 
+def _pipeline_applies(config: ProblemConfig) -> bool:
+    """Whether ``solve_rb_pipeline`` solves the problem: always on a column;
+    on a slab, with plates constant along x and gravity without an x
+    component."""
+    plates = (config.grid.wall_theta(which) for which in ("bottom", "top"))
+    tilted = config.g is not None and np.ndim(config.g) and float(config.g[0]) != 0.0
+    return all(float(np.ptp(theta)) == 0.0 for theta in plates) and not tilted
+
+
 def solve_rb_pipeline(config: ProblemConfig, gas, transport) -> StationaryState:
     """Kirchhoff conduction + hydrostatic balance for vertical-gravity data.
 
-    1-D directly; in 2-D (constant plates, vertical gravity) the column
-    solution broadcasts across the periodic direction.
+    1-D directly; in 2-D the column solution broadcasts across the periodic
+    direction, and a slab where it does not apply (``_pipeline_applies``:
+    plates that vary along x, or gravity with an x component) raises
+    ValueError.
     """
     grid = config.grid
-    if grid.dimension == 1:
-        col = grid
-    else:
-        tb, tt = grid.wall_theta("bottom"), grid.wall_theta("top")
-        if float(np.ptp(tb)) != 0.0 or float(np.ptp(tt)) != 0.0:
-            raise ValueError("pipeline needs laterally constant plate temperatures")
-        if config.g is not None and np.ndim(config.g) and float(config.g[0]) != 0.0:
-            raise ValueError("pipeline needs vertical gravity")
-        col = Grid1D(n=grid.nz, theta_bottom=float(tb[0]), theta_top=float(tt[0]), length=grid.lz)
+    if not _pipeline_applies(config):
+        raise ValueError("pipeline needs laterally constant plate temperatures and vertical gravity")
+    col, m0_col = grid, config.m0
+    if grid.dimension == 2:
+        plates = (float(grid.wall_theta(which)[0]) for which in ("bottom", "top"))
+        col, m0_col = Grid1D(grid.nz, *plates, length=grid.lz), config.m0 / grid.lx
     gval = 0.0 if config.g is None else (float(config.g[-1]) if np.ndim(config.g) else float(config.g))
     theta_col = solve_heat_profile_1d(transport, col.theta_bottom, col.theta_top, col)
-    m0_col = config.m0 / (1.0 if grid.dimension == 1 else grid.lx)
     rho_col, details = solve_hydrostatic_density(gas, theta_col, gval, m0_col, col)
-    if grid.dimension == 1:
-        rho, theta = rho_col, theta_col
-        u, w = np.zeros(grid.n + 1), None
-    else:
-        rho = np.tile(rho_col, (grid.nx, 1))
-        theta = np.tile(theta_col, (grid.nx, 1))
-        u = np.zeros((grid.nx, grid.nz))
-        w = np.zeros((grid.nx, grid.nz + 1))
-    G = config.potential_field()
-    state = StationaryState(grid=grid, rho=rho, theta=theta, u=u, w=w)
+    # owned copies: a broadcast view would be read-only with zero strides
+    rho, theta = (np.broadcast_to(a, grid.field_shapes[0]).copy() for a in (rho_col, theta_col))
+    state = StationaryState.at_rest(grid, rho, theta)
     state.counters["hydrostatic_halvings"] = details["halvings"]
-    state.residual_norms = _residual_norms(state, gas, transport, G)
-    state.mass_error = abs(float(np.sum(rho) * grid.cell_volume) - config.m0)
-    state.proximity = _proximity(config, state)
-    return state
+    return _finish(config, state, _residual_norms(state, gas, transport, config.potential_field()))
 
 
 # ---------------------------------------------------------------------------
@@ -501,39 +480,41 @@ class _Layout:
 
     def __init__(self, grid):
         self.grid = grid
-        self.nx, self.nz = (1, grid.n) if grid.dimension == 1 else (grid.nx, grid.nz)
+        self.nx, self.nz = grid.lattice
         self.n_cells = self.nx * self.nz
         cells = np.indices((self.nx, self.nz)).reshape(2, -1)
         faces = np.indices((self.nx, self.nz - 1)).reshape(2, -1) + np.array([[0], [1]])
-        velocity = [faces] if grid.dimension == 1 else [cells, faces]
+        velocity = [cells] * (len(grid.field_shapes) - 2) + [faces]
         self.unknowns, self.equations = (
             np.concatenate([np.vstack([np.full(b.shape[1], f), b]) for f, b in enumerate(blocks)], axis=1)
             for blocks in ([cells, cells, *velocity], [cells, *velocity, cells])
         )
         self.size = self.equations.shape[1] + 1
 
-    def pack(self, rho, theta, u, w, lam):
-        one_d = self.grid.dimension == 1
-        wall_normal = np.reshape(u if one_d else w, (self.nx, self.nz + 1))[:, 1:-1]
-        fields = [rho, theta] + ([] if one_d else [u]) + [wall_normal]
+    def pack(self, state, lam):
+        """The packed vector of ``state`` and the multiplier ``lam``: rho,
+        theta, the along-wall velocity, the wall-normal one at the interior
+        faces."""
+        *along, normal = state.velocity
+        fields = [state.rho, state.theta, *along, normal[..., 1:-1]]
         return np.concatenate([np.ravel(a) for a in fields] + [[lam]])
 
     def unpack(self, x):
-        """(rho, theta, u, w, lam) in the grid's shapes; w is None in 1-D.
+        """(rho, theta, velocity, lam), the fields in the shapes of
+        ``grid.field_shapes``, the velocity components wall-normal last.
 
         ``x`` is one packed vector (size,) or a stack (K, size); the fields
         of a stack carry K in front and lam has shape (K,).
         """
-        nc, nx, nz = self.n_cells, self.nx, self.nz
-        lead = x.shape[:-1]
-        shape = lead + ((nz,) if self.grid.dimension == 1 else (nx, nz))
-        rho = x[..., :nc].reshape(shape)
-        theta = x[..., nc : 2 * nc].reshape(shape)
-        wall_normal = np.zeros(lead + (nx, nz + 1))
-        wall_normal[..., 1:-1] = x[..., -1 - nx * (nz - 1) : -1].reshape(lead + (nx, nz - 1))
-        if self.grid.dimension == 1:
-            return rho, theta, wall_normal[..., 0, :], None, x[..., -1]
-        return rho, theta, x[..., 2 * nc : 3 * nc].reshape(shape), wall_normal, x[..., -1]
+        nc, lead = self.n_cells, x.shape[:-1]
+        cells, *along_shapes, normal = self.grid.field_shapes
+        rho, theta, *along = (
+            x[..., j * nc : (j + 1) * nc].reshape(lead + shape)
+            for j, shape in enumerate([cells, cells, *along_shapes])
+        )
+        wall_normal = np.zeros(lead + normal)
+        wall_normal[..., 1:-1] = x[..., -1 - self.nx * (self.nz - 1) : -1].reshape(lead + normal[:-1] + (-1,))
+        return rho, theta, (*along, wall_normal), x[..., -1]
 
 
 def _residual(layout, x, gas, transport, G, m0, parts=None):
@@ -542,10 +523,9 @@ def _residual(layout, x, gas, transport, G, m0, parts=None):
     and the mass row sums each state's densities.  A list ``parts`` takes
     the residuals (continuity, *momentum, energy) of a single state, before
     the shift."""
-    rho, theta, u, w, lam = layout.unpack(x)
+    rho, theta, velocity, lam = layout.unpack(x)
     grid = layout.grid
-    vel = (u,) if w is None else (u, w)
-    cont, *rest = _steady_residual(grid, gas, transport, G, rho, theta, vel)
+    cont, *rest = _steady_residual(grid, gas, transport, G, rho, theta, velocity)
     if parts is not None and x.ndim == 1:
         parts[:] = cont, *rest
     mass = np.sum(x[..., : layout.n_cells], axis=-1, keepdims=True) * grid.cell_volume - m0
@@ -916,8 +896,7 @@ def solve_stationary_newton(
         x[:n_cells] = m0 / grid.volume
         x[n_cells : 2 * n_cells] = config.theta_bar
     else:
-        guess = initial_guess
-        x = layout.pack(guess.rho, guess.theta, guess.u, guess.w, 0.0)
+        x = layout.pack(initial_guess, 0.0)
 
     calls = 0
     # the residual parts of the last single state evaluated, which is the
@@ -992,8 +971,10 @@ def solve_stationary_newton(
     if not np.all(np.abs(f) <= stop):
         raise NewtonFailure(f"no convergence after {iterations} iterations", trace)
 
-    rho, theta, u, w, _ = layout.unpack(x)
-    state = StationaryState(grid=grid, rho=rho, theta=theta, u=u, w=w, iterations=iterations, floor_steps=floor_steps)
+    rho, theta, velocity, _ = layout.unpack(x)
+    # owned copies: unpack's fields are views of x
+    fields = (a.copy() for a in (rho, theta, *velocity))
+    state = StationaryState(grid, 0.0, *fields, iterations=iterations, floor_steps=floor_steps)
     if initial_guess is not None:
         state.counters.update(initial_guess.counters)
     state.counters.update(
@@ -1004,7 +985,4 @@ def solve_stationary_newton(
         stationary_refinements=0 if jacobian is None else jacobian.refinements,
         stationary_lu_fill=0 if jacobian is None else jacobian.fill,
     )
-    state.residual_norms = _norms(parts)
-    state.mass_error = abs(float(np.sum(rho) * grid.cell_volume) - m0)
-    state.proximity = _proximity(config, state)
-    return state
+    return _finish(config, state, _norms(parts))

@@ -128,9 +128,8 @@ def test_criterion_4_stationary_cross_check():
 def test_criterion_5_equilibrium_preservation():
     with Criterion(5, "1e4 steps from the stationary reference at 128 cells", budget=60.0):
         config, gas, transport, problem, reference = decay_setup(128, 50.0)
-        refs = reference.as_fluid_state()
         G = problem.potential_field()
-        state = refs.copy()
+        state = reference.copy()
         control = StepControl(cfl_target=0.4)
         dt = sim.cfl_dt(state, control, gas)
         mass0 = state.total_mass()
@@ -138,8 +137,8 @@ def test_criterion_5_equilibrium_preservation():
         for k in range(10_000):
             state = sim.step(state, dt, gas, transport, G)
             if (k + 1) % 1000 == 0:
-                worst_re = max(worst_re, dg.relative_energy(state, refs, gas))
-        worst_re = max(worst_re, dg.relative_energy(state, refs, gas))
+                worst_re = max(worst_re, dg.relative_energy(state, reference, gas))
+        worst_re = max(worst_re, dg.relative_energy(state, reference, gas))
         assert worst_re <= 1e-10
         assert abs(state.total_mass() - mass0) / mass0 <= 1e-13
 
@@ -150,12 +149,11 @@ def test_criterion_6_decay_to_equilibrium():
         gas, transport = ex.build_models(config)
         problem = ex.build_problem(config)
         reference = ex.solve_reference(config, problem, gas, transport)
-        refs = reference.as_fluid_state()
         initial = ex.make_initial_state(config, reference)
         control = StepControl(cfl_target=config["cfl"], dt_min=config["dt_min"], dt_max=config["dt_max"])
         result = sim.run(
             initial, config["horizon"], control, gas, transport, problem.potential_field(),
-            diagnostics=dg.make_diagnostics(refs, gas, transport), cadence=config["cadence"],
+            diagnostics=dg.make_diagnostics(reference, gas, transport), cadence=config["cadence"],
             keep_samples=False,
         )
         assert not result.aborted
@@ -195,7 +193,6 @@ def test_criterion_7_inequality_residuals_refinement():
         ballistic_res = []
         for n in (64, 128, 256):
             config, gas, transport, problem, reference = decay_setup(n, 2.0)
-            refs = reference.as_fluid_state()
             initial = ex.make_initial_state(config, reference)
             control = StepControl(cfl_target=config["cfl"], dt_min=config["dt_min"], dt_max=config["dt_max"])
             result = sim.run(
@@ -203,7 +200,7 @@ def test_criterion_7_inequality_residuals_refinement():
                 diagnostics=lambda s: None, cadence=0.0, sample_every_step=True,
             )
             er, br = dg.inequality_residuals(
-                result.samples, refs, gas, transport, problem.potential_field()
+                result.samples, reference, gas, transport, problem.potential_field()
             )
             entropy_res.append(er)
             ballistic_res.append(br)
@@ -238,12 +235,11 @@ def test_criterion_8_absorbing_set_envelope():
             config, gas, transport, problem, reference = decay_setup(
                 64, 10.0, **{"perturbation.family": family, "seed": seed, "cadence": 0.25}
             )
-            refs = reference.as_fluid_state()
             initial = ex.make_initial_state(config, reference)
             control = StepControl(cfl_target=0.4)
             result = sim.run(
                 initial, 10.0, control, gas, transport, problem.potential_field(),
-                diagnostics=dg.make_diagnostics(refs, gas, transport), cadence=0.25,
+                diagnostics=dg.make_diagnostics(reference, gas, transport), cadence=0.25,
                 keep_samples=False,
             )
             assert not result.aborted

@@ -36,7 +36,7 @@ def random_state(rng, grid):
 def rb_reference(n=64):
     grid = Grid1D(n=n, theta_bottom=1.05, theta_top=1.0)
     config = ProblemConfig(grid=grid, m0=1.0, g=0.01)
-    return solve_rb_pipeline(config, GAS, TR).as_fluid_state(), config
+    return solve_rb_pipeline(config, GAS, TR), config
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +322,7 @@ def perturbed_pair(dimension):
     else:
         grid = Grid2D(nx=8, nz=6, theta_bottom=1.05, theta_top=1.0)
         reference = solve_rb_pipeline(ProblemConfig(grid=grid, m0=grid.volume, g=(0.0, 0.01)), GAS, TR)
-        reference = reference.as_fluid_state()
+        reference = reference.copy()
         reference.u = 0.01 * rng.standard_normal(reference.u.shape)
     state = reference.copy()
     state.t = 0.25

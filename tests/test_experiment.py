@@ -67,6 +67,14 @@ def test_parse_error_reports_line():
     assert "line 2" in str(err.value)
 
 
+@pytest.mark.parametrize("bad_value", ["'\\x'", "'a' 'b'", "'it's'", "'run#1"])
+def test_quoted_value_that_is_not_one_string_literal_is_a_parse_error(bad_value):
+    with pytest.raises(ex.ConfigError) as err:
+        ex.parse_config_text(f"m0 = 1.0\nlabel = {bad_value}\n")
+    assert err.value.code == "parse"
+    assert "line 2" in str(err.value)
+
+
 def test_type_error_reports_key():
     with pytest.raises(ex.ConfigError) as err:
         ex.parse_config_text("domain.n = twelve\n")
@@ -116,9 +124,22 @@ def every_key_config():
     return ex.config_from_mapping(mapping)
 
 
-@pytest.mark.parametrize("name", [*sorted(ex.PRESETS), "every-key"])
+# string values that ``repr`` writes with a ``#``, an escape or both quote kinds
+AWKWARD_STRINGS = {
+    "label-hash": {"label": "run#1"},
+    "label-backslash": {"label": "a\\b"},
+    "label-tab": {"label": "a\tb"},
+    "label-both-quotes": {"label": "both'\"q"},
+    "output-dir-hash": {"output_dir": "out/#2"},
+}
+
+
+@pytest.mark.parametrize("name", [*sorted(ex.PRESETS), "every-key", *AWKWARD_STRINGS])
 def test_stored_config_text_reads_back_as_its_config(name):
-    config = every_key_config() if name == "every-key" else ex.config_from_mapping({}, preset=name)
+    if name in AWKWARD_STRINGS:
+        config = ex.config_from_mapping(AWKWARD_STRINGS[name])
+    else:
+        config = every_key_config() if name == "every-key" else ex.config_from_mapping({}, preset=name)
     text = ex.resolved_config_text(config)
     assert ex.parse_config_text(text) == config
     # the types too, so that the text, and with it the config hash, is the same
@@ -267,6 +288,39 @@ def test_perturbations_preserve_mass_and_traces():
         assert abs(state.total_mass() - config["m0"]) < 1e-12
         assert state.u[0] == 0.0 and state.u[-1] == 0.0
         assert np.all(state.rho > 0.0) and np.all(state.theta > 0.0)
+
+
+SOLVER_OF_MODE = {"static": "static_uniform", "pipeline": "solve_rb_pipeline", "newton": "solve_stationary_newton"}
+
+
+@pytest.mark.parametrize(
+    "preset, overrides, mode",
+    [
+        (None, {"domain.kind": "column", "domain.n": 16}, "static"),
+        (None, {"domain.kind": "slab"}, "static"),
+        ("rb-2d-topology", {}, "pipeline"),
+        ("rb-2d-lateral", {}, "newton"),  # plates that vary along x
+        ("rb-2d-topology", {"gx": 0.001}, "newton"),  # tilted gravity
+    ],
+)
+def test_auto_solver_is_the_explicit_mode_it_picks(preset, overrides, mode, monkeypatch):
+    # auto calls the solvers the explicit mode calls and gives its reference
+    # bit for bit, fields and counters
+    calls = []
+    for name in SOLVER_OF_MODE.values():
+        solver = getattr(st, name)
+        monkeypatch.setattr(st, name, lambda *a, _solver=solver, _name=name, **k: calls.append(_name) or _solver(*a, **k))
+    references = []
+    for chosen in ("auto", mode):
+        config = ex.config_from_mapping(dict(overrides, stationary_solver=chosen), preset=preset)
+        gas, transport = ex.build_models(config)
+        references.append(ex.solve_reference(config, ex.build_problem(config), gas, transport))
+    half = len(calls) // 2
+    assert calls[:half] == calls[half:] and calls[-1] == SOLVER_OF_MODE[mode]
+    auto, explicit = references
+    for a, b in zip((auto.rho, auto.theta, *auto.velocity), (explicit.rho, explicit.theta, *explicit.velocity)):
+        assert np.array_equal(a, b)
+    assert auto.counters == explicit.counters and auto.iterations == explicit.iterations
 
 
 def test_epsilon_warning_recorded(tmp_path):

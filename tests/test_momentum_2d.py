@@ -135,7 +135,7 @@ def test_strong_bulk_viscosity_is_stable_at_the_acoustic_step():
     )
     gas, transport = ex.build_models(config)
     problem = ex.build_problem(config)
-    state = ex.solve_reference(config, problem, gas, transport).as_fluid_state()
+    state = ex.solve_reference(config, problem, gas, transport).copy()
     G = problem.potential_field()
     grid = state.grid
     sign = (-1.0) ** np.arange(grid.nx)

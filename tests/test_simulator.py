@@ -88,7 +88,7 @@ def test_cfl_clamps_to_bounds():
 
 def test_static_uniform_is_fixed_point():
     grid = Grid1D(n=48, theta_bottom=1.0, theta_top=1.0)
-    state = static_uniform(ProblemConfig(grid=grid, m0=2.0)).as_fluid_state()
+    state = static_uniform(ProblemConfig(grid=grid, m0=2.0))
     out = step(state, 5e-3, GAS, TR, None)
     assert np.array_equal(out.rho, state.rho)
     assert np.max(np.abs(out.theta - state.theta)) < 1e-14
@@ -97,7 +97,7 @@ def test_static_uniform_is_fixed_point():
 
 def test_rb_stationary_is_fixed_point():
     reference, config = rb_reference(n=64)
-    state = reference.as_fluid_state()
+    state = reference.copy()
     G = config.potential_field()
     for _ in range(20):
         state = step(state, 2e-3, GAS, TR, G)
@@ -607,7 +607,7 @@ def test_run_counts_heat_positivity_backtracks(monkeypatch):
 
 def test_run_sampling_cadence():
     reference, config = rb_reference(n=32)
-    state = reference.as_fluid_state()
+    state = reference.copy()
     seen = []
 
     def diagnostics(s):
@@ -701,7 +701,7 @@ def slab_reference(nx=8, nz=8):
 
 def test_2d_stationary_is_fixed_point():
     reference, config = slab_reference()
-    state = reference.as_fluid_state()
+    state = reference.copy()
     G = config.potential_field()
     for _ in range(10):
         state = step(state, 4e-4, GAS, TR, G)
@@ -713,7 +713,7 @@ def test_2d_stationary_is_fixed_point():
 
 def test_2d_mass_conservation_and_positivity():
     reference, config = slab_reference()
-    state = reference.as_fluid_state()
+    state = reference.copy()
     X, Z = np.meshgrid(state.grid.x_centers(), state.grid.z_centers(), indexing="ij")
     pert = 0.01 * np.sin(2 * np.pi * X / state.grid.lx) * np.sin(np.pi * Z)
     state.rho = state.rho + (pert - pert.mean())
@@ -731,7 +731,7 @@ def test_2d_shift_equivariance():
     # advanced solution: the periodic wrap has no seam
     reference, config = slab_reference(nx=10, nz=6)
     G = config.potential_field()
-    state = reference.as_fluid_state()
+    state = reference.copy()
     X, Z = np.meshgrid(state.grid.x_centers(), state.grid.z_centers(), indexing="ij")
     pert = 0.01 * np.sin(2 * np.pi * X / state.grid.lx) * np.sin(np.pi * Z)
     state.rho = state.rho + (pert - pert.mean())
@@ -812,7 +812,7 @@ def test_velocity_matrix_reads_the_stencil_and_the_closure_once(monkeypatch):
 def test_slab_step_rejects_convection_other_than_upwind(scheme):
     reference, config = slab_reference()
     with pytest.raises(ValueError, match="upwind"):
-        step(reference.as_fluid_state(), 1e-4, GAS, TR, config.potential_field(), convection=scheme)
+        step(reference, 1e-4, GAS, TR, config.potential_field(), convection=scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -843,7 +843,7 @@ def test_minmod_flux_second_order_on_smooth_data():
 
 def test_minmod_step_preserves_equilibrium_and_mass():
     reference, config = rb_reference(n=64)
-    state = reference.as_fluid_state()
+    state = reference.copy()
     G = config.potential_field()
     for _ in range(20):
         state = step(state, 2e-3, GAS, TR, G, convection="minmod")

@@ -14,7 +14,7 @@ from nsfsim import experiment as ex
 from nsfsim import operators as ops
 from nsfsim import probing, stationary
 from nsfsim import simulator as sim
-from nsfsim.grids import Grid1D, Grid2D
+from nsfsim.grids import FluidState, Grid1D, Grid2D
 from nsfsim.stationary import (
     _ColouredJacobian,
     _Layout,
@@ -61,6 +61,69 @@ def test_static_uniform_rejects_nonconstant_data():
     grid = Grid1D(n=32)
     with pytest.raises(ValueError):
         static_uniform(ProblemConfig(grid=grid, m0=1.0, g=0.3))
+
+
+STATE_GRIDS = {
+    "column": lambda plates: Grid1D(n=16, theta_bottom=plates[0], theta_top=plates[1]),
+    "slab": lambda plates: Grid2D(nx=8, nz=6, theta_bottom=plates[0], theta_top=plates[1]),
+}
+
+
+def stationary_states(kind):
+    """The state of each of the three solvers on a grid of ``kind``: the
+    static one on equal plates without gravity, the pipeline's and Newton's
+    on heated plates with vertical gravity."""
+    flat, heated = STATE_GRIDS[kind]((1.0, 1.0)), STATE_GRIDS[kind]((1.1, 1.0))
+    g = 0.05 if kind == "column" else (0.0, 0.05)
+    problem = ProblemConfig(grid=heated, m0=heated.volume, g=g)
+    return [
+        static_uniform(ProblemConfig(grid=flat, m0=flat.volume), GAS, TR),
+        solve_rb_pipeline(problem, GAS, TR),
+        solve_stationary_newton(problem, GAS, TR),
+    ]
+
+
+@pytest.mark.parametrize("kind", sorted(STATE_GRIDS))
+def test_every_solver_returns_a_fluid_state_of_owned_fields(kind):
+    for state in stationary_states(kind):
+        assert isinstance(state, FluidState) and state.t == 0.0
+        for a in (state.rho, state.theta, *state.velocity):
+            assert a.flags.owndata and a.flags.writeable
+        plain = state.copy()
+        assert type(plain) is FluidState
+        fields = zip((plain.rho, plain.theta, *plain.velocity), (state.rho, state.theta, *state.velocity))
+        assert all(np.array_equal(a, b) for a, b in fields)
+
+
+@pytest.mark.parametrize("kind", sorted(STATE_GRIDS))
+def test_a_field_of_the_wrong_shape_is_rejected(kind):
+    state = stationary_states(kind)[0]
+    rho, theta, *velocity = state.rho, state.theta, *state.velocity
+    with pytest.raises(ValueError):
+        FluidState(state.grid, 0.0, rho[..., :-1], theta, *velocity)
+    with pytest.raises(ValueError):
+        stationary.StationaryState(state.grid, 0.0, rho, theta[..., 1:], *velocity)
+    with pytest.raises(ValueError):
+        FluidState(state.grid, 0.0, rho, theta, *velocity[:-1], velocity[-1][..., :-1])
+    # a component too many on the column, the wall-normal one missing on the slab
+    components = (*velocity, velocity[-1]) if kind == "column" else velocity[:-1]
+    with pytest.raises(ValueError):
+        FluidState(state.grid, 0.0, rho, theta, *components)
+
+
+@pytest.mark.parametrize("kind", sorted(STATE_GRIDS))
+def test_stationary_snapshot_round_trip(kind, tmp_path):
+    for k, state in enumerate(stationary_states(kind)):
+        ex.save_snapshot(tmp_path / f"{k}.npz", state)
+        loaded = ex.load_snapshot(tmp_path / f"{k}.npz")
+        assert loaded.t == state.t
+        fields = zip((loaded.rho, loaded.theta, *loaded.velocity), (state.rho, state.theta, *state.velocity))
+        assert len(loaded.velocity) == len(state.velocity) and all(np.array_equal(a, b) for a, b in fields)
+        grids = loaded.grid, state.grid
+        assert type(grids[0]) is type(grids[1]) and grids[0].field_shapes == grids[1].field_shapes
+        assert grids[0].dx == grids[1].dx and grids[0].dz == grids[1].dz
+        for which in ("bottom", "top"):
+            assert np.array_equal(*(g.wall_theta(which) for g in grids))
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +367,7 @@ def test_newton_stops_at_the_rounding_floor_of_a_fine_column(n):
     assert newton.iterations <= 10
     assert newton.counters["stationary_residual_trace"][-1] > 1e-9
     layout = _Layout(grid)
-    x = layout.pack(newton.rho, newton.theta, newton.u, None, 0.0)
+    x = layout.pack(newton, 0.0)
 
     def fun(xv):
         return _residual(layout, xv, GAS, TR, config.potential_field(), config.m0)
@@ -523,10 +586,15 @@ def test_stacked_residual_rows_equal_single_calls_1d(n, states, seed):
 
 
 def test_layout_round_trip():
-    layout, _, x = random_problem(JACOBIAN_GRIDS["lateral-10x6"](), 3)
-    rho, theta, u, w, lam = layout.unpack(x)
-    assert w.shape == (10, 7) and not np.any(w[:, [0, -1]])
-    assert np.array_equal(layout.pack(rho, theta, u, w, lam), x)
+    # unpack gives a state in the grid's field shapes, its wall faces zero,
+    # which pack takes back to the packed vector bit for bit
+    for name, normal_shape in (("column-16", (17,)), ("lateral-10x6", (10, 7))):
+        grid = JACOBIAN_GRIDS[name]()
+        layout, _, x = random_problem(grid, 3)
+        rho, theta, velocity, lam = layout.unpack(x)
+        state = FluidState(grid, 0.0, rho, theta, *velocity)
+        assert velocity[-1].shape == normal_shape and not np.any(velocity[-1][..., [0, -1]])
+        assert np.array_equal(layout.pack(state, lam), x)
 
 
 def test_colours_never_share_a_pattern_row():
