@@ -17,7 +17,7 @@ import hashlib
 import json
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -347,20 +347,17 @@ def resolved_config_text(config: ExperimentConfig) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _section(config: ExperimentConfig, name):
+    """The ``<name>.*`` config values keyed by the rest of their key: the
+    fields of the model that section describes."""
+    prefix = name + "."
+    return {key[len(prefix) :]: value for key, value in config.values.items() if key.startswith(prefix)}
+
+
 def build_models(config: ExperimentConfig):
-    gas = thermo.GasModel(
-        p_inf=config["gas.p_inf"],
-        a=config["gas.a"],
-        pm_gain=config["gas.pm_gain"],
-        z_max_validate=config["gas.z_max_validate"],
-    )
-    transport = thermo.TransportModel(
-        mu0=config["transport.mu0"],
-        eta0=config["transport.eta0"],
-        kappa0=config["transport.kappa0"],
-        beta=config["transport.beta"],
-    )
-    return gas, transport
+    """The gas and transport models from the ``gas.*`` and ``transport.*``
+    config values, by field name."""
+    return thermo.GasModel(**_section(config, "gas")), thermo.TransportModel(**_section(config, "transport"))
 
 
 def build_problem(config: ExperimentConfig) -> st.ProblemConfig:
@@ -374,11 +371,8 @@ def build_problem(config: ExperimentConfig) -> st.ProblemConfig:
     else:
         nx = config["domain.nx"]
         lx = config["domain.lx"]
-        tb = np.full(nx, config["theta_bottom"])
-        wobble = config["theta_bottom_wobble"]
-        if wobble != 0.0:
-            xc = (np.arange(nx) + 0.5) * (lx / nx)
-            tb = tb + wobble * np.cos(2.0 * np.pi * xc / lx)
+        xc = (np.arange(nx) + 0.5) * (lx / nx)
+        tb = config["theta_bottom"] + config["theta_bottom_wobble"] * np.cos(2.0 * np.pi * xc / lx)
         grid = Grid2D(
             nx=nx,
             nz=config["domain.nz"],
@@ -483,61 +477,34 @@ def make_initial_state(config: ExperimentConfig, reference: st.StationaryState) 
 # ---------------------------------------------------------------------------
 
 
+_GRIDS = {1: Grid1D, 2: Grid2D}
+# the state's fields, each stored as an array under its own name
+_STATE_ARRAYS = tuple(f.name for f in fields(FluidState) if f.name not in ("grid", "t"))
+
+
 def save_snapshot(path, state: FluidState):
-    """Self-describing container with grid metadata; bit-exact round trip."""
-    grid = state.grid
-    if grid.dimension == 1:
-        meta = {
-            "dimension": 1,
-            "n": grid.n,
-            "theta_bottom": grid.theta_bottom,
-            "theta_top": grid.theta_top,
-            "length": grid.length,
-            "t": state.t,
-        }
-        arrays = {"rho": state.rho, "theta": state.theta, "u": state.u}
-    else:
-        meta = {
-            "dimension": 2,
-            "nx": grid.nx,
-            "nz": grid.nz,
-            "lx": grid.lx,
-            "lz": grid.lz,
-            "t": state.t,
-        }
-        arrays = {
-            "rho": state.rho,
-            "theta": state.theta,
-            "u": state.u,
-            "w": state.w,
-            "theta_bottom": grid.wall_theta("bottom"),
-            "theta_top": grid.wall_theta("top"),
-        }
-    np.savez(path, meta=np.array(json.dumps(meta, sort_keys=True)), **arrays)
+    """Self-describing container; bit-exact round trip.  The JSON header
+    ``meta`` holds ``dimension``, ``t`` and the grid's scalar fields; its
+    tuple fields (the slab's plates) and the state's fields are arrays."""
+    header = {"dimension": state.grid.dimension, "t": state.t}
+    arrays = {name: getattr(state, name) for name in _STATE_ARRAYS if getattr(state, name) is not None}
+    for name, value in asdict(state.grid).items():
+        (arrays if isinstance(value, tuple) else header)[name] = value
+    np.savez(path, meta=np.array(json.dumps(header, sort_keys=True)), **arrays)
 
 
 def load_snapshot(path) -> FluidState:
+    """The state ``save_snapshot`` wrote; a header whose ``dimension`` is
+    not 1 or 2 raises ValueError."""
     with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(str(data["meta"]))
-        if meta["dimension"] == 1:
-            grid = Grid1D(
-                n=meta["n"],
-                theta_bottom=meta["theta_bottom"],
-                theta_top=meta["theta_top"],
-                length=meta["length"],
-            )
-            return FluidState(grid=grid, t=meta["t"], rho=data["rho"], theta=data["theta"], u=data["u"])
-        grid = Grid2D(
-            nx=meta["nx"],
-            nz=meta["nz"],
-            theta_bottom=data["theta_bottom"],
-            theta_top=data["theta_top"],
-            lx=meta["lx"],
-            lz=meta["lz"],
-        )
-        return FluidState(
-            grid=grid, t=meta["t"], rho=data["rho"], theta=data["theta"], u=data["u"], w=data["w"]
-        )
+        header = json.loads(str(data["meta"]))
+        dimension, t = header.pop("dimension"), header.pop("t")
+        if dimension not in _GRIDS:
+            raise ValueError(f"snapshot {path} has dimension {dimension!r}, not 1 or 2")
+        grid_class = _GRIDS[dimension]
+        tuples = {f.name: data[f.name] for f in fields(grid_class) if f.name in data}
+        state = {name: data[name] for name in _STATE_ARRAYS if name in data}
+        return FluidState(grid_class(**header, **tuples), t, **state)
 
 
 class CsvSink:
@@ -694,42 +661,15 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> RunManifest:
         meta_path = out / f"{label}.meta.jsonl"
         thresholds = dg.Thresholds.from_reference(reference)
         compute = dg.make_diagnostics(reference, gas, transport, thresholds)
+        records = (
+            {"kind": "gas", **_section(config, "gas")},
+            {"kind": "transport", **_section(config, "transport")},
+            {"kind": "grid", "dimension": problem.grid.dimension, **asdict(problem.grid)},
+            {"kind": "thresholds", **asdict(thresholds)},
+            {"kind": "columns", "names": dg.RECORD_FIELDS},
+        )
         with open(meta_path, "w") as fh:
-            fh.write(json.dumps({"kind": "gas", "p_inf": gas.p_inf, "a": gas.a, "pm_gain": gas.pm_gain}, sort_keys=True) + "\n")
-            fh.write(
-                json.dumps(
-                    {
-                        "kind": "transport",
-                        "mu0": transport.mu0,
-                        "eta0": transport.eta0,
-                        "kappa0": transport.kappa0,
-                        "beta": transport.beta,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-            grid = problem.grid
-            grid_meta = (
-                {"kind": "grid", "dimension": 1, "n": grid.n}
-                if grid.dimension == 1
-                else {"kind": "grid", "dimension": 2, "nx": grid.nx, "nz": grid.nz, "lx": grid.lx}
-            )
-            fh.write(json.dumps(grid_meta, sort_keys=True) + "\n")
-            fh.write(
-                json.dumps(
-                    {
-                        "kind": "thresholds",
-                        "theta_low": thresholds.theta_low,
-                        "theta_high": thresholds.theta_high,
-                        "rho_low": thresholds.rho_low,
-                        "rho_high": thresholds.rho_high,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-            fh.write(json.dumps({"kind": "columns", "names": dg.RECORD_FIELDS}, sort_keys=True) + "\n")
+            fh.writelines(json.dumps(record, sort_keys=True) + "\n" for record in records)
         artifacts.append(str(meta_path))
 
         with CsvSink(csv_path) as sink:

@@ -11,6 +11,11 @@ the column a ring of one (1, n), and ``field_shapes`` the shape of rho and
 theta, then of each velocity component, wall-normal last.  A stationary
 state is a ``FluidState`` at t = 0 (``stationary.StationaryState`` adds only
 its solver's report).
+
+A grid is plain data: its dataclass fields describe it whole.  The slab
+keeps each plate as a tuple of nx floats (a scalar plate is broadcast to
+nx), so grids compare by value and hash, and ``experiment`` writes and
+rebuilds either grid from its fields alone.
 """
 
 from __future__ import annotations
@@ -85,14 +90,15 @@ class Grid1D:
 class Grid2D:
     """Periodic-in-x slab: torus of period ``lx`` times the interval (0, 1).
 
-    ``theta_bottom``/``theta_top`` may be scalars or per-column arrays of
-    length ``nx`` (laterally varying plate temperature).
+    ``theta_bottom``/``theta_top`` may be given as scalars or per-column
+    sequences of length ``nx`` (laterally varying plate temperature); each
+    is kept as a tuple of nx floats.
     """
 
     nx: int
     nz: int
-    theta_bottom: object = 1.0
-    theta_top: object = 1.0
+    theta_bottom: tuple = 1.0
+    theta_top: tuple = 1.0
     lx: float = 2.0
     lz: float = 1.0
 
@@ -107,7 +113,7 @@ class Grid2D:
                 raise ValueError(f"{name} must be scalar or length-nx")
             if np.any(value <= 0.0):
                 raise ValueError(f"{name} must be positive")
-            object.__setattr__(self, name, value + 0.0)
+            object.__setattr__(self, name, tuple(np.broadcast_to(value, (self.nx,)).tolist()))
 
     @property
     def dx(self) -> float:
@@ -146,8 +152,7 @@ class Grid2D:
         return self.dx * self.dz
 
     def wall_theta(self, which: str) -> np.ndarray:
-        value = np.asarray(self.theta_bottom if which == "bottom" else self.theta_top)
-        return np.broadcast_to(value, (self.nx,))
+        return np.array(self.theta_bottom if which == "bottom" else self.theta_top)
 
 
 @dataclass

@@ -849,7 +849,7 @@ def solve_stationary_newton(
     config: ProblemConfig,
     gas,
     transport,
-    initial_guess: StationaryState = None,
+    initial_guess: FluidState = None,
     tol: float = 1.0e-9,
     max_iter: int = 50,
 ) -> StationaryState:
@@ -881,9 +881,10 @@ def solve_stationary_newton(
     ``NewtonFailure`` with the residual trace on stagnation, a singular
     Jacobian or a final norm that is not finite.  On success the state's
     ``counters`` hold the trace and the counts of ``_stationary_counters``,
-    starting from the guess's, whose hydrostatic halvings it keeps, and
-    its ``residual_norms`` are those of the residual evaluated at the last
-    iterate, with no further evaluation.
+    starting from the guess's where the guess is a ``StationaryState``
+    (whose hydrostatic halvings it keeps; a plain ``FluidState`` guess
+    brings none), and its ``residual_norms`` are those of the residual
+    evaluated at the last iterate, with no further evaluation.
     """
     grid = config.grid
     G = config.potential_field()
@@ -975,7 +976,7 @@ def solve_stationary_newton(
     # owned copies: unpack's fields are views of x
     fields = (a.copy() for a in (rho, theta, *velocity))
     state = StationaryState(grid, 0.0, *fields, iterations=iterations, floor_steps=floor_steps)
-    if initial_guess is not None:
+    if isinstance(initial_guess, StationaryState):
         state.counters.update(initial_guess.counters)
     state.counters.update(
         stationary_residual_trace=trace,

@@ -158,8 +158,22 @@ def test_cli_run_from_a_stored_config_writes_the_same_csv(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Snapshots
+# Grids as plain data, and snapshots
 # ---------------------------------------------------------------------------
+
+
+def test_slabs_compare_and_hash_by_their_plates():
+    plates = [1.0, 1.1, 1.0, 1.0]
+    slab = Grid2D(nx=4, nz=3, theta_bottom=plates)
+    twin = Grid2D(nx=4, nz=3, theta_bottom=list(plates))
+    assert slab == twin and hash(slab) == hash(twin)
+    assert slab.theta_bottom == (1.0, 1.1, 1.0, 1.0) and slab.theta_top == (1.0,) * 4
+    assert slab != Grid2D(nx=4, nz=3, theta_bottom=[1.0, 1.0, 1.1, 1.0])
+    assert np.array_equal(slab.wall_theta("bottom"), plates)
+
+
+def test_a_scalar_plate_is_broadcast_along_x():
+    assert Grid2D(nx=4, nz=3) == Grid2D(nx=4, nz=3, theta_bottom=[1.0] * 4, theta_top=[1.0] * 4)
 
 
 def test_snapshot_roundtrip_1d(tmp_path):
@@ -177,7 +191,7 @@ def test_snapshot_roundtrip_1d(tmp_path):
     assert np.array_equal(back.rho, state.rho)
     assert np.array_equal(back.theta, state.theta)
     assert np.array_equal(back.u, state.u)
-    assert back.grid.theta_bottom == 1.2
+    assert back.grid == state.grid
 
 
 def test_snapshot_roundtrip_2d(tmp_path):
@@ -196,7 +210,49 @@ def test_snapshot_roundtrip_2d(tmp_path):
     back = ex.load_snapshot(path)
     for name in ("rho", "theta", "u", "w"):
         assert np.array_equal(getattr(back, name), getattr(state, name))
-    assert np.array_equal(back.grid.wall_theta("bottom"), tb)
+    assert back.grid == state.grid
+    with np.load(path) as data:
+        header = json.loads(str(data["meta"]))
+        assert sorted(data.files) == ["meta", "rho", "theta", "theta_bottom", "theta_top", "u", "w"]
+    assert header == {"dimension": 2, "nx": nx, "nz": nz, "lx": 2.0, "lz": 1.0, "t": 1.25}
+
+
+def _write_snapshot(path, header, **arrays):
+    np.savez(path, meta=np.array(json.dumps(header, sort_keys=True)), **arrays)
+
+
+def test_snapshots_written_key_by_key_load(tmp_path):
+    """The on-disk layout, written out by hand: the column's grid all in the
+    header, the slab's plates as arrays of nx values."""
+    rng = np.random.default_rng(2)
+    rho, theta = rng.uniform(0.5, 2.0, (2, 4))
+    u = np.concatenate([[0.0], rng.standard_normal(3), [0.0]])
+    header = {"dimension": 1, "n": 4, "theta_bottom": 1.2, "theta_top": 0.9, "length": 1.0, "t": 0.5}
+    _write_snapshot(tmp_path / "column.npz", header, rho=rho, theta=theta, u=u)
+    column = ex.load_snapshot(tmp_path / "column.npz")
+    assert column.grid == Grid1D(n=4, theta_bottom=1.2, theta_top=0.9) and column.t == 0.5
+    assert column.w is None
+    assert all(np.array_equal(a, b) for a, b in zip((column.rho, column.theta, column.u), (rho, theta, u)))
+
+    nx, nz = 4, 3
+    fields = {
+        "rho": rng.uniform(0.5, 2.0, (nx, nz)), "theta": rng.uniform(0.5, 2.0, (nx, nz)),
+        "u": rng.standard_normal((nx, nz)), "w": np.pad(rng.standard_normal((nx, nz - 1)), ((0, 0), (1, 1))),
+    }
+    plates = {"theta_bottom": np.array([1.0, 1.1, 1.0, 1.0]), "theta_top": np.ones(nx)}
+    header = {"dimension": 2, "nx": nx, "nz": nz, "lx": 2.0, "lz": 1.0, "t": 1.25}
+    _write_snapshot(tmp_path / "slab.npz", header, **fields, **plates)
+    slab = ex.load_snapshot(tmp_path / "slab.npz")
+    assert slab.grid == Grid2D(nx=nx, nz=nz, theta_bottom=[1.0, 1.1, 1.0, 1.0]) and slab.t == 1.25
+    assert all(np.array_equal(getattr(slab, name), a) for name, a in fields.items())
+
+
+@pytest.mark.parametrize("dimension", [0, 3])
+def test_a_snapshot_of_another_dimension_is_rejected(dimension, tmp_path):
+    header = {"dimension": dimension, "n": 4, "theta_bottom": 1.0, "theta_top": 1.0, "length": 1.0, "t": 0.0}
+    _write_snapshot(tmp_path / "snap.npz", header, rho=np.ones(4), theta=np.ones(4), u=np.zeros(5))
+    with pytest.raises(ValueError, match="dimension"):
+        ex.load_snapshot(tmp_path / "snap.npz")
 
 
 # ---------------------------------------------------------------------------

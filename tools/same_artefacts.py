@@ -15,8 +15,13 @@ subprocess through ``python -m nsfsim.cli run``:
 For each config it prints whether the CSVs are byte-identical, the largest
 column deviation of ``experiment.compare_runs`` (and every column that
 deviates), and whether the manifests' status and counters are equal,
-``wall_time`` aside.  It exits 1 on any difference.  A pure refactor reads
-``same`` on every line.
+``wall_time`` aside.  It loads the reference, initial and final snapshots
+of both trees with this tree's ``experiment.load_snapshot`` and prints
+whether their fields and ``t`` are bit-equal and their grids ``==``.  Any of
+these differences makes the config ``DIFFERENT``, and the tool exits 1.
+It also prints each line of ``<label>.meta.jsonl`` that differs, both
+versions; these are reported only, since a change may add a field to a
+record on purpose.  A pure refactor reads ``same`` on every config.
 """
 
 from __future__ import annotations
@@ -30,6 +35,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
 
 from nsfsim import experiment as ex  # noqa: E402
 
@@ -74,8 +81,51 @@ def run(src, preset, overrides, out):
     return ex.RunManifest.from_json((out / f"{label}.manifest.json").read_text())
 
 
+def artefact(manifest, suffix):
+    """The path of the manifest's artefact ending in ``suffix``, or None."""
+    return next((Path(p) for p in manifest.artifacts if p.endswith(suffix)), None)
+
+
+def same_snapshot(path_a, path_b):
+    """Whether two snapshots hold bit-equal fields and ``t`` on ``==`` grids."""
+    a, b = ex.load_snapshot(path_a), ex.load_snapshot(path_b)
+    fields = zip((a.rho, a.theta, *a.velocity), (b.rho, b.theta, *b.velocity))
+    bits = len(a.velocity) == len(b.velocity) and all(
+        x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in fields
+    )
+    return bits and np.float64(a.t).tobytes() == np.float64(b.t).tobytes() and a.grid == b.grid
+
+
+def compare_snapshots(a, b):
+    """(lines, same) for the reference, initial and final snapshots."""
+    lines, same = [], True
+    for kind in ("reference", "initial", "final"):
+        paths = [artefact(m, f".{kind}.npz") for m in (a, b)]
+        if None in paths:
+            equal = paths[0] is paths[1]
+            verdict = "absent on both" if equal else "absent on one side"
+        else:
+            equal = same_snapshot(*paths)
+            verdict = "yes" if equal else "NO"
+        lines.append(f"  {kind} snapshot bit-equal, grids ==: {verdict}")
+        same = same and equal
+    return lines, same
+
+
+def meta_differences(a, b):
+    """Lines listing each ``.meta.jsonl`` record that differs, both versions."""
+    texts = [path.read_text().splitlines() if path else [] for path in (artefact(m, ".meta.jsonl") for m in (a, b))]
+    lines = []
+    for k in range(max(map(len, texts))):
+        line_a, line_b = (t[k] if k < len(t) else "(none)" for t in texts)
+        if line_a != line_b:
+            lines += [f"    line {k + 1}: {line_a}", f"      against {line_b}"]
+    return [f"  meta.jsonl lines that differ (reported only): {len(lines) // 2}"] + lines
+
+
 def compare(a, b):
-    """(lines, same) comparing two manifests' CSVs, status and counters."""
+    """(lines, same) comparing two manifests' CSVs, status, counters and
+    snapshots, with the ``.meta.jsonl`` lines that differ."""
     report = ex.compare_runs(a, b)
     identical = report.pop("_identical") == 1.0
     report.pop("_rows")
@@ -92,7 +142,9 @@ def compare(a, b):
     lines.append(f"  status: {a.status}" + ("" if a.status == b.status else f" against {b.status}"))
     lines.append(f"  counters equal (wall_time aside): {'yes' if not changed else 'NO'}")
     lines += [f"    {k}: {counters_a.get(k)} against {counters_b.get(k)}" for k in changed]
-    return lines, identical and not deviating and not changed and a.status == b.status
+    snapshot_lines, snapshots_same = compare_snapshots(a, b)
+    lines += snapshot_lines + meta_differences(a, b)
+    return lines, identical and not deviating and not changed and a.status == b.status and snapshots_same
 
 
 def main(argv=None):
