@@ -209,9 +209,6 @@ class ExperimentConfig:
     def __getitem__(self, key):
         return self.values[key]
 
-    def get(self, key, default=None):
-        return self.values.get(key, default)
-
 
 def _coerce(key, raw, lineno=None):
     typ, _ = _SCHEMA[key]
@@ -264,20 +261,22 @@ def _validate_semantics(values):
         raise ConfigError("convection-scheme", f"unknown convection scheme {values['convection']!r}")
     if values["convection"] == "minmod" and values["domain.kind"] != "column":
         raise ConfigError("convection-scheme", "minmod reconstruction is available on the column only")
+    if values["domain.kind"] == "column" and (values["gx"] != 0.0 or values["theta_bottom_wobble"] != 0.0):
+        raise ConfigError("slab-only", "gx and theta_bottom_wobble act on the slab only and must be 0 on a column")
     if values["snapshot_every"] < 0:
         raise ConfigError("snapshot-cadence", "snapshot_every must be >= 0")
 
 
 def config_from_mapping(mapping, preset=None) -> ExperimentConfig:
-    """Resolve a key-value mapping against the schema (preset first)."""
+    """Resolve a key-value mapping against the schema (``preset`` first).
+    ``preset`` is an argument, not a configuration key: a mapping that
+    holds one is rejected as holding an unknown key."""
     values = {key: default for key, (_, default) in _SCHEMA.items()}
     if preset is not None:
         if preset not in PRESETS:
             raise ConfigError("unknown-preset", f"unknown preset {preset!r}")
         values.update(PRESETS[preset])
     for key, raw in mapping.items():
-        if key == "preset":
-            continue
         if key not in _SCHEMA:
             raise ConfigError("unknown-key", f"unknown configuration key {key!r}")
         values[key] = _coerce(key, raw)

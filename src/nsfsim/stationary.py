@@ -34,9 +34,12 @@ The factors are kept: later iterations first try a chord step with them
 sec. 5.4), and a Jacobian is built and factored afresh only when that step
 fails to cut the residual tenfold.
 
-The pipeline's hydrostatic density is a Newton solve too: the face balances
-and the mass row in the cell densities form a bidiagonal system bordered by
-one row, solved in O(n) per iteration.
+The pipeline solves its one discrete problem one way.  The temperature is
+the Kirchhoff conduction profile between the column's plates, in closed
+form through the inverse of the conductivity primitive K.  The density is
+one damped Newton solve of the stepper's face balances and the mass row,
+a bidiagonal system bordered by one row, solved in O(n) per iteration;
+there is no other hydrostatic mode.
 
 Every solver returns a ``StationaryState``, a ``grids.FluidState`` at t = 0
 of owned fields plus the solver's report, which ``_finish`` writes for all
@@ -64,7 +67,6 @@ __all__ = [
     "ShootingFailure",
     "static_uniform",
     "solve_heat_profile_1d",
-    "heat_profile_function",
     "solve_hydrostatic_density",
     "solve_stationary_newton",
     "solve_rb_pipeline",
@@ -78,7 +80,10 @@ class NewtonFailure(RuntimeError):
 
 
 class ShootingFailure(RuntimeError):
-    pass
+    """The pipeline's hydrostatic solve failed: the discrete Newton of
+    ``solve_hydrostatic_density`` met a singular Jacobian, could not keep
+    the density positive, or did not converge.  The name dates from an
+    earlier shooting solver and is kept as public API."""
 
 
 def _potential_from_gravity(grid, g):
@@ -227,38 +232,19 @@ def static_uniform(config: ProblemConfig, gas=None, transport=None) -> Stationar
 # ---------------------------------------------------------------------------
 
 
-def heat_profile_function(transport, theta_bottom, theta_top):
-    """Continuous stationary conduction profile and its derivative.
+def solve_heat_profile_1d(transport, grid: Grid1D) -> np.ndarray:
+    """Stationary conduction temperature at the cell centers of ``grid``
+    between its plates.
 
-    K(theta(x)) is linear in x between the plate values, so
-    theta(x) = K_inv((1-x) K(Theta_B) + x K(Theta_U)) and
-    theta'(x) = (K(Theta_U) - K(Theta_B)) / kappa(theta(x)).
-    """
-    if theta_bottom <= 0.0 or theta_top <= 0.0:
-        raise ValueError("plate temperatures must be positive")
-    kb = float(thermo.conductivity_primitive(transport, np.float64(theta_bottom)))
-    kt = float(thermo.conductivity_primitive(transport, np.float64(theta_top)))
-    slope = kt - kb
-
-    def theta_of_x(x):
-        x = np.asarray(x, dtype=float)
-        return thermo.invert_conductivity_primitive(transport, kb + slope * x)
-
-    def dtheta_dx(x):
-        return slope / thermo._conductivity_raw(transport, theta_of_x(x))
-
-    return theta_of_x, dtheta_dx
-
-
-def solve_heat_profile_1d(transport, theta_bottom, theta_top, grid: Grid1D) -> np.ndarray:
-    """Stationary conduction temperature at cell centers.
-
-    Because the discrete heat flux is a K-difference, this profile carries an
-    exactly constant flux cell to cell (to inversion tolerance), wall
+    K(theta(x)) is linear in x between the plate values, so on a column of
+    length L, theta(x) = K_inv((1 - x/L) K(Theta_B) + (x/L) K(Theta_U)).
+    Because the discrete heat flux is a K-difference, this profile carries
+    an exactly constant flux cell to cell (to inversion tolerance), wall
     half-cells included.
     """
-    theta_of_x, _ = heat_profile_function(transport, theta_bottom, theta_top)
-    return theta_of_x(grid.centers())
+    kb = float(thermo.conductivity_primitive(transport, np.float64(grid.theta_bottom)))
+    kt = float(thermo.conductivity_primitive(transport, np.float64(grid.theta_top)))
+    return thermo.invert_conductivity_primitive(transport, kb + (kt - kb) * (grid.centers() / grid.length))
 
 
 # ---------------------------------------------------------------------------
@@ -279,17 +265,31 @@ def solve_banded(ab, b):
     return x
 
 
-def _hydrostatic_newton(gas, theta, dG, dx, m0):
-    """Damped Newton on the n-1 face balances and the mass row.
+def brentq(f, a, b, **kwargs):
+    """``scipy.optimize.brentq``, imported on first use.  Nothing in the
+    package calls it: it stays only because perfbench's tracer patches
+    ``stationary.brentq`` and its self-tests expect the attribute."""
+    from scipy.optimize import brentq as scipy_brentq
 
-    The unknowns are rho at every cell.  Face i reads
-    p(rho_{i+1}, theta_{i+1}) - p(rho_i, theta_i) - 0.5 (rho_i + rho_{i+1}) dG_i,
-    so the Jacobian is bidiagonal and bordered by the mass row dx * (1, ..., 1).
-    Taking rho_0 as the border unknown leaves a lower-bidiagonal block in
-    rho_1..rho_{n-1}; it is solved for the residual and for the rho_0 column,
-    and the mass row then fixes the rho_0 increment: O(n) per iteration.
+    return scipy_brentq(f, a, b, **kwargs)
+
+
+def solve_hydrostatic_density(gas, theta, g, m0: float, grid: Grid1D):
+    """(rho, halvings): the density in the stepper's discrete hydrostatic
+    balance with the cell temperatures ``theta`` under the scalar gravity
+    ``g`` (G = g x), and the count of positivity halvings of the solve.
+
+    A damped Newton zeros the n-1 face balances
+    p(rho_{i+1}, theta_{i+1}) - p(rho_i, theta_i) = 0.5 (rho_i + rho_{i+1}) g dx
+    together with the mass row sum(rho) dx = m0.  The Jacobian is
+    bidiagonal and bordered by the mass row dx * (1, ..., 1).  Taking rho_0
+    as the border unknown leaves a lower-bidiagonal block in
+    rho_1..rho_{n-1}; it is solved for the residual and for the rho_0
+    column, and the mass row then fixes the rho_0 increment: O(n) per
+    iteration.  A step that would take a density nonpositive is halved.
     """
-    n = theta.size
+    n, dx = theta.size, grid.dx
+    dG = float(g) * dx
     rho = np.full(n, m0 / (n * dx))
     converged, halvings = False, 0
     for _ in range(_HYDROSTATIC_MAXITER):
@@ -330,103 +330,6 @@ def _hydrostatic_newton(gas, theta, dG, dx, m0):
     return rho, halvings
 
 
-def brentq(f, a, b, **kwargs):
-    """``scipy.optimize.brentq``, imported on first use: only the rk4
-    shooting needs it, and the import costs every other run."""
-    from scipy.optimize import brentq as scipy_brentq
-
-    return scipy_brentq(f, a, b, **kwargs)
-
-
-def solve_hydrostatic_density(
-    gas,
-    theta_s,
-    g,
-    m0: float,
-    grid: Grid1D,
-    mode: str = "discrete",
-    theta_profile=None,
-):
-    """Density in hydrostatic balance with the given temperature field, and
-    the details of the solve: a dict of rho0 = rho[0], the mass, and in the
-    discrete mode the Newton's positivity ``halvings``.
-
-    mode="discrete" (default): zeros the stepper's face balance
-    p_{i+1} - p_i = 0.5 (rho_i + rho_{i+1}) (G_{i+1} - G_i) at all n-1 faces
-    together with the cell-sum mass sum(rho) dx = m0, by one damped Newton
-    solve of that bordered bidiagonal system (O(n) per iteration).  ``g`` is
-    a scalar gravity (G = g x) or the potential at the cell centers.
-
-    mode="rk4": fourth-order integration of the pointwise balance
-    drho/dx = (rho G' - (dp/dtheta) theta') / (dp/drho) with the continuous
-    conduction profile ``theta_profile`` = (theta(x), theta'(x)); the total
-    mass rides along as an auxiliary quadrature state, and ``brentq`` shoots
-    on rho(0) until it matches m0.
-    """
-    if mode == "discrete":
-        theta_s = np.asarray(theta_s, dtype=float)
-        dG = np.full(grid.n - 1, float(g) * grid.dx) if np.ndim(g) == 0 else np.diff(np.asarray(g))
-        rho, halvings = _hydrostatic_newton(gas, theta_s, dG, grid.dx, m0)
-        return rho, {"rho0": float(rho[0]), "mass": float(np.sum(rho) * grid.dx), "halvings": halvings}
-
-    if mode != "rk4":
-        raise ValueError("mode must be 'discrete' or 'rk4'")
-    if theta_profile is None:
-        raise ValueError("rk4 mode needs the continuous theta profile")
-    theta_of_x, dtheta_dx = theta_profile
-    gval = float(g)
-    rho_flat = m0 / grid.volume
-
-    # a half step to the first center, full steps center to center, a half
-    # step to the top wall; the profile is evaluated once at every RK node
-    sizes = np.full(grid.n + 1, grid.dx)
-    sizes[[0, -1]] *= 0.5
-    nodes = np.append(0.0, grid.centers())[:, None] + np.outer(sizes, [0.0, 0.5, 1.0])
-    theta_nodes = theta_of_x(nodes).tolist()
-    dtheta_nodes = dtheta_dx(nodes).tolist()
-
-    def rhs(y, th, dth):
-        rho_v = y[0]
-        dp_drho, dp_dtheta = thermo.pressure_partials(gas, np.float64(rho_v), np.float64(th))
-        return np.array([(rho_v * gval - float(dp_dtheta) * dth) / float(dp_drho), rho_v])
-
-    def rk4_path(rho0):
-        y = np.array([rho0, 0.0])
-        values = np.empty(grid.n)
-        for k, h in enumerate(sizes.tolist()):
-            th, dth = theta_nodes[k], dtheta_nodes[k]
-            k1 = rhs(y, th[0], dth[0])
-            k2 = rhs(y + 0.5 * h * k1, th[1], dth[1])
-            k3 = rhs(y + 0.5 * h * k2, th[1], dth[1])
-            k4 = rhs(y + h * k3, th[2], dth[2])
-            y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if k < grid.n:
-                values[k] = y[0]
-        return values, y[1]
-
-    def mass_of(rho0):
-        return rk4_path(rho0)[1] - m0
-
-    lo, hi = 0.5 * rho_flat, 2.0 * rho_flat
-    flo, fhi = mass_of(lo), mass_of(hi)
-    for _ in range(60):
-        if flo < 0.0 < fhi:
-            break
-        if flo >= 0.0:
-            lo *= 0.5
-            flo = mass_of(lo)
-        if fhi <= 0.0:
-            hi *= 2.0
-            fhi = mass_of(hi)
-    else:
-        raise ShootingFailure(f"mass bracket failed on [{lo}, {hi}]")
-    rho0 = brentq(mass_of, lo, hi, xtol=1.0e-15, rtol=8.9e-16, maxiter=200)
-    rho, mass = rk4_path(rho0)
-    if np.any(rho <= 0.0):
-        raise ShootingFailure("nonpositive density in the integrated profile")
-    return rho, {"rho0": rho0, "mass": mass}
-
-
 def _pipeline_applies(config: ProblemConfig) -> bool:
     """Whether ``solve_rb_pipeline`` solves the problem: always on a column;
     on a slab, with plates constant along x and gravity without an x
@@ -452,12 +355,12 @@ def solve_rb_pipeline(config: ProblemConfig, gas, transport) -> StationaryState:
         plates = (float(grid.wall_theta(which)[0]) for which in ("bottom", "top"))
         col, m0_col = Grid1D(grid.nz, *plates, length=grid.lz), config.m0 / grid.lx
     gval = 0.0 if config.g is None else (float(config.g[-1]) if np.ndim(config.g) else float(config.g))
-    theta_col = solve_heat_profile_1d(transport, col.theta_bottom, col.theta_top, col)
-    rho_col, details = solve_hydrostatic_density(gas, theta_col, gval, m0_col, col)
+    theta_col = solve_heat_profile_1d(transport, col)
+    rho_col, halvings = solve_hydrostatic_density(gas, theta_col, gval, m0_col, col)
     # owned copies: a broadcast view would be read-only with zero strides
     rho, theta = (np.broadcast_to(a, grid.field_shapes[0]).copy() for a in (rho_col, theta_col))
     state = StationaryState.at_rest(grid, rho, theta)
-    state.counters["hydrostatic_halvings"] = details["halvings"]
+    state.counters["hydrostatic_halvings"] = halvings
     return _finish(config, state, _residual_norms(state, gas, transport, config.potential_field()))
 
 

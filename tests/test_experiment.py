@@ -88,6 +88,26 @@ def test_duplicate_key_rejected():
     assert err.value.code == "duplicate-key"
 
 
+def test_a_preset_key_in_a_mapping_is_rejected():
+    # a preset is chosen by the ``preset`` argument (or a ``preset =`` line
+    # or ``--preset``); as a mapping key it used to be dropped in silence
+    with pytest.raises(ex.ConfigError) as err:
+        ex.config_from_mapping({"preset": "rb-2d-topology"})
+    assert err.value.code == "unknown-key" and "preset" in str(err.value)
+    assert cli.main(["validate", "--preset", "static-sanity", "--set", "preset=rb-2d-topology"]) == 2
+
+
+@pytest.mark.parametrize("key", ["gx", "theta_bottom_wobble"])
+def test_slab_only_keys_are_rejected_on_a_column(key):
+    # a column has no x: a nonzero lateral gravity or plate wobble there
+    # used to be ignored; on a slab both stay accepted
+    with pytest.raises(ex.ConfigError) as err:
+        ex.config_from_mapping({"domain.kind": "column", key: "0.2"})
+    assert err.value.code == "slab-only"
+    assert cli.main(["validate", "--preset", "rb-1d-small", "--set", f"{key}=0.2"]) == 2
+    assert ex.config_from_mapping({key: "0.2"}, preset="rb-2d-topology")[key] == 0.2
+
+
 def test_preset_then_overrides():
     config = ex.parse_config_text("preset = rb-1d-small\nhorizon = 1.0\n")
     assert config["domain.n"] == 128
@@ -334,7 +354,7 @@ def test_sweep_runs_each_value(tmp_path):
 def test_perturbations_preserve_mass_and_traces():
     for family in ("density-bump", "thermal-bump", "velocity-kick", "random-smooth"):
         config = ex.config_from_mapping(
-            {"preset": "rb-1d-small", "perturbation.family": family, "horizon": "0"},
+            {"perturbation.family": family, "horizon": "0"},
             preset="rb-1d-small",
         )
         gas, transport = ex.build_models(config)
@@ -522,7 +542,7 @@ def test_stationary_runtime_error_writes_failed_manifest(tmp_path, monkeypatch):
     def hydrostatic_without_convergence(*args, **kwargs):
         raise RuntimeError("Failed to converge after 200 iterations")
 
-    monkeypatch.setattr(st, "_hydrostatic_newton", hydrostatic_without_convergence)
+    monkeypatch.setattr(st, "solve_hydrostatic_density", hydrostatic_without_convergence)
     code, manifest = _run_small_column(tmp_path, "no-bracket", "stationary_solver=pipeline")
     assert code == 3
     assert manifest.status == "failed:stationary"
@@ -775,8 +795,9 @@ def test_manifest_warns_on_armijo_floor_acceptances(tmp_path, monkeypatch):
 
 
 def test_cli_import_loads_neither_quadrature_nor_root_finding():
-    # scipy.integrate serves only custom entropy kernels and scipy.optimize
-    # only the rk4 hydrostatic shooting; a fresh `nsfsim` run imports neither
+    # scipy.integrate serves only custom entropy kernels, and scipy.optimize
+    # only ``stationary.brentq``, which nothing in the package calls; the
+    # bare import loads neither
     src = str(Path(cli.__file__).resolve().parents[1])
     code = (
         "import sys, nsfsim.cli; "
@@ -785,3 +806,23 @@ def test_cli_import_loads_neither_quadrature_nor_root_finding():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_run_loads_neither_quadrature_nor_root_finding(tmp_path):
+    # a whole run through the pipeline and the diagnostics, to horizon 0,
+    # loads neither scipy.integrate nor scipy.optimize either
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "from nsfsim import cli\n"
+        "assert cli.main(sys.argv[1:]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.integrate', 'scipy.optimize'))))"
+    )
+    args = ["run", "--preset", "rb-1d-small", "--set", "horizon=0", "--out", str(tmp_path)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+    manifest = ex.RunManifest.from_json((tmp_path / "rb-1d-small.manifest.json").read_text())
+    # the pipeline served: no Newton iteration, and a profile off the flat state
+    assert manifest.status == "ok" and manifest.counters["stationary_iterations"] == 0
+    assert manifest.counters["stationary_theta_dev"] > 0.0

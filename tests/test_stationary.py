@@ -1,7 +1,7 @@
 """Stationary solver tests: closed-form static states, the Kirchhoff
 conduction profile with its constant discrete flux, hydrostatic balance in
-both discrete and fourth-order modes, the coupled Newton solve and its
-coloured sparse Jacobian."""
+the stepper's discrete form against a continuum oracle, the coupled Newton
+solve and its coloured sparse Jacobian."""
 
 from unittest import mock
 
@@ -22,14 +22,20 @@ from nsfsim.stationary import (
     NewtonFailure,
     ProblemConfig,
     ShootingFailure,
-    heat_profile_function,
     solve_heat_profile_1d,
     solve_hydrostatic_density,
     solve_rb_pipeline,
     solve_stationary_newton,
     static_uniform,
 )
-from nsfsim.thermo import GasModel, TransportModel, conductivity_primitive, pressure, pressure_partials
+from nsfsim.thermo import (
+    GasModel,
+    TransportModel,
+    conductivity_primitive,
+    invert_conductivity_primitive,
+    pressure,
+    pressure_partials,
+)
 
 GAS = GasModel()
 TR = TransportModel()
@@ -129,7 +135,7 @@ def test_stationary_snapshot_round_trip(kind, tmp_path):
 
 def test_heat_profile_equal_plates_is_constant():
     grid = Grid1D(n=48, theta_bottom=1.0, theta_top=1.0)
-    theta = solve_heat_profile_1d(TR, 1.0, 1.0, grid)
+    theta = solve_heat_profile_1d(TR, grid)
     assert np.max(np.abs(theta - 1.0)) < 1e-14
 
 
@@ -137,7 +143,7 @@ def test_heat_profile_midpoint_against_bisection_oracle():
     # independent oracle: bisection on K(t) = (K(1.1)+K(1.0))/2 with the
     # primitive evaluated directly; grid chosen so a center sits at x = 1/2
     grid = Grid1D(n=65, theta_bottom=1.1, theta_top=1.0)
-    theta = solve_heat_profile_1d(TR, 1.1, 1.0, grid)
+    theta = solve_heat_profile_1d(TR, grid)
 
     def K(t):
         return t + t**8 / 8.0
@@ -158,18 +164,30 @@ def test_heat_profile_midpoint_against_bisection_oracle():
 
 def test_heat_profile_discrete_flux_constant():
     grid = Grid1D(n=64, theta_bottom=1.1, theta_top=1.0)
-    theta = solve_heat_profile_1d(TR, 1.1, 1.0, grid)
+    theta = solve_heat_profile_1d(TR, grid)
     (flux,) = ops.kirchhoff_fluxes_nd(grid, TR, theta)
     assert float(np.max(flux) - np.min(flux)) < 1e-10
 
 
 def test_heat_profile_matches_primitive_linearity():
     grid = Grid1D(n=40, theta_bottom=1.3, theta_top=0.9)
-    theta = solve_heat_profile_1d(TR, 1.3, 0.9, grid)
+    theta = solve_heat_profile_1d(TR, grid)
     K = conductivity_primitive(TR, theta)
     x = grid.centers()
     fit = np.polyfit(x, K, 1)
     assert np.max(np.abs(np.polyval(fit, x) - K)) < 1e-12
+
+
+def test_pipeline_profile_spans_the_column_height():
+    # the conduction profile runs from plate to plate over the column's own
+    # length, on a half-length column and on a slab twice as tall
+    cases = [
+        (Grid1D(n=16, theta_bottom=1.1, theta_top=1.0, length=0.5), 0.01),
+        (Grid2D(nx=4, nz=16, theta_bottom=1.1, theta_top=1.0, lz=2.0), (0.0, 0.01)),
+    ]
+    for grid, g in cases:
+        state = solve_rb_pipeline(ProblemConfig(grid=grid, m0=1.0, g=g), GAS, TR)
+        assert max(state.residual_norms.values()) < 1e-10, state.residual_norms
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +211,7 @@ def test_hydrostatic_discrete_monotone_and_mass():
 
 def test_hydrostatic_discrete_zeroes_face_balance():
     grid = Grid1D(n=64)
-    theta = solve_heat_profile_1d(TR, 1.05, 1.0, Grid1D(n=64, theta_bottom=1.05, theta_top=1.0))
+    theta = solve_heat_profile_1d(TR, Grid1D(n=64, theta_bottom=1.05, theta_top=1.0))
     rho, _ = solve_hydrostatic_density(GAS, theta, 0.01, 1.0, grid)
     p = pressure(GAS, rho, theta)
     face_balance = np.diff(p) - 0.5 * (rho[:-1] + rho[1:]) * 0.01 * grid.dx
@@ -221,10 +239,9 @@ def _march_faces(theta, g, dx, rho0):
 @pytest.mark.parametrize("n", [64, 1024])
 def test_hydrostatic_discrete_matches_scalar_march(n):
     grid = Grid1D(n=n, theta_bottom=1.05, theta_top=1.0)
-    theta = solve_heat_profile_1d(TR, 1.05, 1.0, grid)
-    rho, details = solve_hydrostatic_density(GAS, theta, 0.01, 1.0, grid)
-    assert details["rho0"] == rho[0]
-    assert details["mass"] == pytest.approx(1.0, abs=1e-12)
+    theta = solve_heat_profile_1d(TR, grid)
+    rho, _ = solve_hydrostatic_density(GAS, theta, 0.01, 1.0, grid)
+    assert np.sum(rho) * grid.dx == pytest.approx(1.0, abs=1e-12)
     oracle = _march_faces(theta, 0.01, grid.dx, rho[0])
     assert np.max(np.abs(rho - oracle) / oracle) < 1e-12
 
@@ -238,7 +255,7 @@ def test_hydrostatic_discrete_matches_scalar_march(n):
 )
 def test_hydrostatic_discrete_balance_mass_positivity(n, theta_bottom, theta_top, g):
     grid = Grid1D(n=n, theta_bottom=theta_bottom, theta_top=theta_top)
-    theta = solve_heat_profile_1d(TR, theta_bottom, theta_top, grid)
+    theta = solve_heat_profile_1d(TR, grid)
     rho, _ = solve_hydrostatic_density(GAS, theta, g, 1.0, grid)
     p = pressure(GAS, rho, theta)
     face_balance = np.diff(p) - 0.5 * (rho[:-1] + rho[1:]) * g * grid.dx
@@ -247,47 +264,44 @@ def test_hydrostatic_discrete_balance_mass_positivity(n, theta_bottom, theta_top
     assert np.all(rho > 0.0)
 
 
-def test_hydrostatic_discrete_per_node_potential_matches_scalar_gravity():
-    grid = Grid1D(n=96, theta_bottom=1.1, theta_top=1.0)
-    theta = solve_heat_profile_1d(TR, 1.1, 1.0, grid)
-    scalar, _ = solve_hydrostatic_density(GAS, theta, 0.3, 1.0, grid)
-    per_node, _ = solve_hydrostatic_density(GAS, theta, 0.3 * grid.centers(), 1.0, grid)
-    assert np.max(np.abs(per_node - scalar) / scalar) < 1e-13
+def _continuum_hydrostatic(theta_bottom, theta_top, g, m0):
+    # oracle: the pointwise balance drho/dx = (rho g - (dp/dtheta) theta') /
+    # (dp/drho) along the continuous Kirchhoff profile on (0, 1), the mass
+    # riding along as a second state; brentq shoots on rho(0) until the mass
+    # is m0, and the last shot's DOP853 dense output gives rho(x)
+    from scipy.integrate import solve_ivp
+    from scipy.optimize import brentq
 
+    kb, kt = (float(conductivity_primitive(TR, t)) for t in (theta_bottom, theta_top))
 
-def test_hydrostatic_rk4_mass_and_fourth_order():
-    # shooting matches the fourth-order quadrature mass riding along the
-    # integration; the shot starting density is Richardson-confirmed O(h^4)
-    profile = heat_profile_function(TR, 1.2, 1.0)
-    rho0 = {}
-    for n in (8, 16, 32, 64):
-        grid = Grid1D(n=n, theta_bottom=1.2, theta_top=1.0)
-        rho, details = solve_hydrostatic_density(
-            GAS, None, 0.2, 1.0, grid, mode="rk4", theta_profile=profile
-        )
-        assert np.all(np.diff(rho) > 0.0)  # monotone toward the potential
-        assert abs(details["mass"] - 1.0) < 1e-10
-        rho0[n] = details["rho0"]
-    d1 = abs(rho0[8] - rho0[16])
-    d2 = abs(rho0[16] - rho0[32])
-    d3 = abs(rho0[32] - rho0[64])
-    assert 8.0 < d1 / d2 < 28.0
-    assert 8.0 < d2 / d3 < 28.0
+    def theta_of(x):
+        return invert_conductivity_primitive(TR, kb + (kt - kb) * np.asarray(x, dtype=float))
+
+    def rhs(x, y):
+        theta = theta_of(x)
+        dtheta = (kt - kb) / (TR.kappa0 * (1.0 + theta**TR.beta))  # K' = kappa
+        dp_drho, dp_dtheta = (float(d) for d in pressure_partials(GAS, y[0], theta))
+        return [(y[0] * g - dp_dtheta * dtheta) / dp_drho, y[0]]
+
+    def shot(rho0):
+        return solve_ivp(rhs, (0.0, 1.0), [rho0, 0.0], method="DOP853", rtol=1e-13, atol=1e-15, dense_output=True)
+
+    rho0 = brentq(lambda r: shot(r).y[1, -1] - m0, 0.5 * m0, 2.0 * m0, xtol=1e-15)
+    solution = shot(rho0).sol
+    return theta_of, lambda x: solution(x)[0]
 
 
 def test_hydrostatic_face_residual_second_order():
     # the two-point pressure difference balances the face-averaged weight to
-    # O(h^2) on the pointwise (rk4) solution; note the temperature-gradient
-    # contribution is already inside the pressure difference
-    profile = heat_profile_function(TR, 1.2, 1.0)
-    theta_of_x, _ = profile
+    # O(h^2) on the pointwise (continuum) solution; note the temperature-
+    # gradient contribution is already inside the pressure difference
+    theta_of, rho_of = _continuum_hydrostatic(1.2, 1.0, 0.2, 1.0)
     errs = []
     for n in (32, 64, 128):
-        grid = Grid1D(n=n, theta_bottom=1.2, theta_top=1.0)
-        rho, _ = solve_hydrostatic_density(GAS, None, 0.2, 1.0, grid, mode="rk4", theta_profile=profile)
-        theta = theta_of_x(grid.centers())
-        p = pressure(GAS, rho, theta)
-        resid = np.diff(p) / grid.dx - 0.5 * (rho[:-1] + rho[1:]) * 0.2
+        x = Grid1D(n=n, theta_bottom=1.2, theta_top=1.0).centers()
+        rho = rho_of(x)
+        p = pressure(GAS, rho, theta_of(x))
+        resid = np.diff(p) / (1.0 / n) - 0.5 * (rho[:-1] + rho[1:]) * 0.2
         errs.append(float(np.max(np.abs(resid))))
     orders = np.log(np.array(errs[:-1]) / np.array(errs[1:])) / np.log(2.0)
     assert np.all(np.abs(orders - 2.0) < 0.3)
@@ -300,14 +314,13 @@ def test_hydrostatic_newton_counts_its_positivity_halvings():
     # from its guess report the count
     grid = Grid1D(n=32)
     theta = np.ones(32)
-    rho, details = solve_hydrostatic_density(GAS, theta, 30.0, 1.0, grid)
-    assert details["halvings"] == 2
+    rho, halvings = solve_hydrostatic_density(GAS, theta, 30.0, 1.0, grid)
+    assert halvings == 2
     p = pressure(GAS, rho, theta)
     face_balance = np.diff(p) - 0.5 * (rho[:-1] + rho[1:]) * 30.0 * grid.dx
     assert np.all(np.abs(face_balance) <= 1e-9 * np.maximum(1.0, np.abs(p[:-1])))
     assert abs(np.sum(rho) * grid.dx - 1.0) <= 1e-12
-    mild = solve_hydrostatic_density(GAS, theta, 0.01, 1.0, grid)[1]
-    assert mild["halvings"] == 0
+    assert solve_hydrostatic_density(GAS, theta, 0.01, 1.0, grid)[1] == 0
     config = ProblemConfig(grid=grid, m0=1.0, g=30.0)
     pipeline = solve_rb_pipeline(config, GAS, TR)
     assert pipeline.counters["hydrostatic_halvings"] == 2
